@@ -8,7 +8,11 @@ An infinity anchor constrains the z-reversal of Q at (x_i, 0) instead.
 Koetter's update processes one constraint at a time over M + 1 candidates
 ordered by (1, w)-weighted leading degree, and the smallest final candidate
 meets the weighted-degree cap whenever the constraint count is below the
-cap's coefficient budget.
+cap's coefficient budget.  The candidates are held densely, as one integer
+numpy array indexed (candidate, z-degree, x-degree), and each anchor's
+Hasse discrepancies are computed once and then updated incrementally
+(McEliece, "The Guruswami-Sudan decoding algorithm for Reed-Solomon codes",
+IPN PR 42-153, 2003); only the result is returned as a sparse polynomial.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fields import Field
+import numpy as np
+
+from .fields import Field, FieldArrays
 from .polys import Polynomial
 
 
@@ -147,115 +153,92 @@ def hasse_constraints(s: int):
     return [(c - v, v) for c in range(s) for v in range(c + 1)]
 
 
+def _hasse_matrix(A: FieldArrays, binom: np.ndarray, point: int,
+                  rows: int, s: int) -> np.ndarray:
+    """T[i, u] = C(i, u) * point^(i - u) for i < rows, u < s (0 when i < u):
+    a coefficient vector times T gives its Hasse derivatives at point."""
+    shift = np.arange(rows)[:, None] - np.arange(s)
+    return A.mul(binom[:rows, :s], A.powers(point, rows)[np.maximum(shift, 0)])
+
+
 def koetter_interpolate(field: Field, anchors: list[ProjectivePoint], s: int,
                         M: int, w: int, rho: int | None = None) -> BivariatePolynomial:
     """Smallest nonzero Q (by (1, w)-weighted leading monomial, z-degree
     breaking ties) with zdeg <= M meeting every multiplicity-s constraint.
 
+    The M + 1 candidates are one array G[candidate, z-degree, x-degree];
+    candidate j starts as z^j and keeps z-degree j in its leading monomial.
+    At each anchor all s(s+1)/2 Hasse discrepancies of every candidate are
+    computed in one pass, then kept current by linearity as the candidates
+    are updated: a combination of candidates combines their discrepancy
+    rows, and multiplying by (x - x0) shifts a row one step in u.
+
     When rho is given the result is checked against it: with the constraint
     count below the (M, rho) coefficient budget the minimum is guaranteed to
     fit, so a violation means the caps were inconsistent.
     """
-    F = field
-    p = F.p
-    cands: list[dict] = [{(0, j): 1} for j in range(M + 1)]
-    lmx = [0] * (M + 1)  # x-exponent of the leading monomial (z-exp is j)
-
-    comb_cache: dict[tuple[int, int], int] = {}
-
-    def binom(a: int, b: int) -> int:
-        key = (a, b)
-        val = comb_cache.get(key)
-        if val is None:
-            val = math.comb(a, b) % p
-            comb_cache[key] = val
-        return val
+    A = field.arrays()
+    C = M + 1
+    lmx = [0] * C  # x-exponent of the leading monomial (z-exp is j)
 
     def order_key(j: int):
         return (lmx[j] + j * w, j)
 
+    # Every term x^i z^j' of candidate c has i + j'w <= lmx[c] + c*w, so its
+    # x-degree is at most lmx[c] + c*w + spare.
+    spare = max(0, -w) * M
+    top = max(c * w for c in range(C)) + spare
+    G = np.zeros((C, C, top + 1), dtype=A.dtype)
+    G[range(C), range(C), 0] = 1
+
+    def binomials(width: int) -> np.ndarray:
+        return A.array([[math.comb(i, u) % field.p for u in range(s)]
+                        for i in range(max(width, C))])
+
+    binom = binomials(top + 1)
+    cons = hasse_constraints(s)
     for pt in anchors:
-        x = pt.x
-        z = pt.z_num if not pt.is_infinite else 0
-        powx: dict[int, int] = {}
-        powz: dict[int, int] = {}
-
-        def xpow(e: int) -> int:
-            val = powx.get(e)
-            if val is None:
-                val = F.pow(x, e)
-                powx[e] = val
-            return val
-
-        def zpow(e: int) -> int:
-            val = powz.get(e)
-            if val is None:
-                val = F.pow(z, e)
-                powz[e] = val
-            return val
-
-        for u, v in hasse_constraints(s):
-            deltas = []
-            for g in cands:
-                acc = 0
-                if pt.is_infinite:
-                    jz = M - v
-                    for (i, j), c in g.items():
-                        if j != jz or i < u:
-                            continue
-                        b = binom(i, u)
-                        if not b:
-                            continue
-                        acc = F.add(acc, F.mul(F.mul(c, b), xpow(i - u)))
-                else:
-                    for (i, j), c in g.items():
-                        if i < u or j < v:
-                            continue
-                        b = (binom(i, u) * binom(j, v)) % p
-                        if not b:
-                            continue
-                        term = F.mul(F.mul(c, b), xpow(i - u))
-                        acc = F.add(acc, F.mul(term, zpow(j - v)))
-                deltas.append(acc)
-            hit = [j for j, dj in enumerate(deltas) if dj]
-            if not hit:
+        x0 = pt.x
+        cols = top + 1
+        H = A.dot(G[:, :, :cols], _hasse_matrix(A, binom, x0, cols, s))
+        if pt.is_infinite:
+            # the z-reversal at z = 0: D_{u,v} reads slice M - v
+            D = np.zeros((C, s, s), dtype=A.dtype)
+            for v in range(min(s, C)):
+                D[:, :, v] = H[:, M - v, :]
+        else:
+            D = A.dot(H.transpose(0, 2, 1),
+                      _hasse_matrix(A, binom, pt.z_num, C, s))
+        for u, v in cons:
+            d = D[:, u, v]
+            hit = np.flatnonzero(d)
+            if not hit.size:
                 continue
-            jstar = min(hit, key=order_key)
-            dstar = deltas[jstar]
-            gstar = cands[jstar]
-            for j in hit:
-                if j == jstar:
-                    continue
-                dj = deltas[j]
-                merged = {mon: F.mul(dstar, c) for mon, c in cands[j].items()}
-                for mon, c in gstar.items():
-                    val = F.sub(merged.get(mon, 0), F.mul(dj, c))
-                    if val:
-                        merged[mon] = val
-                    else:
-                        merged.pop(mon, None)
-                cands[j] = merged
-            promoted: dict = {}
-            nx = F.neg(x)
-            for (i, j), c in gstar.items():
-                up = (i + 1, j)
-                val = F.add(promoted.get(up, 0), c)
-                if val:
-                    promoted[up] = val
-                else:
-                    promoted.pop(up, None)
-                if nx:
-                    lo = (i, j)
-                    val = F.add(promoted.get(lo, 0), F.mul(nx, c))
-                    if val:
-                        promoted[lo] = val
-                    else:
-                        promoted.pop(lo, None)
-            cands[jstar] = promoted
+            jstar = min(hit.tolist(), key=order_key)
+            dstar = d[jstar]
+            rest = hit[hit != jstar]
+            if rest.size:
+                dj = d[rest][:, None, None]
+                G[rest, :, :cols] = A.msub(dstar, G[rest, :, :cols],
+                                           dj, G[jstar, :, :cols])
+                D[rest] = A.msub(dstar, D[rest], dj, D[jstar])
+            # g* <- (x - x0) g*, and D_{u,v}(g*) <- D_{u-1,v}(g*)
             lmx[jstar] += 1
+            top = max(top, lmx[jstar] + jstar * w + spare)
+            if top >= G.shape[2]:
+                G = np.concatenate([G, np.zeros_like(G)], axis=2)
+                binom = binomials(G.shape[2])
+            cols = top + 1
+            g = G[jstar, :, :cols]
+            shifted = np.zeros_like(g)
+            shifted[:, 1:] = g[:, :-1]
+            G[jstar, :, :cols] = A.msub(1, shifted, x0, g) if x0 else shifted
+            D[jstar, 1:] = D[jstar, :-1].copy()
+            D[jstar, 0] = 0
 
-    best = min(range(M + 1), key=order_key)
-    Q = BivariatePolynomial(F, cands[best])
+    best = min(range(C), key=order_key)
+    Q = BivariatePolynomial(field, {(int(i), int(j)): int(G[best, j, i])
+                                    for j, i in zip(*np.nonzero(G[best]))})
     if rho is not None and Q.wdeg(w) > rho:
         raise ArithmeticError(
             f"interpolant weighted degree {Q.wdeg(w)} exceeds cap {rho}; "

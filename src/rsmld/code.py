@@ -110,7 +110,8 @@ class RSCode:
                 row = contrib[e][s]
                 for i, x in enumerate(self.eval_points):
                     row[i] = F.mul(s, F.pow(x, e))
-        table = np.zeros((total, n), dtype=np.int16 if q > 127 else np.int8)
+        dtype = np.int8 if q <= 127 else np.int16 if q <= 32768 else np.int32
+        table = np.zeros((total, n), dtype=dtype)
         chunk = 1 << 16
         idx = np.arange(total, dtype=np.int64)
         for lo in range(0, total, chunk):
@@ -190,9 +191,25 @@ class Word:
             raise ValueError("word JSON must be an object")
         if obj.get("v") != JSON_VERSION:
             raise ValueError(f"unsupported word schema version {obj.get('v')!r}")
-        F = parse_field(obj["field"])
-        code = RSCode(F, obj["n"], obj["k"], obj.get("eval_points"))
+        missing = [key for key in ("field", "n", "k", "symbols") if key not in obj]
+        if missing:
+            raise ValueError(f"word JSON lacks {', '.join(missing)}")
+        if not isinstance(obj["field"], str):
+            raise ValueError("word JSON field must be a label string")
+        points = obj.get("eval_points")
+        _json_ints("n and k", [obj["n"], obj["k"]])
+        _json_ints("symbols", obj["symbols"])
+        if points is not None:
+            _json_ints("eval_points", points)
+        code = RSCode(parse_field(obj["field"]), obj["n"], obj["k"], points)
         return cls(code, tuple(obj["symbols"]))
+
+
+def _json_ints(what: str, values) -> None:
+    """Reject anything but a list of JSON integers (booleans included)."""
+    if not isinstance(values, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"word JSON {what} must be integers")
 
 
 def hamming_distance(a: Word | Sequence[int], b: Word | Sequence[int]) -> int:

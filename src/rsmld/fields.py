@@ -14,14 +14,19 @@ the colon is the modulus polynomial as a bit pattern, here x^4 + x + 1).
 
 Elements are plain ints in the hot paths; the :class:`FieldElement` wrapper
 adds operator sugar and field-mismatch checking for API-level code.
+:class:`FieldArrays` (from :meth:`Field.arrays`) does the same arithmetic
+elementwise on integer numpy arrays.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 __all__ = [
     "Field",
+    "FieldArrays",
     "FieldElement",
     "FieldMismatch",
     "parse_field",
@@ -107,7 +112,7 @@ class Field:
     :class:`FieldElement` values.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_hash")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_hash", "_arrays")
 
     def __init__(self, p: int, m: int = 1, modulus: int | None = None):
         if not _is_prime(p):
@@ -134,6 +139,7 @@ class Field:
         self.q = p**m
         self.modulus = modulus
         self._hash = hash((p, m, modulus))
+        self._arrays = None
         if m > 1:
             self._build_tables()
         else:
@@ -252,6 +258,12 @@ class Field:
             return 0 if e else 1
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
+    def arrays(self) -> "FieldArrays":
+        """Elementwise arithmetic on numpy arrays, built on first use."""
+        if self._arrays is None:
+            self._arrays = FieldArrays(self)
+        return self._arrays
+
     # -- elements ----------------------------------------------------------
 
     def element(self, v: int) -> "FieldElement":
@@ -272,6 +284,69 @@ class Field:
         """All q elements: 0, 1, then the rest in ascending canonical order."""
         for v in range(self.q):
             yield FieldElement(self, v)
+
+
+class FieldArrays:
+    """Field arithmetic on integer numpy arrays of canonical elements.
+
+    GF(2^m) multiplies through log/antilog tables.  The log of 0 is a
+    sentinel whose sums with any log index a zero tail of the antilog table,
+    so products with 0 need no masking.  GF(p) reduces int64 products mod p;
+    when (p - 1)^2 does not fit in int64 the arrays hold Python ints
+    (``dtype=object``) and the same expressions stay exact.
+    """
+
+    __slots__ = ("field", "p", "binary", "dtype", "_exp", "_log")
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.p = field.p
+        self.binary = field.m > 1
+        if self.binary:
+            self.dtype = np.dtype(np.int64)
+            order = field.q - 1
+            zero_log = 2 * order
+            exp = np.zeros(2 * zero_log + 1, dtype=np.int64)
+            exp[:zero_log] = field._exp
+            log = np.array(field._log, dtype=np.int64)
+            log[0] = zero_log
+            self._exp, self._log = exp, log
+        else:
+            wide = (self.p - 1) ** 2 >= 2**63
+            self.dtype = np.dtype(object if wide else np.int64)
+
+    def array(self, values) -> np.ndarray:
+        return np.asarray(values, dtype=self.dtype)
+
+    def mul(self, a, b):
+        """Elementwise a * b (broadcasting)."""
+        if self.binary:
+            return self._exp[self._log[a] + self._log[b]]
+        return a * b % self.p
+
+    def msub(self, a, x, b, y):
+        """Elementwise a*x - b*y (broadcasting)."""
+        if self.binary:
+            return self._exp[self._log[a] + self._log[x]] ^ \
+                self._exp[self._log[b] + self._log[y]]
+        return (a * x - b * y) % self.p
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Matrix product over the field: a's last axis against b's first."""
+        if self.binary:
+            terms = self._exp[self._log[a][..., :, None] + self._log[b]]
+            return np.bitwise_xor.reduce(terms, axis=-2)
+        if self.dtype != object and a.shape[-1] * (self.p - 1) ** 2 >= 2**63:
+            # the int64 sum of the products could wrap: sum Python ints
+            return (a.astype(object) @ b.astype(object) % self.p).astype(self.dtype)
+        return a @ b % self.p
+
+    def powers(self, x: int, n: int) -> np.ndarray:
+        """[1, x, x^2, ..., x^(n-1)]."""
+        out = [1] * n
+        for e in range(1, n):
+            out[e] = self.field.mul(out[e - 1], x)
+        return self.array(out)
 
 
 class FieldElement:

@@ -54,7 +54,9 @@ def rational_factorize(Q: BivariatePolynomial, k1: int,
 
     A factor with a = 0 means z divides Q (reported once).  For the rest,
     b must divide the z-leading slice of Q and a the z-constant slice, so
-    candidates come from bounded divisor enumeration and are confirmed with
+    candidates come from bounded divisor enumeration.  A candidate must make
+    Q(x, a(x)/b(x)) vanish at every field point x with b(x) != 0; points are
+    tried in turn until one rejects it, and the survivors are confirmed with
     an exact Horner evaluation of b^zdeg * Q(x, a/b).
     """
     if Q.is_zero():
@@ -75,6 +77,24 @@ def rational_factorize(Q: BivariatePolynomial, k1: int,
     b_cands = bounded_monic_divisors(top, k2)
     a_monics = bounded_monic_divisors(low, k1)
     scalars = range(1, F.q)
+    # slice values S_mz(x), ..., S_0(x) per point, filled as points are reached
+    at_point: dict[int, list[int]] = {}
+
+    def vanishes_on_points(am: Polynomial, b: Polynomial, c: int) -> bool:
+        for x in range(F.q):
+            bx = b.evaluate(x)
+            if not bx:
+                continue
+            if x not in at_point:
+                at_point[x] = [sl.evaluate(x) for sl in reversed(slices)]
+            z = F.div(F.mul(c, am.evaluate(x)), bx)
+            acc = 0
+            for sx in at_point[x]:
+                acc = F.add(F.mul(acc, z), sx)
+            if acc:
+                return False
+        return True
+
     for b in b_cands:
         bpow = [Polynomial.one(F)]
         for _ in range(mz):
@@ -83,6 +103,8 @@ def rational_factorize(Q: BivariatePolynomial, k1: int,
             if am.gcd(b).degree() > 0:
                 continue
             for c in scalars:
+                if not vanishes_on_points(am, b, c):
+                    continue
                 a = am.scale(c)
                 # b^mz * Q(x, a/b) via Horner in the z slices
                 acc = slices[mz]

@@ -3,11 +3,12 @@ import pytest
 from rsmld.bivar import (BivariatePolynomial, ProjectivePoint,
                          hasse_constraints, hasse_derivative_value,
                          koetter_interpolate)
-from rsmld.code import RSCode, Word
+from rsmld.code import RSCode, Word, corrupt
 from rsmld.fields import Field
 from rsmld.groebner import mgb_iterative
 from rsmld.polys import Polynomial
 from rsmld.rational import anchor_points
+from rsmld.rng import XorShift64Star
 
 F7 = Field(7)
 
@@ -177,3 +178,139 @@ def test_koetter_on_decoder_anchors():
     assert len(anchors) == code.n
     q = koetter_interpolate(F7, anchors, s=1, M=2, w=0, rho=None)
     _replay_constraints(F7, q, anchors, 1, 2)
+
+
+def _reference_koetter(field, anchors, s, M, w):
+    """Koetter's update on sparse {(i, j): coeff} candidates, one
+    discrepancy at a time: the scalar reference for the array version."""
+    F = field
+    cands = [{(0, j): 1} for j in range(M + 1)]
+    lmx = [0] * (M + 1)
+
+    def order_key(j):
+        return (lmx[j] + j * w, j)
+
+    for pt in anchors:
+        x = pt.x
+        for u, v in hasse_constraints(s):
+            deltas = []
+            for g in cands:
+                if pt.is_infinite:
+                    target = BivariatePolynomial(F, g).z_reverse(M)
+                    deltas.append(hasse_derivative_value(target, u, v, x, 0))
+                else:
+                    deltas.append(hasse_derivative_value(
+                        BivariatePolynomial(F, g), u, v, x, pt.z_num))
+            hit = [j for j, dj in enumerate(deltas) if dj]
+            if not hit:
+                continue
+            jstar = min(hit, key=order_key)
+            dstar, gstar = deltas[jstar], cands[jstar]
+            for j in hit:
+                if j != jstar:
+                    merged = {m: F.mul(dstar, c) for m, c in cands[j].items()}
+                    for m, c in gstar.items():
+                        merged[m] = F.sub(merged.get(m, 0), F.mul(deltas[j], c))
+                    cands[j] = {m: c for m, c in merged.items() if c}
+            promoted = {}
+            for (i, j), c in gstar.items():
+                promoted[(i + 1, j)] = F.add(promoted.get((i + 1, j), 0), c)
+                promoted[(i, j)] = F.sub(promoted.get((i, j), 0), F.mul(x, c))
+            cands[jstar] = {m: c for m, c in promoted.items() if c}
+            lmx[jstar] += 1
+    return BivariatePolynomial(F, cands[min(range(M + 1), key=order_key)])
+
+
+def _from_slices(rows):
+    """{(i, j): c} from per-z-degree coefficient lists, low x-degree first."""
+    return {(i, j): c for j, row in enumerate(rows)
+            for i, c in enumerate(row) if c}
+
+
+def test_koetter_pinned_two_error_example():
+    # the distance-2 fit of the GF(7) two-error example; Q is the output of
+    # the dict-based implementation, coefficient for coefficient
+    code = RSCode(F7, 7, 4)
+    r = Word(code, (3, 2, 6, 3, 2, 2, 4))
+    anchors = anchor_points(code, mgb_iterative(code, r))
+    assert any(pt.is_infinite for pt in anchors)
+    q = koetter_interpolate(F7, anchors, s=1, M=3, w=0, rho=1)
+    assert q.coeffs == _from_slices([[], [4, 5], [4, 5], [4, 5]])
+
+
+PINNED_15_5_FIT = [
+    [1, 7, 14, 3, 5, 9, 5, 3, 4, 10, 14, 1, 3, 7, 3, 1, 6, 2, 3],
+    [4, 1, 12, 2, 6, 6, 6, 5, 10, 12, 1, 2, 13, 5, 12, 9, 11, 10, 9, 1],
+    [9, 13, 12, 3, 14, 0, 15, 8, 15, 3, 0, 11, 13, 5, 8, 2, 6, 11, 3, 0, 5],
+    [8, 1, 3, 1, 11, 11, 7, 0, 3, 14, 10, 1, 7, 7, 15, 9, 13, 3, 12, 10, 3, 1],
+    [4, 10, 0, 7, 14, 13, 10, 0, 9, 9, 7, 11, 11, 2, 10, 3, 8, 7, 1, 2, 14, 5,
+     11],
+    [7, 9, 12, 4, 2, 8, 1, 3, 0, 9, 8, 6, 12, 7, 8, 5, 2, 9, 8, 13, 12, 6, 10,
+     3],
+    [3, 0, 13, 3, 15, 2, 8, 7, 8, 10, 0, 15, 12, 6, 0, 5, 1, 5, 12, 13, 1, 8, 3,
+     8, 13],
+    [0, 8, 9, 3, 9, 6, 4, 12, 1, 10, 12, 8, 3, 10, 0, 10, 6, 12, 6, 5, 9, 15,
+     12, 11, 5, 8],
+    [7, 10, 9, 4, 2, 4, 5, 11, 3, 2, 3, 10, 5, 12, 15, 0, 13, 12, 15, 2, 4, 9,
+     3, 9, 12, 4, 13],
+    [1, 2, 5, 0, 0, 6, 4, 4, 4, 3, 1, 10, 14, 0, 0, 12, 14, 1, 5, 14, 3, 10, 2,
+     13, 5, 3, 2, 8],
+    [10, 9, 14, 4, 10, 11, 10, 6, 15, 10, 7, 11, 14, 10, 2, 15, 11, 15, 10, 12,
+     13, 6, 3, 3, 12, 9, 5, 7, 15],
+    [15, 8, 1, 4, 4, 6, 8, 14, 2, 12, 8, 11, 12, 7, 9, 12, 1, 0, 1, 6, 3, 13, 2,
+     5, 15, 14, 1, 6, 0, 3],
+    [2, 14, 9, 0, 12, 14, 3, 8, 11, 13, 15, 15, 3, 13, 15, 9, 5, 12, 12, 3, 4,
+     3, 5, 15, 6, 0, 7, 1, 12, 1, 13],
+    [15, 4, 9, 10, 4, 1, 13, 14, 11, 0, 6, 14, 12, 11, 6, 4, 12, 8, 7, 15, 12,
+     7, 8, 9, 10, 1, 0, 6, 12, 11, 15],
+    [15, 4, 1, 13, 13, 9, 1, 8, 14, 5, 11, 10, 6, 2, 9, 3, 0, 5, 13, 11, 15, 8,
+     4, 5, 7, 2, 5, 1, 5, 4, 1, 4],
+    [8, 1, 7, 10, 5, 5, 0, 8, 6, 9, 5, 0, 14, 4, 3, 10, 11, 10, 4, 11, 8, 15,
+     12, 1, 15, 13, 2, 10, 0, 0, 7, 0, 9],
+]
+
+
+def test_koetter_pinned_large_fit():
+    # the (s=7, M=15) fit of a (15,5) word with 7 errors over GF(16), three
+    # anchors at infinity; Q is the output of the dict-based implementation
+    F16 = Field(2, 4)
+    code = RSCode(F16, 15, 5)
+    r = corrupt(code.encode([1, 3, 7, 2, 9]), 7, seed=42)
+    anchors = anchor_points(code, mgb_iterative(code, r))
+    assert sum(pt.is_infinite for pt in anchors) == 3
+    q = koetter_interpolate(F16, anchors, s=7, M=15, w=-1, rho=18)
+    assert q.coeffs == _from_slices(PINNED_15_5_FIT)
+
+
+@pytest.mark.parametrize("field", [Field(7), Field(2, 3), Field(2**31 - 1),
+                                   Field(4294967291)])
+def test_koetter_matches_reference(field):
+    # 2^31 - 1: products fit int64 but sums of them do not;
+    # 4294967291 (largest prime below 2^32): not even the products fit
+    rng = XorShift64Star(field.q)
+    n = min(field.q, 7)
+    for s, M, w in [(1, 2, 0), (2, 3, 1), (2, 2, -1), (3, 4, -2)]:
+        xs = []
+        while len(xs) < n:
+            x = rng.below(field.q)
+            if x not in xs:
+                xs.append(x)
+        anchors = [ProjectivePoint.infinity(x) if rng.below(4) == 0
+                   else ProjectivePoint.finite(x, rng.below(field.q))
+                   for x in xs]
+        q = koetter_interpolate(field, anchors, s, M, w)
+        assert q == _reference_koetter(field, anchors, s, M, w), (s, M, w)
+        _replay_constraints(field, q, anchors, s, M)
+
+
+def test_koetter_line_over_large_prime():
+    # three points on z = a + b x, one constraint each: the smallest
+    # interpolant under (1, 1) weights is the line itself, up to a scalar
+    F = Field(2**31 - 1)
+    a, b = 2**31 - 5, 2**30 + 7
+    xs = (2**31 - 2, 3, 2**29)
+    anchors = [ProjectivePoint.finite(x, F.add(a, F.mul(b, x))) for x in xs]
+    q = koetter_interpolate(F, anchors, s=1, M=1, w=1)
+    c = q.coeffs[(0, 1)]
+    assert q.coeffs == {(0, 1): c, (0, 0): F.mul(c, F.neg(a)),
+                        (1, 0): F.mul(c, F.neg(b))}

@@ -133,6 +133,20 @@ def test_decode_bad_word_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc", [
+    '{"v": 1, "n": 7, "k": 5, "symbols": [3, 2, 6, 3, 4, 2, 4]}',
+    '{"v": 1, "field": "p:7", "n": 7, "k": 5, "symbols": ["3", 2, 6, 3, 4, 2, 4]}',
+    '{"v": 1, "field": "p:7", "n": 7, "k": 5, "symbols": [3.5, 2, 6, 3, 4, 2, 4]}',
+], ids=["no-field", "string-symbol", "float-symbol"])
+def test_decode_malformed_word_exit_code(tmp_path, capsys, doc):
+    word_file = tmp_path / "w.json"
+    word_file.write_text(doc)
+    code, out, err = run_cli(capsys, "decode", "--word", str(word_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: word JSON")
+
+
 def test_params_text(capsys):
     code, out, _ = run_cli(capsys, "params", "--n", "127", "--k", "24",
                            "--t", "64", "--k1", "15", "--k2", "9")

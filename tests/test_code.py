@@ -141,6 +141,13 @@ def test_oracle_budget():
         small.ml_oracle(random_word(small, 0), budget=10)
 
 
+def test_oracle_symbols_past_int16():
+    code = RSCode(Field(2, 16), 4, 1)
+    out = code.ml_oracle(Word(code, (40000,) * 3 + (1,)))
+    assert out.min_distance == 1
+    assert out.messages == (Polynomial(code.field, [40000]),)
+
+
 def test_oracle_word_code_mismatch():
     code = RSCode(F7, 7, 5)
     other = RSCode(F7, 7, 4)

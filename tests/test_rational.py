@@ -126,22 +126,22 @@ def test_factorize_rejects_zero():
 
 
 def test_factorize_matches_brute_force_random():
-    # random bivariate polynomials over a tiny field
-    F3 = Field(3)
+    # random bivariate polynomials over tiny fields of both characteristics
     import random as _random
-    rng = _random.Random(5)
-    for _ in range(25):
-        coeffs = {}
-        for i in range(4):
-            for j in range(3):
-                coeffs[(i, j)] = rng.randrange(3)
-        q = BivariatePolynomial(F3, coeffs)
-        if q.is_zero():
-            continue
-        got = rational_factorize(q, 2, 1)
-        want = _brute_rational_pairs(q, 2, 1)
-        key = lambda ab: (tuple(ab[0].coeffs), tuple(ab[1].coeffs))
-        assert sorted(got, key=key) == sorted(want, key=key)
+    key = lambda ab: (tuple(ab[0].coeffs), tuple(ab[1].coeffs))
+    for F in (Field(3), Field(2, 2)):
+        rng = _random.Random(5)
+        for _ in range(25):
+            coeffs = {}
+            for i in range(4):
+                for j in range(3):
+                    coeffs[(i, j)] = rng.randrange(F.q)
+            q = BivariatePolynomial(F, coeffs)
+            if q.is_zero():
+                continue
+            got = rational_factorize(q, 2, 1)
+            want = _brute_rational_pairs(q, 2, 1)
+            assert sorted(got, key=key) == sorted(want, key=key)
 
 
 def test_decode_rational_worked_examples():
