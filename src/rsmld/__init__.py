@@ -13,7 +13,7 @@ from .code import (DecodeOutcome, OracleBudgetExceeded, RSCode, Word,
 from .division import (RadiusCapExceeded, Reencoding, decode_minimal,
                        decode_minimal_reencoded, extract_message, reencode,
                        search_radius_cap)
-from .fields import Field, FieldElement, FieldMismatch, parse_field
+from .fields import Field, FieldMismatch, parse_field
 from .groebner import (GroebnerPair, ModuleVector, WeightedOrder,
                        decoder_order, interpolation_generators, mgb_euclid,
                        mgb_euclid_reencoded, mgb_iterative,
@@ -35,7 +35,7 @@ __all__ = [
     "RadiusCapExceeded", "Reencoding", "decode_minimal",
     "decode_minimal_reencoded", "extract_message", "reencode",
     "search_radius_cap",
-    "Field", "FieldElement", "FieldMismatch", "parse_field",
+    "Field", "FieldMismatch", "parse_field",
     "GroebnerPair", "ModuleVector", "WeightedOrder", "decoder_order",
     "interpolation_generators", "mgb_euclid", "mgb_euclid_reencoded",
     "mgb_iterative", "mgb_iterative_reencoded", "reencoding_multiplier",

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .fields import Field, FieldMismatch, parse_field
-from .polys import Polynomial
+from .polys import Polynomial, base_q_digits
 from .rng import XorShift64Star
 
 JSON_VERSION = 1
@@ -131,12 +131,7 @@ class RSCode:
         return table
 
     def _message_from_index(self, idx: int) -> Polynomial:
-        digits = []
-        q = self.field.q
-        for _ in range(self.k):
-            digits.append(idx % q)
-            idx //= q
-        return Polynomial(self.field, digits)
+        return Polynomial(self.field, base_q_digits(idx, self.field.q, self.k))
 
     def ml_oracle(self, word: "Word", budget: int = 10_000_000) -> "DecodeOutcome":
         """Exact minimum-distance decoding by exhaustive enumeration."""
@@ -173,8 +168,8 @@ class Word:
         if len(self.symbols) != self.code.n:
             raise ValueError(
                 f"word length {len(self.symbols)} != n={self.code.n}")
-        canon = tuple(self.code.field.canon(s) for s in self.symbols)
-        object.__setattr__(self, "symbols", canon)
+        symbols = tuple(self.code.field.check(s) for s in self.symbols)
+        object.__setattr__(self, "symbols", symbols)
 
     def to_json(self) -> str:
         obj = {"v": JSON_VERSION, "field": self.code.field.label(),
@@ -202,7 +197,10 @@ class Word:
         if points is not None:
             _json_ints("eval_points", points)
         code = RSCode(parse_field(obj["field"]), obj["n"], obj["k"], points)
-        return cls(code, tuple(obj["symbols"]))
+        try:
+            return cls(code, tuple(obj["symbols"]))
+        except ValueError as exc:
+            raise ValueError(f"word JSON symbols: {exc}") from None
 
 
 def _json_ints(what: str, values) -> None:

@@ -16,13 +16,13 @@ minimum distance because the covering radius of an RS code is at most n - k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .code import DecodeOutcome, RSCode, Word, hamming_distance
 from .groebner import (GroebnerPair, ModuleVector, mgb_euclid,
                        mgb_euclid_reencoded, mgb_iterative,
                        mgb_iterative_reencoded, reencoding_multiplier)
-from .polys import Polynomial, lagrange_interpolate
+from .polys import Polynomial, lagrange_interpolate, monic_polys
 
 
 class RadiusCapExceeded(Exception):
@@ -50,31 +50,14 @@ def extract_message(f: ModuleVector) -> Polynomial | None:
 
 def enumerate_polys(field, max_deg: int) -> Iterator[Polynomial]:
     """All polynomials of degree <= max_deg, in a fixed order: the zero
-    polynomial, then degree by degree with coefficient tuples counted
-    little-endian."""
+    polynomial, then degree by degree, each monic polynomial's lower
+    coefficients under every leading coefficient 1..q-1."""
     yield Polynomial.zero(field)
-    if max_deg < 0:
-        return
-    q = field.q
     for deg in range(max_deg + 1):
-        for packed in range(q ** deg):
-            low, rest = [], packed
-            for _ in range(deg):
-                low.append(rest % q)
-                rest //= q
-            for lead in range(1, q):
+        for monic in monic_polys(field, deg):
+            low = monic.coeffs[:-1]
+            for lead in range(1, field.q):
                 yield Polynomial(field, low + [lead])
-
-
-def monic_polys(field, deg: int) -> Iterator[Polynomial]:
-    """All monic polynomials of exact degree deg (deg >= 0)."""
-    q = field.q
-    for packed in range(q ** deg):
-        low, rest = [], packed
-        for _ in range(deg):
-            low.append(rest % q)
-            rest //= q
-        yield Polynomial(field, low + [1])
 
 
 @dataclass
@@ -121,15 +104,21 @@ def combine(pair: GroebnerPair, a: Polynomial, b: Polynomial) -> ModuleVector:
                         a * pair.g1.f2 + b * pair.g2.f2)
 
 
-def _search(code: RSCode, r: Word, pair: GroebnerPair,
-            candidates_of: Callable[[LevelShape], Iterator[ModuleVector]],
-            lift: Callable[[ModuleVector], Polynomial | None],
-            method: str, t_cap: int, j_cap: int | None) -> DecodeOutcome:
-    """Shared level loop: report the first level with any valid message."""
-    shapes = level_shapes(pair, code.k, t_cap, j_cap)
-    for shape in shapes:
+def search_levels(code: RSCode, r: Word, pair: GroebnerPair,
+                  pairs_of: Callable[[LevelShape],
+                                     Iterable[tuple[Polynomial, Polynomial]]],
+                  lift: Callable[[ModuleVector], Polynomial | None],
+                  method: str, t_cap: int, j_cap: int | None) -> DecodeOutcome:
+    """The level loop of every decoder: report the first level with any
+    valid message.
+
+    `pairs_of(shape)` gives the (a, b) pairs to test at a level; each
+    combination a*g1 + b*g2 is lifted to a message and kept when it has
+    degree < k and lies at exactly the level's distance from r."""
+    for shape in level_shapes(pair, code.k, t_cap, j_cap):
         found: dict[tuple[int, ...], Polynomial] = {}
-        for f in candidates_of(shape):
+        for a, b in pairs_of(shape):
+            f = combine(pair, a, b)
             if f.f2.is_zero():
                 continue
             m = lift(f)
@@ -166,13 +155,10 @@ def decode_minimal(code: RSCode, r: Word, j_cap: int | None = None,
                    engine: str = "iterative") -> DecodeOutcome:
     """Exact minimum distance and complete message list for word r."""
     pair = select_engine(engine, mgb_iterative, mgb_euclid)(code, r)
-
-    def candidates(shape: LevelShape):
-        for a, b in combinations_at_level(pair, shape):
-            yield combine(pair, a, b)
-
-    return _search(code, r, pair, candidates, extract_message,
-                   "division", search_radius_cap(code, beyond_johnson), j_cap)
+    return search_levels(code, r, pair,
+                         lambda shape: combinations_at_level(pair, shape),
+                         extract_message, "division",
+                         search_radius_cap(code, beyond_johnson), j_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +203,11 @@ def decode_minimal_reencoded(code: RSCode, r: Word, j_cap: int | None = None,
                           short.ell2 + code.k - 1, short.order)
     G = enc.multiplier
 
-    def candidates(shape: LevelShape):
-        for a, b in combinations_at_level(lifted, shape):
-            yield combine(lifted, a, b)
-
     def lift(f: ModuleVector) -> Polynomial | None:
         m_y = extract_message(ModuleVector(G * f.f1, f.f2))
         return None if m_y is None else m_y + enc.shift
 
-    out = _search(code, r, lifted, candidates, lift, "division-reencoded",
-                  search_radius_cap(code, beyond_johnson), j_cap)
-    return out
+    return search_levels(code, r, lifted,
+                         lambda shape: combinations_at_level(lifted, shape),
+                         lift, "division-reencoded",
+                         search_radius_cap(code, beyond_johnson), j_cap)

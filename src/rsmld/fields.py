@@ -12,22 +12,17 @@ A field is written textually as ``p:7`` or ``2^4:0b10011`` (the part after
 the colon is the modulus polynomial as a bit pattern, here x^4 + x + 1).
 ``parse_field`` accepts both, plus ``2^m`` alone to get the default modulus.
 
-Elements are plain ints in the hot paths; the :class:`FieldElement` wrapper
-adds operator sugar and field-mismatch checking for API-level code.
-:class:`FieldArrays` (from :meth:`Field.arrays`) does the same arithmetic
-elementwise on integer numpy arrays.
+Elements are plain ints.  :class:`FieldArrays` (from :meth:`Field.arrays`)
+does the same arithmetic elementwise on integer numpy arrays.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "Field",
     "FieldArrays",
-    "FieldElement",
     "FieldMismatch",
     "parse_field",
     "DEFAULT_MODULI",
@@ -35,7 +30,7 @@ __all__ = [
 
 
 class FieldMismatch(ValueError):
-    """Raised when combining elements of two different fields."""
+    """Raised when combining values of two different fields or codes."""
 
 
 # Default modulus polynomials for GF(2^m), m = 2..16, as bit patterns.
@@ -108,8 +103,7 @@ class Field:
 
     The arithmetic methods (`add`, `mul`, `inv`, ...) take and return plain
     ints in ``range(q)``; that keeps the inner decoding loops free of object
-    churn.  Use :meth:`element` / calling the field to get wrapped
-    :class:`FieldElement` values.
+    churn.
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_hash", "_arrays")
@@ -264,27 +258,6 @@ class Field:
             self._arrays = FieldArrays(self)
         return self._arrays
 
-    # -- elements ----------------------------------------------------------
-
-    def element(self, v: int) -> "FieldElement":
-        return FieldElement(self, self.canon(v))
-
-    def __call__(self, v: int) -> "FieldElement":
-        return FieldElement(self, self.canon(v))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        """All q elements: 0, 1, then the rest in ascending canonical order."""
-        for v in range(self.q):
-            yield FieldElement(self, v)
-
 
 class FieldArrays:
     """Field arithmetic on integer numpy arrays of canonical elements.
@@ -347,95 +320,6 @@ class FieldArrays:
         for e in range(1, n):
             out[e] = self.field.mul(out[e - 1], x)
         return self.array(out)
-
-
-class FieldElement:
-    """One field element: a canonical int value tied to its field."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: int):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch(
-                    f"mixing elements of {self.field.label()} and {other.field.label()}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return self.field.canon(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.value, v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(v, self.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == self.field.canon(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.field.label()}<{self.value}>"
 
 
 def parse_field(text: str) -> Field:

@@ -31,31 +31,19 @@ from .polys import Polynomial, lagrange_interpolate, vanishing_poly
 
 @dataclass(frozen=True)
 class WeightedOrder:
-    """A weighted monomial order on F[x]^2: term-over-position or
-    position-over-term.
+    """A weighted term-over-position monomial order on F[x]^2.
 
     A monomial is (exponent, position) with position in {1, 2}; its weighted
-    degree is exponent + weights[position-1].  "top" compares weighted degree
-    first and breaks ties toward the higher position; "pot" compares position
-    first (lower position is smaller) and weighted degree second.
+    degree is exponent + weights[position-1].  Monomials compare by weighted
+    degree first, with ties broken toward the higher position.
     """
 
     weights: tuple[int, int]
-    kind: str = "top"
 
-    def __post_init__(self):
-        if self.kind not in ("top", "pot"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-
-    def key(self, exponent: int, position: int):
+    def key(self, exponent: int, position: int) -> tuple[int, int]:
         if position not in (1, 2):
             raise ValueError("position must be 1 or 2")
-        w = exponent + self.weights[position - 1]
-        return (w, position) if self.kind == "top" else (position, w)
-
-    def compare(self, m1: tuple[int, int], m2: tuple[int, int]) -> int:
-        a, b = self.key(*m1), self.key(*m2)
-        return (a > b) - (a < b)
+        return (exponent + self.weights[position - 1], position)
 
     def wdeg(self, exponent: int, position: int) -> int:
         return exponent + self.weights[position - 1]
@@ -184,12 +172,9 @@ class GroebnerPair:
     ell2: int
     order: WeightedOrder
 
-    def contains(self, v: ModuleVector) -> bool:
-        return reduce_vector(self.order, v, (self.g1, self.g2)).is_zero()
-
     def to_json_dict(self) -> dict:
         return {
-            "order": {"weights": list(self.order.weights), "kind": self.order.kind},
+            "order": {"weights": list(self.order.weights), "kind": "top"},
             "g1": {"f1": list(self.g1.f1.coeffs), "f2": list(self.g1.f2.coeffs),
                    "wdeg": self.ell1},
             "g2": {"f1": list(self.g2.f1.coeffs), "f2": list(self.g2.f2.coeffs),
@@ -228,7 +213,7 @@ def _symbols(code: RSCode, r) -> tuple[int, ...]:
 
 
 def decoder_order(code: RSCode) -> WeightedOrder:
-    return WeightedOrder((0, code.k - 1), "top")
+    return WeightedOrder((0, code.k - 1))
 
 
 def interpolation_generators(code: RSCode, r) -> tuple[ModuleVector, ModuleVector]:
@@ -341,7 +326,7 @@ def mgb_euclid_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
     """Unweighted minimal Groebner basis of the short module, Euclid style."""
     gen_pi, gen_lag = reencoded_generators(code, y)
     rows = _euclid_rows(gen_pi, gen_lag, 0)
-    return _normalize_pair(rows, WeightedOrder((0, 0), "top"))
+    return _normalize_pair(rows, WeightedOrder((0, 0)))
 
 
 def mgb_iterative_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
@@ -352,4 +337,4 @@ def mgb_iterative_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
                         Polynomial.zero(F))
     row2 = ModuleVector(Polynomial.zero(F), Polynomial.one(F))
     rows = _iterate_rows(row1, 1, row2, 0, pts, vals)
-    return _normalize_pair(rows, WeightedOrder((0, 0), "top"))
+    return _normalize_pair(rows, WeightedOrder((0, 0)))

@@ -15,6 +15,8 @@ __all__ = [
     "Polynomial",
     "lagrange_interpolate",
     "vanishing_poly",
+    "base_q_digits",
+    "monic_polys",
     "bounded_monic_divisors",
 ]
 
@@ -204,9 +206,6 @@ class Polynomial:
             acc = add(mul(acc, x), c)
         return acc
 
-    def evaluate_many(self, xs: Sequence[int]) -> list[int]:
-        return [self.evaluate(x) for x in xs]
-
     # -- identity ----------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -268,16 +267,21 @@ def lagrange_interpolate(field: Field, xs: Sequence[int], ys: Sequence[int]) -> 
     return poly
 
 
-def distinct_roots_in(p: Polynomial, xs: Sequence[int]) -> list[int]:
-    """The points of xs where p vanishes (each listed once, in xs order)."""
-    if p.is_zero():
-        return list(dict.fromkeys(p.field.canon(x) for x in xs))
-    seen: list[int] = []
-    for x in xs:
-        x = p.field.canon(x)
-        if p.evaluate(x) == 0 and x not in seen:
-            seen.append(x)
-    return seen
+def base_q_digits(value: int, q: int, count: int) -> list[int]:
+    """The lowest `count` base-q digits of value, least significant first."""
+    digits = []
+    for _ in range(count):
+        value, digit = divmod(value, q)
+        digits.append(digit)
+    return digits
+
+
+def monic_polys(field: Field, deg: int) -> Iterator[Polynomial]:
+    """All monic polynomials of exact degree deg (deg >= 0), lower
+    coefficient tuples counted little-endian."""
+    q = field.q
+    for packed in range(q ** deg):
+        yield Polynomial(field, base_q_digits(packed, q, deg) + [1])
 
 
 def bounded_monic_divisors(f: Polynomial, dmax: int, limit: int = 500_000) -> list[Polynomial]:
@@ -291,22 +295,12 @@ def bounded_monic_divisors(f: Polynomial, dmax: int, limit: int = 500_000) -> li
         raise ValueError("divisors of the zero polynomial are not enumerable")
     field = f.field
     q = field.q
-    out = [Polynomial.one(field)]
     dmax = min(dmax, f.degree())
     total = sum(q**d for d in range(1, dmax + 1))
     if total > limit:
         raise ValueError(
             f"divisor enumeration too large ({total} candidates, limit {limit})"
         )
-    for d in range(1, dmax + 1):
-        for packed in range(q**d):
-            cs = []
-            v = packed
-            for _ in range(d):
-                cs.append(v % q)
-                v //= q
-            cs.append(1)
-            cand = Polynomial(field, cs)
-            if cand.divides(f):
-                out.append(cand)
-    return out
+    return [Polynomial.one(field)] + [
+        cand for d in range(1, dmax + 1) for cand in monic_polys(field, d)
+        if cand.divides(f)]

@@ -53,11 +53,17 @@ class XorShift64Star:
         return self.next_u64() % n
 
     def sample_indices(self, n: int, count: int) -> list[int]:
-        """First `count` entries of a partial Fisher-Yates shuffle of range(n)."""
+        """First `count` entries of a partial Fisher-Yates shuffle of range(n).
+
+        Only the displaced entries of the shuffled range are stored (position
+        -> value, absent meaning untouched), so memory is O(count) whatever n.
+        """
         if not 0 <= count <= n:
             raise ValueError(f"cannot sample {count} indices from range({n})")
-        pool = list(range(n))
+        moved: dict[int, int] = {}
+        out = []
         for i in range(count):
             j = i + self.below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:count]
+            out.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return out

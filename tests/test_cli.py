@@ -137,7 +137,8 @@ def test_decode_bad_word_file(capsys):
     '{"v": 1, "n": 7, "k": 5, "symbols": [3, 2, 6, 3, 4, 2, 4]}',
     '{"v": 1, "field": "p:7", "n": 7, "k": 5, "symbols": ["3", 2, 6, 3, 4, 2, 4]}',
     '{"v": 1, "field": "p:7", "n": 7, "k": 5, "symbols": [3.5, 2, 6, 3, 4, 2, 4]}',
-], ids=["no-field", "string-symbol", "float-symbol"])
+    '{"v": 1, "field": "p:7", "n": 7, "k": 5, "symbols": [9, -1, 6, 3, 4, 2, 4]}',
+], ids=["no-field", "string-symbol", "float-symbol", "out-of-range-symbol"])
 def test_decode_malformed_word_exit_code(tmp_path, capsys, doc):
     word_file = tmp_path / "w.json"
     word_file.write_text(doc)

@@ -6,6 +6,7 @@ from rsmld.code import (OracleBudgetExceeded, RSCode, Word, corrupt,
                         hamming_distance, random_word, shifted_word)
 from rsmld.fields import Field
 from rsmld.polys import Polynomial
+from rsmld.rng import XorShift64Star
 
 F7 = Field(7)
 F8 = Field(2, 3)
@@ -65,6 +66,13 @@ def test_word_json_rejects_garbage():
         Word.from_json('{"v": 1, "field": "p:7", "n": 7, "k": 5, "symbols": [1]}')
     with pytest.raises(ValueError):
         Word.from_json('[]')
+    # symbols are validated, never reduced: 9 and -1 are not GF(7) elements
+    for bad in (9, -1, 7):
+        with pytest.raises(ValueError):
+            Word.from_json('{"v": 1, "field": "p:7", "n": 3, "k": 1, '
+                           f'"symbols": [{bad}, 0, 1]}}')
+        with pytest.raises(ValueError):
+            Word(RSCode(F7, 3, 1), (bad, 0, 1))
 
 
 def test_hamming_distance():
@@ -100,6 +108,30 @@ def test_corrupt_changes_every_hit_position():
     for seed in range(20):
         c = corrupt(w, 5, seed=seed)
         assert hamming_distance(w, c) == 5
+
+
+def _list_sample(rng, n, count):
+    # the partial Fisher-Yates shuffle over a materialized range(n)
+    pool = list(range(n))
+    for i in range(count):
+        j = i + rng.below(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:count]
+
+
+def test_sample_indices_matches_list_shuffle():
+    for seed in range(200):
+        for n, count in ((1, 0), (1, 1), (7, 3), (8, 8), (31, 9), (255, 16)):
+            assert XorShift64Star(seed).sample_indices(n, count) == \
+                _list_sample(XorShift64Star(seed), n, count), (seed, n, count)
+    with pytest.raises(ValueError):
+        XorShift64Star(1).sample_indices(3, 4)
+
+
+def test_sample_indices_huge_range():
+    picked = XorShift64Star(5).sample_indices(2**31 - 1, 3)
+    assert len(set(picked)) == 3
+    assert all(0 <= i < 2**31 - 1 for i in picked)
 
 
 def test_random_word_deterministic():

@@ -4,10 +4,10 @@ from rsmld.code import RSCode, Word, corrupt, hamming_distance, random_word
 from rsmld.division import (RadiusCapExceeded, combinations_at_level, combine,
                             decode_minimal, decode_minimal_reencoded,
                             enumerate_polys, extract_message, level_shapes,
-                            monic_polys, reencode, search_radius_cap)
+                            reencode, search_radius_cap)
 from rsmld.fields import Field
 from rsmld.groebner import ModuleVector, mgb_iterative
-from rsmld.polys import Polynomial
+from rsmld.polys import Polynomial, monic_polys
 
 F7 = Field(7)
 
@@ -31,6 +31,9 @@ def test_enumerate_polys():
     assert len(set(tuple(p.coeffs) for p in polys)) == 9
     degrees = [p.degree() for p in polys]
     assert degrees == sorted(degrees)  # enumerated degree by degree
+    # each degree: lower coefficients counted little-endian, then every lead
+    assert [p.coeffs for p in polys] == [
+        [], [1], [2], [0, 1], [0, 2], [1, 1], [1, 2], [2, 1], [2, 2]]
     assert list(enumerate_polys(F3, -1)) == [Polynomial.zero(F3)]
 
 
@@ -156,7 +159,8 @@ def test_reencode_shift():
     enc = reencode(code, r)
     assert enc.shift.degree() < code.k
     tail = code.eval_points[code.n - code.k:]
-    assert enc.shift.evaluate_many(tail) == list(r.symbols[code.n - code.k:])
+    assert [enc.shift.evaluate(x) for x in tail] == \
+        list(r.symbols[code.n - code.k:])
     # y keeps only the head residuals; the last k of them vanish by design
     assert len(enc.y) == code.n - code.k
     for x, s, y in zip(code.eval_points, r.symbols, enc.y):

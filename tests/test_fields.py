@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rsmld.fields import Field, FieldElement, FieldMismatch, parse_field
+from rsmld.code import RSCode, Word
+from rsmld.fields import Field, FieldMismatch, parse_field
+from rsmld.polys import Polynomial
 
 F7 = Field(7)
 F16 = Field(2, 4)
@@ -69,30 +71,14 @@ def test_rejects_bad_parameters():
         F16.div(3, 0)
 
 
-def test_element_wrapper_arithmetic():
-    a = F7(3)
-    b = F7(5)
-    assert (a + b).value == 1
-    assert (a * b).value == 1
-    assert (a - b).value == 5
-    assert (-a).value == 4
-    assert (a / b).value == F7.div(3, 5)
-    assert (a ** 3).value == 6
-    assert a + 4 == F7(0)
-    assert 1 - a == F7(5)
-    assert a.inverse() * a == F7.one
-
-
 def test_field_mismatch():
+    code = RSCode(F7, 7, 3)
     with pytest.raises(FieldMismatch):
-        F7(1) + F16(1)
+        code.message_poly(Polynomial(F16, [1, 2]))
+    other = RSCode(F16, 7, 3)
+    with pytest.raises(FieldMismatch):
+        code.ml_oracle(Word(other, (0,) * 7))
     assert isinstance(FieldMismatch("x"), ValueError)
-
-
-def test_elements_iteration():
-    vals = [e.value for e in F16.elements()]
-    assert vals == list(range(16))
-    assert all(isinstance(e, FieldElement) for e in F7.elements())
 
 
 def test_labels_and_parse_round_trip():

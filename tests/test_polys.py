@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rsmld.fields import Field
-from rsmld.polys import (Polynomial, bounded_monic_divisors, distinct_roots_in,
+from rsmld.polys import (Polynomial, base_q_digits, bounded_monic_divisors,
                          lagrange_interpolate, vanishing_poly)
 
 F = Field(7)
@@ -74,14 +74,14 @@ def test_evaluation():
     p = P(3, 1, 2)  # 2x^2 + x + 3
     assert p.evaluate(0) == 3
     assert p.evaluate(1) == 6
-    assert p.evaluate_many(range(7)) == [3, 6, 6, 3, 4, 2, 4]
+    assert [p.evaluate(x) for x in range(7)] == [3, 6, 6, 3, 4, 2, 4]
     assert Polynomial.zero(F).evaluate(5) == 0
 
 
 def test_vanishing_poly():
     pi = vanishing_poly(F, range(7))
     assert pi.coeffs == [0, 6, 0, 0, 0, 0, 0, 1]  # x^7 - x
-    assert pi.evaluate_many(range(7)) == [0] * 7
+    assert [pi.evaluate(x) for x in range(7)] == [0] * 7
     assert vanishing_poly(F, []).coeffs == [1]
 
 
@@ -90,19 +90,21 @@ def test_lagrange_interpolate():
     ys = [3, 6, 6, 3]
     p = lagrange_interpolate(F, xs, ys)
     assert p.degree() <= 3
-    assert p.evaluate_many(xs) == ys
+    assert [p.evaluate(x) for x in xs] == ys
     # degree drops when points already lie on a lower-degree curve
-    q = lagrange_interpolate(F, range(7), P(3, 1, 2).evaluate_many(range(7)))
+    q = lagrange_interpolate(F, range(7),
+                             [P(3, 1, 2).evaluate(x) for x in range(7)])
     assert q == P(3, 1, 2)
     with pytest.raises(ValueError):
         lagrange_interpolate(F, [1, 1], [2, 3])
 
 
-def test_distinct_roots_in():
-    p = P(2, 1) * P(2, 1) * P(4, 1)  # roots 5 (double) and 3
-    assert distinct_roots_in(p, range(7)) == [3, 5]
-    assert distinct_roots_in(Polynomial.zero(F), [2, 2, 5]) == [2, 5]
-    assert distinct_roots_in(P(1), range(7)) == []
+def test_base_q_digits():
+    assert base_q_digits(0, 7, 3) == [0, 0, 0]
+    assert base_q_digits(5 + 3 * 7 + 6 * 49, 7, 3) == [5, 3, 6]
+    # digits above `count` are dropped, and count 0 gives no digits
+    assert base_q_digits(7**3 + 1, 7, 3) == [1, 0, 0]
+    assert base_q_digits(9, 2, 0) == []
 
 
 def test_bounded_monic_divisors():
