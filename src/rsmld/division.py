@@ -11,18 +11,36 @@ The search radius is capped: by default at the largest t below the Johnson
 bound (where the level arithmetic is meaningful for every code), and at
 n - k when `beyond_johnson` is set, which always terminates with the true
 minimum distance because the covering radius of an RS code is at most n - k.
+
+Most pairs of a level fail the divisibility test, so the level loop first
+drops them in batches without any polynomial arithmetic.  An accepted pair
+has f1 = -m*f2, and every f in the module satisfies f1(x_i) + r_i*f2(x_i) = 0,
+so f2(x_i) * (r_i - m(x_i)) = 0: f2 vanishes at each of the t error
+positions.  The values of f2 = a*g1.f2 + b*g2.f2 at the n evaluation points
+are one numpy matrix product per batch (the pairs' coefficients against
+x_i^e * g.f2(x_i)), and only the pairs whose f2 has at least t zeros among
+the points reach the exact test.  The re-encoded path meets the same
+condition, since its lifted (G*f1, f2) lies in the module of r - shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from .code import DecodeOutcome, RSCode, Word, hamming_distance
+from .fields import FieldArrays
 from .groebner import (GroebnerPair, ModuleVector, mgb_euclid,
                        mgb_euclid_reencoded, mgb_iterative,
                        mgb_iterative_reencoded, reencoding_multiplier)
 from .polys import Polynomial, lagrange_interpolate, monic_polys
+
+# Pairs per prefilter batch: a level can hold q^(k1 + k2 + 1) pairs, so the
+# batch's values, a (batch, n) array, are all that is ever held at once.
+PREFILTER_BATCH = 256
 
 
 class RadiusCapExceeded(Exception):
@@ -94,14 +112,25 @@ def combinations_at_level(pair: GroebnerPair,
         return
     for b in monic_polys(field, shape.b_deg):
         for a in enumerate_polys(field, shape.a_max_deg):
-            if a.gcd(b).degree() > 0:
-                continue
-            yield a, b
+            if a.coprime(b):
+                yield a, b
 
 
 def combine(pair: GroebnerPair, a: Polynomial, b: Polynomial) -> ModuleVector:
     return ModuleVector(a * pair.g1.f1 + b * pair.g2.f1,
                         a * pair.g1.f2 + b * pair.g2.f2)
+
+
+def _vandermonde(arr: FieldArrays, xs: np.ndarray, width: int) -> np.ndarray:
+    """Rows x^0, x^1, ..., x^(width-1) evaluated at the points xs."""
+    rows = [arr.array([1] * len(xs))]
+    for _ in range(1, width):
+        rows.append(arr.mul(rows[-1], xs))
+    return np.stack(rows)
+
+
+def _padded(coeffs: list[int], width: int) -> list[int]:
+    return coeffs + [0] * (width - len(coeffs))
 
 
 def search_levels(code: RSCode, r: Word, pair: GroebnerPair,
@@ -112,21 +141,42 @@ def search_levels(code: RSCode, r: Word, pair: GroebnerPair,
     """The level loop of every decoder: report the first level with any
     valid message.
 
-    `pairs_of(shape)` gives the (a, b) pairs to test at a level; each
-    combination a*g1 + b*g2 is lifted to a message and kept when it has
-    degree < k and lies at exactly the level's distance from r."""
+    `pairs_of(shape)` gives the (a, b) pairs to test at a level, with
+    deg a <= shape.a_max_deg and deg b <= shape.b_deg.  Pairs whose f2 has
+    fewer than t zeros among the evaluation points are dropped in batches
+    (see the module docstring); each remaining combination a*g1 + b*g2 is
+    lifted to a message and kept when it has degree < k and lies at exactly
+    the level's distance from r."""
+    arr = code.field.arrays()
+    xs = arr.array(code.eval_points)
+    g_f2 = [pair.g1.f2.coeffs, pair.g2.f2.coeffs]
+    g_width = max(1, *map(len, g_f2))
+    g1_f2, g2_f2 = arr.dot(arr.array([_padded(cs, g_width) for cs in g_f2]),
+                           _vandermonde(arr, xs, g_width))
     for shape in level_shapes(pair, code.k, t_cap, j_cap):
+        # f2(x_i) = sum_e (a_e * x_i^e * g1.f2(x_i) + b_e * x_i^e * g2.f2(x_i))
+        a_width, b_width = max(0, shape.a_max_deg + 1), shape.b_deg + 1
+        powers = _vandermonde(arr, xs, max(a_width, b_width))
+        f2_basis = np.concatenate([arr.mul(powers[:a_width], g1_f2),
+                                   arr.mul(powers[:b_width], g2_f2)])
         found: dict[tuple[int, ...], Polynomial] = {}
-        for a, b in pairs_of(shape):
-            f = combine(pair, a, b)
-            if f.f2.is_zero():
-                continue
-            m = lift(f)
-            if m is None or m.degree() >= code.k:
-                continue
-            if hamming_distance(code.encode(m), r) != shape.t:
-                continue
-            found.setdefault(tuple(m.coeffs), m)
+        pairs = iter(pairs_of(shape))
+        while batch := list(islice(pairs, PREFILTER_BATCH)):
+            coeffs = arr.array([_padded(a.coeffs, a_width)
+                                + _padded(b.coeffs, b_width)
+                                for a, b in batch])
+            zeros = np.count_nonzero(arr.dot(coeffs, f2_basis) == 0, axis=1)
+            for i in np.flatnonzero(zeros >= shape.t):
+                a, b = batch[i]
+                f = combine(pair, a, b)
+                if f.f2.is_zero():
+                    continue
+                m = lift(f)
+                if m is None or m.degree() >= code.k:
+                    continue
+                if hamming_distance(code.encode(m), r) != shape.t:
+                    continue
+                found.setdefault(tuple(m.coeffs), m)
         if found:
             msgs = tuple(sorted(found.values(), key=lambda p: p.coeffs))
             return DecodeOutcome(min_distance=shape.t, messages=msgs,

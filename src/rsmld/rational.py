@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from . import division
 from .bivar import BivariatePolynomial, ProjectivePoint, koetter_interpolate
 from .code import DecodeOutcome, RSCode, Word
-from .division import (LevelShape, combinations_at_level, extract_message,
-                       search_levels, search_radius_cap, select_engine)
+from .division import (LevelShape, extract_message, search_levels,
+                       search_radius_cap, select_engine)
 # looked up here by the benchmark's tracer; the level loop calls division's
 from .code import hamming_distance  # noqa: F401
 from .division import combine  # noqa: F401
@@ -102,7 +103,7 @@ def rational_factorize(Q: BivariatePolynomial, k1: int,
         for _ in range(mz):
             bpow.append(bpow[-1] * b)
         for am in a_monics:
-            if am.gcd(b).degree() > 0:
+            if not am.coprime(b):
                 continue
             for c in scalars:
                 if not vanishes_on_points(am, b, c):
@@ -146,7 +147,7 @@ def decode_rational(code: RSCode, r: Word, j_cap: int | None = None,
 
     def pairs_of(shape: LevelShape) -> Iterable[tuple[Polynomial, Polynomial]]:
         if shape.a_max_deg < 0 or shape.t > fit_max:
-            return combinations_at_level(pair, shape)
+            return division.combinations_at_level(pair, shape)
         params, ab_pairs = _fit_level(code, anchors, shape)
         params_used.append(params)
         return ab_pairs

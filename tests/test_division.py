@@ -1,10 +1,11 @@
 import pytest
 
 from rsmld.code import RSCode, Word, corrupt, hamming_distance, random_word
-from rsmld.division import (RadiusCapExceeded, combinations_at_level, combine,
-                            decode_minimal, decode_minimal_reencoded,
-                            enumerate_polys, extract_message, level_shapes,
-                            reencode, search_radius_cap)
+from rsmld.division import (LevelShape, RadiusCapExceeded,
+                            combinations_at_level, combine, decode_minimal,
+                            decode_minimal_reencoded, enumerate_polys,
+                            extract_message, level_shapes, reencode,
+                            search_radius_cap)
 from rsmld.fields import Field
 from rsmld.groebner import ModuleVector, mgb_iterative
 from rsmld.polys import Polynomial, monic_polys
@@ -79,6 +80,22 @@ def test_combinations_respect_degree_and_gcd():
         assert a.gcd(b).degree() <= 0
         seen.add((tuple(a.coeffs), tuple(b.coeffs)))
     assert len(seen) == len(set(seen)) and len(seen) > 0
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(2, 2), Field(7)],
+                         ids=["GF3", "GF4", "GF7"])
+def test_combinations_match_gcd_reference(field):
+    code = RSCode(field, 3, 1)
+    pair = mgb_iterative(code, Word(code, (0, 1, 2)))
+    for a_max_deg in range(-1, 3):
+        for b_deg in range(3):
+            shape = LevelShape(1, 0, a_max_deg, b_deg)
+            reference = [(a, b) for b in monic_polys(field, b_deg)
+                         for a in enumerate_polys(field, a_max_deg)
+                         if not a.gcd(b).degree() > 0]
+            if a_max_deg < 0:
+                reference = []   # only level 0 keeps the pair (0, 1)
+            assert list(combinations_at_level(pair, shape)) == reference
 
 
 def test_radius_caps():
@@ -182,3 +199,21 @@ def test_decode_reencoded_matches_direct():
             assert rerun.method == "division-reencoded"
             assert (rerun.ell1, rerun.ell2) == (direct.ell1, direct.ell2)
             assert rerun.search_level == direct.search_level
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 4294967291])
+def test_decode_wide_prime_fields(p):
+    # 10 errors give the basis' second components degree 10, so evaluating
+    # them at these spread-out points sums 11 products of size up to
+    # (p - 1)^2: past int64 for 2^31 - 1 (the wrap guard of FieldArrays.dot);
+    # 4294967291 holds object-dtype arrays throughout.  j_cap=0: a wrong
+    # zero count fails at level 0 instead of enumerating p constants.
+    F = Field(p)
+    code = RSCode(F, 24, 4, [pow(7, 1 + 97 * i, p) for i in range(24)])
+    msg = code.message_poly([p - 2, 12345, 2**30 + 7, 99])
+    for weight, seed in ((1, 3), (5, 5), (10, 8)):
+        r = corrupt(code.encode(msg), weight, seed)
+        for decode in (decode_minimal, decode_minimal_reencoded):
+            out = decode(code, r, j_cap=0)
+            assert out.min_distance == weight
+            assert out.messages == (msg,)

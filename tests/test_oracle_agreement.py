@@ -1,15 +1,26 @@
-"""Every decoder against the exhaustive oracle on random small codes."""
+"""Every decoder against the exhaustive oracle on random small codes, and
+the level loop's zero-count prefilter against the loop without it.
+
+The unfiltered loop is kept here as the reference: every decoder's
+`search_levels` call is run through both on the same pairs, and the outcomes
+must match exactly.
+"""
+
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from rsmld.code import RSCode, Word
-from rsmld.division import (RadiusCapExceeded, decode_minimal,
-                            decode_minimal_reencoded, search_radius_cap)
+from rsmld import division, rational
+from rsmld.code import DecodeOutcome, RSCode, Word, hamming_distance
+from rsmld.division import (RadiusCapExceeded, combine, decode_minimal,
+                            decode_minimal_reencoded, level_shapes,
+                            search_radius_cap)
 from rsmld.fields import Field
 from rsmld.rational import decode_rational
 
 FIELDS = [Field(5), Field(7), Field(2, 2), Field(2, 3), Field(2, 3, 0b1101)]
 DECODERS = [decode_minimal, decode_minimal_reencoded, decode_rational]
+PREFILTERED = division.search_levels
 
 
 @st.composite
@@ -45,3 +56,82 @@ def test_decoders_match_oracle(case):
             assert out.min_distance == oracle.min_distance, decode.__name__
             assert out.message_coeff_lists() == oracle.message_coeff_lists(), \
                 decode.__name__
+
+
+def unfiltered_levels(code, r, pair, pairs_of, lift, method, t_cap, j_cap,
+                      accepted):
+    """The level loop with every pair sent to the exact test; appends
+    (t, f2) of each accepted pair to `accepted`."""
+    for shape in level_shapes(pair, code.k, t_cap, j_cap):
+        found = {}
+        for a, b in pairs_of(shape):
+            f = combine(pair, a, b)
+            if f.f2.is_zero():
+                continue
+            m = lift(f)
+            if m is None or m.degree() >= code.k:
+                continue
+            if hamming_distance(code.encode(m), r) != shape.t:
+                continue
+            accepted.append((shape.t, f.f2))
+            found.setdefault(tuple(m.coeffs), m)
+        if found:
+            msgs = tuple(sorted(found.values(), key=lambda p: p.coeffs))
+            return DecodeOutcome(min_distance=shape.t, messages=msgs,
+                                 method=method, search_level=shape.level,
+                                 ell1=pair.ell1, ell2=pair.ell2)
+    raise RadiusCapExceeded("no codeword", t_cap)
+
+
+def summary(out):
+    return (out.min_distance, out.message_coeff_lists(), out.method,
+            out.search_level, out.ell1, out.ell2)
+
+
+class Comparison:
+    """Stands in for `search_levels`: runs both loops on the same pairs."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, code, r, pair, pairs_of, lift, method, t_cap, j_cap):
+        self.calls += 1
+        levels: dict[int, list] = {}
+
+        def listed(shape):  # a fit runs once, however often it is asked
+            if shape.level not in levels:
+                levels[shape.level] = list(pairs_of(shape))
+            return levels[shape.level]
+
+        args = (code, r, pair, listed, lift, method, t_cap, j_cap)
+        accepted = []
+        try:
+            expected = summary(unfiltered_levels(*args, accepted))
+        except RadiusCapExceeded:
+            expected = None
+        for t, f2 in accepted:
+            zeros = sum(f2.evaluate(x) == 0 for x in code.eval_points)
+            assert zeros >= t, (method, t, f2)
+        try:
+            out = PREFILTERED(*args)
+        except RadiusCapExceeded:
+            assert expected is None, method
+            raise
+        assert summary(out) == expected
+        return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(received_words())
+def test_prefilter_keeps_every_accepted_pair(case):
+    code, word = case
+    compare = Comparison()
+    with mock.patch.object(division, "search_levels", compare), \
+            mock.patch.object(rational, "search_levels", compare):
+        for beyond_johnson in (False, True):
+            for decode in DECODERS:
+                try:
+                    decode(code, word, beyond_johnson=beyond_johnson)
+                except RadiusCapExceeded:
+                    pass
+    assert compare.calls == 2 * len(DECODERS)

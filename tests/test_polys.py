@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from rsmld.fields import Field
 from rsmld.polys import (Polynomial, base_q_digits, bounded_monic_divisors,
-                         lagrange_interpolate, vanishing_poly)
+                         lagrange_interpolate, monic_polys, vanishing_poly)
 
 F = Field(7)
 
@@ -68,6 +68,22 @@ def test_monic_and_gcd():
     assert g == (P(2, 1) * P(3, 1)).monic()
     assert p1.gcd(Polynomial.zero(F)) == p1.monic()
     assert Polynomial.zero(F).gcd(p2) == p2.monic()
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(2, 2), Field(7)],
+                         ids=["GF3", "GF4", "GF7"])
+def test_coprime_matches_gcd(field):
+    # every a of degree <= 2 (zero included) against every monic b of
+    # degree <= 2: constants, linear sides and the gcd fallback all occur
+    q = field.q
+    a_all = [Polynomial(field, base_q_digits(v, q, 3)) for v in range(q**3)]
+    b_all = [b for d in range(3) for b in monic_polys(field, d)]
+    for a in a_all:
+        for b in b_all:
+            assert a.coprime(b) == (not a.gcd(b).degree() > 0), (a, b)
+            assert b.coprime(a) == a.coprime(b), (a, b)
+    zero = Polynomial.zero(field)
+    assert not zero.coprime(zero)
 
 
 def test_evaluation():

@@ -31,7 +31,7 @@ CASES = [
     (rsmld.decode_minimal, TWO_ERRORS, (7, 3, 0, 0)),
     (rsmld.decode_minimal_reencoded, ONE_ERROR, (1, 1, 0, 0)),
     (rsmld.decode_minimal_reencoded, TWO_ERRORS, (7, 3, 0, 0)),
-    (rsmld.decode_rational, ONE_ERROR, (0, 1, 0, 0)),
+    (rsmld.decode_rational, ONE_ERROR, (1, 1, 0, 0)),
     (rsmld.decode_rational, TWO_ERRORS, (0, 3, 7, 3)),
 ]
 
