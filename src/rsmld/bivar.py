@@ -12,7 +12,12 @@ cap's coefficient budget.  The candidates are held densely, as one integer
 numpy array indexed (candidate, z-degree, x-degree), and each anchor's
 Hasse discrepancies are computed once and then updated incrementally
 (McEliece, "The Guruswami-Sudan decoding algorithm for Reed-Solomon codes",
-IPN PR 42-153, 2003); only the result is returned as a sparse polynomial.
+IPN PR 42-153, 2003); only the fit is returned as a sparse polynomial.
+
+The same engine serves both module ranks: `koetter_candidates` returns all
+M + 1 final candidates, the rational fit (`koetter_interpolate`) keeps the
+smallest, and at s = 1, M = 1 the two candidates are the rank-2 Groebner
+basis of the decoders' interpolation module (`groebner.mgb_iterative`).
 """
 
 from __future__ import annotations
@@ -153,36 +158,37 @@ def hasse_constraints(s: int):
     return [(c - v, v) for c in range(s) for v in range(c + 1)]
 
 
-def _hasse_matrix(A: FieldArrays, binom: np.ndarray, point: int,
-                  rows: int, s: int) -> np.ndarray:
-    """T[i, u] = C(i, u) * point^(i - u) for i < rows, u < s (0 when i < u):
-    a coefficient vector times T gives its Hasse derivatives at point."""
-    shift = np.arange(rows)[:, None] - np.arange(s)
-    return A.mul(binom[:rows, :s], A.powers(point, rows)[np.maximum(shift, 0)])
+def _hasse_matrix(A: FieldArrays, binom: np.ndarray, shift: np.ndarray,
+                  powers: np.ndarray, rows: int) -> np.ndarray:
+    """T[i, u] = C(i, u) * point^(i - u) for i < rows, u < s (0 when i < u),
+    from the point's powers, binom[i, u] = C(i, u) and shift[i, u] =
+    max(i - u, 0): a coefficient vector times T gives its Hasse derivatives
+    at the point."""
+    return A.mul(binom[:rows], powers[shift[:rows]])
 
 
-def koetter_interpolate(field: Field, anchors: list[ProjectivePoint], s: int,
-                        M: int, w: int, rho: int | None = None) -> BivariatePolynomial:
-    """Smallest nonzero Q (by (1, w)-weighted leading monomial, z-degree
-    breaking ties) with zdeg <= M meeting every multiplicity-s constraint.
+def _lead_key(lmx: list[int], w: int, j: int) -> tuple[int, int]:
+    """Order key of candidate j's leading monomial x^lmx[j] z^j: (1, w)-
+    weighted degree, ties going to the lower z-degree."""
+    return (lmx[j] + j * w, j)
 
-    The M + 1 candidates are one array G[candidate, z-degree, x-degree];
-    candidate j starts as z^j and keeps z-degree j in its leading monomial.
-    At each anchor all s(s+1)/2 Hasse discrepancies of every candidate are
-    computed in one pass, then kept current by linearity as the candidates
-    are updated: a combination of candidates combines their discrepancy
-    rows, and multiplying by (x - x0) shifts a row one step in u.
 
-    When rho is given the result is checked against it: with the constraint
-    count below the (M, rho) coefficient budget the minimum is guaranteed to
-    fit, so a violation means the caps were inconsistent.
+def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
+                       M: int, w: int) -> tuple[np.ndarray, list[int]]:
+    """Koetter's update over M + 1 candidates; returns the final candidates
+    as G[candidate, z-degree, x-degree] and the x-exponent of each one's
+    leading monomial (candidate j leads with z-degree j).
+
+    Candidate j starts as z^j.  At each anchor all s(s+1)/2 Hasse
+    discrepancies of every candidate are computed in one pass, then kept
+    current by linearity as the candidates are updated: a combination of
+    candidates combines their discrepancy rows, and multiplying by (x - x0)
+    shifts a row one step in u.  Each constraint's pivot is the candidate
+    with the smallest leading monomial among those it does not vanish on.
     """
     A = field.arrays()
     C = M + 1
     lmx = [0] * C  # x-exponent of the leading monomial (z-exp is j)
-
-    def order_key(j: int):
-        return (lmx[j] + j * w, j)
 
     # Every term x^i z^j' of candidate c has i + j'w <= lmx[c] + c*w, so its
     # x-degree is at most lmx[c] + c*w + spare.
@@ -191,16 +197,19 @@ def koetter_interpolate(field: Field, anchors: list[ProjectivePoint], s: int,
     G = np.zeros((C, C, top + 1), dtype=A.dtype)
     G[range(C), range(C), 0] = 1
 
-    def binomials(width: int) -> np.ndarray:
-        return A.array([[math.comb(i, u) % field.p for u in range(s)]
-                        for i in range(max(width, C))])
+    def tables(width: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = max(width, C)
+        binom = A.array([[math.comb(i, u) % field.p for u in range(s)]
+                         for i in range(rows)])
+        return binom, np.maximum(np.arange(rows)[:, None] - np.arange(s), 0)
 
-    binom = binomials(top + 1)
+    binom, shift = tables(top + 1)
     cons = hasse_constraints(s)
     for pt in anchors:
         x0 = pt.x
         cols = top + 1
-        H = A.dot(G[:, :, :cols], _hasse_matrix(A, binom, x0, cols, s))
+        xpow, zpow = A.powers([x0, pt.z_num], max(cols, C))
+        H = A.dot(G[:, :, :cols], _hasse_matrix(A, binom, shift, xpow, cols))
         if pt.is_infinite:
             # the z-reversal at z = 0: D_{u,v} reads slice M - v
             D = np.zeros((C, s, s), dtype=A.dtype)
@@ -208,35 +217,53 @@ def koetter_interpolate(field: Field, anchors: list[ProjectivePoint], s: int,
                 D[:, :, v] = H[:, M - v, :]
         else:
             D = A.dot(H.transpose(0, 2, 1),
-                      _hasse_matrix(A, binom, pt.z_num, C, s))
-        for u, v in cons:
+                      _hasse_matrix(A, binom, shift, zpow, C))
+        for i, (u, v) in enumerate(cons, 1):
+            # D is rebuilt at the next anchor: after the last constraint
+            # only G needs updating
+            track = i < len(cons)
             d = D[:, u, v]
             hit = np.flatnonzero(d)
             if not hit.size:
                 continue
-            jstar = min(hit.tolist(), key=order_key)
+            jstar = min(hit.tolist(), key=lambda j: _lead_key(lmx, w, j))
             dstar = d[jstar]
             rest = hit[hit != jstar]
             if rest.size:
                 dj = d[rest][:, None, None]
                 G[rest, :, :cols] = A.msub(dstar, G[rest, :, :cols],
                                            dj, G[jstar, :, :cols])
-                D[rest] = A.msub(dstar, D[rest], dj, D[jstar])
+                if track:
+                    D[rest] = A.msub(dstar, D[rest], dj, D[jstar])
             # g* <- (x - x0) g*, and D_{u,v}(g*) <- D_{u-1,v}(g*)
             lmx[jstar] += 1
             top = max(top, lmx[jstar] + jstar * w + spare)
             if top >= G.shape[2]:
                 G = np.concatenate([G, np.zeros_like(G)], axis=2)
-                binom = binomials(G.shape[2])
+                binom, shift = tables(G.shape[2])
             cols = top + 1
             g = G[jstar, :, :cols]
             shifted = np.zeros_like(g)
             shifted[:, 1:] = g[:, :-1]
             G[jstar, :, :cols] = A.msub(1, shifted, x0, g) if x0 else shifted
-            D[jstar, 1:] = D[jstar, :-1].copy()
-            D[jstar, 0] = 0
+            if track:
+                D[jstar, 1:] = D[jstar, :-1].copy()
+                D[jstar, 0] = 0
+    return G, lmx
 
-    best = min(range(C), key=order_key)
+
+def koetter_interpolate(field: Field, anchors: list[ProjectivePoint], s: int,
+                        M: int, w: int, rho: int | None = None) -> BivariatePolynomial:
+    """Smallest nonzero Q (by (1, w)-weighted leading monomial, z-degree
+    breaking ties) with zdeg <= M meeting every multiplicity-s constraint:
+    the smallest of the candidates of `koetter_candidates`.
+
+    When rho is given the result is checked against it: with the constraint
+    count below the (M, rho) coefficient budget the minimum is guaranteed to
+    fit, so a violation means the caps were inconsistent.
+    """
+    G, lmx = koetter_candidates(field, anchors, s, M, w)
+    best = min(range(M + 1), key=lambda j: _lead_key(lmx, w, j))
     Q = BivariatePolynomial(field, {(int(i), int(j)): int(G[best, j, i])
                                     for j, i in zip(*np.nonzero(G[best]))})
     if rho is not None and Q.wdeg(w) > rho:

@@ -41,7 +41,7 @@ class RSCode:
         if eval_points is None:
             pts = tuple(range(n))  # first n elements in enumeration order
         else:
-            pts = tuple(field.canon(x) for x in eval_points)
+            pts = tuple(field.check(x) for x in eval_points)
             if len(pts) != n:
                 raise ValueError(f"expected {n} evaluation points, got {len(pts)}")
             if len(set(pts)) != n:
@@ -86,7 +86,7 @@ class RSCode:
             if m.field != self.field:
                 raise FieldMismatch("message polynomial from a different field")
         else:
-            m = Polynomial(self.field, list(coeffs))
+            m = Polynomial(self.field, [self.field.check(c) for c in coeffs])
         if m.degree() >= self.k:
             raise ValueError(f"message degree {m.degree()} >= k={self.k}")
         return m
@@ -196,7 +196,10 @@ class Word:
         _json_ints("symbols", obj["symbols"])
         if points is not None:
             _json_ints("eval_points", points)
-        code = RSCode(parse_field(obj["field"]), obj["n"], obj["k"], points)
+        try:
+            code = RSCode(parse_field(obj["field"]), obj["n"], obj["k"], points)
+        except ValueError as exc:
+            raise ValueError(f"word JSON: {exc}") from None
         try:
             return cls(code, tuple(obj["symbols"]))
         except ValueError as exc:

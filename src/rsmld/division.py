@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .code import DecodeOutcome, RSCode, Word, hamming_distance
-from .fields import FieldArrays
 from .groebner import (GroebnerPair, ModuleVector, mgb_euclid,
                        mgb_euclid_reencoded, mgb_iterative,
                        mgb_iterative_reencoded, reencoding_multiplier)
@@ -121,14 +120,6 @@ def combine(pair: GroebnerPair, a: Polynomial, b: Polynomial) -> ModuleVector:
                         a * pair.g1.f2 + b * pair.g2.f2)
 
 
-def _vandermonde(arr: FieldArrays, xs: np.ndarray, width: int) -> np.ndarray:
-    """Rows x^0, x^1, ..., x^(width-1) evaluated at the points xs."""
-    rows = [arr.array([1] * len(xs))]
-    for _ in range(1, width):
-        rows.append(arr.mul(rows[-1], xs))
-    return np.stack(rows)
-
-
 def _padded(coeffs: list[int], width: int) -> list[int]:
     return coeffs + [0] * (width - len(coeffs))
 
@@ -152,11 +143,11 @@ def search_levels(code: RSCode, r: Word, pair: GroebnerPair,
     g_f2 = [pair.g1.f2.coeffs, pair.g2.f2.coeffs]
     g_width = max(1, *map(len, g_f2))
     g1_f2, g2_f2 = arr.dot(arr.array([_padded(cs, g_width) for cs in g_f2]),
-                           _vandermonde(arr, xs, g_width))
+                           arr.powers(xs, g_width).T)
     for shape in level_shapes(pair, code.k, t_cap, j_cap):
         # f2(x_i) = sum_e (a_e * x_i^e * g1.f2(x_i) + b_e * x_i^e * g2.f2(x_i))
         a_width, b_width = max(0, shape.a_max_deg + 1), shape.b_deg + 1
-        powers = _vandermonde(arr, xs, max(a_width, b_width))
+        powers = arr.powers(xs, max(a_width, b_width)).T
         f2_basis = np.concatenate([arr.mul(powers[:a_width], g1_f2),
                                    arr.mul(powers[:b_width], g2_f2)])
         found: dict[tuple[int, ...], Polynomial] = {}

@@ -314,12 +314,24 @@ class FieldArrays:
             return (a.astype(object) @ b.astype(object) % self.p).astype(self.dtype)
         return a @ b % self.p
 
-    def powers(self, x: int, n: int) -> np.ndarray:
-        """[1, x, x^2, ..., x^(n-1)]."""
-        out = [1] * n
-        for e in range(1, n):
-            out[e] = self.field.mul(out[e - 1], x)
-        return self.array(out)
+    def powers(self, x, n: int) -> np.ndarray:
+        """x^0, x^1, ..., x^(n-1) along a new last axis, for a point x or
+        an array of points."""
+        x = self.array(x)
+        if self.binary:
+            # x^e = exp[log x * e mod (q - 1)]; the log sentinel of 0 would
+            # read as 1, so x = 0 is masked to 0^e
+            e = np.arange(n)
+            out = self._exp[self._log[x][..., None] * e % (self.field.q - 1)]
+            return np.where((x[..., None] == 0) & (e > 0), 0, out)
+        p = self.p
+        rows = []
+        for xi in x.ravel().tolist():
+            row = [1] * n
+            for i in range(1, n):
+                row[i] = row[i - 1] * xi % p
+            rows.append(row)
+        return self.array(rows).reshape(x.shape + (n,))
 
 
 def parse_field(text: str) -> Field:

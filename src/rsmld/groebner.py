@@ -15,9 +15,15 @@ one).
 Two constructions are provided: a Euclidean remainder sequence on (Pi, L)
 and a point-by-point iteration, plus re-encoded variants that interpolate a
 shifted word over only n - k + 1 points (unweighted order) and are lifted by
-the caller.  All four normalize their output to the unique reduced basis
-(monic leading coefficients, each element fully reduced by the other), so
-the different constructions return identical objects.
+the caller.  The iteration is Koetter's interpolation update
+(`bivar.koetter_candidates`) at multiplicity s = 1 and z-degree M = 1:
+Q = f1(x) + z*f2(x) passes through (x_i, r_i) exactly when (f1, f2) lies in
+M(r), and the two final candidates, led by z^0 and z^1 under (1, k-1)
+weights, are a minimal Groebner basis under the (0, k-1) order (McEliece,
+IPN PR 42-153, 2003; Lee & O'Sullivan, JSC 43, 2008).  All four normalize
+their output to the unique reduced basis (monic leading coefficients, each
+element fully reduced by the other), so the different constructions return
+identical objects.
 """
 
 from __future__ import annotations
@@ -25,7 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from .bivar import ProjectivePoint, koetter_candidates
 from .code import RSCode, Word
+from .fields import Field
 from .polys import Polynomial, lagrange_interpolate, vanishing_poly
 
 
@@ -70,19 +78,8 @@ class ModuleVector:
     def component(self, position: int) -> Polynomial:
         return self.f1 if position == 1 else self.f2
 
-    def sub(self, other: "ModuleVector") -> "ModuleVector":
-        return ModuleVector(self.f1 - other.f1, self.f2 - other.f2)
-
     def scale(self, c: int) -> "ModuleVector":
         return ModuleVector(self.f1.scale(c), self.f2.scale(c))
-
-    def times_x_minus(self, a: int) -> "ModuleVector":
-        return ModuleVector(self.f1.times_x_minus(a), self.f2.times_x_minus(a))
-
-    def term_mul(self, c: int, e: int) -> "ModuleVector":
-        """Multiply by the term c * x**e."""
-        return ModuleVector(self.f1.shift_up(e).scale(c),
-                            self.f2.shift_up(e).scale(c))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ModuleVector)
@@ -121,41 +118,6 @@ def leading(order: WeightedOrder, v: ModuleVector) -> Lead:
     return Lead(pos, e, order.wdeg(e, pos), lc)
 
 
-def _monomials_desc(order: WeightedOrder, v: ModuleVector):
-    """All monomials of v as (key, exponent, position, coeff), largest first."""
-    out = []
-    for pos in (1, 2):
-        comp = v.component(pos)
-        for e, c in enumerate(comp):
-            if c:
-                out.append((order.key(e, pos), e, pos, c))
-    out.sort(reverse=True)
-    return out
-
-
-def reduce_vector(order: WeightedOrder, v: ModuleVector,
-                  basis: Sequence[ModuleVector]) -> ModuleVector:
-    """Normal form of v modulo basis: cancel every monomial divisible by some
-    leading monomial of the basis, largest first, until none remains."""
-    F = v.field
-    leads = [(g, leading(order, g)) for g in basis if not g.is_zero()]
-    while not v.is_zero():
-        hit = None
-        for _, e, pos, c in _monomials_desc(order, v):
-            for g, lg in leads:
-                if lg.position == pos and e >= lg.exponent:
-                    hit = (g, lg, e, c)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        g, lg, e, c = hit
-        factor = F.div(c, lg.coeff)
-        v = v.sub(g.term_mul(factor, e - lg.exponent))
-    return v
-
-
 @dataclass(frozen=True)
 class GroebnerPair:
     """A reduced minimal Groebner basis {g1, g2} of a rank-2 module.
@@ -182,18 +144,25 @@ class GroebnerPair:
         }
 
 
+def _minus_multiple(v: ModuleVector, q: Polynomial, g: ModuleVector) -> ModuleVector:
+    """v - q*g for a polynomial q."""
+    return ModuleVector(v.f1 - q * g.f1, v.f2 - q * g.f2)
+
+
 def _normalize_pair(rows: list[ModuleVector], order: WeightedOrder) -> GroebnerPair:
-    """Monic + inter-reduced form of a two-element minimal basis."""
+    """Monic + inter-reduced form of a two-element minimal basis.
+
+    With g1 leading in x^ell1 e1 and g2 in x^d e2, g1 is reduced modulo g2
+    when deg g1.f2 < d and g2 modulo g1 when deg g2.f1 < ell1; one division
+    each gets there without moving either leading monomial."""
     leads = [leading(order, v) for v in rows]
-    if leads[0].position == leads[1].position:
-        raise ArithmeticError("basis rows share a leading position; "
+    if [lead.position for lead in leads] != [1, 2]:
+        raise ArithmeticError("basis rows do not lead in positions 1 and 2; "
                               "not a minimal Groebner basis")
-    by_pos = {leads[i].position: rows[i].scale(rows[i].field.inv(leads[i].coeff))
-              for i in (0, 1)}
-    g1 = reduce_vector(order, by_pos[1], (by_pos[2],))
-    g2 = reduce_vector(order, by_pos[2], (g1,))
-    l1, l2 = leading(order, g1), leading(order, g2)
-    return GroebnerPair(g1, g2, l1.wdeg, l2.wdeg, order)
+    g1, g2 = (v.scale(v.field.inv(lead.coeff)) for v, lead in zip(rows, leads))
+    g1 = _minus_multiple(g1, g1.f2 // g2.f2, g2)
+    g2 = _minus_multiple(g2, g2.f1 // g1.f1, g1)
+    return GroebnerPair(g1, g2, leads[0].wdeg, leads[1].wdeg, order)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +175,7 @@ def _symbols(code: RSCode, r) -> tuple[int, ...]:
         if r.code != code:
             raise ValueError("word belongs to a different code")
         return r.symbols
-    syms = tuple(code.field.canon(s) for s in r)
+    syms = tuple(code.field.check(s) for s in r)
     if len(syms) != code.n:
         raise ValueError(f"expected {code.n} symbols, got {len(syms)}")
     return syms
@@ -233,9 +202,7 @@ def _euclid_rows(top: ModuleVector, bottom: ModuleVector,
     newer row leads in position 2 (deg f2 + weight2 >= deg f1)."""
     prev, cur = top, bottom
     while cur.f2.degree() + weight2 < cur.f1.degree():
-        q = prev.f1 // cur.f1
-        nxt = ModuleVector(prev.f1 - q * cur.f1, prev.f2 - q * cur.f2)
-        prev, cur = cur, nxt
+        prev, cur = cur, _minus_multiple(prev, prev.f1 // cur.f1, cur)
     return [prev, cur]
 
 
@@ -246,41 +213,21 @@ def mgb_euclid(code: RSCode, r) -> GroebnerPair:
     return _normalize_pair(rows, decoder_order(code))
 
 
-def _iterate_rows(row1: ModuleVector, w1: int, row2: ModuleVector, w2: int,
-                  points: Sequence[int], values: Sequence[int]) -> list[ModuleVector]:
-    """Point-by-point basis update.
-
-    row1 leads in position 1 with weighted degree w1, row2 in position 2
-    with weighted degree w2; each step enforces f1(x) + v * f2(x) = 0 at one
-    more point.  The row whose leading degree must grow is the one that
-    cannot absorb the correction: row2 grows exactly when row1's degree
-    strictly dominates (on a tie the cross-combination leads in position 2,
-    so it must become the new row2).
-    """
-    F = row1.field
-    for x, v in zip(points, values):
-        gamma = F.add(row1.f1.evaluate(x), F.mul(v, row1.f2.evaluate(x)))
-        delta = F.add(row2.f1.evaluate(x), F.mul(v, row2.f2.evaluate(x)))
-        if gamma == 0 and delta == 0:
-            raise ArithmeticError("both discrepancies vanished; "
-                                  "evaluation points are not distinct")
-        combo = row1.scale(delta).sub(row2.scale(gamma))
-        if delta != 0 and (gamma == 0 or w1 > w2):
-            row1, row2 = combo, row2.times_x_minus(x)
-            w2 += 1
-        else:
-            row1, row2 = row1.times_x_minus(x), combo
-            w1 += 1
-    return [row1, row2]
+def _koetter_rows(field: Field, anchors: list[ProjectivePoint],
+                  w: int) -> list[ModuleVector]:
+    """Koetter's two candidates at s = 1, M = 1 as rows (f1, f2): a minimal
+    basis of {(f1, f2) : f1(x) + v*f2(x) = 0 at every anchor (x, v)} under
+    the (0, w)-weighted order, the z^0-led row first."""
+    G, _ = koetter_candidates(field, anchors, 1, 1, w)
+    return [ModuleVector(Polynomial(field, c[0].tolist()),
+                         Polynomial(field, c[1].tolist())) for c in G]
 
 
 def mgb_iterative(code: RSCode, r) -> GroebnerPair:
     """Minimal Groebner basis of M(r) built one evaluation point at a time."""
-    syms = _symbols(code, r)
-    F = code.field
-    row1 = ModuleVector(Polynomial.one(F), Polynomial.zero(F))
-    row2 = ModuleVector(Polynomial.zero(F), Polynomial.one(F))
-    rows = _iterate_rows(row1, 0, row2, code.k - 1, code.eval_points, syms)
+    anchors = [ProjectivePoint.finite(x, v)
+               for x, v in zip(code.eval_points, _symbols(code, r))]
+    rows = _koetter_rows(code.field, anchors, code.k - 1)
     return _normalize_pair(rows, decoder_order(code))
 
 
@@ -330,11 +277,10 @@ def mgb_euclid_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
 
 
 def mgb_iterative_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
-    """Unweighted minimal Groebner basis of the short module, iteratively."""
-    F = code.field
+    """Unweighted minimal Groebner basis of the short module, iteratively:
+    the anchor (x_{n-k+1}, 0) first, then one per shifted symbol."""
     pts, vals, x_star = _short_values(code, y)
-    row1 = ModuleVector(Polynomial.x(F) - Polynomial.constant(F, x_star),
-                        Polynomial.zero(F))
-    row2 = ModuleVector(Polynomial.zero(F), Polynomial.one(F))
-    rows = _iterate_rows(row1, 1, row2, 0, pts, vals)
+    anchors = [ProjectivePoint.finite(x_star, 0)] + [
+        ProjectivePoint.finite(x, v) for x, v in zip(pts, vals)]
+    rows = _koetter_rows(code.field, anchors, 0)
     return _normalize_pair(rows, WeightedOrder((0, 0)))

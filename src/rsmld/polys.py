@@ -141,12 +141,6 @@ class Polynomial:
                 out[i] = add(out[i], mul(na, c))
         return Polynomial(f, out)
 
-    def shift_up(self, e: int) -> "Polynomial":
-        """Multiply by x^e."""
-        if not self.coeffs or e == 0:
-            return self
-        return Polynomial(self.field, [0] * e + self.coeffs)
-
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         self._check(other)
         f = self.field

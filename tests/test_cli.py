@@ -43,6 +43,20 @@ def test_encode_validation_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("field, bad", [("p:7", "9"), ("p:7", "-1"),
+                                        ("2^3", "8")])
+@pytest.mark.parametrize("option", ["--msg", "--eval-points"])
+def test_encode_out_of_range_exit_code(capsys, field, bad, option):
+    # values outside 0..q-1 are rejected, never reduced modulo the field
+    argv = {"--msg": [f"--msg={bad},1"],
+            "--eval-points": [f"--eval-points=0,1,{bad}", "--msg", "1"]}
+    code, out, err = run_cli(capsys, "encode", "--field", field, "--n", "3",
+                             "--k", "2", *argv[option])
+    assert code == 2
+    assert out == ""
+    assert "is not a canonical element" in err
+
+
 def test_corrupt_deterministic(tmp_path, capsys):
     word_file = tmp_path / "w.json"
     word_file.write_text(WORD_75)
@@ -102,6 +116,39 @@ def test_decode_dump_basis(tmp_path, capsys):
     assert doc["basis"]["g1"]["wdeg"] == 6
 
 
+# `decode --dump-basis --output json` of both README words: the same bytes
+# under either engine
+DUMP_BASIS = {
+    WORD_75: (
+        '{"v": 1, "min_distance": 1, "messages": [[3, 1, 2]]'
+        ', "method": "division", "methods_agreed": ["division"]'
+        ', "search_level": 0, "ell1": 6, "ell2": 5, "params": []'
+        ', "basis": {"order": {"weights": [0, 4], "kind": "top"}'
+        ', "g1": {"f1": [6, 3, 5, 1, 1, 1, 1], "f2": [5], "wdeg": 6}'
+        ', "g2": {"f1": [3, 5, 1, 5], "f2": [6, 1], "wdeg": 5}}}'),
+    WORD_74: (
+        '{"v": 1, "min_distance": 2'
+        ', "messages": [[3, 1, 2], [3, 3, 5, 5], [5, 3, 5, 3]]'
+        ', "method": "division", "methods_agreed": ["division"]'
+        ', "search_level": 0, "ell1": 5, "ell2": 5, "params": []'
+        ', "basis": {"order": {"weights": [0, 3], "kind": "top"}'
+        ', "g1": {"f1": [3, 1, 6, 6, 5, 1], "f2": [6, 4], "wdeg": 5}'
+        ', "g2": {"f1": [2, 4, 1, 2, 5], "f2": [4, 2, 1], "wdeg": 5}}}'),
+}
+
+
+@pytest.mark.parametrize("engine", ["iterative", "euclid"])
+@pytest.mark.parametrize("word", [WORD_75, WORD_74], ids=["k5", "k4"])
+def test_decode_dump_basis_pinned(tmp_path, capsys, word, engine):
+    word_file = tmp_path / "w.json"
+    word_file.write_text(word)
+    code, out, _ = run_cli(capsys, "decode", "--word", str(word_file),
+                           "--engine", engine, "--dump-basis",
+                           "--output", "json")
+    assert code == 0
+    assert out == DUMP_BASIS[word] + "\n"
+
+
 def test_decode_reencode_flag(tmp_path, capsys):
     word_file = tmp_path / "w.json"
     word_file.write_text(WORD_74)
@@ -138,7 +185,12 @@ def test_decode_bad_word_file(capsys):
     '{"v": 1, "field": "p:7", "n": 7, "k": 5, "symbols": ["3", 2, 6, 3, 4, 2, 4]}',
     '{"v": 1, "field": "p:7", "n": 7, "k": 5, "symbols": [3.5, 2, 6, 3, 4, 2, 4]}',
     '{"v": 1, "field": "p:7", "n": 7, "k": 5, "symbols": [9, -1, 6, 3, 4, 2, 4]}',
-], ids=["no-field", "string-symbol", "float-symbol", "out-of-range-symbol"])
+    '{"v": 1, "field": "p:7", "n": 3, "k": 1, "symbols": [1, 1, 1], '
+    '"eval_points": [0, 1, 9]}',
+    '{"v": 1, "field": "2^3", "n": 3, "k": 1, "symbols": [1, 1, 1], '
+    '"eval_points": [0, 8, 1]}',
+], ids=["no-field", "string-symbol", "float-symbol", "out-of-range-symbol",
+        "out-of-range-point-prime", "out-of-range-point-binary"])
 def test_decode_malformed_word_exit_code(tmp_path, capsys, doc):
     word_file = tmp_path / "w.json"
     word_file.write_text(doc)

@@ -30,8 +30,12 @@ def test_code_validation():
         RSCode(F7, 7, 7)          # k == n
     with pytest.raises(ValueError):
         RSCode(F7, 7, 0)
-    with pytest.raises(ValueError):
-        RSCode(F7, 3, 2, eval_points=[1, 8, 2])   # 8 = 1 mod 7, duplicate
+    with pytest.raises(ValueError, match="distinct"):
+        RSCode(F7, 3, 2, eval_points=[1, 1, 2])
+    # out-of-range points are rejected, not reduced (8 would read as 1)
+    for field, pts in ((F7, [1, 8, 2]), (F7, [0, -1, 2]), (F8, [0, 8, 1])):
+        with pytest.raises(ValueError, match="not a canonical element"):
+            RSCode(field, 3, 2, eval_points=pts)
 
 
 def test_encode_known_codeword():
@@ -41,6 +45,9 @@ def test_encode_known_codeword():
     assert code.encode(Polynomial(F7, [3, 1, 2])) == w
     with pytest.raises(ValueError):
         code.encode([1] * 6)  # degree k and above is not a message
+    for bad in ([9, 1], [-1], [1, 7]):
+        with pytest.raises(ValueError, match="not a canonical element"):
+            code.message_poly(bad)
 
 
 def test_word_json_round_trip():

@@ -94,6 +94,22 @@ def test_labels_and_parse_round_trip():
         parse_field("p:6")
 
 
+@pytest.mark.parametrize("field", [F7, F16, Field(2**31 - 1),
+                                   Field(4294967291)])
+def test_array_powers_match_pow(field):
+    # one point or an array of points, 0 included; GF(4294967291) holds
+    # its arrays as Python ints
+    A = field.arrays()
+    xs = [0, 1, 2, field.q - 1, field.q // 3]
+    for n in (0, 1, 2, 9, 40):
+        table = A.powers(xs, n)
+        assert table.shape == (len(xs), n) and table.dtype == A.dtype
+        for x, row in zip(xs, table):
+            expect = [field.pow(x, e) for e in range(n)]
+            assert [int(v) for v in row] == expect, (x, n)
+            assert [int(v) for v in A.powers(x, n)] == expect, (x, n)
+
+
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
 def test_prime_field_ring_axioms(a, b, c):
     F = Field(13)

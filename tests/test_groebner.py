@@ -6,10 +6,10 @@ from rsmld.groebner import (GroebnerPair, ModuleVector, WeightedOrder,
                             decoder_order, interpolation_generators,
                             leading, mgb_euclid, mgb_euclid_reencoded,
                             mgb_iterative, mgb_iterative_reencoded,
-                            reduce_vector, reencoded_generators,
-                            reencoding_multiplier)
+                            reencoded_generators, reencoding_multiplier)
 from rsmld.division import reencode
 from rsmld.polys import Polynomial, lagrange_interpolate, vanishing_poly
+from rsmld.rng import XorShift64Star
 
 F7 = Field(7)
 
@@ -74,12 +74,18 @@ def test_worked_example_basis():
     assert pair.g2.f2.coeffs == [6, 1]
     _check_minimal_basis(code, r, pair)
     assert pair == mgb_euclid(code, r)
-    # the generators lie in the span of the basis
-    basis = (pair.g1, pair.g2)
-    for gen in interpolation_generators(code, r):
-        assert reduce_vector(pair.order, gen, basis).is_zero()
-    outside = ModuleVector(Polynomial.one(F7), Polynomial.zero(F7))
-    assert not reduce_vector(pair.order, outside, basis).is_zero()
+    # the generators lie in the span of the basis: solving
+    # v = a*g1 + b*g2 by Cramer's rule over F[x] divides exactly
+    g1, g2 = pair.g1, pair.g2
+    det = g1.f1 * g2.f2 - g1.f2 * g2.f1
+
+    def in_span(v):
+        a_num = v.f1 * g2.f2 - v.f2 * g2.f1
+        b_num = g1.f1 * v.f2 - g1.f2 * v.f1
+        return det.divides(a_num) and det.divides(b_num)
+
+    assert all(in_span(gen) for gen in interpolation_generators(code, r))
+    assert not in_span(ModuleVector(Polynomial.one(F7), Polynomial.zero(F7)))
 
 
 def test_codeword_case():
@@ -114,6 +120,29 @@ def test_engines_agree_on_random_words():
             i = mgb_iterative(code, r)
             assert e == i, (code.n, code.k, seed)
             _check_minimal_basis(code, r, i)
+
+
+@pytest.mark.parametrize("field, n, k", [
+    (Field(2, 8), 255, 223),   # Koetter's x-width doubles at w = 222
+    (Field(31), 31, 15),
+    (Field(2**31 - 1), 24, 4),
+    (Field(4294967291), 24, 4),
+], ids=["255-223-gf256", "31-15-gf31", "24-4-mersenne31", "24-4-p32"])
+def test_engines_agree_at_benchmark_sizes(field, n, k):
+    code = RSCode(field, n, k)
+    rng = XorShift64Star(n)
+    words = [random_word(code, n)]
+    for t in (code.classical_radius(), code.classical_radius() + 1, n - k):
+        msg = [rng.below(field.q) for _ in range(k)]
+        words.append(corrupt(code.encode(msg), t, rng.next_u64()))
+    for r in words:
+        direct = mgb_iterative(code, r)
+        assert direct == mgb_euclid(code, r)
+        _check_minimal_basis(code, r, direct)
+        enc = reencode(code, r)
+        short = mgb_iterative_reencoded(code, enc.y)
+        assert short == mgb_euclid_reencoded(code, enc.y)
+        assert short.ell2 + k - 1 == direct.ell2
 
 
 def test_order_of_decoder():
@@ -175,3 +204,6 @@ def test_mismatched_word_rejected():
         mgb_iterative(code, random_word(other, 0))
     with pytest.raises(ValueError):
         mgb_euclid(code, [1, 2, 3])
+    for engine in (mgb_euclid, mgb_iterative):
+        with pytest.raises(ValueError, match="not a canonical element"):
+            engine(code, [9, 1, 2, 3, 4, 5, 6])

@@ -31,7 +31,6 @@ def test_arithmetic():
     assert (a * b).coeffs == [6, 3, 0, 1]
     assert a.scale(2).coeffs == [2, 4, 6]
     assert a.scale(0).is_zero()
-    assert a.shift_up(2).coeffs == [0, 0, 1, 2, 3]
     assert a.times_x_minus(2) == a * P(5, 1)
 
 
