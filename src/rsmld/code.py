@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from math import isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .fields import Field, FieldMismatch, parse_field
-from .polys import Polynomial, base_q_digits
+from .polys import Polynomial, base_q_digits, vanishing_poly
 from .rng import XorShift64Star
 
 JSON_VERSION = 1
@@ -30,7 +31,7 @@ class OracleBudgetExceeded(ValueError):
 class RSCode:
     """An (n, k) Reed-Solomon code with explicit evaluation points."""
 
-    __slots__ = ("field", "n", "k", "eval_points", "_table")
+    __slots__ = ("field", "n", "k", "eval_points", "_table", "_constants")
 
     def __init__(self, field: Field, n: int, k: int,
                  eval_points: Sequence[int] | None = None):
@@ -51,6 +52,7 @@ class RSCode:
         self.k = k
         self.eval_points = pts
         self._table: np.ndarray | None = None
+        self._constants: CodeConstants | None = None
 
     # -- basic parameters ------------------------------------------------
 
@@ -93,7 +95,15 @@ class RSCode:
 
     def encode(self, msg: Iterable[int] | Polynomial) -> "Word":
         m = self.message_poly(msg)
-        return Word(self, tuple(m.evaluate(x) for x in self.eval_points))
+        consts = self.constants()
+        values = consts.arrays.evaluate(m.coeffs, consts.points)
+        return Word(self, tuple(values.tolist()))
+
+    def constants(self) -> "CodeConstants":
+        """The code's decoding constants, cached; each is built on first use."""
+        if self._constants is None:
+            self._constants = CodeConstants(self)
+        return self._constants
 
     # -- oracle ----------------------------------------------------------
 
@@ -155,6 +165,90 @@ class RSCode:
     def _check_word(self, word: "Word") -> None:
         if word.code != self:
             raise FieldMismatch("word belongs to a different code")
+
+
+class CodeConstants:
+    """Arrays and polynomials that depend only on the code, never on a word.
+
+    Each attribute is computed on first access and then kept, so one RSCode
+    reused across words pays for it once.  Re-encoding splits the points
+    into the head, the first n - k, and the tail, the last k.  With
+    G_t = prod (x - x_j) over the tail and w_j = 1 / G_t'(x_j), the
+    interpolant of a word's tail symbols r_j is, in barycentric form,
+
+        G_t(x) * sum_j w_j r_j / (x - x_j),
+
+    whose value at a head point x_i is sum_j D_ij (w_j r_j) with
+    D_ij = G_t(x_i) / (x_i - x_j).  The same form over all n points gives
+    the interpolant of a whole word.  The arrays hold 3n + (n - k)k
+    elements in all: nothing of size k x k or n x k.
+    """
+
+    def __init__(self, code: RSCode):
+        self.field = code.field
+        self.eval_points = code.eval_points
+        self.split = code.n - code.k
+        self.arrays = code.field.arrays()
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The evaluation points as a field array."""
+        return _read_only(self.arrays.array(self.eval_points))
+
+    @cached_property
+    def vanishing(self) -> Polynomial:
+        """Pi = prod (x - x_i) over all n points."""
+        return vanishing_poly(self.field, self.eval_points)
+
+    @cached_property
+    def multiplier(self) -> Polynomial:
+        """G = prod (x - x_i) over the last k - 1 points (1 when k = 1)."""
+        return vanishing_poly(self.field, self.eval_points[self.split + 1:])
+
+    @cached_property
+    def tail_vanishing(self) -> Polynomial:
+        """G_t = G * (x - x_{n-k}): zero at every tail point."""
+        return self.multiplier.times_x_minus(self.eval_points[self.split])
+
+    def _weights(self, vanishing: Polynomial, roots: np.ndarray) -> np.ndarray:
+        """Barycentric weights 1 / V'(x_j) = 1 / prod_{l != j} (x_j - x_l)
+        of the roots of V = prod (x - x_j)."""
+        F = self.field
+        derivative = [F.mul(e % F.p, c) for e, c in enumerate(vanishing.coeffs)]
+        values = self.arrays.evaluate(derivative[1:], roots)
+        return _read_only(self.arrays.inv(values))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Barycentric weights 1 / Pi'(x_i) at all n points."""
+        return self._weights(self.vanishing, self.points)
+
+    @cached_property
+    def tail_weights(self) -> np.ndarray:
+        """Barycentric weights w_j = 1 / G_t'(x_j) at the tail points."""
+        return self._weights(self.tail_vanishing, self.points[self.split:])
+
+    @cached_property
+    def head_matrix(self) -> np.ndarray:
+        """D_ij = G_t(x_i) / (x_i - x_j), head point i by tail point j."""
+        arr = self.arrays
+        head, tail = self.points[:self.split], self.points[self.split:]
+        at_head = arr.evaluate(self.tail_vanishing.coeffs, head)
+        return _read_only(arr.mul(at_head[:, None],
+                                  arr.inv(arr.sub(head[:, None], tail))))
+
+    @cached_property
+    def head_multiplier_inverse(self) -> np.ndarray:
+        """1 / G(x_i) at the head points, where G has no root."""
+        head = self.points[:self.split]
+        return _read_only(self.arrays.inv(
+            self.arrays.evaluate(self.multiplier.coeffs, head)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Lock a cached array: every word of the code shares it."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)

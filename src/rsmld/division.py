@@ -34,8 +34,8 @@ import numpy as np
 from .code import DecodeOutcome, RSCode, Word, hamming_distance
 from .groebner import (GroebnerPair, ModuleVector, mgb_euclid,
                        mgb_euclid_reencoded, mgb_iterative,
-                       mgb_iterative_reencoded, reencoding_multiplier)
-from .polys import Polynomial, lagrange_interpolate, monic_polys
+                       mgb_iterative_reencoded)
+from .polys import Polynomial, monic_polys
 
 # Pairs per prefilter batch: a level can hold q^(k1 + k2 + 1) pairs, so the
 # batch's values, a (batch, n) array, are all that is ever held at once.
@@ -138,8 +138,7 @@ def search_levels(code: RSCode, r: Word, pair: GroebnerPair,
     (see the module docstring); each remaining combination a*g1 + b*g2 is
     lifted to a message and kept when it has degree < k and lies at exactly
     the level's distance from r."""
-    arr = code.field.arrays()
-    xs = arr.array(code.eval_points)
+    arr, xs = code.constants().arrays, code.constants().points
     g_f2 = [pair.g1.f2.coeffs, pair.g2.f2.coeffs]
     g_width = max(1, *map(len, g_f2))
     g1_f2, g2_f2 = arr.dot(arr.array([_padded(cs, g_width) for cs in g_f2]),
@@ -219,13 +218,25 @@ class Reencoding:
 
 
 def reencode(code: RSCode, r: Word) -> Reencoding:
-    F = code.field
-    tail_pts = code.eval_points[code.n - code.k:]
-    shift = lagrange_interpolate(F, tail_pts, r.symbols[code.n - code.k:])
-    head = code.eval_points[:code.n - code.k]
-    y = tuple(F.sub(s, shift.evaluate(x))
-              for x, s in zip(head, r.symbols[:code.n - code.k]))
-    return Reencoding(code, shift, y, reencoding_multiplier(code))
+    """Split r as shift + y, with the shift interpolating r on the last k
+    points.
+
+    Everything that depends only on the code comes from `code.constants()`,
+    so a word costs array arithmetic.  With c = w * r_tail (barycentric
+    weights times tail symbols), the shift's values at the head are D . c and
+    y = r_head - D . c.  The shift's coefficients come from the same c:
+    shift = sum_j c_j * G_t / (x - x_j), one synthetic-division step per
+    degree (`FieldArrays.barycentric`).
+    """
+    consts = code.constants()
+    arr = consts.arrays
+    nk = code.n - code.k
+    syms = arr.array(r.symbols)
+    c = arr.mul(consts.tail_weights, syms[nk:])
+    y = arr.sub(syms[:nk], arr.dot(consts.head_matrix, c[:, None])[:, 0])
+    shift = arr.barycentric(consts.points[nk:], consts.tail_vanishing.coeffs, c)
+    return Reencoding(code, Polynomial(code.field, shift), tuple(y.tolist()),
+                      consts.multiplier)
 
 
 def decode_minimal_reencoded(code: RSCode, r: Word, j_cap: int | None = None,

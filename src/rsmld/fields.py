@@ -291,11 +291,38 @@ class FieldArrays:
     def array(self, values) -> np.ndarray:
         return np.asarray(values, dtype=self.dtype)
 
+    def sub(self, a, b):
+        """Elementwise a - b (broadcasting)."""
+        if self.binary:
+            return a ^ b
+        return (a - b) % self.p
+
     def mul(self, a, b):
         """Elementwise a * b (broadcasting)."""
         if self.binary:
             return self._exp[self._log[a] + self._log[b]]
         return a * b % self.p
+
+    def inv(self, a) -> np.ndarray:
+        """Elementwise 1 / a; every element must be nonzero."""
+        a = self.array(a)
+        if np.any(a == 0):
+            raise ZeroDivisionError(f"inverse of zero in {self.field.label()}")
+        if self.binary:
+            return self._exp[self.field.q - 1 - self._log[a]]
+        # a^(p - 2) by square and multiply
+        out, e = np.ones_like(a), self.p - 2
+        while e:
+            if e & 1:
+                out = out * a % self.p
+            a, e = a * a % self.p, e >> 1
+        return out
+
+    def sum(self, a: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Field sum along an axis."""
+        if self.binary:
+            return np.bitwise_xor.reduce(a, axis=axis)
+        return a.sum(axis=axis) % self.p
 
     def msub(self, a, x, b, y):
         """Elementwise a*x - b*y (broadcasting)."""
@@ -313,6 +340,35 @@ class FieldArrays:
             # the int64 sum of the products could wrap: sum Python ints
             return (a.astype(object) @ b.astype(object) % self.p).astype(self.dtype)
         return a @ b % self.p
+
+    def evaluate(self, coeffs, x: np.ndarray) -> np.ndarray:
+        """Values at every point of x of the polynomial with coefficients
+        `coeffs` (low to high), by Horner's rule: one step per coefficient."""
+        acc = np.zeros(x.shape, dtype=self.dtype)
+        if self.binary:
+            log_x = self._log[x]
+            for c in reversed(coeffs):
+                acc = self._exp[self._log[acc] + log_x] ^ c
+            return acc
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % self.p
+        return acc
+
+    def barycentric(self, roots: np.ndarray, vanishing, c: np.ndarray) -> list[int]:
+        """Coefficients, low to high, of sum_j c_j * V(x) / (x - x_j), where
+        V = prod (x - x_j) over the roots has coefficients `vanishing`.
+
+        With c_j = r_j / V'(x_j) this is the interpolant of the values r_j
+        at the roots.  Synthetic division of V by every (x - x_j) at once
+        runs from the top degree down: at step e, u_j is c_j times the x^e
+        coefficient of V / (x - x_j), and their sum is the result's.
+        """
+        u, out = c, [0] * len(roots)
+        for e in range(len(roots) - 1, -1, -1):
+            out[e] = int(self.sum(u))
+            if e:  # the next quotient coefficient is v_e + x_j * this one
+                u = self.msub(roots, u, self.field.neg(vanishing[e]), c)
+        return out
 
     def powers(self, x, n: int) -> np.ndarray:
         """x^0, x^1, ..., x^(n-1) along a new last axis, for a point x or

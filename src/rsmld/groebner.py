@@ -186,11 +186,15 @@ def decoder_order(code: RSCode) -> WeightedOrder:
 
 
 def interpolation_generators(code: RSCode, r) -> tuple[ModuleVector, ModuleVector]:
-    """The generating pair (Pi, 0), (L, -1) of M(r)."""
-    syms = _symbols(code, r)
+    """The generating pair (Pi, 0), (L, -1) of M(r).
+
+    Pi and the barycentric weights 1 / Pi'(x_i) are the code's, built once
+    (`RSCode.constants`); L is then one `FieldArrays.barycentric` call."""
     F = code.field
-    pi = vanishing_poly(F, code.eval_points)
-    lag = lagrange_interpolate(F, code.eval_points, syms)
+    consts = code.constants()
+    c = consts.arrays.mul(consts.weights, consts.arrays.array(_symbols(code, r)))
+    pi = consts.vanishing
+    lag = Polynomial(F, consts.arrays.barycentric(consts.points, pi.coeffs, c))
     zero = Polynomial.zero(F)
     minus_one = Polynomial.constant(F, F.neg(1))
     return ModuleVector(pi, zero), ModuleVector(lag, minus_one)
@@ -237,21 +241,20 @@ def mgb_iterative(code: RSCode, r) -> GroebnerPair:
 
 
 def reencoding_multiplier(code: RSCode) -> Polynomial:
-    """G = prod (x - x_i) over the last k - 1 evaluation points."""
-    return vanishing_poly(code.field, code.eval_points[code.n - code.k + 1:])
+    """G = prod (x - x_i) over the last k - 1 evaluation points, built once
+    per code (`RSCode.constants`)."""
+    return code.constants().multiplier
 
 
 def _short_values(code: RSCode, y: Sequence[int]) -> tuple[list[int], list[int], int]:
     """Points x_1..x_{n-k}, values y_j / G(x_j), and the extra root x_{n-k+1}."""
-    F = code.field
     nk = code.n - code.k
-    ys = [F.canon(v) for v in y]
+    ys = [code.field.check(v) for v in y]
     if len(ys) != nk:
         raise ValueError(f"expected {nk} shifted symbols, got {len(ys)}")
-    G = reencoding_multiplier(code)
-    pts = list(code.eval_points[:nk])
-    vals = [F.div(v, G.evaluate(x)) for x, v in zip(pts, ys)]
-    return pts, vals, code.eval_points[nk]
+    consts = code.constants()
+    vals = consts.arrays.mul(consts.arrays.array(ys), consts.head_multiplier_inverse)
+    return list(code.eval_points[:nk]), vals.tolist(), code.eval_points[nk]
 
 
 def reencoded_generators(code: RSCode, y: Sequence[int]) -> tuple[ModuleVector, ModuleVector]:

@@ -1,0 +1,157 @@
+"""The per-code constants (`RSCode.constants`) and the array paths on them.
+
+`RSCode.encode`, `division.reencode` and `groebner.interpolation_generators`
+are checked against the scalar definitions they replaced: per-point Horner
+evaluation, and Newton interpolation of the tail symbols or of the whole
+word.  The cache must hold nothing of a word.
+"""
+
+import pytest
+
+from rsmld.code import RSCode, Word, corrupt, random_word
+from rsmld.division import decode_minimal, decode_minimal_reencoded, reencode
+from rsmld.fields import Field
+from rsmld.groebner import interpolation_generators
+from rsmld.polys import Polynomial, lagrange_interpolate, vanishing_poly
+from rsmld.rational import decode_rational
+from rsmld.rng import XorShift64Star
+
+P31 = 2**31 - 1
+P32 = 4294967291
+
+CODES = [
+    (Field(7), 7, 4, None),
+    (Field(7), 5, 2, [3, 0, 6, 1, 5]),
+    (Field(7), 6, 1, None),                      # k = 1: G = 1
+    (Field(7), 7, 6, [6, 5, 4, 3, 2, 1, 0]),     # n - k = 1
+    (Field(2, 4, 0b11001), 15, 5, list(range(15, 0, -1))),
+    (Field(2, 4, 0b11001), 12, 5, [9, 0, 4, 13, 2, 7, 15, 1, 11, 6, 3, 8]),
+    (Field(2, 8), 255, 223, None),
+    (Field(2, 8), 40, 1, [(37 * i) % 256 for i in range(40)]),
+    (Field(2, 8), 10, 9, None),                  # n - k = 1
+    (Field(P31), 24, 4, [0] + [pow(7, 1 + 97 * i, P31) for i in range(23)]),
+    (Field(P32), 12, 5, [0] + [pow(3, 1 + 11 * i, P32) for i in range(11)]),
+]
+IDS = ["gf7", "gf7-points", "gf7-k1", "gf7-nk1", "gf16-mod", "gf16-points",
+       "gf256", "gf256-k1", "gf256-nk1", "mersenne31", "p32"]
+
+
+def _messages(code, seed):
+    """The zero message, a short one and full-length random ones."""
+    F, k = code.field, code.k
+    rng = XorShift64Star(seed)
+    full = [[rng.below(F.q) for _ in range(k)] for _ in range(3)]
+    return [[], [F.q - 1]] + full + [[0] * (k - 1) + [1]]
+
+
+def _lagrange_reencode(code, r):
+    """Re-encoding as defined: Newton interpolation of the last k symbols,
+    residuals at the first n - k points, and G over the last k - 1 points."""
+    F, nk = code.field, code.n - code.k
+    shift = lagrange_interpolate(F, code.eval_points[nk:], r.symbols[nk:])
+    y = tuple(F.sub(s, shift.evaluate(x))
+              for x, s in zip(code.eval_points[:nk], r.symbols[:nk]))
+    return shift, y, vanishing_poly(F, code.eval_points[nk + 1:])
+
+
+@pytest.mark.parametrize("spec", CODES, ids=IDS)
+def test_encode_matches_pointwise_evaluation(spec):
+    code = RSCode(*spec)
+    for coeffs in _messages(code, code.n):
+        m = code.message_poly(coeffs)
+        w = code.encode(m)
+        assert w.symbols == tuple(m.evaluate(x) for x in code.eval_points)
+        assert all(type(s) is int for s in w.symbols)
+
+
+@pytest.mark.parametrize("spec", CODES, ids=IDS)
+def test_reencode_matches_lagrange(spec):
+    code = RSCode(*spec)
+    rng = XorShift64Star(code.k)
+    words = [Word(code, (0,) * code.n), random_word(code, code.n)]
+    for coeffs in _messages(code, code.k)[1:3]:
+        words.append(corrupt(code.encode(coeffs), min(code.n - code.k, 3),
+                             rng.next_u64()))
+    for r in words:
+        enc = reencode(code, r)
+        shift, y, multiplier = _lagrange_reencode(code, r)
+        assert enc.shift == shift
+        assert enc.y == y and all(type(v) is int for v in enc.y)
+        assert enc.multiplier == multiplier
+    if code.k == 1:
+        assert enc.multiplier == Polynomial.one(code.field)
+
+
+@pytest.mark.parametrize("spec", CODES, ids=IDS)
+def test_generators_match_lagrange(spec):
+    # the Euclid engine's generators (Pi, 0), (L, -1) from the cached Pi and
+    # weights, against Newton interpolation of the whole word
+    code = RSCode(*spec)
+    F = code.field
+    for r in (Word(code, (0,) * code.n), random_word(code, code.k)):
+        gen_pi, gen_lag = interpolation_generators(code, r)
+        assert gen_pi.f1 == vanishing_poly(F, code.eval_points)
+        assert gen_lag.f1 == lagrange_interpolate(F, code.eval_points, r.symbols)
+        assert gen_lag.f2 == Polynomial.constant(F, F.neg(1))
+
+
+@pytest.mark.parametrize("decode", [
+    decode_minimal, decode_minimal_reencoded, decode_rational,
+    lambda code, r: decode_minimal(code, r, engine="euclid"),
+    lambda code, r: decode_minimal_reencoded(code, r, engine="euclid"),
+], ids=["division", "reencoded", "rational", "euclid", "euclid-reencoded"])
+def test_second_decode_matches_fresh_code(decode):
+    # the first decode builds the cache from another word; the second word
+    # must decode as it does on a code that never saw the first
+    for field, n, k, points, t in ((Field(7), 7, 4, [3, 0, 6, 1, 5, 2, 4], 2),
+                                   (Field(2, 4), 15, 5, None, 5),
+                                   (Field(31), 31, 15, None, 9)):
+        code = RSCode(field, n, k, points)
+        first = corrupt(code.encode([1] * k), t, seed=1)
+        second = corrupt(code.encode(list(range(k))), t, seed=2)
+        decode(code, first)
+        again = decode(code, second)
+        fresh_code = RSCode(field, n, k, points)
+        fresh = decode(fresh_code, Word(fresh_code, second.symbols))
+        assert (again.min_distance, again.messages, again.method,
+                again.search_level, again.ell1, again.ell2) == \
+            (fresh.min_distance, fresh.messages, fresh.method,
+             fresh.search_level, fresh.ell1, fresh.ell2)
+
+
+def test_cache_leaves_equality_and_hash_alone():
+    code = RSCode(Field(2, 4), 15, 5)
+    before = hash(code)
+    consts = code.constants()
+    for name in ("points", "vanishing", "weights", "multiplier",
+                 "tail_vanishing", "tail_weights", "head_matrix",
+                 "head_multiplier_inverse"):
+        value = getattr(consts, name)
+        if not isinstance(value, Polynomial):  # shared by every word
+            assert not value.flags.writeable, name
+    assert code.constants() is consts
+    fresh = RSCode(Field(2, 4), 15, 5)
+    assert code == fresh and hash(code) == before == hash(fresh)
+    assert code != RSCode(Field(2, 4), 15, 5, list(range(1, 16)))
+    assert Word(fresh, (0,) * 15).code == code
+
+
+def test_constants_are_the_code_polynomials():
+    code = RSCode(Field(2, 4, 0b11001), 12, 5,
+                  [9, 0, 4, 13, 2, 7, 15, 1, 11, 6, 3, 8])
+    F, pts, nk = code.field, code.eval_points, code.n - code.k
+    consts = code.constants()
+    assert consts.vanishing == vanishing_poly(F, pts)
+    assert consts.tail_vanishing == vanishing_poly(F, pts[nk:])
+    for j, xj in enumerate(pts[nk:]):
+        others = [F.sub(xj, xl) for xl in pts[nk:] if xl != xj]
+        prod = 1
+        for d in others:
+            prod = F.mul(prod, d)
+        assert int(consts.tail_weights[j]) == F.inv(prod)
+    for i, xi in enumerate(pts[:nk]):
+        g = consts.multiplier.evaluate(xi)
+        assert int(consts.head_multiplier_inverse[i]) == F.inv(g)
+        for j, xj in enumerate(pts[nk:]):
+            expect = F.div(consts.tail_vanishing.evaluate(xi), F.sub(xi, xj))
+            assert int(consts.head_matrix[i, j]) == expect

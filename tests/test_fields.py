@@ -110,6 +110,28 @@ def test_array_powers_match_pow(field):
             assert [int(v) for v in A.powers(x, n)] == expect, (x, n)
 
 
+@pytest.mark.parametrize("field", [F7, F16, Field(2, 4, 0b11001),
+                                   Field(2**31 - 1), Field(4294967291)])
+def test_array_sub_inv_sum_evaluate(field):
+    A = field.arrays()
+    xs = [0, 1, 2, field.q - 1, field.q // 3]
+    nonzero = [x for x in xs if x]
+    arr = A.array(xs)
+    assert [int(v) for v in A.sub(arr, A.array(xs[::-1]))] == \
+        [field.sub(a, b) for a, b in zip(xs, xs[::-1])]
+    assert [int(v) for v in A.inv(nonzero)] == [field.inv(x) for x in nonzero]
+    with pytest.raises(ZeroDivisionError):
+        A.inv(xs)
+    total = 0
+    for x in xs:
+        total = field.add(total, x)
+    assert int(A.sum(arr)) == total
+    for coeffs in ([], [5 % field.q], [0, 1], [3, 0, field.q - 1, 1]):
+        poly = Polynomial(field, coeffs)
+        assert [int(v) for v in A.evaluate(coeffs, arr)] == \
+            [poly.evaluate(x) for x in xs]
+
+
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
 def test_prime_field_ring_axioms(a, b, c):
     F = Field(13)

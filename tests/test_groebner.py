@@ -207,3 +207,15 @@ def test_mismatched_word_rejected():
     for engine in (mgb_euclid, mgb_iterative):
         with pytest.raises(ValueError, match="not a canonical element"):
             engine(code, [9, 1, 2, 3, 4, 5, 6])
+
+
+@pytest.mark.parametrize("field", [F7, Field(2, 3)], ids=["gf7", "gf8"])
+def test_reencoded_engines_reject_out_of_range_symbols(field):
+    code = RSCode(field, 7, 3)
+    good = [1, 0, 2, 5]
+    assert mgb_iterative_reencoded(code, good) == \
+        mgb_euclid_reencoded(code, good)
+    for bad in (field.q, -1, 2 * field.q + 1):
+        for engine in (mgb_iterative_reencoded, mgb_euclid_reencoded):
+            with pytest.raises(ValueError, match="not a canonical element"):
+                engine(code, [1, bad, 2, 5])
