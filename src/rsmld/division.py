@@ -12,21 +12,22 @@ bound (where the level arithmetic is meaningful for every code), and at
 n - k when `beyond_johnson` is set, which always terminates with the true
 minimum distance because the covering radius of an RS code is at most n - k.
 
-Most pairs of a level fail the divisibility test, so the level loop first
-drops them in batches without any polynomial arithmetic.  An accepted pair
-has f1 = -m*f2, and every f in the module satisfies f1(x_i) + r_i*f2(x_i) = 0,
+Most pairs of a level fail the divisibility test, so the pair source drops
+them first, without building a polynomial.  An accepted pair has
+f1 = -m*f2, and every f in the module satisfies f1(x_i) + r_i*f2(x_i) = 0,
 so f2(x_i) * (r_i - m(x_i)) = 0: f2 vanishes at each of the t error
-positions.  The values of f2 = a*g1.f2 + b*g2.f2 at the n evaluation points
-are one numpy matrix product per batch (the pairs' coefficients against
-x_i^e * g.f2(x_i)), and only the pairs whose f2 has at least t zeros among
-the points reach the exact test.  The re-encoded path meets the same
-condition, since its lifted (G*f1, f2) lies in the module of r - shift.
+positions.  Since f2 = a*g1.f2 + b*g2.f2, it vanishes at x_i exactly when
+(a*g1.f2)(x_i) = -(b*g2.f2)(x_i).  The source tabulates both sides at the n
+evaluation points, for every a and every monic b of the level, and one
+broadcast comparison gives every pair's zero count; only the pairs with at
+least t zeros become polynomials and reach the exact test.  The re-encoded
+path meets the same condition, since its lifted (G*f1, f2) lies in the
+module of r - shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -35,11 +36,14 @@ from .code import DecodeOutcome, RSCode, Word, hamming_distance
 from .groebner import (GroebnerPair, ModuleVector, mgb_euclid,
                        mgb_euclid_reencoded, mgb_iterative,
                        mgb_iterative_reencoded)
-from .polys import Polynomial, monic_polys
+from .polys import Polynomial, base_q_digits
 
-# Pairs per prefilter batch: a level can hold q^(k1 + k2 + 1) pairs, so the
-# batch's values, a (batch, n) array, are all that is ever held at once.
-PREFILTER_BATCH = 256
+# A level can hold q^(k1 + k2 + 1) pairs, so the pair source works a chunk
+# of a's and b's at a time: a value table (rows x n) holds at most
+# TABLE_CHUNK elements, and a pointwise comparison (a's x b's x n) at most
+# COMPARE_CHUNK booleans, unless one row alone is larger.
+TABLE_CHUNK = 1 << 13
+COMPARE_CHUNK = 1 << 18
 
 
 class RadiusCapExceeded(Exception):
@@ -65,18 +69,6 @@ def extract_message(f: ModuleVector) -> Polynomial | None:
     return -q
 
 
-def enumerate_polys(field, max_deg: int) -> Iterator[Polynomial]:
-    """All polynomials of degree <= max_deg, in a fixed order: the zero
-    polynomial, then degree by degree, each monic polynomial's lower
-    coefficients under every leading coefficient 1..q-1."""
-    yield Polynomial.zero(field)
-    for deg in range(max_deg + 1):
-        for monic in monic_polys(field, deg):
-            low = monic.coeffs[:-1]
-            for lead in range(1, field.q):
-                yield Polynomial(field, low + [lead])
-
-
 @dataclass
 class LevelShape:
     """Search-space shape at level j: target distance and degree bounds."""
@@ -99,29 +91,49 @@ def level_shapes(pair: GroebnerPair, k: int, t_cap: int,
     return shapes
 
 
-def combinations_at_level(pair: GroebnerPair,
+def combinations_at_level(code: RSCode, pair: GroebnerPair,
                           shape: LevelShape) -> Iterator[tuple[Polynomial, Polynomial]]:
-    """Coefficient pairs (a, b) to test at one level, coprime and in a fixed
-    deterministic order.  When a's degree bound is negative the only
-    combination left is g2 itself (a = 0, b = 1)."""
-    field = pair.g1.field
-    if shape.a_max_deg < 0:
-        if shape.level == 0:
-            yield Polynomial.zero(field), Polynomial.one(field)
+    """The coprime pairs (a, b) of one level, deg a <= shape.a_max_deg and b
+    monic of degree shape.b_deg, whose f2 = a*g1.f2 + b*g2.f2 vanishes at
+    shape.t or more of the evaluation points; no other pair can be accepted
+    (see the module docstring).  When a's degree bound is negative the only
+    combination left is g2 itself (a = 0, b = 1), at level 0.
+
+    Polynomial number i has the base-q digits of i as coefficients: the a
+    are the numbers 0 .. q^(k1 + 1) - 1 (just 0 when k1 < 0), and the monic
+    b of degree k2 are q^k2 .. 2*q^k2 - 1 with k2 + 1 digits.  Per chunk the
+    tables A[a] = (a*g1.f2)(x_i) and -B[b] = -(b*g2.f2)(x_i) are compared
+    pointwise, and each pair's count of equal entries is its f2's zero
+    count."""
+    if shape.a_max_deg < 0 and shape.level > 0:
         return
-    for b in monic_polys(field, shape.b_deg):
-        for a in enumerate_polys(field, shape.a_max_deg):
-            if a.coprime(b):
-                yield a, b
+    field = pair.g1.field
+    arr, xs = code.constants().arrays, code.constants().points
+    q, n = field.q, code.n
+    g1_f2 = arr.evaluate(pair.g1.f2.coeffs, xs)
+    g2_f2 = arr.evaluate(pair.g2.f2.coeffs, xs)
+    a_width, b_width = max(0, shape.a_max_deg + 1), shape.b_deg + 1
+    a_stop, b_start = q ** a_width, q ** shape.b_deg
+    rows = max(1, TABLE_CHUNK // n)
+    b_step = min(b_start, rows)
+    a_step = max(1, min(rows, COMPARE_CHUNK // (b_step * n)))
+    for b_lo in range(b_start, 2 * b_start, b_step):
+        b_hi = min(b_lo + b_step, 2 * b_start)
+        neg_b = arr.sub(0, arr.indexed_values(b_lo, b_hi, b_width, xs, g2_f2))
+        for a_lo in range(0, a_stop, a_step):
+            a_vals = arr.indexed_values(a_lo, min(a_lo + a_step, a_stop),
+                                        a_width, xs, g1_f2)
+            zeros = np.count_nonzero(a_vals[:, None] == neg_b, axis=2)
+            for i, j in zip(*np.nonzero(zeros >= shape.t)):
+                a = Polynomial(field, base_q_digits(a_lo + int(i), q, a_width))
+                b = Polynomial(field, base_q_digits(b_lo + int(j), q, b_width))
+                if a.coprime(b):
+                    yield a, b
 
 
 def combine(pair: GroebnerPair, a: Polynomial, b: Polynomial) -> ModuleVector:
     return ModuleVector(a * pair.g1.f1 + b * pair.g2.f1,
                         a * pair.g1.f2 + b * pair.g2.f2)
-
-
-def _padded(coeffs: list[int], width: int) -> list[int]:
-    return coeffs + [0] * (width - len(coeffs))
 
 
 def search_levels(code: RSCode, r: Word, pair: GroebnerPair,
@@ -133,40 +145,22 @@ def search_levels(code: RSCode, r: Word, pair: GroebnerPair,
     valid message.
 
     `pairs_of(shape)` gives the (a, b) pairs to test at a level, with
-    deg a <= shape.a_max_deg and deg b <= shape.b_deg.  Pairs whose f2 has
-    fewer than t zeros among the evaluation points are dropped in batches
-    (see the module docstring); each remaining combination a*g1 + b*g2 is
-    lifted to a message and kept when it has degree < k and lies at exactly
-    the level's distance from r."""
-    arr, xs = code.constants().arrays, code.constants().points
-    g_f2 = [pair.g1.f2.coeffs, pair.g2.f2.coeffs]
-    g_width = max(1, *map(len, g_f2))
-    g1_f2, g2_f2 = arr.dot(arr.array([_padded(cs, g_width) for cs in g_f2]),
-                           arr.powers(xs, g_width).T)
+    deg a <= shape.a_max_deg and deg b <= shape.b_deg: the zero-count
+    filtered `combinations_at_level`, or the few pairs of a rational fit.
+    Each combination a*g1 + b*g2 is lifted to a message and kept when it has
+    degree < k and lies at exactly the level's distance from r."""
     for shape in level_shapes(pair, code.k, t_cap, j_cap):
-        # f2(x_i) = sum_e (a_e * x_i^e * g1.f2(x_i) + b_e * x_i^e * g2.f2(x_i))
-        a_width, b_width = max(0, shape.a_max_deg + 1), shape.b_deg + 1
-        powers = arr.powers(xs, max(a_width, b_width)).T
-        f2_basis = np.concatenate([arr.mul(powers[:a_width], g1_f2),
-                                   arr.mul(powers[:b_width], g2_f2)])
         found: dict[tuple[int, ...], Polynomial] = {}
-        pairs = iter(pairs_of(shape))
-        while batch := list(islice(pairs, PREFILTER_BATCH)):
-            coeffs = arr.array([_padded(a.coeffs, a_width)
-                                + _padded(b.coeffs, b_width)
-                                for a, b in batch])
-            zeros = np.count_nonzero(arr.dot(coeffs, f2_basis) == 0, axis=1)
-            for i in np.flatnonzero(zeros >= shape.t):
-                a, b = batch[i]
-                f = combine(pair, a, b)
-                if f.f2.is_zero():
-                    continue
-                m = lift(f)
-                if m is None or m.degree() >= code.k:
-                    continue
-                if hamming_distance(code.encode(m), r) != shape.t:
-                    continue
-                found.setdefault(tuple(m.coeffs), m)
+        for a, b in pairs_of(shape):
+            f = combine(pair, a, b)
+            if f.f2.is_zero():
+                continue
+            m = lift(f)
+            if m is None or m.degree() >= code.k:
+                continue
+            if hamming_distance(code.encode(m), r) != shape.t:
+                continue
+            found.setdefault(tuple(m.coeffs), m)
         if found:
             msgs = tuple(sorted(found.values(), key=lambda p: p.coeffs))
             return DecodeOutcome(min_distance=shape.t, messages=msgs,
@@ -196,7 +190,7 @@ def decode_minimal(code: RSCode, r: Word, j_cap: int | None = None,
     """Exact minimum distance and complete message list for word r."""
     pair = select_engine(engine, mgb_iterative, mgb_euclid)(code, r)
     return search_levels(code, r, pair,
-                         lambda shape: combinations_at_level(pair, shape),
+                         lambda shape: combinations_at_level(code, pair, shape),
                          extract_message, "division",
                          search_radius_cap(code, beyond_johnson), j_cap)
 
@@ -260,6 +254,6 @@ def decode_minimal_reencoded(code: RSCode, r: Word, j_cap: int | None = None,
         return None if m_y is None else m_y + enc.shift
 
     return search_levels(code, r, lifted,
-                         lambda shape: combinations_at_level(lifted, shape),
+                         lambda shape: combinations_at_level(code, lifted, shape),
                          lift, "division-reencoded",
                          search_radius_cap(code, beyond_johnson), j_cap)

@@ -370,6 +370,29 @@ class FieldArrays:
                 u = self.msub(roots, u, self.field.neg(vanishing[e]), c)
         return out
 
+    def indexed_values(self, start: int, stop: int, width: int, x: np.ndarray,
+                       mult: np.ndarray) -> np.ndarray:
+        """Values at the points x, times mult(x), of the polynomials numbered
+        start..stop-1, one row each.
+
+        Polynomial number i has as coefficients, low to high, the `width`
+        lowest base-q digits of i, so row i - start holds
+        sum_e digit_e(i) * x^e * mult(x): one multiply and add per digit.
+        Numbers past int64 are split into digits as Python ints.
+        """
+        q = self.field.q
+        if self.dtype == object or stop > 2**63:
+            rest = np.array(range(start, stop), dtype=object)
+        else:
+            rest = np.arange(start, stop, dtype=np.int64)
+        rows = self.mul(self.powers(x, width), mult[:, None]).T
+        acc = np.zeros((len(rest), len(x)), dtype=self.dtype)
+        for row in rows:
+            part = self.mul(self.array(rest % q)[:, None], row)
+            rest = rest // q
+            acc = acc ^ part if self.binary else (acc + part) % self.p
+        return acc
+
     def powers(self, x, n: int) -> np.ndarray:
         """x^0, x^1, ..., x^(n-1) along a new last axis, for a point x or
         an array of points."""

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .fields import Field
 
 __all__ = [
@@ -250,11 +252,18 @@ class Polynomial:
 
 
 def vanishing_poly(field: Field, xs: Sequence[int]) -> Polynomial:
-    """The monic polynomial with the given points as roots: prod (x - x_i)."""
-    out = Polynomial.one(field)
-    for x in xs:
-        out = out.times_x_minus(x)
-    return out
+    """The monic polynomial with the given points as roots: prod (x - x_i).
+
+    One array step per point, on the coefficients held high to low (c[e]
+    multiplies x^(j - e) after j steps): c <- c*(x - x_j) is
+    c[e] <- c[e] - x_j*c[e - 1], where c[j + 1] is still 0.
+    """
+    arr = field.arrays()
+    xs = [field.canon(x) for x in xs]
+    c = arr.array([1] + [0] * len(xs))
+    for j, x in enumerate(xs):
+        c[1:j + 2] = arr.sub(c[1:j + 2], arr.mul(x, c[:j + 1]))
+    return Polynomial(field, c[::-1].tolist())
 
 
 def lagrange_interpolate(field: Field, xs: Sequence[int], ys: Sequence[int]) -> Polynomial:

@@ -147,7 +147,7 @@ def decode_rational(code: RSCode, r: Word, j_cap: int | None = None,
 
     def pairs_of(shape: LevelShape) -> Iterable[tuple[Polynomial, Polynomial]]:
         if shape.a_max_deg < 0 or shape.t > fit_max:
-            return division.combinations_at_level(pair, shape)
+            return division.combinations_at_level(code, pair, shape)
         params, ab_pairs = _fit_level(code, anchors, shape)
         params_used.append(params)
         return ab_pairs

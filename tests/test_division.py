@@ -1,14 +1,14 @@
 import pytest
 
+from rsmld import division
 from rsmld.code import RSCode, Word, corrupt, hamming_distance, random_word
 from rsmld.division import (LevelShape, RadiusCapExceeded,
                             combinations_at_level, combine, decode_minimal,
-                            decode_minimal_reencoded, enumerate_polys,
-                            extract_message, level_shapes, reencode,
-                            search_radius_cap)
+                            decode_minimal_reencoded, extract_message,
+                            level_shapes, reencode, search_radius_cap)
 from rsmld.fields import Field
 from rsmld.groebner import ModuleVector, mgb_iterative
-from rsmld.polys import Polynomial, monic_polys
+from rsmld.polys import Polynomial, base_q_digits, monic_polys
 
 F7 = Field(7)
 
@@ -22,20 +22,6 @@ def test_extract_message():
     assert extract_message(ModuleVector(Polynomial(F7, [1, 0, 1]), f2)) is None
     with pytest.raises(ValueError):
         extract_message(ModuleVector(m, Polynomial.zero(F7)))
-
-
-def test_enumerate_polys():
-    F3 = Field(3)
-    polys = list(enumerate_polys(F3, 1))
-    assert len(polys) == 9  # all of degree <= 1, including zero
-    assert polys[0].is_zero()
-    assert len(set(tuple(p.coeffs) for p in polys)) == 9
-    degrees = [p.degree() for p in polys]
-    assert degrees == sorted(degrees)  # enumerated degree by degree
-    # each degree: lower coefficients counted little-endian, then every lead
-    assert [p.coeffs for p in polys] == [
-        [], [1], [2], [0, 1], [0, 2], [1, 1], [1, 2], [2, 1], [2, 2]]
-    assert list(enumerate_polys(F3, -1)) == [Polynomial.zero(F3)]
 
 
 def test_monic_polys():
@@ -60,7 +46,7 @@ def test_combinations_level_zero_degenerate():
     code = RSCode(F7, 7, 5)
     pair = mgb_iterative(code, Word(code, (3, 2, 6, 3, 4, 2, 4)))
     shapes = level_shapes(pair, code.k, t_cap=2)
-    combos = list(combinations_at_level(pair, shapes[0]))
+    combos = list(combinations_at_level(code, pair, shapes[0]))
     assert len(combos) == 1
     a, b = combos[0]
     assert a.is_zero() and b == Polynomial.one(F7)
@@ -74,28 +60,64 @@ def test_combinations_respect_degree_and_gcd():
     target = shapes[1]
     assert (target.a_max_deg, target.b_deg) == (1, 1)
     seen = set()
-    for a, b in combinations_at_level(pair, target):
+    for a, b in combinations_at_level(code, pair, target):
         assert a.degree() <= 1
         assert b.degree() == 1 and b.leading() == 1
         assert a.gcd(b).degree() <= 0
+        f2 = combine(pair, a, b).f2
+        assert sum(f2.evaluate(x) == 0 for x in code.eval_points) >= target.t
         seen.add((tuple(a.coeffs), tuple(b.coeffs)))
     assert len(seen) == len(set(seen)) and len(seen) > 0
 
 
-@pytest.mark.parametrize("field", [Field(3), Field(2, 2), Field(7)],
-                         ids=["GF3", "GF4", "GF7"])
+@pytest.mark.parametrize("field", [Field(3), Field(2, 2), Field(7),
+                                   Field(2, 3, 0b1101)],
+                         ids=["GF3", "GF4", "GF7", "GF8"])
 def test_combinations_match_gcd_reference(field):
+    # every pair of the level, coprime by a full gcd, kept when its f2 has
+    # at least t zeros among the points
     code = RSCode(field, 3, 1)
     pair = mgb_iterative(code, Word(code, (0, 1, 2)))
+    q = field.q
+    g_f2 = [(x, pair.g1.f2.evaluate(x), pair.g2.f2.evaluate(x))
+            for x in code.eval_points]
     for a_max_deg in range(-1, 3):
         for b_deg in range(3):
-            shape = LevelShape(1, 0, a_max_deg, b_deg)
-            reference = [(a, b) for b in monic_polys(field, b_deg)
-                         for a in enumerate_polys(field, a_max_deg)
-                         if not a.gcd(b).degree() > 0]
-            if a_max_deg < 0:
-                reference = []   # only level 0 keeps the pair (0, 1)
-            assert list(combinations_at_level(pair, shape)) == reference
+            zeros = {}
+            for b in monic_polys(field, b_deg):
+                for i in range(q ** (a_max_deg + 1)):
+                    a = Polynomial(field, base_q_digits(i, q, a_max_deg + 1))
+                    if a.gcd(b).degree() > 0:
+                        continue
+                    zeros[tuple(a.coeffs), tuple(b.coeffs)] = sum(
+                        field.add(field.mul(a.evaluate(x), g1),
+                                  field.mul(b.evaluate(x), g2)) == 0
+                        for x, g1, g2 in g_f2)
+            for t in range(code.n + 1):
+                shape = LevelShape(1, t, a_max_deg, b_deg)
+                reference = {ab for ab, z in zeros.items() if z >= t}
+                if a_max_deg < 0:
+                    reference = set()   # only level 0 keeps the pair (0, 1)
+                got = [(tuple(a.coeffs), tuple(b.coeffs))
+                       for a, b in combinations_at_level(code, pair, shape)]
+                assert len(got) == len(set(got))
+                assert set(got) == reference, (a_max_deg, b_deg, t)
+
+
+@pytest.mark.parametrize("chunk", [1, 20, 150])
+def test_combinations_chunked(monkeypatch, chunk):
+    # chunks of one pair, of a few a's, and of several b's with a few a's
+    # give the pairs of the one-chunk default
+    code = RSCode(F7, 7, 3)
+    pair = mgb_iterative(code, random_word(code, 4))
+    shapes = [LevelShape(1, t, 1, 1) for t in range(4)] + \
+        [LevelShape(2, 2, 0, 2)]
+    unchunked = [set(map(str, combinations_at_level(code, pair, s)))
+                 for s in shapes]
+    monkeypatch.setattr(division, "COMPARE_CHUNK", chunk)
+    for shape, expected in zip(shapes, unchunked):
+        got = list(map(str, combinations_at_level(code, pair, shape)))
+        assert len(got) == len(set(got)) and set(got) == expected
 
 
 def test_radius_caps():

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from rsmld.code import RSCode, Word
 from rsmld.fields import Field, FieldMismatch, parse_field
-from rsmld.polys import Polynomial
+from rsmld.polys import Polynomial, base_q_digits
 
 F7 = Field(7)
 F16 = Field(2, 4)
@@ -130,6 +130,47 @@ def test_array_sub_inv_sum_evaluate(field):
         poly = Polynomial(field, coeffs)
         assert [int(v) for v in A.evaluate(coeffs, arr)] == \
             [poly.evaluate(x) for x in xs]
+
+
+@pytest.mark.parametrize("field", [F7, Field(2, 4, 0b11001),
+                                   Field(2**31 - 1), Field(4294967291)])
+def test_array_indexed_values_match_evaluate(field):
+    # row i - start is polynomial number i (its base-q digits, low to high)
+    # at every point, times the multiplier; the multiplier has zeros
+    A = field.arrays()
+    q = field.q
+    xs = [0, 1, 2, q - 1, q // 3]
+    mult = [3, 0, 1, q - 2, 0]
+
+    def expected(start, stop, width):
+        rows = []
+        for i in range(start, stop):
+            poly = Polynomial(field, base_q_digits(i, q, width))
+            rows.append([field.mul(poly.evaluate(x), m)
+                         for x, m in zip(xs, mult)])
+        return rows
+
+    def values(start, stop, width):
+        table = A.indexed_values(start, stop, width, A.array(xs),
+                                 A.array(mult))
+        assert table.shape == (stop - start, len(xs))
+        assert table.dtype == A.dtype
+        return [[int(v) for v in row] for row in table]
+
+    # degree bound 0: the zero polynomial only
+    assert values(0, 1, 0) == [[0] * len(xs)]
+    spans = [(0, min(q ** 2, 60), 2), (q - 3, q + 4, 2), (q ** 2 - 2, q ** 2, 2),
+             (q ** 3 - 5, q ** 3, 3)]
+    if A.dtype == object:
+        spans.append((2**64 + 5, 2**64 + 12, 3))   # past int64: no wrap
+    elif q > 2**20:
+        spans.append((2**63 - 3, 2**63 + 4, 3))    # digits found as Python ints
+    for start, stop, width in spans:
+        assert values(start, stop, width) == expected(start, stop, width)
+        # split at a chunk boundary, the two halves make the whole
+        mid = (start + stop) // 2
+        assert values(start, mid, width) + values(mid, stop, width) == \
+            expected(start, stop, width)
 
 
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))

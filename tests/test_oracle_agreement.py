@@ -1,9 +1,10 @@
 """Every decoder against the exhaustive oracle on random small codes, and
-the level loop's zero-count prefilter against the loop without it.
+the filtered level search against the exhaustive one.
 
-The unfiltered loop is kept here as the reference: every decoder's
-`search_levels` call is run through both on the same pairs, and the outcomes
-must match exactly.
+The exhaustive search is kept here as the reference: the level loop with
+every coprime pair of every level sent to the exact test.  Every decoder's
+`search_levels` call is also run as that loop, and the outcomes must match
+exactly.
 """
 
 from unittest import mock
@@ -16,6 +17,7 @@ from rsmld.division import (RadiusCapExceeded, combine, decode_minimal,
                             decode_minimal_reencoded, level_shapes,
                             search_radius_cap)
 from rsmld.fields import Field
+from rsmld.polys import Polynomial, monic_polys
 from rsmld.rational import decode_rational
 
 FIELDS = [Field(5), Field(7), Field(2, 2), Field(2, 3), Field(2, 3, 0b1101)]
@@ -58,6 +60,31 @@ def test_decoders_match_oracle(case):
                 decode.__name__
 
 
+def enumerate_polys(field, max_deg):
+    """All polynomials of degree <= max_deg: the zero polynomial, then
+    degree by degree, each monic polynomial's lower coefficients under every
+    leading coefficient 1..q-1."""
+    yield Polynomial.zero(field)
+    for deg in range(max_deg + 1):
+        for monic in monic_polys(field, deg):
+            low = monic.coeffs[:-1]
+            for lead in range(1, field.q):
+                yield Polynomial(field, low + [lead])
+
+
+def every_coprime_pair(field, shape):
+    """The unfiltered pair source: every coprime (a, b) of a level, and
+    (0, 1) alone at level 0 when a's degree bound is negative."""
+    if shape.a_max_deg < 0:
+        if shape.level == 0:
+            yield Polynomial.zero(field), Polynomial.one(field)
+        return
+    for b in monic_polys(field, shape.b_deg):
+        for a in enumerate_polys(field, shape.a_max_deg):
+            if a.coprime(b):
+                yield a, b
+
+
 def unfiltered_levels(code, r, pair, pairs_of, lift, method, t_cap, j_cap,
                       accepted):
     """The level loop with every pair sent to the exact test; appends
@@ -89,31 +116,28 @@ def summary(out):
 
 
 class Comparison:
-    """Stands in for `search_levels`: runs both loops on the same pairs."""
+    """Stands in for `search_levels`: runs the decoder's filtered search and
+    the exhaustive one on the same word and basis."""
 
     def __init__(self):
         self.calls = 0
 
     def __call__(self, code, r, pair, pairs_of, lift, method, t_cap, j_cap):
         self.calls += 1
-        levels: dict[int, list] = {}
-
-        def listed(shape):  # a fit runs once, however often it is asked
-            if shape.level not in levels:
-                levels[shape.level] = list(pairs_of(shape))
-            return levels[shape.level]
-
-        args = (code, r, pair, listed, lift, method, t_cap, j_cap)
+        field = pair.g1.field
         accepted = []
         try:
-            expected = summary(unfiltered_levels(*args, accepted))
+            expected = summary(unfiltered_levels(
+                code, r, pair, lambda shape: every_coprime_pair(field, shape),
+                lift, method, t_cap, j_cap, accepted))
         except RadiusCapExceeded:
             expected = None
         for t, f2 in accepted:
             zeros = sum(f2.evaluate(x) == 0 for x in code.eval_points)
             assert zeros >= t, (method, t, f2)
         try:
-            out = PREFILTERED(*args)
+            out = PREFILTERED(code, r, pair, pairs_of, lift, method, t_cap,
+                              j_cap)
         except RadiusCapExceeded:
             assert expected is None, method
             raise

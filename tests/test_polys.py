@@ -100,6 +100,18 @@ def test_vanishing_poly():
     assert vanishing_poly(F, []).coeffs == [1]
 
 
+@pytest.mark.parametrize("field", [Field(7), Field(2, 4, 0b11001),
+                                   Field(2**31 - 1), Field(4294967291)])
+def test_vanishing_poly_matches_product(field):
+    # the array product against the Python product of linear factors
+    q = field.q
+    for xs in ([], [0], [1, q - 1], [0, 1, 2, q - 1, q // 3, q // 2]):
+        product = Polynomial.one(field)
+        for x in xs:
+            product = product * Polynomial(field, [field.neg(x), 1])
+        assert vanishing_poly(field, xs) == product, xs
+
+
 def test_lagrange_interpolate():
     xs = [0, 1, 2, 3]
     ys = [3, 6, 6, 3]

@@ -28,9 +28,9 @@ def load_tracer():
 # decoder, word, (candidates, verifications, constraints, factor pairs)
 CASES = [
     (rsmld.decode_minimal, ONE_ERROR, (1, 1, 0, 0)),
-    (rsmld.decode_minimal, TWO_ERRORS, (7, 3, 0, 0)),
+    (rsmld.decode_minimal, TWO_ERRORS, (3, 3, 0, 0)),
     (rsmld.decode_minimal_reencoded, ONE_ERROR, (1, 1, 0, 0)),
-    (rsmld.decode_minimal_reencoded, TWO_ERRORS, (7, 3, 0, 0)),
+    (rsmld.decode_minimal_reencoded, TWO_ERRORS, (3, 3, 0, 0)),
     (rsmld.decode_rational, ONE_ERROR, (1, 1, 0, 0)),
     (rsmld.decode_rational, TWO_ERRORS, (0, 3, 7, 3)),
 ]
