@@ -25,7 +25,7 @@ from .code import RSCode, Word, corrupt
 from .division import (RadiusCapExceeded, decode_minimal,
                        decode_minimal_reencoded)
 from .fields import parse_field
-from .groebner import mgb_euclid, mgb_iterative
+from .groebner import mgb_euclid
 from .rational import decode_rational
 from .ratparams import InfeasibleParams, InterpParams, optimize_params, wu_params
 from .repro import run_all
@@ -77,14 +77,11 @@ def _params_dict(p: InterpParams) -> dict:
 
 _METHOD_RUNNERS = {
     "division": lambda code, word, args: decode_minimal(
-        code, word, j_cap=args.j_cap, beyond_johnson=args.beyond_johnson,
-        engine=args.engine),
+        code, word, j_cap=args.j_cap, beyond_johnson=args.beyond_johnson),
     "division-reencoded": lambda code, word, args: decode_minimal_reencoded(
-        code, word, j_cap=args.j_cap, beyond_johnson=args.beyond_johnson,
-        engine=args.engine),
+        code, word, j_cap=args.j_cap, beyond_johnson=args.beyond_johnson),
     "rational": lambda code, word, args: decode_rational(
-        code, word, j_cap=args.j_cap, beyond_johnson=args.beyond_johnson,
-        engine=args.engine),
+        code, word, j_cap=args.j_cap, beyond_johnson=args.beyond_johnson),
     "oracle": lambda code, word, args: code.ml_oracle(
         word, budget=args.oracle_budget),
 }
@@ -116,8 +113,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
     basis = None
     if args.dump_basis:
-        engine = mgb_euclid if args.engine == "euclid" else mgb_iterative
-        basis = engine(code, word).to_json_dict()
+        basis = mgb_euclid(code, word).to_json_dict()
 
     if args.output == "json":
         doc = {
@@ -274,10 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
                      default="division")
     dec.add_argument("--reencode", action="store_true",
                      help="use the re-encoded (shifted) basis for the division method")
-    dec.add_argument("--engine", choices=["iterative", "euclid"],
-                     default="iterative", help="basis construction engine")
     dec.add_argument("--j-cap", type=int, default=None,
-                     help="stop after this many search levels")
+                     help="search levels 0..J only (J >= 0)")
     dec.add_argument("--beyond-johnson", action="store_true",
                      help="keep searching past the Johnson radius, up to n-k")
     dec.add_argument("--oracle-budget", type=int, default=10_000_000,

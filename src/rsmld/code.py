@@ -179,9 +179,9 @@ class CodeConstants:
         G_t(x) * sum_j w_j r_j / (x - x_j),
 
     whose value at a head point x_i is sum_j D_ij (w_j r_j) with
-    D_ij = G_t(x_i) / (x_i - x_j).  The same form over all n points gives
-    the interpolant of a whole word.  The arrays hold 3n + (n - k)k
-    elements in all: nothing of size k x k or n x k.
+    D_ij = G_t(x_i) / (x_i - x_j).  Over all n points it interpolates a word,
+    over the first n - k + 1 a re-encoded one.  The arrays hold 4n - k + 1 +
+    (n - k)k elements in all: nothing of size k x k or n x k.
     """
 
     def __init__(self, code: RSCode):
@@ -206,6 +206,11 @@ class CodeConstants:
         return vanishing_poly(self.field, self.eval_points[self.split + 1:])
 
     @cached_property
+    def short_vanishing(self) -> Polynomial:
+        """Pi_y = prod (x - x_i) over the first n - k + 1 points."""
+        return vanishing_poly(self.field, self.eval_points[:self.split + 1])
+
+    @cached_property
     def tail_vanishing(self) -> Polynomial:
         """G_t = G * (x - x_{n-k}): zero at every tail point."""
         return self.multiplier.times_x_minus(self.eval_points[self.split])
@@ -222,6 +227,11 @@ class CodeConstants:
     def weights(self) -> np.ndarray:
         """Barycentric weights 1 / Pi'(x_i) at all n points."""
         return self._weights(self.vanishing, self.points)
+
+    @cached_property
+    def short_weights(self) -> np.ndarray:
+        """Barycentric weights 1 / Pi_y'(x_i) at the first n - k + 1 points."""
+        return self._weights(self.short_vanishing, self.points[:self.split + 1])
 
     @cached_property
     def tail_weights(self) -> np.ndarray:

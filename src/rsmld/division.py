@@ -34,8 +34,9 @@ import numpy as np
 
 from .code import DecodeOutcome, RSCode, Word, hamming_distance
 from .groebner import (GroebnerPair, ModuleVector, mgb_euclid,
-                       mgb_euclid_reencoded, mgb_iterative,
-                       mgb_iterative_reencoded)
+                       mgb_euclid_reencoded)
+# looked up here by the benchmark's tracer; nothing in this module calls them
+from .groebner import mgb_iterative, mgb_iterative_reencoded  # noqa: F401
 from .polys import Polynomial, base_q_digits
 
 # A level can hold q^(k1 + k2 + 1) pairs, so the pair source works a chunk
@@ -82,6 +83,8 @@ class LevelShape:
 def level_shapes(pair: GroebnerPair, k: int, t_cap: int,
                  j_cap: int | None = None) -> list[LevelShape]:
     """Levels j = 0, 1, ... while the target distance stays <= t_cap."""
+    if j_cap is not None and j_cap < 0:
+        raise ValueError(f"level cap must be >= 0, got {j_cap}")
     base_t = pair.ell2 - (k - 1)
     shapes = []
     j = 0
@@ -176,19 +179,10 @@ def search_radius_cap(code: RSCode, beyond_johnson: bool) -> int:
         code.johnson_radius_max(), code.n - code.k)
 
 
-def select_engine(engine: str, iterative, euclid):
-    if engine == "iterative":
-        return iterative
-    if engine == "euclid":
-        return euclid
-    raise ValueError(f"unknown engine {engine!r}; pick 'iterative' or 'euclid'")
-
-
 def decode_minimal(code: RSCode, r: Word, j_cap: int | None = None,
-                   beyond_johnson: bool = False,
-                   engine: str = "iterative") -> DecodeOutcome:
+                   beyond_johnson: bool = False) -> DecodeOutcome:
     """Exact minimum distance and complete message list for word r."""
-    pair = select_engine(engine, mgb_iterative, mgb_euclid)(code, r)
+    pair = mgb_euclid(code, r)
     return search_levels(code, r, pair,
                          lambda shape: combinations_at_level(code, pair, shape),
                          extract_message, "division",
@@ -234,16 +228,14 @@ def reencode(code: RSCode, r: Word) -> Reencoding:
 
 
 def decode_minimal_reencoded(code: RSCode, r: Word, j_cap: int | None = None,
-                             beyond_johnson: bool = False,
-                             engine: str = "iterative") -> DecodeOutcome:
+                             beyond_johnson: bool = False) -> DecodeOutcome:
     """Same search run on the short module of the shifted word.
 
     The short basis lifts to the full-module basis by multiplying first
     components with G, so the divisibility test becomes G*f1 divisible by
     f2 and the recovered message is shifted back by the re-encoding."""
     enc = reencode(code, r)
-    build = select_engine(engine, mgb_iterative_reencoded, mgb_euclid_reencoded)
-    short = build(code, enc.y)
+    short = mgb_euclid_reencoded(code, enc.y)
     # Lift the weighted degrees: each first component gains deg G = k - 1.
     lifted = GroebnerPair(short.g1, short.g2, short.ell1 + code.k - 1,
                           short.ell2 + code.k - 1, short.order)

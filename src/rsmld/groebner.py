@@ -12,10 +12,10 @@ weighted degrees ell1, ell2 of the two elements sum to n + k - 1 and the
 leading positions are 1 and 2 respectively (either degree may be the larger
 one).
 
-Two constructions are provided: a Euclidean remainder sequence on (Pi, L)
-and a point-by-point iteration, plus re-encoded variants that interpolate a
-shifted word over only n - k + 1 points (unweighted order) and are lifted by
-the caller.  The iteration is Koetter's interpolation update
+Two constructions are provided: a Euclidean remainder sequence on (Pi, L),
+which the decoders use, and a point-by-point iteration, its test reference,
+plus re-encoded variants of both over a shifted word's n - k + 1 points
+(unweighted order), lifted by the caller.  The iteration is Koetter's update
 (`bivar.koetter_candidates`) at multiplicity s = 1 and z-degree M = 1:
 Q = f1(x) + z*f2(x) passes through (x_i, r_i) exactly when (f1, f2) lies in
 M(r), and the two final candidates, led by z^0 and z^1 under (1, k-1)
@@ -31,10 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .bivar import ProjectivePoint, koetter_candidates
 from .code import RSCode, Word
 from .fields import Field
-from .polys import Polynomial, lagrange_interpolate, vanishing_poly
+from .polys import Polynomial
 
 
 @dataclass(frozen=True)
@@ -185,19 +187,22 @@ def decoder_order(code: RSCode) -> WeightedOrder:
     return WeightedOrder((0, code.k - 1))
 
 
-def interpolation_generators(code: RSCode, r) -> tuple[ModuleVector, ModuleVector]:
-    """The generating pair (Pi, 0), (L, -1) of M(r).
+def _generator_pair(code: RSCode, vanishing: Polynomial, roots: np.ndarray,
+                    weights: np.ndarray, values: np.ndarray):
+    """(V, 0) and (L, -1): V vanishes at the roots, whose barycentric weights
+    are 1 / V'(x_j), and L interpolates `values` there."""
+    F, arr = code.field, code.constants().arrays
+    lag = arr.barycentric(roots, vanishing.coeffs, arr.mul(weights, values))
+    return (ModuleVector(vanishing, Polynomial.zero(F)),
+            ModuleVector(Polynomial(F, lag), Polynomial.constant(F, F.neg(1))))
 
-    Pi and the barycentric weights 1 / Pi'(x_i) are the code's, built once
-    (`RSCode.constants`); L is then one `FieldArrays.barycentric` call."""
-    F = code.field
+
+def interpolation_generators(code: RSCode, r) -> tuple[ModuleVector, ModuleVector]:
+    """The generating pair (Pi, 0), (L, -1) of M(r); Pi and its barycentric
+    weights are the code's (`RSCode.constants`)."""
     consts = code.constants()
-    c = consts.arrays.mul(consts.weights, consts.arrays.array(_symbols(code, r)))
-    pi = consts.vanishing
-    lag = Polynomial(F, consts.arrays.barycentric(consts.points, pi.coeffs, c))
-    zero = Polynomial.zero(F)
-    minus_one = Polynomial.constant(F, F.neg(1))
-    return ModuleVector(pi, zero), ModuleVector(lag, minus_one)
+    return _generator_pair(code, consts.vanishing, consts.points, consts.weights,
+                           consts.arrays.array(_symbols(code, r)))
 
 
 def _euclid_rows(top: ModuleVector, bottom: ModuleVector,
@@ -246,15 +251,15 @@ def reencoding_multiplier(code: RSCode) -> Polynomial:
     return code.constants().multiplier
 
 
-def _short_values(code: RSCode, y: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """Points x_1..x_{n-k}, values y_j / G(x_j), and the extra root x_{n-k+1}."""
+def _short_values(code: RSCode, y: Sequence[int]) -> np.ndarray:
+    """L_y's values: y_j / G(x_j) at the first n - k points, 0 at the next."""
     nk = code.n - code.k
     ys = [code.field.check(v) for v in y]
     if len(ys) != nk:
         raise ValueError(f"expected {nk} shifted symbols, got {len(ys)}")
     consts = code.constants()
-    vals = consts.arrays.mul(consts.arrays.array(ys), consts.head_multiplier_inverse)
-    return list(code.eval_points[:nk]), vals.tolist(), code.eval_points[nk]
+    return np.append(consts.arrays.mul(consts.arrays.array(ys),
+                                       consts.head_multiplier_inverse), 0)
 
 
 def reencoded_generators(code: RSCode, y: Sequence[int]) -> tuple[ModuleVector, ModuleVector]:
@@ -262,14 +267,12 @@ def reencoded_generators(code: RSCode, y: Sequence[int]) -> tuple[ModuleVector, 
 
     Pi_y vanishes on the first n - k + 1 points; L_y is the degree <= n - k
     interpolant taking value y_j / G(x_j) on the first n - k points and 0 at
-    the (n - k + 1)-th.
+    the (n - k + 1)-th.  Pi_y and its barycentric weights are the code's.
     """
-    F = code.field
-    pts, vals, x_star = _short_values(code, y)
-    pi_y = vanishing_poly(F, pts + [x_star])
-    l_y = lagrange_interpolate(F, pts + [x_star], vals + [0])
-    return (ModuleVector(pi_y, Polynomial.zero(F)),
-            ModuleVector(l_y, Polynomial.constant(F, F.neg(1))))
+    consts = code.constants()
+    return _generator_pair(code, consts.short_vanishing,
+                           consts.points[:code.n - code.k + 1],
+                           consts.short_weights, _short_values(code, y))
 
 
 def mgb_euclid_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
@@ -281,9 +284,8 @@ def mgb_euclid_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
 
 def mgb_iterative_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
     """Unweighted minimal Groebner basis of the short module, iteratively:
-    the anchor (x_{n-k+1}, 0) first, then one per shifted symbol."""
-    pts, vals, x_star = _short_values(code, y)
-    anchors = [ProjectivePoint.finite(x_star, 0)] + [
-        ProjectivePoint.finite(x, v) for x, v in zip(pts, vals)]
+    one anchor (x_j, L_y(x_j)) per point of the short module."""
+    anchors = [ProjectivePoint.finite(x, v) for x, v in
+               zip(code.eval_points, _short_values(code, y).tolist())]
     rows = _koetter_rows(code.field, anchors, 0)
     return _normalize_pair(rows, WeightedOrder((0, 0)))

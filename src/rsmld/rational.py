@@ -23,31 +23,32 @@ from . import division
 from .bivar import BivariatePolynomial, ProjectivePoint, koetter_interpolate
 from .code import DecodeOutcome, RSCode, Word
 from .division import (LevelShape, extract_message, search_levels,
-                       search_radius_cap, select_engine)
-# looked up here by the benchmark's tracer; the level loop calls division's
+                       search_radius_cap)
+from .groebner import GroebnerPair, mgb_euclid
+# looked up here by the benchmark's tracer; nothing in this module calls them
 from .code import hamming_distance  # noqa: F401
 from .division import combine  # noqa: F401
-from .groebner import GroebnerPair, mgb_euclid, mgb_iterative
+from .groebner import mgb_iterative  # noqa: F401
 from .polys import Polynomial, bounded_monic_divisors
 from .ratparams import (InterpParams, optimize_params,
                         single_multiplicity_params)
 
 
 def anchor_points(code: RSCode, pair: GroebnerPair) -> list[ProjectivePoint]:
-    """The projective anchors (x_i, -g2.f2(x_i) / g1.f2(x_i))."""
-    F = code.field
-    out = []
-    for x in code.eval_points:
-        den = pair.g1.f2.evaluate(x)
-        num = pair.g2.f2.evaluate(x)
-        if den:
-            out.append(ProjectivePoint.finite(x, F.neg(F.div(num, den))))
-        elif num:
-            out.append(ProjectivePoint.infinity(x))
-        else:
-            raise ArithmeticError(
-                f"both second components vanish at {x}; basis not coprime")
-    return out
+    """The projective anchors (x_i, -g2.f2(x_i) / g1.f2(x_i)), at infinity
+    where g1.f2 vanishes; one array pass over the points."""
+    arr, xs = code.constants().arrays, code.constants().points
+    den = arr.evaluate(pair.g1.f2.coeffs, xs)
+    num = arr.evaluate(pair.g2.f2.coeffs, xs)
+    finite = den != 0
+    both = (~finite & (num == 0)).nonzero()[0]
+    if both.size:
+        raise ArithmeticError(f"both second components vanish at "
+                              f"{code.eval_points[both[0]]}; basis not coprime")
+    z = iter(arr.sub(0, arr.mul(num[finite], arr.inv(den[finite]))).tolist())
+    return [ProjectivePoint.finite(x, next(z)) if fin
+            else ProjectivePoint.infinity(x)
+            for x, fin in zip(code.eval_points, finite.tolist())]
 
 
 def rational_factorize(Q: BivariatePolynomial, k1: int,
@@ -132,15 +133,14 @@ def _fit_level(code: RSCode, anchors: list[ProjectivePoint],
 
 
 def decode_rational(code: RSCode, r: Word, j_cap: int | None = None,
-                    beyond_johnson: bool = False,
-                    engine: str = "iterative") -> DecodeOutcome:
+                    beyond_johnson: bool = False) -> DecodeOutcome:
     """Exact minimum distance and message list via rational fitting.
 
     Levels whose target distance exceeds the Johnson-type radius cannot be
     handled by curve fitting; with `beyond_johnson` they run the direct
     enumeration instead (the search then always terminates by the covering
     radius bound n - k)."""
-    pair = select_engine(engine, mgb_iterative, mgb_euclid)(code, r)
+    pair = mgb_euclid(code, r)
     anchors = anchor_points(code, pair)
     fit_max = code.johnson_radius_max()
     params_used: list[InterpParams] = []

@@ -116,8 +116,7 @@ def test_decode_dump_basis(tmp_path, capsys):
     assert doc["basis"]["g1"]["wdeg"] == 6
 
 
-# `decode --dump-basis --output json` of both README words: the same bytes
-# under either engine
+# `decode --dump-basis --output json` of both README words
 DUMP_BASIS = {
     WORD_75: (
         '{"v": 1, "min_distance": 1, "messages": [[3, 1, 2]]'
@@ -137,14 +136,12 @@ DUMP_BASIS = {
 }
 
 
-@pytest.mark.parametrize("engine", ["iterative", "euclid"])
 @pytest.mark.parametrize("word", [WORD_75, WORD_74], ids=["k5", "k4"])
-def test_decode_dump_basis_pinned(tmp_path, capsys, word, engine):
+def test_decode_dump_basis_pinned(tmp_path, capsys, word):
     word_file = tmp_path / "w.json"
     word_file.write_text(word)
     code, out, _ = run_cli(capsys, "decode", "--word", str(word_file),
-                           "--engine", engine, "--dump-basis",
-                           "--output", "json")
+                           "--dump-basis", "--output", "json")
     assert code == 0
     assert out == DUMP_BASIS[word] + "\n"
 
@@ -173,6 +170,19 @@ def test_decode_radius_cap_exit_code(tmp_path, capsys):
                              "--beyond-johnson", "--output", "json")
     assert code2 == 0
     assert json.loads(out2)["min_distance"] == 2
+
+
+@pytest.mark.parametrize("method", [["--method", "division"], ["--reencode"],
+                                    ["--method", "rational"]],
+                         ids=["division", "reencoded", "rational"])
+def test_decode_negative_level_cap_exit_code(tmp_path, capsys, method):
+    word_file = tmp_path / "w.json"
+    word_file.write_text(WORD_75)
+    code, out, err = run_cli(capsys, "decode", "--word", str(word_file),
+                             "--j-cap", "-1", *method)
+    assert code == 2
+    assert out == ""
+    assert "level cap" in err
 
 
 def test_decode_bad_word_file(capsys):

@@ -1,8 +1,9 @@
 """The per-code constants (`RSCode.constants`) and the array paths on them.
 
-`RSCode.encode`, `division.reencode` and `groebner.interpolation_generators`
-are checked against the scalar definitions they replaced: per-point Horner
-evaluation, and Newton interpolation of the tail symbols or of the whole
+`RSCode.encode`, `division.reencode`, `groebner.interpolation_generators`
+and `groebner.reencoded_generators` are checked against the scalar
+definitions they replaced: per-point Horner evaluation, and Newton
+interpolation of the tail symbols, of the whole word or of the shifted
 word.  The cache must hold nothing of a word.
 """
 
@@ -11,7 +12,7 @@ import pytest
 from rsmld.code import RSCode, Word, corrupt, random_word
 from rsmld.division import decode_minimal, decode_minimal_reencoded, reencode
 from rsmld.fields import Field
-from rsmld.groebner import interpolation_generators
+from rsmld.groebner import interpolation_generators, reencoded_generators
 from rsmld.polys import Polynomial, lagrange_interpolate, vanishing_poly
 from rsmld.rational import decode_rational
 from rsmld.rng import XorShift64Star
@@ -84,22 +85,31 @@ def test_reencode_matches_lagrange(spec):
 
 @pytest.mark.parametrize("spec", CODES, ids=IDS)
 def test_generators_match_lagrange(spec):
-    # the Euclid engine's generators (Pi, 0), (L, -1) from the cached Pi and
-    # weights, against Newton interpolation of the whole word
+    # the remainder sequence's generators (Pi, 0), (L, -1) from the cached Pi
+    # and weights, against Newton interpolation of the whole word; and those
+    # of the short module, (Pi_y, 0), (L_y, -1), against Newton interpolation
+    # of y_j / G(x_j) at the first n - k points and 0 at the next one
     code = RSCode(*spec)
-    F = code.field
+    F, nk = code.field, code.n - code.k
+    short = code.eval_points[:nk + 1]
+    g = vanishing_poly(F, code.eval_points[nk + 1:])
     for r in (Word(code, (0,) * code.n), random_word(code, code.k)):
         gen_pi, gen_lag = interpolation_generators(code, r)
         assert gen_pi.f1 == vanishing_poly(F, code.eval_points)
         assert gen_lag.f1 == lagrange_interpolate(F, code.eval_points, r.symbols)
         assert gen_lag.f2 == Polynomial.constant(F, F.neg(1))
+        y = reencode(code, r).y
+        values = [F.div(v, g.evaluate(x)) for x, v in zip(short, y)] + [0]
+        short_pi, short_lag = reencoded_generators(code, y)
+        assert short_pi.f1 == vanishing_poly(F, short)
+        assert short_lag.f1 == lagrange_interpolate(F, short, values)
+        assert short_pi.f2 == Polynomial.zero(F)
+        assert short_lag.f2 == Polynomial.constant(F, F.neg(1))
 
 
 @pytest.mark.parametrize("decode", [
     decode_minimal, decode_minimal_reencoded, decode_rational,
-    lambda code, r: decode_minimal(code, r, engine="euclid"),
-    lambda code, r: decode_minimal_reencoded(code, r, engine="euclid"),
-], ids=["division", "reencoded", "rational", "euclid", "euclid-reencoded"])
+], ids=["division", "reencoded", "rational"])
 def test_second_decode_matches_fresh_code(decode):
     # the first decode builds the cache from another word; the second word
     # must decode as it does on a code that never saw the first
@@ -124,8 +134,8 @@ def test_cache_leaves_equality_and_hash_alone():
     before = hash(code)
     consts = code.constants()
     for name in ("points", "vanishing", "weights", "multiplier",
-                 "tail_vanishing", "tail_weights", "head_matrix",
-                 "head_multiplier_inverse"):
+                 "short_vanishing", "short_weights", "tail_vanishing",
+                 "tail_weights", "head_matrix", "head_multiplier_inverse"):
         value = getattr(consts, name)
         if not isinstance(value, Polynomial):  # shared by every word
             assert not value.flags.writeable, name

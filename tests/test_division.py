@@ -9,6 +9,7 @@ from rsmld.division import (LevelShape, RadiusCapExceeded,
 from rsmld.fields import Field
 from rsmld.groebner import ModuleVector, mgb_iterative
 from rsmld.polys import Polynomial, base_q_digits, monic_polys
+from rsmld.rational import decode_rational
 
 F7 = Field(7)
 
@@ -154,13 +155,12 @@ def test_decode_codeword_distance_zero():
     assert out.search_level == 0
 
 
-def test_decode_engine_flag():
+@pytest.mark.parametrize("decode", [decode_minimal, decode_minimal_reencoded,
+                                    decode_rational])
+def test_negative_level_cap_rejected(decode):
     code = RSCode(F7, 7, 4)
-    r = random_word(code, 11)
-    assert decode_minimal(code, r, engine="euclid") == \
-        decode_minimal(code, r, engine="iterative")
-    with pytest.raises(ValueError):
-        decode_minimal(code, r, engine="fast")
+    with pytest.raises(ValueError, match="level cap"):
+        decode(code, random_word(code, 11), j_cap=-1)
 
 
 def test_radius_cap_exceeded():

@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from rsmld.bivar import BivariatePolynomial, koetter_interpolate
+from rsmld.bivar import BivariatePolynomial, ProjectivePoint, koetter_interpolate
 from rsmld.code import RSCode, Word, corrupt, random_word
 from rsmld.division import RadiusCapExceeded, decode_minimal
 from rsmld.fields import Field
-from rsmld.groebner import mgb_iterative
+from rsmld.groebner import (GroebnerPair, ModuleVector, WeightedOrder,
+                            mgb_euclid, mgb_iterative)
 from rsmld.polys import Polynomial
 from rsmld.rational import anchor_points, decode_rational, rational_factorize
 
@@ -42,6 +43,49 @@ def test_anchor_points_can_be_infinite():
                     assert pair.g2.f2.evaluate(x) != 0
             break
     assert found
+
+
+def _scalar_anchors(code, pair):
+    """The anchors by definition, one field division per point."""
+    F = code.field
+    out = []
+    for x in code.eval_points:
+        den, num = pair.g1.f2.evaluate(x), pair.g2.f2.evaluate(x)
+        out.append(ProjectivePoint.finite(x, F.neg(F.div(num, den))) if den
+                   else ProjectivePoint.infinity(x))
+    return out
+
+
+def _second_components(F, f2_1, f2_2):
+    """A pair carrying only the given second components."""
+    zero = Polynomial.zero(F)
+    return GroebnerPair(ModuleVector(zero, f2_1), ModuleVector(zero, f2_2),
+                        0, 0, WeightedOrder((0, 0)))
+
+
+@pytest.mark.parametrize("code", [
+    RSCode(F7, 7, 3),
+    RSCode(Field(2, 4), 15, 5),
+    RSCode(Field(2**31 - 1), 24, 4,
+           [0] + [pow(7, 1 + 97 * i, 2**31 - 1) for i in range(23)]),
+], ids=["gf7", "gf16", "mersenne31"])
+def test_anchor_points_match_scalar_definition(code):
+    F = code.field
+    words = [random_word(code, seed) for seed in range(6)]
+    words += [corrupt(code.encode([1] * code.k), t, seed=t)
+              for t in range(code.n - code.k + 1)]
+    for r in words:
+        pair = mgb_euclid(code, r)
+        assert anchor_points(code, pair) == _scalar_anchors(code, pair)
+    # g1.f2 vanishing at the second and last points: two infinity anchors
+    x1, x2 = code.eval_points[1], code.eval_points[-1]
+    roots = Polynomial(F, [F.neg(x1), 1]) * Polynomial(F, [F.neg(x2), 1])
+    pair = _second_components(F, roots, Polynomial(F, [x1, 3, 1]))
+    anchors = anchor_points(code, pair)
+    assert anchors == _scalar_anchors(code, pair)
+    assert [p.x for p in anchors if p.is_infinite] == [x1, x2]
+    with pytest.raises(ArithmeticError):
+        anchor_points(code, _second_components(F, roots, roots))
 
 
 def _brute_rational_pairs(q_poly, k1, k2):
