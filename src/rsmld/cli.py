@@ -38,8 +38,9 @@ def _print_json(obj: dict) -> None:
 
 
 def _int_list(text: str) -> list[int]:
+    # every entry must be an integer: "1,,2" is an error, not [1, 2]
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
@@ -103,8 +104,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
         first = results["division"]
         for name, res in results.items():
             if res != first:
-                print(f"error: method {name} disagrees: "
-                      f"d={res.min_distance} vs d={first.min_distance}",
+                print(f"error: method {name} disagrees with division: "
+                      f"d={res.min_distance} messages={res.message_coeff_lists()} "
+                      f"vs d={first.min_distance} "
+                      f"messages={first.message_coeff_lists()}",
                       file=sys.stderr)
                 return 1
         outcome, agreed = first, names

@@ -239,10 +239,13 @@ def decode_minimal_reencoded(code: RSCode, r: Word, j_cap: int | None = None,
     # Lift the weighted degrees: each first component gains deg G = k - 1.
     lifted = GroebnerPair(short.g1, short.g2, short.ell1 + code.k - 1,
                           short.ell2 + code.k - 1, short.order)
-    G = enc.multiplier
+    arr = code.field.arrays()
+    G = arr.array(enc.multiplier.coeffs)
 
     def lift(f: ModuleVector) -> Polynomial | None:
-        m_y = extract_message(ModuleVector(G * f.f1, f.f2))
+        # G*f1 takes one array step per coefficient of the short f1
+        g_f1 = arr.poly_mul(G, arr.array(f.f1.coeffs)).tolist()
+        m_y = extract_message(ModuleVector(Polynomial(code.field, g_f1), f.f2))
         return None if m_y is None else m_y + enc.shift
 
     return search_levels(code, r, lifted,

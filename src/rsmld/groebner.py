@@ -20,10 +20,15 @@ plus re-encoded variants of both over a shifted word's n - k + 1 points
 Q = f1(x) + z*f2(x) passes through (x_i, r_i) exactly when (f1, f2) lies in
 M(r), and the two final candidates, led by z^0 and z^1 under (1, k-1)
 weights, are a minimal Groebner basis under the (0, k-1) order (McEliece,
-IPN PR 42-153, 2003; Lee & O'Sullivan, JSC 43, 2008).  All four normalize
-their output to the unique reduced basis (monic leading coefficients, each
-element fully reduced by the other), so the different constructions return
-identical objects.
+IPN PR 42-153, 2003; Lee & O'Sullivan, JSC 43, 2008).
+
+Both constructions work on rows (f1, f2) of trimmed coefficient arrays: the
+remainder sequence divides and multiplies with `FieldArrays.poly_divmod` and
+`poly_mul`, and Koetter's candidates are arrays already.  All four hand
+their two rows to one normalization, also on arrays, which yields the unique
+reduced basis (monic leading coefficients, each element fully reduced by the
+other), so the different constructions return identical objects; only that
+final pair is built as `Polynomial`s.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 
 from .bivar import ProjectivePoint, koetter_candidates
 from .code import RSCode, Word
-from .fields import Field
+from .fields import Field, FieldArrays
 from .polys import Polynomial
 
 
@@ -74,15 +79,6 @@ class ModuleVector:
     def field(self):
         return self.f1.field
 
-    def is_zero(self) -> bool:
-        return self.f1.is_zero() and self.f2.is_zero()
-
-    def component(self, position: int) -> Polynomial:
-        return self.f1 if position == 1 else self.f2
-
-    def scale(self, c: int) -> "ModuleVector":
-        return ModuleVector(self.f1.scale(c), self.f2.scale(c))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ModuleVector)
                 and self.f1 == other.f1 and self.f2 == other.f2)
@@ -94,6 +90,11 @@ class ModuleVector:
         return f"({self.f1}, {self.f2})"
 
 
+# A module vector (f1, f2) while a basis is built: two trimmed coefficient
+# arrays (`FieldArrays.trim`), low to high.
+Row = tuple[np.ndarray, np.ndarray]
+
+
 class Lead(NamedTuple):
     """Leading monomial data of a module vector under some order."""
 
@@ -103,21 +104,25 @@ class Lead(NamedTuple):
     coeff: int
 
 
-def leading(order: WeightedOrder, v: ModuleVector) -> Lead:
-    """Leading (largest) monomial of v, its weighted degree and coefficient."""
-    if v.is_zero():
-        raise ValueError("the zero vector has no leading monomial")
+def _lead(order: WeightedOrder, f1, f2) -> Lead:
+    """Leading monomial of (f1, f2), given as trimmed coefficient lists or
+    arrays."""
     best = None
-    for pos in (1, 2):
-        comp = v.component(pos)
-        if comp.is_zero():
-            continue
-        e = comp.degree()
-        k = order.key(e, pos)
-        if best is None or k > best[0]:
-            best = (k, pos, e, comp.leading())
+    for pos, comp in ((1, f1), (2, f2)):
+        if len(comp):
+            e = len(comp) - 1
+            k = order.key(e, pos)
+            if best is None or k > best[0]:
+                best = (k, pos, e, int(comp[-1]))
+    if best is None:
+        raise ValueError("the zero vector has no leading monomial")
     _, pos, e, lc = best
     return Lead(pos, e, order.wdeg(e, pos), lc)
+
+
+def leading(order: WeightedOrder, v: ModuleVector) -> Lead:
+    """Leading (largest) monomial of v, its weighted degree and coefficient."""
+    return _lead(order, v.f1.coeffs, v.f2.coeffs)
 
 
 @dataclass(frozen=True)
@@ -146,25 +151,43 @@ class GroebnerPair:
         }
 
 
-def _minus_multiple(v: ModuleVector, q: Polynomial, g: ModuleVector) -> ModuleVector:
-    """v - q*g for a polynomial q."""
-    return ModuleVector(v.f1 - q * g.f1, v.f2 - q * g.f2)
+def _vector(field: Field, row: Row) -> ModuleVector:
+    return ModuleVector(Polynomial(field, row[0].tolist()),
+                        Polynomial(field, row[1].tolist()))
 
 
-def _normalize_pair(rows: list[ModuleVector], order: WeightedOrder) -> GroebnerPair:
+def _poly_sub(arr: FieldArrays, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b on coefficient arrays of any lengths, trimmed."""
+    out = np.zeros(max(len(a), len(b)), dtype=arr.dtype)
+    out[:len(a)] = a
+    out[:len(b)] = arr.sub(out[:len(b)], b)
+    return arr.trim(out)
+
+
+def _minus_multiple(arr: FieldArrays, v: Row, q: np.ndarray, g: Row) -> Row:
+    """v - q*g for a coefficient array q."""
+    return (_poly_sub(arr, v[0], arr.poly_mul(q, g[0])),
+            _poly_sub(arr, v[1], arr.poly_mul(q, g[1])))
+
+
+def _normalize_pair(field: Field, rows: list[Row],
+                    order: WeightedOrder) -> GroebnerPair:
     """Monic + inter-reduced form of a two-element minimal basis.
 
     With g1 leading in x^ell1 e1 and g2 in x^d e2, g1 is reduced modulo g2
     when deg g1.f2 < d and g2 modulo g1 when deg g2.f1 < ell1; one division
     each gets there without moving either leading monomial."""
-    leads = [leading(order, v) for v in rows]
+    arr = field.arrays()
+    leads = [_lead(order, *row) for row in rows]
     if [lead.position for lead in leads] != [1, 2]:
         raise ArithmeticError("basis rows do not lead in positions 1 and 2; "
                               "not a minimal Groebner basis")
-    g1, g2 = (v.scale(v.field.inv(lead.coeff)) for v, lead in zip(rows, leads))
-    g1 = _minus_multiple(g1, g1.f2 // g2.f2, g2)
-    g2 = _minus_multiple(g2, g2.f1 // g1.f1, g1)
-    return GroebnerPair(g1, g2, leads[0].wdeg, leads[1].wdeg, order)
+    g1, g2 = (tuple(arr.mul(field.inv(lead.coeff), c) for c in row)
+              for row, lead in zip(rows, leads))
+    g1 = _minus_multiple(arr, g1, arr.poly_divmod(g1[1], g2[1])[0], g2)
+    g2 = _minus_multiple(arr, g2, arr.poly_divmod(g2[0], g1[0])[0], g1)
+    return GroebnerPair(_vector(field, g1), _vector(field, g2),
+                        leads[0].wdeg, leads[1].wdeg, order)
 
 
 # ---------------------------------------------------------------------------
@@ -187,49 +210,57 @@ def decoder_order(code: RSCode) -> WeightedOrder:
     return WeightedOrder((0, code.k - 1))
 
 
-def _generator_pair(code: RSCode, vanishing: Polynomial, roots: np.ndarray,
-                    weights: np.ndarray, values: np.ndarray):
+def _generator_rows(code: RSCode, vanishing: Polynomial, roots: np.ndarray,
+                    weights: np.ndarray, values: np.ndarray) -> list[Row]:
     """(V, 0) and (L, -1): V vanishes at the roots, whose barycentric weights
     are 1 / V'(x_j), and L interpolates `values` there."""
     F, arr = code.field, code.constants().arrays
     lag = arr.barycentric(roots, vanishing.coeffs, arr.mul(weights, values))
-    return (ModuleVector(vanishing, Polynomial.zero(F)),
-            ModuleVector(Polynomial(F, lag), Polynomial.constant(F, F.neg(1))))
+    return [(arr.array(vanishing.coeffs), arr.array([])),
+            (arr.trim(arr.array(lag)), arr.array([F.neg(1)]))]
+
+
+def _interpolation_rows(code: RSCode, r) -> list[Row]:
+    consts = code.constants()
+    return _generator_rows(code, consts.vanishing, consts.points, consts.weights,
+                           consts.arrays.array(_symbols(code, r)))
 
 
 def interpolation_generators(code: RSCode, r) -> tuple[ModuleVector, ModuleVector]:
     """The generating pair (Pi, 0), (L, -1) of M(r); Pi and its barycentric
     weights are the code's (`RSCode.constants`)."""
-    consts = code.constants()
-    return _generator_pair(code, consts.vanishing, consts.points, consts.weights,
-                           consts.arrays.array(_symbols(code, r)))
+    return tuple(_vector(code.field, row) for row in _interpolation_rows(code, r))
 
 
-def _euclid_rows(top: ModuleVector, bottom: ModuleVector,
-                 weight2: int) -> list[ModuleVector]:
+def _euclid_rows(arr: FieldArrays, top: Row, bottom: Row,
+                 weight2: int) -> list[Row]:
     """Remainder sequence on the first components, stopping as soon as the
-    newer row leads in position 2 (deg f2 + weight2 >= deg f1)."""
+    newer row leads in position 2 (deg f2 + weight2 >= deg f1).  A step's
+    new f1 is the remainder of its division, and its f2 is
+    prev.f2 - q*cur.f2."""
     prev, cur = top, bottom
-    while cur.f2.degree() + weight2 < cur.f1.degree():
-        prev, cur = cur, _minus_multiple(prev, prev.f1 // cur.f1, cur)
+    while len(cur[1]) + weight2 < len(cur[0]):
+        q, rem = arr.poly_divmod(prev[0], cur[0])
+        f2 = _poly_sub(arr, prev[1], arr.poly_mul(q, cur[1]))
+        prev, cur = cur, (rem, f2)
     return [prev, cur]
 
 
 def mgb_euclid(code: RSCode, r) -> GroebnerPair:
     """Minimal Groebner basis of M(r) via a Euclidean remainder sequence."""
-    gen_pi, gen_lag = interpolation_generators(code, r)
-    rows = _euclid_rows(gen_pi, gen_lag, code.k - 1)
-    return _normalize_pair(rows, decoder_order(code))
+    rows = _euclid_rows(code.field.arrays(), *_interpolation_rows(code, r),
+                        code.k - 1)
+    return _normalize_pair(code.field, rows, decoder_order(code))
 
 
 def _koetter_rows(field: Field, anchors: list[ProjectivePoint],
-                  w: int) -> list[ModuleVector]:
+                  w: int) -> list[Row]:
     """Koetter's two candidates at s = 1, M = 1 as rows (f1, f2): a minimal
     basis of {(f1, f2) : f1(x) + v*f2(x) = 0 at every anchor (x, v)} under
     the (0, w)-weighted order, the z^0-led row first."""
     G, _ = koetter_candidates(field, anchors, 1, 1, w)
-    return [ModuleVector(Polynomial(field, c[0].tolist()),
-                         Polynomial(field, c[1].tolist())) for c in G]
+    arr = field.arrays()
+    return [(arr.trim(c[0]), arr.trim(c[1])) for c in G]
 
 
 def mgb_iterative(code: RSCode, r) -> GroebnerPair:
@@ -237,7 +268,7 @@ def mgb_iterative(code: RSCode, r) -> GroebnerPair:
     anchors = [ProjectivePoint.finite(x, v)
                for x, v in zip(code.eval_points, _symbols(code, r))]
     rows = _koetter_rows(code.field, anchors, code.k - 1)
-    return _normalize_pair(rows, decoder_order(code))
+    return _normalize_pair(code.field, rows, decoder_order(code))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +293,13 @@ def _short_values(code: RSCode, y: Sequence[int]) -> np.ndarray:
                                        consts.head_multiplier_inverse), 0)
 
 
+def _reencoded_rows(code: RSCode, y: Sequence[int]) -> list[Row]:
+    consts = code.constants()
+    return _generator_rows(code, consts.short_vanishing,
+                           consts.points[:code.n - code.k + 1],
+                           consts.short_weights, _short_values(code, y))
+
+
 def reencoded_generators(code: RSCode, y: Sequence[int]) -> tuple[ModuleVector, ModuleVector]:
     """Generators (Pi_y, 0), (L_y, -1) of the short module of a shifted word.
 
@@ -269,17 +307,13 @@ def reencoded_generators(code: RSCode, y: Sequence[int]) -> tuple[ModuleVector, 
     interpolant taking value y_j / G(x_j) on the first n - k points and 0 at
     the (n - k + 1)-th.  Pi_y and its barycentric weights are the code's.
     """
-    consts = code.constants()
-    return _generator_pair(code, consts.short_vanishing,
-                           consts.points[:code.n - code.k + 1],
-                           consts.short_weights, _short_values(code, y))
+    return tuple(_vector(code.field, row) for row in _reencoded_rows(code, y))
 
 
 def mgb_euclid_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
     """Unweighted minimal Groebner basis of the short module, Euclid style."""
-    gen_pi, gen_lag = reencoded_generators(code, y)
-    rows = _euclid_rows(gen_pi, gen_lag, 0)
-    return _normalize_pair(rows, WeightedOrder((0, 0)))
+    rows = _euclid_rows(code.field.arrays(), *_reencoded_rows(code, y), 0)
+    return _normalize_pair(code.field, rows, WeightedOrder((0, 0)))
 
 
 def mgb_iterative_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
@@ -288,4 +322,4 @@ def mgb_iterative_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
     anchors = [ProjectivePoint.finite(x, v) for x, v in
                zip(code.eval_points, _short_values(code, y).tolist())]
     rows = _koetter_rows(code.field, anchors, 0)
-    return _normalize_pair(rows, WeightedOrder((0, 0)))
+    return _normalize_pair(code.field, rows, WeightedOrder((0, 0)))

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from rsmld import cli
 from rsmld.cli import main
+from rsmld.code import DecodeOutcome
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +59,25 @@ def test_encode_out_of_range_exit_code(capsys, field, bad, option):
     assert "is not a canonical element" in err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--msg", "1,,2"), ("--msg", "1,2,"), ("--msg", ""),
+    ("--eval-points", "0,1,2,,3,4,5,6"), ("--eval-points", ",0,1,2,3,4,5,6"),
+], ids=["msg-inner", "msg-trailing", "msg-empty", "points-inner",
+        "points-leading"])
+def test_encode_empty_entry_exit_code(capsys, option, value):
+    # an empty entry is an error, never dropped: "1,,2" is not the message 1 + 2x
+    argv = ["encode", "--field", "p:7", "--n", "7", "--k", "3",
+            f"{option}={value}"]
+    if option == "--eval-points":
+        argv += ["--msg", "1"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "not a comma-separated integer list" in captured.err
+
+
 def test_corrupt_deterministic(tmp_path, capsys):
     word_file = tmp_path / "w.json"
     word_file.write_text(WORD_75)
@@ -103,6 +124,28 @@ def test_decode_json_all_methods(tmp_path, capsys):
     assert doc["messages"] == [[3, 1, 2], [3, 3, 5, 5], [5, 3, 5, 3]]
     assert doc["methods_agreed"] == ["division", "division-reencoded",
                                      "rational", "oracle"]
+
+
+def test_decode_all_disagreement_prints_messages(tmp_path, capsys,
+                                                 monkeypatch):
+    # an oracle that drops one of the three messages at distance 2: same d,
+    # different lists, so the report must show both lists
+    real = cli._METHOD_RUNNERS["oracle"]
+
+    def short_oracle(code, word, args):
+        out = real(code, word, args)
+        return DecodeOutcome(out.min_distance, out.messages[1:], out.method)
+
+    monkeypatch.setitem(cli._METHOD_RUNNERS, "oracle", short_oracle)
+    word_file = tmp_path / "w.json"
+    word_file.write_text(WORD_74)
+    code, out, err = run_cli(capsys, "decode", "--word", str(word_file),
+                             "--method", "all", "--output", "json")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: method oracle disagrees with division: "
+                   "d=2 messages=[[3, 3, 5, 5], [5, 3, 5, 3]] "
+                   "vs d=2 messages=[[3, 1, 2], [3, 3, 5, 5], [5, 3, 5, 3]]\n")
 
 
 def test_decode_dump_basis(tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 from rsmld.code import RSCode, Word, corrupt, random_word, shifted_word
 from rsmld.fields import Field
 from rsmld.groebner import (GroebnerPair, ModuleVector, WeightedOrder,
-                            decoder_order, interpolation_generators,
+                            _euclid_rows, decoder_order,
+                            interpolation_generators,
                             leading, mgb_euclid, mgb_euclid_reencoded,
                             mgb_iterative, mgb_iterative_reencoded,
                             reencoded_generators, reencoding_multiplier)
@@ -143,6 +144,52 @@ def test_engines_agree_at_benchmark_sizes(field, n, k):
         short = mgb_iterative_reencoded(code, enc.y)
         assert short == mgb_euclid_reencoded(code, enc.y)
         assert short.ell2 + k - 1 == direct.ell2
+
+
+def _scalar_euclid_rows(top, bottom, weight2):
+    """Reference for `_euclid_rows`: the remainder sequence on `Polynomial`
+    rows, each step's f1 recomputed as prev.f1 - q*cur.f1."""
+    prev, cur = top, bottom
+    while cur.f2.degree() + weight2 < cur.f1.degree():
+        q = prev.f1 // cur.f1
+        prev, cur = cur, ModuleVector(prev.f1 - q * cur.f1,
+                                      prev.f2 - q * cur.f2)
+    return [prev, cur]
+
+
+@pytest.mark.parametrize("field, n, k", [
+    (Field(2, 8), 255, 223),
+    (Field(31), 31, 15),
+    (Field(2**31 - 1), 24, 4),
+    (Field(4294967291), 24, 4),
+    (F7, 7, 3),
+    (F7, 7, 1),
+    (F7, 7, 6),
+    (Field(2, 3), 8, 3),
+    (Field(2, 3), 8, 1),
+    (Field(2, 3), 8, 7),
+], ids=["255-223-gf256", "31-15-gf31", "24-4-mersenne31", "24-4-p32",
+        "7-3-gf7", "7-1-gf7", "7-6-gf7", "8-3-gf8", "8-1-gf8", "8-7-gf8"])
+def test_euclid_rows_match_scalar_sequence(field, n, k):
+    code = RSCode(field, n, k)
+    A = field.arrays()
+    rng = XorShift64Star(n + k)
+    msg = [rng.below(field.q) for _ in range(k)]
+    words = [random_word(code, n), Word(code, (0,) * n), code.encode(msg)]
+    for t in (1, code.classical_radius() + 1, n - k):
+        words.append(corrupt(code.encode(msg), t, rng.next_u64()))
+
+    def check(gens, weight2):
+        rows = [(A.array(g.f1.coeffs), A.array(g.f2.coeffs)) for g in gens]
+        got = _euclid_rows(A, *rows, weight2)
+        want = _scalar_euclid_rows(*gens, weight2)
+        assert all(c.dtype == A.dtype for row in got for c in row)
+        assert [(f1.tolist(), f2.tolist()) for f1, f2 in got] == \
+            [(v.f1.coeffs, v.f2.coeffs) for v in want]
+
+    for r in words:
+        check(interpolation_generators(code, r), k - 1)
+        check(reencoded_generators(code, reencode(code, r).y), 0)
 
 
 def test_order_of_decoder():
