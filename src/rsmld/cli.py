@@ -99,7 +99,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
         method = "division-reencoded"
 
     if method == "all":
-        names = ["division", "division-reencoded", "rational", "oracle"]
+        names = ["division", "division-reencoded", "rational"]
+        if code.field.q ** code.k <= args.oracle_budget:
+            names.append("oracle")
         results = {name: _METHOD_RUNNERS[name](code, word, args) for name in names}
         first = results["division"]
         for name, res in results.items():
@@ -137,6 +139,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
     print(f"min_distance: {outcome.min_distance}")
     print(f"method: {method}")
+    print(f"methods_agreed: {', '.join(agreed)}")
     if outcome.search_level is not None:
         print(f"search_level: {outcome.search_level}")
     if outcome.ell1 is not None:

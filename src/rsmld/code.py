@@ -96,7 +96,8 @@ class RSCode:
     def encode(self, msg: Iterable[int] | Polynomial) -> "Word":
         m = self.message_poly(msg)
         consts = self.constants()
-        values = consts.arrays.evaluate(m.coeffs, consts.points)
+        arr = consts.arrays
+        values = arr.dot(arr.array(m.coeffs), consts.vandermonde[:len(m.coeffs)])
         return Word(self, tuple(values.tolist()))
 
     def constants(self) -> "CodeConstants":
@@ -171,22 +172,34 @@ class CodeConstants:
     """Arrays and polynomials that depend only on the code, never on a word.
 
     Each attribute is computed on first access and then kept, so one RSCode
-    reused across words pays for it once.  Re-encoding splits the points
-    into the head, the first n - k, and the tail, the last k.  With
-    G_t = prod (x - x_j) over the tail and w_j = 1 / G_t'(x_j), the
-    interpolant of a word's tail symbols r_j is, in barycentric form,
+    reused across words pays for it once, and a decoder builds only the
+    attributes it uses.  Every linear map from a word to a polynomial or a
+    codeword is a matrix here, so a word costs one `FieldArrays.dot` per
+    map:
 
-        G_t(x) * sum_j w_j r_j / (x - x_j),
+    * `interpolation_matrix` (n x n): row j holds w_j * Pi / (x - x_j) with
+      w_j = 1 / Pi'(x_j), so a word r has Lagrange interpolant L = r . B;
+    * `short_interpolation_matrix`: the same over the first n - k + 1
+      points, for the re-encoded L_y;
+    * `tail_matrix` (k x k): the same over the tail, the last k points,
+      with G_t = prod (x - x_j) there; the re-encoding shift is r_tail . T;
+    * `vandermonde` (k x n): x_i^e in row e, so a message m of length
+      <= k encodes as m . V[:len m].
 
-    whose value at a head point x_i is sum_j D_ij (w_j r_j) with
-    D_ij = G_t(x_i) / (x_i - x_j).  Over all n points it interpolates a word,
-    over the first n - k + 1 a re-encoded one.  The arrays hold 4n - k + 1 +
-    (n - k)k elements in all: nothing of size k x k or n x k.
+    The shift's values at a head point x_i, one of the first n - k, are
+    sum_j D_ij (w_j r_j) with D_ij = G_t(x_i) / (x_i - x_j) (`head_matrix`).
+
+    Memory: the four matrices above hold n^2 + (n - k + 1)^2 + k^2 + kn
+    elements, 8 bytes each as int64 (Python ints past that), plus (n - k)k
+    for `head_matrix`.  That is 1.4 MB at (255, 223), 24 MB at (1023, 991)
+    and 400 MB at (4095, 4063), where a prototype decoded a word no faster
+    with them than with a numpy step per point.
     """
 
     def __init__(self, code: RSCode):
         self.field = code.field
         self.eval_points = code.eval_points
+        self.k = code.k
         self.split = code.n - code.k
         self.arrays = code.field.arrays()
 
@@ -223,20 +236,34 @@ class CodeConstants:
         values = self.arrays.evaluate(derivative[1:], roots)
         return _read_only(self.arrays.inv(values))
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Barycentric weights 1 / Pi'(x_i) at all n points."""
-        return self._weights(self.vanishing, self.points)
+    def _interpolator(self, vanishing: Polynomial,
+                      roots: np.ndarray) -> np.ndarray:
+        """Row j: the coefficients, low to high, of w_j * V / (x - x_j) with
+        w_j = 1 / V'(x_j), for V = prod (x - x_j) over the roots."""
+        return _read_only(self.arrays.barycentric(
+            roots, vanishing.coeffs, self._weights(vanishing, roots)))
 
     @cached_property
-    def short_weights(self) -> np.ndarray:
-        """Barycentric weights 1 / Pi_y'(x_i) at the first n - k + 1 points."""
-        return self._weights(self.short_vanishing, self.points[:self.split + 1])
+    def interpolation_matrix(self) -> np.ndarray:
+        """n x n: row j is w_j * Pi / (x - x_j), w_j = 1 / Pi'(x_j)."""
+        return self._interpolator(self.vanishing, self.points)
+
+    @cached_property
+    def short_interpolation_matrix(self) -> np.ndarray:
+        """(n - k + 1) x (n - k + 1): row j is w_j * Pi_y / (x - x_j),
+        w_j = 1 / Pi_y'(x_j), over the first n - k + 1 points."""
+        return self._interpolator(self.short_vanishing,
+                                  self.points[:self.split + 1])
 
     @cached_property
     def tail_weights(self) -> np.ndarray:
         """Barycentric weights w_j = 1 / G_t'(x_j) at the tail points."""
         return self._weights(self.tail_vanishing, self.points[self.split:])
+
+    @cached_property
+    def tail_matrix(self) -> np.ndarray:
+        """k x k: row j is w_j * G_t / (x - x_j) over the tail points."""
+        return self._interpolator(self.tail_vanishing, self.points[self.split:])
 
     @cached_property
     def head_matrix(self) -> np.ndarray:
@@ -253,6 +280,12 @@ class CodeConstants:
         head = self.points[:self.split]
         return _read_only(self.arrays.inv(
             self.arrays.evaluate(self.multiplier.coeffs, head)))
+
+    @cached_property
+    def vandermonde(self) -> np.ndarray:
+        """k x n: x_i^e in row e, column i."""
+        return _read_only(np.ascontiguousarray(
+            self.arrays.powers(self.points, self.k).T))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

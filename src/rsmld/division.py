@@ -210,11 +210,10 @@ def reencode(code: RSCode, r: Word) -> Reencoding:
     points.
 
     Everything that depends only on the code comes from `code.constants()`,
-    so a word costs array arithmetic.  With c = w * r_tail (barycentric
+    so a word costs two matrix products.  With c = w * r_tail (barycentric
     weights times tail symbols), the shift's values at the head are D . c and
-    y = r_head - D . c.  The shift's coefficients come from the same c:
-    shift = sum_j c_j * G_t / (x - x_j), one synthetic-division step per
-    degree (`FieldArrays.barycentric`).
+    y = r_head - D . c; its coefficients are r_tail . T, with the tail
+    interpolation matrix T.
     """
     consts = code.constants()
     arr = consts.arrays
@@ -222,9 +221,9 @@ def reencode(code: RSCode, r: Word) -> Reencoding:
     syms = arr.array(r.symbols)
     c = arr.mul(consts.tail_weights, syms[nk:])
     y = arr.sub(syms[:nk], arr.dot(consts.head_matrix, c[:, None])[:, 0])
-    shift = arr.barycentric(consts.points[nk:], consts.tail_vanishing.coeffs, c)
-    return Reencoding(code, Polynomial(code.field, shift), tuple(y.tolist()),
-                      consts.multiplier)
+    shift = arr.dot(syms[nk:], consts.tail_matrix)
+    return Reencoding(code, Polynomial(code.field, shift.tolist()),
+                      tuple(y.tolist()), consts.multiplier)
 
 
 def decode_minimal_reencoded(code: RSCode, r: Word, j_cap: int | None = None,

@@ -336,10 +336,19 @@ class FieldArrays:
         if self.binary:
             terms = self._exp[self._log[a][..., :, None] + self._log[b]]
             return np.bitwise_xor.reduce(terms, axis=-2)
-        if self.dtype != object and a.shape[-1] * (self.p - 1) ** 2 >= 2**63:
-            # the int64 sum of the products could wrap: sum Python ints
-            return (a.astype(object) @ b.astype(object) % self.p).astype(self.dtype)
-        return a @ b % self.p
+        p = self.p
+        if self.dtype == object or a.shape[-1] * (p - 1) ** 2 < 2**63:
+            return a @ b % p
+        # The int64 sum of the products could wrap.  Take a in base-2^s
+        # digits, high to low, with s small enough that
+        # acc * 2^s + digit . b stays below (n + 1)(p - 1) 2^s <= 2^62.
+        s = 62 - ((a.shape[-1] + 1) * (p - 1)).bit_length()
+        if s < 1:  # not even one bit per digit fits: sum Python ints
+            return (a.astype(object) @ b.astype(object) % p).astype(self.dtype)
+        acc = 0
+        for shift in range((p.bit_length() - 1) // s * s, -1, -s):
+            acc = (acc * (1 << s) + (a >> shift & (1 << s) - 1) @ b) % p
+        return acc
 
     def evaluate(self, coeffs, x: np.ndarray) -> np.ndarray:
         """Values at every point of x of the polynomial with coefficients
@@ -354,18 +363,22 @@ class FieldArrays:
             acc = (acc * x + c) % self.p
         return acc
 
-    def barycentric(self, roots: np.ndarray, vanishing, c: np.ndarray) -> list[int]:
-        """Coefficients, low to high, of sum_j c_j * V(x) / (x - x_j), where
-        V = prod (x - x_j) over the roots has coefficients `vanishing`.
+    def barycentric(self, roots: np.ndarray, vanishing,
+                    c: np.ndarray) -> np.ndarray:
+        """The matrix whose row j holds the coefficients, low to high, of
+        c_j * V(x) / (x - x_j), where V = prod (x - x_j) over the roots has
+        coefficients `vanishing`.
 
-        With c_j = r_j / V'(x_j) this is the interpolant of the values r_j
-        at the roots.  Synthetic division of V by every (x - x_j) at once
-        runs from the top degree down: at step e, u_j is c_j times the x^e
-        coefficient of V / (x - x_j), and their sum is the result's.
+        With c_j = 1 / V'(x_j) it interpolates: the values r_j at the roots
+        have the interpolant r . B, one `dot` per word.  Synthetic division
+        of V by every (x - x_j) at once runs from the top degree down: at
+        step e, u_j is c_j times the x^e coefficient of V / (x - x_j), and
+        it becomes column e.  One step per root, run once per matrix.
         """
-        u, out = c, [0] * len(roots)
+        u = c
+        out = np.zeros((len(roots), len(roots)), dtype=self.dtype)
         for e in range(len(roots) - 1, -1, -1):
-            out[e] = int(self.sum(u))
+            out[:, e] = u
             if e:  # the next quotient coefficient is v_e + x_j * this one
                 u = self.msub(roots, u, self.field.neg(vanishing[e]), c)
         return out

@@ -210,25 +210,25 @@ def decoder_order(code: RSCode) -> WeightedOrder:
     return WeightedOrder((0, code.k - 1))
 
 
-def _generator_rows(code: RSCode, vanishing: Polynomial, roots: np.ndarray,
-                    weights: np.ndarray, values: np.ndarray) -> list[Row]:
-    """(V, 0) and (L, -1): V vanishes at the roots, whose barycentric weights
-    are 1 / V'(x_j), and L interpolates `values` there."""
+def _generator_rows(code: RSCode, vanishing: Polynomial, interpolator: np.ndarray,
+                    values: np.ndarray) -> list[Row]:
+    """(V, 0) and (L, -1): V vanishes at the points that `interpolator` (a
+    `CodeConstants` interpolation matrix) interpolates on, and
+    L = values . interpolator is the interpolant of `values` there."""
     F, arr = code.field, code.constants().arrays
-    lag = arr.barycentric(roots, vanishing.coeffs, arr.mul(weights, values))
     return [(arr.array(vanishing.coeffs), arr.array([])),
-            (arr.trim(arr.array(lag)), arr.array([F.neg(1)]))]
+            (arr.trim(arr.dot(values, interpolator)), arr.array([F.neg(1)]))]
 
 
 def _interpolation_rows(code: RSCode, r) -> list[Row]:
     consts = code.constants()
-    return _generator_rows(code, consts.vanishing, consts.points, consts.weights,
+    return _generator_rows(code, consts.vanishing, consts.interpolation_matrix,
                            consts.arrays.array(_symbols(code, r)))
 
 
 def interpolation_generators(code: RSCode, r) -> tuple[ModuleVector, ModuleVector]:
-    """The generating pair (Pi, 0), (L, -1) of M(r); Pi and its barycentric
-    weights are the code's (`RSCode.constants`)."""
+    """The generating pair (Pi, 0), (L, -1) of M(r); Pi and the matrix that
+    interpolates a word are the code's (`RSCode.constants`)."""
     return tuple(_vector(code.field, row) for row in _interpolation_rows(code, r))
 
 
@@ -296,8 +296,8 @@ def _short_values(code: RSCode, y: Sequence[int]) -> np.ndarray:
 def _reencoded_rows(code: RSCode, y: Sequence[int]) -> list[Row]:
     consts = code.constants()
     return _generator_rows(code, consts.short_vanishing,
-                           consts.points[:code.n - code.k + 1],
-                           consts.short_weights, _short_values(code, y))
+                           consts.short_interpolation_matrix,
+                           _short_values(code, y))
 
 
 def reencoded_generators(code: RSCode, y: Sequence[int]) -> tuple[ModuleVector, ModuleVector]:
@@ -305,7 +305,7 @@ def reencoded_generators(code: RSCode, y: Sequence[int]) -> tuple[ModuleVector, 
 
     Pi_y vanishes on the first n - k + 1 points; L_y is the degree <= n - k
     interpolant taking value y_j / G(x_j) on the first n - k points and 0 at
-    the (n - k + 1)-th.  Pi_y and its barycentric weights are the code's.
+    the (n - k + 1)-th.  Pi_y and its interpolation matrix are the code's.
     """
     return tuple(_vector(code.field, row) for row in _reencoded_rows(code, y))
 

@@ -44,9 +44,12 @@ class XorShift64Star:
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by modular reduction.
 
-        The modulo bias is below 2**-50 for every n used here (n < 2**14),
-        which is irrelevant for test-vector generation, and keeping the
-        reduction branch-free makes the stream trivial to re-derive.
+        The modulo bias is at most n / 2**64: each value's probability is
+        1/n times a factor within n / 2**64 of 1.  The largest bounds
+        passed are field sizes, q up to 2**32 - 5 (a bias below 2**-32), and
+        2**31 - 1 in the tests.  That is irrelevant for test-vector
+        generation, and keeping the reduction branch-free makes the stream
+        trivial to re-derive.
         """
         if n <= 0:
             raise ValueError("below() needs a positive bound")

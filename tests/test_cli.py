@@ -7,7 +7,8 @@ import pytest
 
 from rsmld import cli
 from rsmld.cli import main
-from rsmld.code import DecodeOutcome
+from rsmld.code import DecodeOutcome, RSCode, corrupt
+from rsmld.fields import Field
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +125,37 @@ def test_decode_json_all_methods(tmp_path, capsys):
     assert doc["messages"] == [[3, 1, 2], [3, 3, 5, 5], [5, 3, 5, 3]]
     assert doc["methods_agreed"] == ["division", "division-reencoded",
                                      "rational", "oracle"]
+
+
+def test_decode_all_leaves_out_oracle_past_its_budget(tmp_path, capsys):
+    # 32^15 codewords exceed the default budget: the other three decoders
+    # still run and agree, and only they are listed; the oracle alone fails
+    code31 = RSCode(Field(2, 5), 31, 15)
+    sent = list(range(1, 16))
+    word_file = tmp_path / "w.json"
+    word_file.write_text(corrupt(code31.encode(sent), 9, seed=3).to_json())
+    code, out, _ = run_cli(capsys, "decode", "--word", str(word_file),
+                           "--method", "all", "--output", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["min_distance"], doc["messages"]) == (9, [sent])
+    assert doc["methods_agreed"] == ["division", "division-reencoded",
+                                     "rational"]
+    code, out, _ = run_cli(capsys, "decode", "--word", str(word_file),
+                           "--method", "all")
+    assert code == 0
+    assert "methods_agreed: division, division-reencoded, rational\n" in out
+    code, _, err = run_cli(capsys, "decode", "--word", str(word_file),
+                           "--method", "oracle")
+    assert code == 2 and "oracle budget" in err
+    # the budget is inclusive: 7^4 = 2401 codewords
+    word_file.write_text(WORD_74)
+    for budget, with_oracle in ((2401, True), (2400, False)):
+        code, out, _ = run_cli(capsys, "decode", "--word", str(word_file),
+                               "--method", "all", "--output", "json",
+                               "--oracle-budget", str(budget))
+        assert code == 0
+        assert ("oracle" in json.loads(out)["methods_agreed"]) == with_oracle
 
 
 def test_decode_all_disagreement_prints_messages(tmp_path, capsys,

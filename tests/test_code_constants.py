@@ -4,7 +4,8 @@
 and `groebner.reencoded_generators` are checked against the scalar
 definitions they replaced: per-point Horner evaluation, and Newton
 interpolation of the tail symbols, of the whole word or of the shifted
-word.  The cache must hold nothing of a word.
+word.  The interpolation, tail and Vandermonde matrices are checked entry
+by entry against theirs.  The cache must hold nothing of a word.
 """
 
 import pytest
@@ -129,13 +130,62 @@ def test_second_decode_matches_fresh_code(decode):
              fresh.search_level, fresh.ell1, fresh.ell2)
 
 
+def _scalar_interpolator(F, points):
+    """Row j: w_j times the quotient of prod (x - x_l) by (x - x_j), with
+    w_j = 1 / prod_{l != j} (x_j - x_l), padded to len(points) entries."""
+    vanishing = vanishing_poly(F, points)
+    rows = []
+    for xj in points:
+        quot, rem = divmod(vanishing, Polynomial(F, [F.neg(xj), 1]))
+        assert rem.is_zero()
+        prod = 1
+        for xl in points:
+            if xl != xj:
+                prod = F.mul(prod, F.sub(xj, xl))
+        coeffs = quot.scale(F.inv(prod)).coeffs
+        rows.append(coeffs + [0] * (len(points) - len(coeffs)))
+    return rows
+
+
+@pytest.mark.parametrize("spec", CODES, ids=IDS)
+def test_matrices_match_scalar_definitions(spec):
+    code = RSCode(*spec)
+    F, pts, nk = code.field, code.eval_points, code.n - code.k
+    consts = code.constants()
+    for matrix, points in ((consts.interpolation_matrix, pts),
+                           (consts.short_interpolation_matrix, pts[:nk + 1]),
+                           (consts.tail_matrix, pts[nk:])):
+        assert matrix.shape == (len(points), len(points))
+        assert matrix.tolist() == _scalar_interpolator(F, points)
+    assert consts.vandermonde.shape == (code.k, code.n)
+    assert consts.vandermonde.tolist() == \
+        [[F.pow(x, e) for x in pts] for e in range(code.k)]
+
+
+def test_decoders_build_only_the_matrices_they_use():
+    # cached_property keeps a built attribute in the instance __dict__
+    code = RSCode(Field(2, 8), 255, 223)
+    r = corrupt(code.encode([1, 2, 3]), 16, seed=4)
+    decode_minimal(code, r)
+    built = vars(code.constants())
+    assert "interpolation_matrix" in built and "vandermonde" in built
+    assert "tail_matrix" not in built
+    assert "short_interpolation_matrix" not in built
+    fresh = RSCode(Field(2, 8), 255, 223)
+    decode_minimal_reencoded(fresh, Word(fresh, r.symbols))
+    built = vars(fresh.constants())
+    assert "tail_matrix" in built and "short_interpolation_matrix" in built
+    assert "interpolation_matrix" not in built
+
+
 def test_cache_leaves_equality_and_hash_alone():
     code = RSCode(Field(2, 4), 15, 5)
     before = hash(code)
     consts = code.constants()
-    for name in ("points", "vanishing", "weights", "multiplier",
-                 "short_vanishing", "short_weights", "tail_vanishing",
-                 "tail_weights", "head_matrix", "head_multiplier_inverse"):
+    for name in ("points", "vanishing", "multiplier", "short_vanishing",
+                 "tail_vanishing", "tail_weights", "head_matrix",
+                 "head_multiplier_inverse", "interpolation_matrix",
+                 "short_interpolation_matrix", "tail_matrix", "vandermonde"):
         value = getattr(consts, name)
         if not isinstance(value, Polynomial):  # shared by every word
             assert not value.flags.writeable, name

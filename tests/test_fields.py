@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -131,6 +133,42 @@ def test_array_sub_inv_sum_evaluate(field):
         poly = Polynomial(field, coeffs)
         assert [int(v) for v in A.evaluate(coeffs, arr)] == \
             [poly.evaluate(x) for x in xs]
+
+
+@pytest.mark.parametrize("field", [F7, Field(2, 8), Field(2**31 - 1),
+                                   Field(3037000493), Field(4294967291)])
+def test_array_dot_matches_scalar_sums(field):
+    # 2^31 - 1 and 3037000493, the largest prime with (p - 1)^2 < 2^63,
+    # hold int64 arrays whose product sums would wrap; half of each operand
+    # of two or more entries cycles through 0, 1, q - 1 and q - 2
+    A = field.arrays()
+    rng = XorShift64Star(field.q)
+    edge = [0, 1, field.q - 1, field.q - 2]
+
+    def draw(*shape):
+        count = prod(shape)
+        vals = (edge * count)[:count // 2] + \
+            [rng.below(field.q) for _ in range(count - count // 2)]
+        return A.array(vals).reshape(shape)
+
+    for a_shape, b_shape in (((0,), (0, 3)), ((1,), (1, 4)), ((9,), (9, 9)),
+                             ((255,), (255, 7)), ((3, 40), (40, 5)),
+                             ((2, 3, 6), (6, 4))):
+        a, b = draw(*a_shape), draw(*b_shape)
+        got = A.dot(a, b)
+        assert got.shape == a_shape[:-1] + b_shape[1:] and got.dtype == A.dtype
+        flat_a = a.reshape(prod(a_shape[:-1]), a_shape[-1]).tolist()
+        expect = [[sum(x * int(b[i, j]) for i, x in enumerate(row)) % field.p
+                   if field.m == 1 else _gf2_dot(field, row, b[:, j].tolist())
+                   for j in range(b_shape[1])] for row in flat_a]
+        assert got.reshape(len(flat_a), b_shape[1]).tolist() == expect
+
+
+def _gf2_dot(field, xs, ys):
+    total = 0
+    for x, y in zip(xs, ys):
+        total = field.add(total, field.mul(x, y))
+    return total
 
 
 @pytest.mark.parametrize("field", [F7, Field(2, 4, 0b11001),
