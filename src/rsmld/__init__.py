@@ -17,7 +17,7 @@ from .fields import Field, FieldMismatch, parse_field
 from .groebner import (GroebnerPair, ModuleVector, WeightedOrder,
                        decoder_order, interpolation_generators, mgb_euclid,
                        mgb_euclid_reencoded, mgb_iterative,
-                       mgb_iterative_reencoded, reencoding_multiplier)
+                       mgb_iterative_reencoded)
 from .polys import Polynomial, lagrange_interpolate, vanishing_poly
 from .rational import anchor_points, decode_rational, rational_factorize
 from .ratparams import (InfeasibleParams, InterpParams, MultiplicityScan,
@@ -38,7 +38,7 @@ __all__ = [
     "Field", "FieldMismatch", "parse_field",
     "GroebnerPair", "ModuleVector", "WeightedOrder", "decoder_order",
     "interpolation_generators", "mgb_euclid", "mgb_euclid_reencoded",
-    "mgb_iterative", "mgb_iterative_reencoded", "reencoding_multiplier",
+    "mgb_iterative", "mgb_iterative_reencoded",
     "Polynomial", "lagrange_interpolate", "vanishing_poly",
     "anchor_points", "decode_rational", "rational_factorize",
     "InfeasibleParams", "InterpParams", "MultiplicityScan",

@@ -184,16 +184,14 @@ class CodeConstants:
     * `tail_matrix` (k x k): the same over the tail, the last k points,
       with G_t = prod (x - x_j) there; the re-encoding shift is r_tail . T;
     * `vandermonde` (k x n): x_i^e in row e, so a message m of length
-      <= k encodes as m . V[:len m].
+      <= k encodes as m . V[:len m], and the shift's values at the first
+      n - k points are shift . V[:, :n - k].
 
-    The shift's values at a head point x_i, one of the first n - k, are
-    sum_j D_ij (w_j r_j) with D_ij = G_t(x_i) / (x_i - x_j) (`head_matrix`).
-
-    Memory: the four matrices above hold n^2 + (n - k + 1)^2 + k^2 + kn
-    elements, 8 bytes each as int64 (Python ints past that), plus (n - k)k
-    for `head_matrix`.  That is 1.4 MB at (255, 223), 24 MB at (1023, 991)
-    and 400 MB at (4095, 4063), where a prototype decoded a word no faster
-    with them than with a numpy step per point.
+    Memory: the four matrices hold n^2 + (n - k + 1)^2 + k^2 + kn elements,
+    8 bytes each as int64 (Python ints past that).  That is 1.4 MB at
+    (255, 223), 24 MB at (1023, 991) and 400 MB at (4095, 4063), where a
+    prototype decoded a word no faster with them than with a numpy step per
+    point.
     """
 
     def __init__(self, code: RSCode):
@@ -223,25 +221,15 @@ class CodeConstants:
         """Pi_y = prod (x - x_i) over the first n - k + 1 points."""
         return vanishing_poly(self.field, self.eval_points[:self.split + 1])
 
-    @cached_property
-    def tail_vanishing(self) -> Polynomial:
-        """G_t = G * (x - x_{n-k}): zero at every tail point."""
-        return self.multiplier.times_x_minus(self.eval_points[self.split])
-
-    def _weights(self, vanishing: Polynomial, roots: np.ndarray) -> np.ndarray:
-        """Barycentric weights 1 / V'(x_j) = 1 / prod_{l != j} (x_j - x_l)
-        of the roots of V = prod (x - x_j)."""
-        F = self.field
-        derivative = [F.mul(e % F.p, c) for e, c in enumerate(vanishing.coeffs)]
-        values = self.arrays.evaluate(derivative[1:], roots)
-        return _read_only(self.arrays.inv(values))
-
     def _interpolator(self, vanishing: Polynomial,
                       roots: np.ndarray) -> np.ndarray:
         """Row j: the coefficients, low to high, of w_j * V / (x - x_j) with
         w_j = 1 / V'(x_j), for V = prod (x - x_j) over the roots."""
-        return _read_only(self.arrays.barycentric(
-            roots, vanishing.coeffs, self._weights(vanishing, roots)))
+        F = self.field
+        derivative = [F.mul(e % F.p, c) for e, c in enumerate(vanishing.coeffs)]
+        weights = self.arrays.inv(self.arrays.evaluate(derivative[1:], roots))
+        return _read_only(self.arrays.barycentric(roots, vanishing.coeffs,
+                                                  weights))
 
     @cached_property
     def interpolation_matrix(self) -> np.ndarray:
@@ -256,23 +244,11 @@ class CodeConstants:
                                   self.points[:self.split + 1])
 
     @cached_property
-    def tail_weights(self) -> np.ndarray:
-        """Barycentric weights w_j = 1 / G_t'(x_j) at the tail points."""
-        return self._weights(self.tail_vanishing, self.points[self.split:])
-
-    @cached_property
     def tail_matrix(self) -> np.ndarray:
-        """k x k: row j is w_j * G_t / (x - x_j) over the tail points."""
-        return self._interpolator(self.tail_vanishing, self.points[self.split:])
-
-    @cached_property
-    def head_matrix(self) -> np.ndarray:
-        """D_ij = G_t(x_i) / (x_i - x_j), head point i by tail point j."""
-        arr = self.arrays
-        head, tail = self.points[:self.split], self.points[self.split:]
-        at_head = arr.evaluate(self.tail_vanishing.coeffs, head)
-        return _read_only(arr.mul(at_head[:, None],
-                                  arr.inv(arr.sub(head[:, None], tail))))
+        """k x k: row j is w_j * G_t / (x - x_j) over the tail points, with
+        G_t = G * (x - x_{n-k}) zero at each of them."""
+        g_t = self.multiplier.times_x_minus(self.eval_points[self.split])
+        return self._interpolator(g_t, self.points[self.split:])
 
     @cached_property
     def head_multiplier_inverse(self) -> np.ndarray:

@@ -23,6 +23,23 @@ broadcast comparison gives every pair's zero count; only the pairs with at
 least t zeros become polynomials and reach the exact test.  The re-encoded
 path meets the same condition, since its lifted (G*f1, f2) lies in the
 module of r - shift.
+
+At every level the search reaches, the exact test accepts every pair the
+filter passes:
+
+* g2 leads in position 2, so deg g2.f2 = ell2 - k + 1 and
+  deg(b*g2.f2) = j + ell2 - k + 1 = t; g1 leads in position 1 (a tie would
+  go to position 2), so deg g1.f2 <= ell1 - k and deg(a*g1.f2) <= t - 1.
+  Hence deg f2 = t.
+* So the t or more zeros that pass the filter are exactly t, and
+  f2 = lc * prod (x - x_i) over the set Z of them.  At x_i in Z,
+  f1(x_i) = -r_i*f2(x_i) = 0: f1 vanishes on Z, so f2 divides f1.
+* f has weighted degree at most ell2 + j = t + k - 1, so deg f1 <= t + k - 1
+  and m = -f1/f2 has degree < k.
+* Off Z, f2(x_i) != 0 gives m(x_i) = r_i, so m lies within t of r, and a
+  distance below t would have been found at an earlier level.
+
+On the re-encoded path the same holds for r - shift and the lifted degrees.
 """
 
 from __future__ import annotations
@@ -199,31 +216,26 @@ class Reencoding:
     """A received word split as r = shift + y, with y supported on the first
     n - k positions."""
 
-    code: RSCode
     shift: Polynomial       # interpolant of r on the last k points
     y: tuple[int, ...]      # r_i - shift(x_i) for the first n - k points
-    multiplier: Polynomial  # G, vanishing on the last k - 1 points
 
 
 def reencode(code: RSCode, r: Word) -> Reencoding:
     """Split r as shift + y, with the shift interpolating r on the last k
     points.
 
-    Everything that depends only on the code comes from `code.constants()`,
-    so a word costs two matrix products.  With c = w * r_tail (barycentric
-    weights times tail symbols), the shift's values at the head are D . c and
-    y = r_head - D . c; its coefficients are r_tail . T, with the tail
-    interpolation matrix T.
+    Both maps come from `code.constants()`, so a word costs two matrix
+    products: the shift's coefficients are r_tail . T, with the tail
+    interpolation matrix T, and its values at the first n - k points are
+    shift . V[:, :n - k], with the Vandermonde matrix V.
     """
     consts = code.constants()
     arr = consts.arrays
     nk = code.n - code.k
     syms = arr.array(r.symbols)
-    c = arr.mul(consts.tail_weights, syms[nk:])
-    y = arr.sub(syms[:nk], arr.dot(consts.head_matrix, c[:, None])[:, 0])
     shift = arr.dot(syms[nk:], consts.tail_matrix)
-    return Reencoding(code, Polynomial(code.field, shift.tolist()),
-                      tuple(y.tolist()), consts.multiplier)
+    y = arr.sub(syms[:nk], arr.dot(shift, consts.vandermonde[:, :nk]))
+    return Reencoding(Polynomial(code.field, shift.tolist()), tuple(y.tolist()))
 
 
 def decode_minimal_reencoded(code: RSCode, r: Word, j_cap: int | None = None,
@@ -239,7 +251,7 @@ def decode_minimal_reencoded(code: RSCode, r: Word, j_cap: int | None = None,
     lifted = GroebnerPair(short.g1, short.g2, short.ell1 + code.k - 1,
                           short.ell2 + code.k - 1, short.order)
     arr = code.field.arrays()
-    G = arr.array(enc.multiplier.coeffs)
+    G = arr.array(code.constants().multiplier.coeffs)
 
     def lift(f: ModuleVector) -> Polynomial | None:
         # G*f1 takes one array step per coefficient of the short f1

@@ -318,12 +318,6 @@ class FieldArrays:
             a, e = a * a % self.p, e >> 1
         return out
 
-    def sum(self, a: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Field sum along an axis."""
-        if self.binary:
-            return np.bitwise_xor.reduce(a, axis=axis)
-        return a.sum(axis=axis) % self.p
-
     def msub(self, a, x, b, y):
         """Elementwise a*x - b*y (broadcasting)."""
         if self.binary:

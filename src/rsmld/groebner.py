@@ -276,12 +276,6 @@ def mgb_iterative(code: RSCode, r) -> GroebnerPair:
 # ---------------------------------------------------------------------------
 
 
-def reencoding_multiplier(code: RSCode) -> Polynomial:
-    """G = prod (x - x_i) over the last k - 1 evaluation points, built once
-    per code (`RSCode.constants`)."""
-    return code.constants().multiplier
-
-
 def _short_values(code: RSCode, y: Sequence[int]) -> np.ndarray:
     """L_y's values: y_j / G(x_j) at the first n - k points, 0 at the next."""
     nk = code.n - code.k
@@ -293,26 +287,14 @@ def _short_values(code: RSCode, y: Sequence[int]) -> np.ndarray:
                                        consts.head_multiplier_inverse), 0)
 
 
-def _reencoded_rows(code: RSCode, y: Sequence[int]) -> list[Row]:
+def mgb_euclid_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
+    """Unweighted minimal Groebner basis of the short module, Euclid style,
+    from (Pi_y, 0) and (L_y, -1) on the first n - k + 1 points."""
     consts = code.constants()
-    return _generator_rows(code, consts.short_vanishing,
+    gens = _generator_rows(code, consts.short_vanishing,
                            consts.short_interpolation_matrix,
                            _short_values(code, y))
-
-
-def reencoded_generators(code: RSCode, y: Sequence[int]) -> tuple[ModuleVector, ModuleVector]:
-    """Generators (Pi_y, 0), (L_y, -1) of the short module of a shifted word.
-
-    Pi_y vanishes on the first n - k + 1 points; L_y is the degree <= n - k
-    interpolant taking value y_j / G(x_j) on the first n - k points and 0 at
-    the (n - k + 1)-th.  Pi_y and its interpolation matrix are the code's.
-    """
-    return tuple(_vector(code.field, row) for row in _reencoded_rows(code, y))
-
-
-def mgb_euclid_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
-    """Unweighted minimal Groebner basis of the short module, Euclid style."""
-    rows = _euclid_rows(code.field.arrays(), *_reencoded_rows(code, y), 0)
+    rows = _euclid_rows(code.field.arrays(), *gens, 0)
     return _normalize_pair(code.field, rows, WeightedOrder((0, 0)))
 
 

@@ -1,7 +1,7 @@
 """The per-code constants (`RSCode.constants`) and the array paths on them.
 
 `RSCode.encode`, `division.reencode`, `groebner.interpolation_generators`
-and `groebner.reencoded_generators` are checked against the scalar
+and the short module's generators are checked against the scalar
 definitions they replaced: per-point Horner evaluation, and Newton
 interpolation of the tail symbols, of the whole word or of the shifted
 word.  The interpolation, tail and Vandermonde matrices are checked entry
@@ -13,7 +13,7 @@ import pytest
 from rsmld.code import RSCode, Word, corrupt, random_word
 from rsmld.division import decode_minimal, decode_minimal_reencoded, reencode
 from rsmld.fields import Field
-from rsmld.groebner import interpolation_generators, reencoded_generators
+from rsmld.groebner import _short_values, interpolation_generators
 from rsmld.polys import Polynomial, lagrange_interpolate, vanishing_poly
 from rsmld.rational import decode_rational
 from rsmld.rng import XorShift64Star
@@ -79,21 +79,25 @@ def test_reencode_matches_lagrange(spec):
         shift, y, multiplier = _lagrange_reencode(code, r)
         assert enc.shift == shift
         assert enc.y == y and all(type(v) is int for v in enc.y)
-        assert enc.multiplier == multiplier
+        assert code.constants().multiplier == multiplier
     if code.k == 1:
-        assert enc.multiplier == Polynomial.one(code.field)
+        assert code.constants().multiplier == Polynomial.one(code.field)
 
 
 @pytest.mark.parametrize("spec", CODES, ids=IDS)
 def test_generators_match_lagrange(spec):
     # the remainder sequence's generators (Pi, 0), (L, -1) from the cached Pi
-    # and weights, against Newton interpolation of the whole word; and those
-    # of the short module, (Pi_y, 0), (L_y, -1), against Newton interpolation
-    # of y_j / G(x_j) at the first n - k points and 0 at the next one
+    # and weights, against Newton interpolation of the whole word; and the
+    # short module's Pi_y and L_y = values . short matrix, against Newton
+    # interpolation of y_j / G(x_j) at the first n - k points and 0 at the
+    # next one
     code = RSCode(*spec)
     F, nk = code.field, code.n - code.k
     short = code.eval_points[:nk + 1]
     g = vanishing_poly(F, code.eval_points[nk + 1:])
+    consts = code.constants()
+    arr = consts.arrays
+    assert consts.short_vanishing == vanishing_poly(F, short)
     for r in (Word(code, (0,) * code.n), random_word(code, code.k)):
         gen_pi, gen_lag = interpolation_generators(code, r)
         assert gen_pi.f1 == vanishing_poly(F, code.eval_points)
@@ -101,11 +105,10 @@ def test_generators_match_lagrange(spec):
         assert gen_lag.f2 == Polynomial.constant(F, F.neg(1))
         y = reencode(code, r).y
         values = [F.div(v, g.evaluate(x)) for x, v in zip(short, y)] + [0]
-        short_pi, short_lag = reencoded_generators(code, y)
-        assert short_pi.f1 == vanishing_poly(F, short)
-        assert short_lag.f1 == lagrange_interpolate(F, short, values)
-        assert short_pi.f2 == Polynomial.zero(F)
-        assert short_lag.f2 == Polynomial.constant(F, F.neg(1))
+        assert _short_values(code, y).tolist() == values
+        short_lag = arr.dot(arr.array(values), consts.short_interpolation_matrix)
+        assert Polynomial(F, short_lag.tolist()) == \
+            lagrange_interpolate(F, short, values)
 
 
 @pytest.mark.parametrize("decode", [
@@ -183,7 +186,6 @@ def test_cache_leaves_equality_and_hash_alone():
     before = hash(code)
     consts = code.constants()
     for name in ("points", "vanishing", "multiplier", "short_vanishing",
-                 "tail_vanishing", "tail_weights", "head_matrix",
                  "head_multiplier_inverse", "interpolation_matrix",
                  "short_interpolation_matrix", "tail_matrix", "vandermonde"):
         value = getattr(consts, name)
@@ -202,16 +204,8 @@ def test_constants_are_the_code_polynomials():
     F, pts, nk = code.field, code.eval_points, code.n - code.k
     consts = code.constants()
     assert consts.vanishing == vanishing_poly(F, pts)
-    assert consts.tail_vanishing == vanishing_poly(F, pts[nk:])
-    for j, xj in enumerate(pts[nk:]):
-        others = [F.sub(xj, xl) for xl in pts[nk:] if xl != xj]
-        prod = 1
-        for d in others:
-            prod = F.mul(prod, d)
-        assert int(consts.tail_weights[j]) == F.inv(prod)
+    assert consts.multiplier == vanishing_poly(F, pts[nk + 1:])
+    assert consts.short_vanishing == vanishing_poly(F, pts[:nk + 1])
     for i, xi in enumerate(pts[:nk]):
         g = consts.multiplier.evaluate(xi)
         assert int(consts.head_multiplier_inverse[i]) == F.inv(g)
-        for j, xj in enumerate(pts[nk:]):
-            expect = F.div(consts.tail_vanishing.evaluate(xi), F.sub(xi, xj))
-            assert int(consts.head_matrix[i, j]) == expect

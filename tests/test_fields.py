@@ -128,7 +128,8 @@ def test_array_sub_inv_sum_evaluate(field):
     total = 0
     for x in xs:
         total = field.add(total, x)
-    assert int(A.sum(arr)) == total
+    # a dot product with a column of ones is the field sum
+    assert int(A.dot(arr, A.array([[1]] * len(xs)))[0]) == total
     for coeffs in ([], [5 % field.q], [0, 1], [3, 0, field.q - 1, 1]):
         poly = Polynomial(field, coeffs)
         assert [int(v) for v in A.evaluate(coeffs, arr)] == \

@@ -6,8 +6,7 @@ from rsmld.groebner import (GroebnerPair, ModuleVector, WeightedOrder,
                             _euclid_rows, decoder_order,
                             interpolation_generators,
                             leading, mgb_euclid, mgb_euclid_reencoded,
-                            mgb_iterative, mgb_iterative_reencoded,
-                            reencoded_generators, reencoding_multiplier)
+                            mgb_iterative, mgb_iterative_reencoded)
 from rsmld.division import reencode
 from rsmld.polys import Polynomial, lagrange_interpolate, vanishing_poly
 from rsmld.rng import XorShift64Star
@@ -157,6 +156,18 @@ def _scalar_euclid_rows(top, bottom, weight2):
     return [prev, cur]
 
 
+def _short_generators(code, y):
+    """(Pi_y, 0) and (L_y, -1) of the short module, by Newton interpolation
+    of y_j / G(x_j) at the first n - k points and 0 at the next one."""
+    F, nk = code.field, code.n - code.k
+    short = code.eval_points[:nk + 1]
+    g = vanishing_poly(F, code.eval_points[nk + 1:])
+    values = [F.div(v, g.evaluate(x)) for x, v in zip(short, y)] + [0]
+    return (ModuleVector(vanishing_poly(F, short), Polynomial.zero(F)),
+            ModuleVector(lagrange_interpolate(F, short, values),
+                         Polynomial.constant(F, F.neg(1))))
+
+
 @pytest.mark.parametrize("field, n, k", [
     (Field(2, 8), 255, 223),
     (Field(31), 31, 15),
@@ -189,7 +200,7 @@ def test_euclid_rows_match_scalar_sequence(field, n, k):
 
     for r in words:
         check(interpolation_generators(code, r), k - 1)
-        check(reencoded_generators(code, reencode(code, r).y), 0)
+        check(_short_generators(code, reencode(code, r).y), 0)
 
 
 def test_order_of_decoder():
@@ -202,7 +213,7 @@ def test_order_of_decoder():
 
 def test_reencoding_multiplier_splits_vanishing():
     code = RSCode(F7, 7, 5)
-    g = reencoding_multiplier(code)
+    g = code.constants().multiplier
     assert g.degree() == code.k - 1
     pi_short = vanishing_poly(F7, code.eval_points[:code.n - code.k + 1])
     assert pi_short * g == vanishing_poly(F7, code.eval_points)
@@ -217,8 +228,11 @@ def test_reencoded_generators_satisfy_short_constraints():
                     r.symbols[code.n - code.k:]):
         assert enc.shift.evaluate(x) == s
     assert all(v == 0 for v in enc.y[code.n - code.k:])
-    gens = reencoded_generators(code, enc.y)
-    g_mult = enc.multiplier
+    # the reduced basis generates the short module: both elements meet its
+    # constraints at the first n - k points and vanish at the next one
+    basis = mgb_euclid_reencoded(code, enc.y)
+    gens = (basis.g1, basis.g2)
+    g_mult = vanishing_poly(F7, code.eval_points[code.n - code.k + 1:])
     head = code.eval_points[:code.n - code.k]
     x_star = code.eval_points[code.n - code.k]
     for g in gens:

@@ -1,5 +1,6 @@
-"""Every decoder against the exhaustive oracle on random small codes, and
-the filtered level search against the exhaustive one.
+"""Every decoder against the exhaustive oracle on random small codes, the
+filtered level search against the exhaustive one, and the filter against
+the exact test.
 
 The exhaustive search is kept here as the reference: the level loop with
 every coprime pair of every level sent to the exact test.  Every decoder's
@@ -159,3 +160,40 @@ def test_prefilter_keeps_every_accepted_pair(case):
                 except RadiusCapExceeded:
                     pass
     assert compare.calls == 2 * len(DECODERS)
+
+
+class FilterExactness:
+    """Stands in for `search_levels`: sends every pair the zero-count filter
+    passes, level by level up to the first that passes any, through the
+    exact test, and asserts that each one is accepted (the proof in the
+    `division` docstring)."""
+
+    def __init__(self, distance):
+        self.distance = distance
+
+    def __call__(self, code, r, pair, pairs_of, lift, method, t_cap, j_cap):
+        for shape in level_shapes(pair, code.k, t_cap, j_cap):
+            pairs = list(pairs_of(shape))
+            for a, b in pairs:
+                f = combine(pair, a, b)
+                assert f.f2.degree() == shape.t, (method, shape)
+                m = lift(f)
+                assert m is not None and m.degree() < code.k, (method, shape)
+                assert hamming_distance(code.encode(m), r) == shape.t
+            if pairs:
+                assert shape.t == self.distance, method
+                break
+        return PREFILTERED(code, r, pair, pairs_of, lift, method, t_cap,
+                           j_cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(received_words())
+def test_prefilter_admits_only_accepted_pairs(case):
+    code, word = case
+    distance = code.ml_oracle(word).min_distance
+    with mock.patch.object(division, "search_levels",
+                           FilterExactness(distance)):
+        for decode in (decode_minimal, decode_minimal_reencoded):
+            out = decode(code, word, beyond_johnson=True)
+            assert out.min_distance == distance
