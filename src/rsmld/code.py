@@ -185,12 +185,19 @@ class CodeConstants:
       with G_t = prod (x - x_j) there; the re-encoding shift is r_tail . T;
     * `vandermonde` (k x n): x_i^e in row e, so a message m of length
       <= k encodes as m . V[:len m], and the shift's values at the first
-      n - k points are shift . V[:, :n - k].
+      n - k points are shift . V[:, :n - k];
+    * `weighted_powers` (n x (n - k + 1)): v_i * x_i^j in row i, column
+      j, with v_i = 1 / Pi'(x_i).  Its first n - k columns are H^T, the
+      transposed parity-check matrix: a word r has syndromes
+      S = r . H^T, all zero exactly on codewords.  With the last column, a
+      polynomial P of degree <= n - k has the values v_i * P(x_i) =
+      P . W[:, :len P]^T.
 
-    Memory: the four matrices hold n^2 + (n - k + 1)^2 + k^2 + kn elements,
-    8 bytes each as int64 (Python ints past that).  That is 1.4 MB at
-    (255, 223), 24 MB at (1023, 991) and 400 MB at (4095, 4063), where a
-    prototype decoded a word no faster with them than with a numpy step per
+    Memory: the five matrices hold n^2 + (n - k + 1)^2 + k^2 + kn
+    + (n - k + 1)n elements, 8 bytes each as int64 (Python ints past that).
+    That is 1.45 MB at (255, 223), of which the weighted powers are 67 KB,
+    25 MB at (1023, 991) and 400 MB at (4095, 4063), where a prototype
+    decoded a word no faster with the matrices than with a numpy step per
     point.
     """
 
@@ -221,15 +228,18 @@ class CodeConstants:
         """Pi_y = prod (x - x_i) over the first n - k + 1 points."""
         return vanishing_poly(self.field, self.eval_points[:self.split + 1])
 
+    def _weights(self, vanishing: Polynomial, roots: np.ndarray) -> np.ndarray:
+        """w_j = 1 / V'(x_j) at the roots x_j of V = prod (x - x_j)."""
+        F = self.field
+        derivative = [F.mul(e % F.p, c) for e, c in enumerate(vanishing.coeffs)]
+        return self.arrays.inv(self.arrays.evaluate(derivative[1:], roots))
+
     def _interpolator(self, vanishing: Polynomial,
                       roots: np.ndarray) -> np.ndarray:
         """Row j: the coefficients, low to high, of w_j * V / (x - x_j) with
         w_j = 1 / V'(x_j), for V = prod (x - x_j) over the roots."""
-        F = self.field
-        derivative = [F.mul(e % F.p, c) for e, c in enumerate(vanishing.coeffs)]
-        weights = self.arrays.inv(self.arrays.evaluate(derivative[1:], roots))
-        return _read_only(self.arrays.barycentric(roots, vanishing.coeffs,
-                                                  weights))
+        return _read_only(self.arrays.barycentric(
+            roots, vanishing.coeffs, self._weights(vanishing, roots)))
 
     @cached_property
     def interpolation_matrix(self) -> np.ndarray:
@@ -262,6 +272,20 @@ class CodeConstants:
         """k x n: x_i^e in row e, column i."""
         return _read_only(np.ascontiguousarray(
             self.arrays.powers(self.points, self.k).T))
+
+    @cached_property
+    def weighted_powers(self) -> np.ndarray:
+        """n x (n - k + 1): v_i * x_i^j in row i, column j <= n - k, with
+        v_i = 1 / Pi'(x_i); column 0 holds the v_i themselves.
+
+        The first n - k columns are H^T, and H checks the code: for a
+        message m of degree < k and j < n - k, x^j * m has degree at most
+        n - 2, and the sum over all points of p(x_i) / Pi'(x_i) is p's
+        x^(n - 1) coefficient, zero here.  H has full rank n - k, so
+        r . H^T = 0 exactly when r is a codeword."""
+        weights = self._weights(self.vanishing, self.points)
+        return _read_only(self.arrays.mul(
+            self.arrays.powers(self.points, self.split + 1), weights[:, None]))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

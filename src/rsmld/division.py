@@ -1,4 +1,4 @@
-"""Minimal list decoding by divisibility search over basis combinations.
+"""Minimal list decoding by a level search over basis combinations.
 
 Given the reduced basis {g1, g2} of the interpolation module, every codeword
 at distance t from the received word shows up as a combination
@@ -20,37 +20,52 @@ positions.  Since f2 = a*g1.f2 + b*g2.f2, it vanishes at x_i exactly when
 (a*g1.f2)(x_i) = -(b*g2.f2)(x_i).  The source tabulates both sides at the n
 evaluation points, for every a and every monic b of the level, and one
 broadcast comparison gives every pair's zero count; only the pairs with at
-least t zeros become polynomials and reach the exact test.  The re-encoded
-path meets the same condition, since its lifted (G*f1, f2) lies in the
-module of r - shift.
+least t zeros become polynomials and reach the candidate check.  The
+re-encoded path meets the same condition, since its lifted (G*f1, f2) lies
+in the module of r - shift.
 
-At every level the search reaches, the exact test accepts every pair the
-filter passes:
+The search never divides f1 by f2, nor builds f1: f2's zeros Z are the
+error positions, so the message is that of the codeword which agrees with r
+off Z, an erasure decoding with f2 as the locator (`CandidateCheck`).  It
+accepts exactly the pairs the division accepts, with the same message:
 
 * g2 leads in position 2, so deg g2.f2 = ell2 - k + 1 and
-  deg(b*g2.f2) = j + ell2 - k + 1 = t; g1 leads in position 1 (a tie would
-  go to position 2), so deg g1.f2 <= ell1 - k and deg(a*g1.f2) <= t - 1.
-  Hence deg f2 = t.
-* So the t or more zeros that pass the filter are exactly t, and
-  f2 = lc * prod (x - x_i) over the set Z of them.  At x_i in Z,
-  f1(x_i) = -r_i*f2(x_i) = 0: f1 vanishes on Z, so f2 divides f1.
-* f has weighted degree at most ell2 + j = t + k - 1, so deg f1 <= t + k - 1
-  and m = -f1/f2 has degree < k.
-* Off Z, f2(x_i) != 0 gives m(x_i) = r_i, so m lies within t of r, and a
-  distance below t would have been found at an earlier level.
+  deg(b*g2.f2) <= j + ell2 - k + 1 = t, with equality for a monic b of
+  degree j; g1 leads in position 1 (a tie would go to position 2), so
+  deg g1.f2 <= ell1 - k and deg(a*g1.f2) <= t - 1.  Hence deg f2 <= t for
+  every pair of the level, the rational fit's included (its b has degree
+  at most j), and deg f2 = t for the enumerated ones.
+* f has weighted degree at most ell2 + j = t + k - 1, so
+  deg f1 <= t + k - 1 < n.
+* If the division accepts, f2 != 0 vanishes at the t positions where m's
+  codeword differs from r, and with deg f2 <= t these are all its zeros Z.
+  That codeword agrees with r off Z and differs on all of Z: the check
+  accepts, with m.
+* If the check accepts, f2 != 0 has t zeros Z, so f2 = lc * prod_Z (x - x_i),
+  and some codeword m(x_i) equals r_i off Z and differs on all of Z.  Then
+  f1 + m*f2 vanishes at every point: off Z as m(x_i) = r_i, on Z as
+  f1(x_i) = -r_i*f2(x_i) = 0.  Its degree is at most t + k - 1 < n, so
+  f1 = -m*f2: the division accepts, with m.
 
-On the re-encoded path the same holds for r - shift and the lifted degrees.
+At every level the search reaches, both accept every pair the filter
+passes.  Such a pair has deg f2 = t, so its t or more zeros are exactly t;
+f1 vanishes on them, so f2 divides f1 and m = -f1/f2 has degree < k.  Off Z,
+f2(x_i) != 0 gives m(x_i) = r_i, so m lies within t of r, and a distance
+below t would have been found at an earlier level.
+
+On the re-encoded path the same holds for r - shift and the lifted degrees;
+r - shift has the errors of r, so the check runs on r itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .code import DecodeOutcome, RSCode, Word, hamming_distance
-from .groebner import (GroebnerPair, ModuleVector, mgb_euclid,
+from .groebner import (GroebnerPair, ModuleVector, interpolant, mgb_euclid,
                        mgb_euclid_reencoded)
 # looked up here by the benchmark's tracer; nothing in this module calls them
 from .groebner import mgb_iterative, mgb_iterative_reencoded  # noqa: F401
@@ -73,7 +88,9 @@ class RadiusCapExceeded(Exception):
 
 
 def extract_message(f: ModuleVector) -> Polynomial | None:
-    """The message -f1/f2 when f2 divides f1 exactly, else None.
+    """The message -f1/f2 when f2 divides f1 exactly, else None: the exact
+    test that `CandidateCheck` replaces in the search, kept as its reference
+    for the tests and the benchmark's tracer.
 
     f must lead in position 2; its second component must be nonzero (a zero
     second component cannot encode a message and is rejected loudly so
@@ -152,35 +169,130 @@ def combinations_at_level(code: RSCode, pair: GroebnerPair,
 
 
 def combine(pair: GroebnerPair, a: Polynomial, b: Polynomial) -> ModuleVector:
+    """The combination a*g1 + b*g2; the search never builds it (see
+    `CandidateCheck`), the tests and the benchmark's tracer look it up."""
     return ModuleVector(a * pair.g1.f1 + b * pair.g2.f1,
                         a * pair.g1.f2 + b * pair.g2.f2)
+
+
+class Interpolant(NamedTuple):
+    """A word's interpolant on the points x_start, ..., x_(n-1), as
+    coefficients low to high: L on all n points (start 0, interpolated by
+    `CodeConstants.interpolation_matrix`), or the re-encoding shift on the
+    last k (start n - k, by `tail_matrix`)."""
+
+    coeffs: np.ndarray | Sequence[int]
+    start: int
+
+
+class CandidateCheck:
+    """The candidate test of one word: given the second component f2 of a
+    combination at level distance t, the message at distance t from r that
+    the combination stands for, or None.  f1 is never needed.
+
+    A combination is accepted when f2 has exactly t zeros Z among the
+    evaluation points and r, with Z erased, decodes to a codeword c that
+    differs from r at every point of Z.  Every product runs on the rows
+    v_i * x_i^j of `CodeConstants.weighted_powers`, v_i = 1 / Pi'(x_i):
+    f2's values come as v_i * f2(x_i), and the first n - k columns are
+    H^T, which gives the syndromes S = r . H^T once per word, when the
+    first combination gets that far.  An error e on Z has
+    S_j = sum_Z u_i x_i^j with u_i = v_i e_i, and with P = f2 (at any
+    scale, lc times the locator prod_Z (x - x_i)) the first t syndromes
+    give
+
+        u_i = W(x_i) / P'(x_i),   W_d = sum_j S_j P_(j + d + 1)
+
+    (Forney, IEEE T-IT 11(4), 1965, in a form with no reversed locator, so a
+    point x_i = 0 needs no care).  Z's rows give v_i W(x_i) and
+    v_i P'(x_i), so e_i = u_i / v_i.  The other n - k - t syndromes must
+    agree, e_Z . H^T[Z] = S: that is the codeword check.  The message is
+    c's interpolant: r's `interpolant` less that of the errors it covers,
+    one row of its matrix per error.
+
+    The re-encoded search checks r itself: its combinations' f2 vanish on
+    the errors of r - shift, which are those of r."""
+
+    def __init__(self, code: RSCode, r: Word, interpolant: Interpolant):
+        consts = code.constants()
+        self.code, self.r, self.start = code, r, interpolant.start
+        self.arr = consts.arrays
+        self.symbols = self.arr.array(r.symbols)
+        self.rows = (consts.interpolation_matrix if interpolant.start == 0
+                     else consts.tail_matrix)
+        self.base = np.zeros(self.rows.shape[1], dtype=self.arr.dtype)
+        self.base[:len(interpolant.coeffs)] = interpolant.coeffs
+        self._syndromes: np.ndarray | None = None
+
+    def syndromes(self) -> np.ndarray:
+        """S = r . H^T, computed on first use."""
+        if self._syndromes is None:
+            powers = self.code.constants().weighted_powers
+            self._syndromes = self.arr.dot(self.symbols, powers[:, :-1])
+        return self._syndromes
+
+    def __call__(self, f2: Polynomial, t: int) -> Polynomial | None:
+        if f2.degree() > t:   # t zeros and degree <= t make degree t
+            return None
+        arr, consts = self.arr, self.code.constants()
+        powers = consts.weighted_powers
+        coeffs = arr.array(f2.coeffs)
+        zeros = np.flatnonzero(
+            arr.dot(coeffs, powers[:, :len(coeffs)].T) == 0)
+        if len(zeros) != t:   # a zero f2 vanishes at all n > t points
+            return None
+        h_z = powers[zeros, :-1]
+        e = self._erasure_values(coeffs, h_z, t)
+        if (arr.dot(e, h_z) != self.syndromes()).any():
+            return None
+        c = self.symbols.copy()
+        c[zeros] = arr.sub(c[zeros], e)
+        if hamming_distance(c.tolist(), self.r) != t:
+            return None
+        covered = zeros >= self.start
+        m = arr.sub(self.base, arr.dot(e[covered],
+                                       self.rows[zeros[covered] - self.start]))
+        return Polynomial(self.code.field, m[:self.code.k].tolist())
+
+    def _erasure_values(self, f2: np.ndarray, h_z: np.ndarray,
+                        t: int) -> np.ndarray:
+        """e_i = W(x_i) / (P'(x_i) v_i) on the t zeros of P = f2, whose rows
+        of H^T are h_z."""
+        arr, p = self.arr, self.code.field.p
+        if not t:
+            return f2[:0]
+        # the Hankel matrix of P_1 .. P_t: entry (j, d) is P_(j + d + 1)
+        hankel = np.zeros(2 * t, dtype=arr.dtype)
+        hankel[:t] = f2[1:]
+        steps = np.arange(t)
+        w = arr.dot(self.syndromes()[:t], hankel[steps[:, None] + steps])
+        dp = arr.mul(np.arange(1, t + 1) % p, f2[1:])
+        num, den = arr.dot(np.stack([w, dp]), h_z[:, :t].T)
+        return arr.mul(num, arr.inv(arr.mul(den, h_z[:, 0])))
 
 
 def search_levels(code: RSCode, r: Word, pair: GroebnerPair,
                   pairs_of: Callable[[LevelShape],
                                      Iterable[tuple[Polynomial, Polynomial]]],
-                  lift: Callable[[ModuleVector], Polynomial | None],
-                  method: str, t_cap: int, j_cap: int | None) -> DecodeOutcome:
+                  method: str, t_cap: int, j_cap: int | None,
+                  interpolant: Interpolant) -> DecodeOutcome:
     """The level loop of every decoder: report the first level with any
     valid message.
 
     `pairs_of(shape)` gives the (a, b) pairs to test at a level, with
     deg a <= shape.a_max_deg and deg b <= shape.b_deg: the zero-count
     filtered `combinations_at_level`, or the few pairs of a rational fit.
-    Each combination a*g1 + b*g2 is lifted to a message and kept when it has
-    degree < k and lies at exactly the level's distance from r."""
+    Each pair's f2 goes through the `CandidateCheck` of r and its
+    `interpolant`, which keeps the messages at exactly the level's distance
+    from r."""
+    check = CandidateCheck(code, r, interpolant)
+    g1_f2, g2_f2 = pair.g1.f2, pair.g2.f2
     for shape in level_shapes(pair, code.k, t_cap, j_cap):
         found: dict[tuple[int, ...], Polynomial] = {}
         for a, b in pairs_of(shape):
-            f = combine(pair, a, b)
-            if f.f2.is_zero():
-                continue
-            m = lift(f)
-            if m is None or m.degree() >= code.k:
-                continue
-            if hamming_distance(code.encode(m), r) != shape.t:
-                continue
-            found.setdefault(tuple(m.coeffs), m)
+            m = check(a * g1_f2 + b * g2_f2, shape.t)
+            if m is not None:
+                found.setdefault(tuple(m.coeffs), m)
         if found:
             msgs = tuple(sorted(found.values(), key=lambda p: p.coeffs))
             return DecodeOutcome(min_distance=shape.t, messages=msgs,
@@ -199,11 +311,12 @@ def search_radius_cap(code: RSCode, beyond_johnson: bool) -> int:
 def decode_minimal(code: RSCode, r: Word, j_cap: int | None = None,
                    beyond_johnson: bool = False) -> DecodeOutcome:
     """Exact minimum distance and complete message list for word r."""
-    pair = mgb_euclid(code, r)
+    L = interpolant(code, r)
+    pair = mgb_euclid(code, r, L)
     return search_levels(code, r, pair,
                          lambda shape: combinations_at_level(code, pair, shape),
-                         extract_message, "division",
-                         search_radius_cap(code, beyond_johnson), j_cap)
+                         "division", search_radius_cap(code, beyond_johnson),
+                         j_cap, Interpolant(L, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -242,24 +355,17 @@ def decode_minimal_reencoded(code: RSCode, r: Word, j_cap: int | None = None,
                              beyond_johnson: bool = False) -> DecodeOutcome:
     """Same search run on the short module of the shifted word.
 
-    The short basis lifts to the full-module basis by multiplying first
-    components with G, so the divisibility test becomes G*f1 divisible by
-    f2 and the recovered message is shifted back by the re-encoding."""
+    The short basis lifts to the full-module basis of r - shift by
+    multiplying first components with G; the second components, which the
+    candidate check reads, stay as they are, and r - shift has the errors
+    of r."""
     enc = reencode(code, r)
     short = mgb_euclid_reencoded(code, enc.y)
     # Lift the weighted degrees: each first component gains deg G = k - 1.
     lifted = GroebnerPair(short.g1, short.g2, short.ell1 + code.k - 1,
                           short.ell2 + code.k - 1, short.order)
-    arr = code.field.arrays()
-    G = arr.array(code.constants().multiplier.coeffs)
-
-    def lift(f: ModuleVector) -> Polynomial | None:
-        # G*f1 takes one array step per coefficient of the short f1
-        g_f1 = arr.poly_mul(G, arr.array(f.f1.coeffs)).tolist()
-        m_y = extract_message(ModuleVector(Polynomial(code.field, g_f1), f.f2))
-        return None if m_y is None else m_y + enc.shift
-
     return search_levels(code, r, lifted,
                          lambda shape: combinations_at_level(code, lifted, shape),
-                         lift, "division-reencoded",
-                         search_radius_cap(code, beyond_johnson), j_cap)
+                         "division-reencoded",
+                         search_radius_cap(code, beyond_johnson), j_cap,
+                         Interpolant(enc.shift.coeffs, code.n - code.k))

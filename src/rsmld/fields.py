@@ -310,13 +310,10 @@ class FieldArrays:
             raise ZeroDivisionError(f"inverse of zero in {self.field.label()}")
         if self.binary:
             return self._exp[self.field.q - 1 - self._log[a]]
-        # a^(p - 2) by square and multiply
-        out, e = np.ones_like(a), self.p - 2
-        while e:
-            if e & 1:
-                out = out * a % self.p
-            a, e = a * a % self.p, e >> 1
-        return out
+        # one extended-Euclid pow per element: on the short arrays the
+        # decoders invert, faster than a numpy square-and-multiply
+        return self.array([pow(x, -1, self.p)
+                           for x in a.ravel().tolist()]).reshape(a.shape)
 
     def msub(self, a, x, b, y):
         """Elementwise a*x - b*y (broadcasting)."""

@@ -210,26 +210,30 @@ def decoder_order(code: RSCode) -> WeightedOrder:
     return WeightedOrder((0, code.k - 1))
 
 
-def _generator_rows(code: RSCode, vanishing: Polynomial, interpolator: np.ndarray,
-                    values: np.ndarray) -> list[Row]:
-    """(V, 0) and (L, -1): V vanishes at the points that `interpolator` (a
-    `CodeConstants` interpolation matrix) interpolates on, and
-    L = values . interpolator is the interpolant of `values` there."""
+def _generator_rows(code: RSCode, vanishing: Polynomial,
+                    L: np.ndarray) -> list[Row]:
+    """(V, 0) and (L, -1), for L the interpolant of a word on the points
+    where V vanishes."""
     F, arr = code.field, code.constants().arrays
     return [(arr.array(vanishing.coeffs), arr.array([])),
-            (arr.trim(arr.dot(values, interpolator)), arr.array([F.neg(1)]))]
+            (L, arr.array([F.neg(1)]))]
 
 
-def _interpolation_rows(code: RSCode, r) -> list[Row]:
+def interpolant(code: RSCode, r) -> np.ndarray:
+    """The trimmed coefficients, low to high, of r's interpolant L on all n
+    points: r . B with the code's interpolation matrix B."""
     consts = code.constants()
-    return _generator_rows(code, consts.vanishing, consts.interpolation_matrix,
-                           consts.arrays.array(_symbols(code, r)))
+    arr = consts.arrays
+    return arr.trim(arr.dot(arr.array(_symbols(code, r)),
+                            consts.interpolation_matrix))
 
 
 def interpolation_generators(code: RSCode, r) -> tuple[ModuleVector, ModuleVector]:
     """The generating pair (Pi, 0), (L, -1) of M(r); Pi and the matrix that
     interpolates a word are the code's (`RSCode.constants`)."""
-    return tuple(_vector(code.field, row) for row in _interpolation_rows(code, r))
+    rows = _generator_rows(code, code.constants().vanishing,
+                           interpolant(code, r))
+    return tuple(_vector(code.field, row) for row in rows)
 
 
 def _euclid_rows(arr: FieldArrays, top: Row, bottom: Row,
@@ -246,10 +250,13 @@ def _euclid_rows(arr: FieldArrays, top: Row, bottom: Row,
     return [prev, cur]
 
 
-def mgb_euclid(code: RSCode, r) -> GroebnerPair:
-    """Minimal Groebner basis of M(r) via a Euclidean remainder sequence."""
-    rows = _euclid_rows(code.field.arrays(), *_interpolation_rows(code, r),
-                        code.k - 1)
+def mgb_euclid(code: RSCode, r, L: np.ndarray | None = None) -> GroebnerPair:
+    """Minimal Groebner basis of M(r) via a Euclidean remainder sequence;
+    L is r's `interpolant`, when the caller has it already."""
+    if L is None:
+        L = interpolant(code, r)
+    gens = _generator_rows(code, code.constants().vanishing, L)
+    rows = _euclid_rows(code.field.arrays(), *gens, code.k - 1)
     return _normalize_pair(code.field, rows, decoder_order(code))
 
 
@@ -291,9 +298,9 @@ def mgb_euclid_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
     """Unweighted minimal Groebner basis of the short module, Euclid style,
     from (Pi_y, 0) and (L_y, -1) on the first n - k + 1 points."""
     consts = code.constants()
-    gens = _generator_rows(code, consts.short_vanishing,
-                           consts.short_interpolation_matrix,
-                           _short_values(code, y))
+    L_y = consts.arrays.trim(consts.arrays.dot(
+        _short_values(code, y), consts.short_interpolation_matrix))
+    gens = _generator_rows(code, consts.short_vanishing, L_y)
     rows = _euclid_rows(code.field.arrays(), *gens, 0)
     return _normalize_pair(code.field, rows, WeightedOrder((0, 0)))
 

@@ -22,12 +22,12 @@ from typing import Iterable
 from . import division
 from .bivar import BivariatePolynomial, ProjectivePoint, koetter_interpolate
 from .code import DecodeOutcome, RSCode, Word
-from .division import (LevelShape, extract_message, search_levels,
+from .division import (Interpolant, LevelShape, search_levels,
                        search_radius_cap)
-from .groebner import GroebnerPair, mgb_euclid
+from .groebner import GroebnerPair, interpolant, mgb_euclid
 # looked up here by the benchmark's tracer; nothing in this module calls them
 from .code import hamming_distance  # noqa: F401
-from .division import combine  # noqa: F401
+from .division import combine, extract_message  # noqa: F401
 from .groebner import mgb_iterative  # noqa: F401
 from .polys import Polynomial, bounded_monic_divisors
 from .ratparams import (InterpParams, optimize_params,
@@ -140,7 +140,8 @@ def decode_rational(code: RSCode, r: Word, j_cap: int | None = None,
     handled by curve fitting; with `beyond_johnson` they run the direct
     enumeration instead (the search then always terminates by the covering
     radius bound n - k)."""
-    pair = mgb_euclid(code, r)
+    L = interpolant(code, r)
+    pair = mgb_euclid(code, r, L)
     anchors = anchor_points(code, pair)
     fit_max = code.johnson_radius_max()
     params_used: list[InterpParams] = []
@@ -152,7 +153,8 @@ def decode_rational(code: RSCode, r: Word, j_cap: int | None = None,
         params_used.append(params)
         return ab_pairs
 
-    out = search_levels(code, r, pair, pairs_of, extract_message, "rational",
-                        search_radius_cap(code, beyond_johnson), j_cap)
+    out = search_levels(code, r, pair, pairs_of, "rational",
+                        search_radius_cap(code, beyond_johnson), j_cap,
+                        Interpolant(L, 0))
     out.params_used = params_used
     return out

@@ -4,8 +4,9 @@
 and the short module's generators are checked against the scalar
 definitions they replaced: per-point Horner evaluation, and Newton
 interpolation of the tail symbols, of the whole word or of the shifted
-word.  The interpolation, tail and Vandermonde matrices are checked entry
-by entry against theirs.  The cache must hold nothing of a word.
+word.  The interpolation, tail and Vandermonde matrices and the weighted
+powers are checked entry by entry against theirs.  The cache must hold
+nothing of a word.
 """
 
 import pytest
@@ -163,21 +164,49 @@ def test_matrices_match_scalar_definitions(spec):
     assert consts.vandermonde.shape == (code.k, code.n)
     assert consts.vandermonde.tolist() == \
         [[F.pow(x, e) for x in pts] for e in range(code.k)]
+    weights = []
+    for xi in pts:
+        derivative = 1   # Pi'(x_i) = prod_{l != i} (x_i - x_l)
+        for xl in pts:
+            if xl != xi:
+                derivative = F.mul(derivative, F.sub(xi, xl))
+        weights.append(F.inv(derivative))
+    assert consts.weighted_powers.tolist() == \
+        [[F.mul(v, F.pow(x, j)) for j in range(nk + 1)]
+         for x, v in zip(pts, weights)]
+
+
+@pytest.mark.parametrize("spec", CODES, ids=IDS)
+def test_syndromes_vanish_exactly_on_codewords(spec):
+    # r . H^T with H^T the first n - k columns of the weighted powers
+    code = RSCode(*spec)
+    consts = code.constants()
+    arr, parity = consts.arrays, consts.weighted_powers[:, :-1]
+    rng = XorShift64Star(code.n + 1)
+    for coeffs in _messages(code, code.n + 1):
+        w = code.encode(coeffs)
+        assert not arr.dot(arr.array(w.symbols), parity).any()
+        for weight in range(1, code.n - code.k + 1):
+            r = corrupt(w, weight, rng.next_u64())
+            assert arr.dot(arr.array(r.symbols), parity).any()
 
 
 def test_decoders_build_only_the_matrices_they_use():
-    # cached_property keeps a built attribute in the instance __dict__
+    # cached_property keeps a built attribute in the instance __dict__; the
+    # word is made on another code, so that its encoding builds nothing here
+    source = RSCode(Field(2, 8), 255, 223)
+    r = corrupt(source.encode([1, 2, 3]), 16, seed=4)
     code = RSCode(Field(2, 8), 255, 223)
-    r = corrupt(code.encode([1, 2, 3]), 16, seed=4)
-    decode_minimal(code, r)
+    decode_minimal(code, Word(code, r.symbols))
     built = vars(code.constants())
-    assert "interpolation_matrix" in built and "vandermonde" in built
-    assert "tail_matrix" not in built
+    assert "interpolation_matrix" in built and "weighted_powers" in built
+    assert "tail_matrix" not in built and "vandermonde" not in built
     assert "short_interpolation_matrix" not in built
     fresh = RSCode(Field(2, 8), 255, 223)
     decode_minimal_reencoded(fresh, Word(fresh, r.symbols))
     built = vars(fresh.constants())
     assert "tail_matrix" in built and "short_interpolation_matrix" in built
+    assert "weighted_powers" in built
     assert "interpolation_matrix" not in built
 
 
@@ -187,7 +216,8 @@ def test_cache_leaves_equality_and_hash_alone():
     consts = code.constants()
     for name in ("points", "vanishing", "multiplier", "short_vanishing",
                  "head_multiplier_inverse", "interpolation_matrix",
-                 "short_interpolation_matrix", "tail_matrix", "vandermonde"):
+                 "short_interpolation_matrix", "tail_matrix", "vandermonde",
+                 "weighted_powers"):
         value = getattr(consts, name)
         if not isinstance(value, Polynomial):  # shared by every word
             assert not value.flags.writeable, name

@@ -1,14 +1,18 @@
+import random
+
 import pytest
 
 from rsmld import division
 from rsmld.code import RSCode, Word, corrupt, hamming_distance, random_word
-from rsmld.division import (LevelShape, RadiusCapExceeded,
-                            combinations_at_level, combine, decode_minimal,
-                            decode_minimal_reencoded, extract_message,
-                            level_shapes, reencode, search_radius_cap)
+from rsmld.division import (CandidateCheck, Interpolant, LevelShape,
+                            RadiusCapExceeded, combinations_at_level, combine,
+                            decode_minimal, decode_minimal_reencoded,
+                            extract_message, level_shapes, reencode,
+                            search_radius_cap)
 from rsmld.fields import Field
-from rsmld.groebner import ModuleVector, mgb_iterative
-from rsmld.polys import Polynomial, base_q_digits, monic_polys
+from rsmld.groebner import ModuleVector, interpolant, mgb_iterative
+from rsmld.polys import (Polynomial, base_q_digits, monic_polys,
+                         vanishing_poly)
 from rsmld.rational import decode_rational
 
 F7 = Field(7)
@@ -23,6 +27,86 @@ def test_extract_message():
     assert extract_message(ModuleVector(Polynomial(F7, [1, 0, 1]), f2)) is None
     with pytest.raises(ValueError):
         extract_message(ModuleVector(m, Polynomial.zero(F7)))
+
+
+WIDE = 4294967291
+# permuted evaluation points, 0 among them; GF(4294967291) holds Python ints
+CHECK_CODES = {
+    "GF7": RSCode(F7, 7, 3, [3, 0, 6, 1, 5, 2, 4]),
+    "GF16": RSCode(Field(2, 4), 15, 5,
+                   [9, 4, 13, 0, 7, 2, 15, 11, 1, 6, 12, 3, 14, 8, 10]),
+    "GF4294967291": RSCode(Field(WIDE), 12, 4,
+                           [pow(7, 1 + 97 * i, WIDE) for i in range(11)]
+                           + [0]),
+}
+
+
+def interpolants(code, r):
+    """Both bases of the check: L on all points and the re-encoding shift."""
+    return [Interpolant(interpolant(code, r), 0),
+            Interpolant(reencode(code, r).shift.coeffs, code.n - code.k)]
+
+
+def locator(code, positions, scale):
+    return vanishing_poly(code.field,
+                          [code.eval_points[i] for i in positions]).scale(scale)
+
+
+@pytest.mark.parametrize("name", CHECK_CODES)
+def test_candidate_check_fills_erasures(name):
+    # a codeword plus nonzero errors on Z, for every |Z| <= n - k: the check
+    # of Z's locator (at any scale) returns the sent message; an extra error
+    # outside Z leaves no codeword that agrees with r off Z when
+    # |Z| < n - k; a zero error value on Z puts the codeword at |Z| - 1
+    code = CHECK_CODES[name]
+    F, n, k = code.field, code.n, code.k
+    rng = random.Random(name)
+    for t in range(n - k + 1):
+        for _ in range(3):
+            msg = code.message_poly([rng.randrange(F.q) for _ in range(k)])
+            sent = list(code.encode(msg).symbols)
+            where = rng.sample(range(n), t + 1)
+            zs, extra = sorted(where[:t]), where[t]
+            errors = {i: rng.randrange(1, F.q) for i in zs}
+            r = sent.copy()
+            for i, e in errors.items():
+                r[i] = F.add(r[i], e)
+            word = Word(code, tuple(r))
+            f2 = locator(code, zs, rng.randrange(1, F.q))
+            for base in interpolants(code, word):
+                assert CandidateCheck(code, word, base)(f2, t) == msg
+                assert CandidateCheck(code, word, base)(f2, t + 1) is None
+                assert CandidateCheck(code, word, base)(
+                    Polynomial.zero(F), t) is None
+            if t < n - k:
+                r2 = r.copy()
+                r2[extra] = F.add(r2[extra], rng.randrange(1, F.q))
+                word2 = Word(code, tuple(r2))
+                for base in interpolants(code, word2):
+                    assert CandidateCheck(code, word2, base)(f2, t) is None
+            if t:
+                r3 = r.copy()
+                r3[zs[0]] = sent[zs[0]]
+                word3 = Word(code, tuple(r3))
+                for base in interpolants(code, word3):
+                    assert CandidateCheck(code, word3, base)(f2, t) is None
+
+
+def test_candidate_check_rejects_degree_above_t():
+    # t zeros and one more root off the points: f2 is no locator of Z; and a
+    # degree past n - k goes no further than the degree test
+    code = CHECK_CODES["GF16"]
+    F, zs = code.field, [1, 4, 9]
+    missing, = set(range(F.q)) - set(code.eval_points)
+    sent = code.encode([3, 1, 4, 1, 5])
+    word = Word(code, tuple(F.add(s, 7) if i in zs else s
+                            for i, s in enumerate(sent.symbols)))
+    f2 = locator(code, zs, 1)
+    for base in interpolants(code, word):
+        check = CandidateCheck(code, word, base)
+        assert check(f2, 3) == code.message_poly([3, 1, 4, 1, 5])
+        assert check(f2 * Polynomial(F, [missing, 1]), 3) is None
+        assert check(f2 * Polynomial.monomial(F, 1, code.n), 3) is None
 
 
 def test_monic_polys():

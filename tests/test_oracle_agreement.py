@@ -1,23 +1,27 @@
 """Every decoder against the exhaustive oracle on random small codes, the
-filtered level search against the exhaustive one, and the filter against
-the exact test.
+filtered level search against the exhaustive one, the filter against the
+exact test, and the candidate check against the exact test.
 
 The exhaustive search is kept here as the reference: the level loop with
-every coprime pair of every level sent to the exact test.  Every decoder's
-`search_levels` call is also run as that loop, and the outcomes must match
-exactly.
+every coprime pair of every level sent to the exact test, which divides f1
+by f2, encodes the quotient and counts its distance from r.  Every
+decoder's `search_levels` call is also run as that loop, and the outcomes
+must match exactly.
 """
 
+from itertools import chain
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from rsmld import division, rational
 from rsmld.code import DecodeOutcome, RSCode, Word, hamming_distance
-from rsmld.division import (RadiusCapExceeded, combine, decode_minimal,
-                            decode_minimal_reencoded, level_shapes,
+from rsmld.division import (CandidateCheck, RadiusCapExceeded, combine,
+                            decode_minimal, decode_minimal_reencoded,
+                            extract_message, level_shapes, reencode,
                             search_radius_cap)
 from rsmld.fields import Field
+from rsmld.groebner import ModuleVector
 from rsmld.polys import Polynomial, monic_polys
 from rsmld.rational import decode_rational
 
@@ -86,6 +90,32 @@ def every_coprime_pair(field, shape):
                 yield a, b
 
 
+def reference_lift(code, r, method):
+    """The exact test's message of a combination f: -f1/f2 when f2 divides
+    f1 (`extract_message`).  On the re-encoded path the basis is that of
+    r - shift with short first components: G*f1 is divided, and the shift
+    added back."""
+    if method != "division-reencoded":
+        return extract_message
+    G = code.constants().multiplier
+    shift = reencode(code, r).shift
+
+    def lift(f):
+        m = extract_message(ModuleVector(G * f.f1, f.f2))
+        return None if m is None else m + shift
+    return lift
+
+
+def exact_message(code, r, f, lift, t):
+    """The exact test of one combination at level distance t."""
+    if f.f2.is_zero():
+        return None
+    m = lift(f)
+    if m is None or m.degree() >= code.k:
+        return None
+    return m if hamming_distance(code.encode(m), r) == t else None
+
+
 def unfiltered_levels(code, r, pair, pairs_of, lift, method, t_cap, j_cap,
                       accepted):
     """The level loop with every pair sent to the exact test; appends
@@ -94,12 +124,8 @@ def unfiltered_levels(code, r, pair, pairs_of, lift, method, t_cap, j_cap,
         found = {}
         for a, b in pairs_of(shape):
             f = combine(pair, a, b)
-            if f.f2.is_zero():
-                continue
-            m = lift(f)
-            if m is None or m.degree() >= code.k:
-                continue
-            if hamming_distance(code.encode(m), r) != shape.t:
+            m = exact_message(code, r, f, lift, shape.t)
+            if m is None:
                 continue
             accepted.append((shape.t, f.f2))
             found.setdefault(tuple(m.coeffs), m)
@@ -123,22 +149,24 @@ class Comparison:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, code, r, pair, pairs_of, lift, method, t_cap, j_cap):
+    def __call__(self, code, r, pair, pairs_of, method, t_cap, j_cap,
+                 interpolant):
         self.calls += 1
         field = pair.g1.field
         accepted = []
         try:
             expected = summary(unfiltered_levels(
                 code, r, pair, lambda shape: every_coprime_pair(field, shape),
-                lift, method, t_cap, j_cap, accepted))
+                reference_lift(code, r, method), method, t_cap, j_cap,
+                accepted))
         except RadiusCapExceeded:
             expected = None
         for t, f2 in accepted:
             zeros = sum(f2.evaluate(x) == 0 for x in code.eval_points)
             assert zeros >= t, (method, t, f2)
         try:
-            out = PREFILTERED(code, r, pair, pairs_of, lift, method, t_cap,
-                              j_cap)
+            out = PREFILTERED(code, r, pair, pairs_of, method, t_cap, j_cap,
+                              interpolant)
         except RadiusCapExceeded:
             assert expected is None, method
             raise
@@ -171,7 +199,9 @@ class FilterExactness:
     def __init__(self, distance):
         self.distance = distance
 
-    def __call__(self, code, r, pair, pairs_of, lift, method, t_cap, j_cap):
+    def __call__(self, code, r, pair, pairs_of, method, t_cap, j_cap,
+                 interpolant):
+        lift = reference_lift(code, r, method)
         for shape in level_shapes(pair, code.k, t_cap, j_cap):
             pairs = list(pairs_of(shape))
             for a, b in pairs:
@@ -183,8 +213,8 @@ class FilterExactness:
             if pairs:
                 assert shape.t == self.distance, method
                 break
-        return PREFILTERED(code, r, pair, pairs_of, lift, method, t_cap,
-                           j_cap)
+        return PREFILTERED(code, r, pair, pairs_of, method, t_cap, j_cap,
+                           interpolant)
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,3 +227,46 @@ def test_prefilter_admits_only_accepted_pairs(case):
         for decode in (decode_minimal, decode_minimal_reencoded):
             out = decode(code, word, beyond_johnson=True)
             assert out.min_distance == distance
+
+
+class CheckAgreement:
+    """Stands in for `search_levels`: at every level up to the oracle
+    distance, sends every coprime pair and every pair of the decoder's own
+    source (so the rational fit's pairs too) through the candidate check
+    and through the exact test, and asserts that both accept the same pairs
+    with the same message."""
+
+    def __init__(self, distance):
+        self.distance = distance
+        self.accepted = 0
+
+    def __call__(self, code, r, pair, pairs_of, method, t_cap, j_cap,
+                 interpolant):
+        check = CandidateCheck(code, r, interpolant)
+        lift = reference_lift(code, r, method)
+        field = pair.g1.field
+        for shape in level_shapes(pair, code.k, t_cap, j_cap):
+            if shape.t > self.distance:
+                break
+            for a, b in chain(every_coprime_pair(field, shape),
+                              pairs_of(shape)):
+                f = combine(pair, a, b)
+                expected = exact_message(code, r, f, lift, shape.t)
+                assert check(f.f2, shape.t) == expected, (method, shape, a, b)
+                self.accepted += expected is not None
+        return PREFILTERED(code, r, pair, pairs_of, method, t_cap, j_cap,
+                           interpolant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(received_words())
+def test_candidate_check_matches_exact_test(case):
+    code, word = case
+    distance = code.ml_oracle(word).min_distance
+    for decode in DECODERS:
+        agreement = CheckAgreement(distance)
+        with mock.patch.object(division, "search_levels", agreement), \
+                mock.patch.object(rational, "search_levels", agreement):
+            out = decode(code, word, beyond_johnson=True)
+        assert out.min_distance == distance
+        assert agreement.accepted > 0, decode.__name__
