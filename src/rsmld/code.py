@@ -186,16 +186,14 @@ class CodeConstants:
     * `vandermonde` (k x n): x_i^e in row e, so a message m of length
       <= k encodes as m . V[:len m], and the shift's values at the first
       n - k points are shift . V[:, :n - k];
-    * `weighted_powers` (n x (n - k + 1)): v_i * x_i^j in row i, column
-      j, with v_i = 1 / Pi'(x_i).  Its first n - k columns are H^T, the
-      transposed parity-check matrix: a word r has syndromes
-      S = r . H^T, all zero exactly on codewords.  With the last column, a
-      polynomial P of degree <= n - k has the values v_i * P(x_i) =
-      P . W[:, :len P]^T.
+    * `weighted_powers` (n x (n - k)): v_i * x_i^j in row i, column j,
+      with v_i = 1 / Pi'(x_i).  It is H^T, the transposed parity-check
+      matrix: a word r has syndromes S = r . H^T, all zero exactly on
+      codewords.
 
     Memory: the five matrices hold n^2 + (n - k + 1)^2 + k^2 + kn
-    + (n - k + 1)n elements, 8 bytes each as int64 (Python ints past that).
-    That is 1.45 MB at (255, 223), of which the weighted powers are 67 KB,
+    + (n - k)n elements, 8 bytes each as int64 (Python ints past that).
+    That is 1.45 MB at (255, 223), of which the weighted powers are 65 KB,
     25 MB at (1023, 991) and 400 MB at (4095, 4063), where a prototype
     decoded a word no faster with the matrices than with a numpy step per
     point.
@@ -275,17 +273,16 @@ class CodeConstants:
 
     @cached_property
     def weighted_powers(self) -> np.ndarray:
-        """n x (n - k + 1): v_i * x_i^j in row i, column j <= n - k, with
+        """H^T, n x (n - k): v_i * x_i^j in row i, column j < n - k, with
         v_i = 1 / Pi'(x_i); column 0 holds the v_i themselves.
 
-        The first n - k columns are H^T, and H checks the code: for a
-        message m of degree < k and j < n - k, x^j * m has degree at most
-        n - 2, and the sum over all points of p(x_i) / Pi'(x_i) is p's
-        x^(n - 1) coefficient, zero here.  H has full rank n - k, so
-        r . H^T = 0 exactly when r is a codeword."""
+        H checks the code: for a message m of degree < k and j < n - k,
+        x^j * m has degree at most n - 2, and the sum over all points of
+        p(x_i) / Pi'(x_i) is p's x^(n - 1) coefficient, zero here.  H has
+        full rank n - k, so r . H^T = 0 exactly when r is a codeword."""
         weights = self._weights(self.vanishing, self.points)
         return _read_only(self.arrays.mul(
-            self.arrays.powers(self.points, self.split + 1), weights[:, None]))
+            self.arrays.powers(self.points, self.split), weights[:, None]))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

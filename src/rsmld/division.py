@@ -3,58 +3,51 @@
 Given the reduced basis {g1, g2} of the interpolation module, every codeword
 at distance t from the received word shows up as a combination
 f = a*g1 + b*g2 (deg a <= ell2 - ell1 + j, b monic of degree j, t = ell2 -
-k + 1 + j) whose first component is divisible by its second; the message is
-m = -f1/f2.  Searching levels j = 0, 1, ... in order finds the exact minimum
-distance and the complete list of messages at it.
+k + 1 + j) whose second component vanishes at its t error positions; the
+paper reads the message as m = -f1/f2.  Searching levels j = 0, 1, ... in
+order finds the exact minimum distance and the complete list of messages at
+it.
 
 The search radius is capped: by default at the largest t below the Johnson
 bound (where the level arithmetic is meaningful for every code), and at
 n - k when `beyond_johnson` is set, which always terminates with the true
 minimum distance because the covering radius of an RS code is at most n - k.
 
-Most pairs of a level fail the divisibility test, so the pair source drops
-them first, without building a polynomial.  An accepted pair has
-f1 = -m*f2, and every f in the module satisfies f1(x_i) + r_i*f2(x_i) = 0,
-so f2(x_i) * (r_i - m(x_i)) = 0: f2 vanishes at each of the t error
-positions.  Since f2 = a*g1.f2 + b*g2.f2, it vanishes at x_i exactly when
-(a*g1.f2)(x_i) = -(b*g2.f2)(x_i).  The source tabulates both sides at the n
-evaluation points, for every a and every monic b of the level, and one
-broadcast comparison gives every pair's zero count; only the pairs with at
-least t zeros become polynomials and reach the candidate check.  The
-re-encoded path meets the same condition, since its lifted (G*f1, f2) lies
-in the module of r - shift.
+A pair matters only through the zero set Z of its f2 among the evaluation
+points.  Since f2 = a*g1.f2 + b*g2.f2, it vanishes at x_i exactly when
+(a*g1.f2)(x_i) = -(b*g2.f2)(x_i): the pair source tabulates both sides at
+the n points, for every a and every monic b of the level, and one broadcast
+comparison gives every pair's zero count; the Z of each pair with at least
+t zeros goes to the candidate check, which never sees f2, f1 or the pair.
+The re-encoded path meets the same condition, since its lifted (G*f1, f2)
+lies in the module of r - shift, whose errors are those of r.
 
-The search never divides f1 by f2, nor builds f1: f2's zeros Z are the
-error positions, so the message is that of the codeword which agrees with r
-off Z, an erasure decoding with f2 as the locator (`CandidateCheck`).  It
-accepts exactly the pairs the division accepts, with the same message:
+Three facts make the search exact.  The degrees come from the basis: g2
+leads in position 2, so deg(b*g2.f2) = j + ell2 - k + 1 = t for b monic of
+degree j; g1 leads in position 1 (a tie would go to position 2), so
+deg(a*g1.f2) <= t - 1.  Hence deg f2 = t, and f has weighted degree at most
+ell2 + j, so deg f1 <= t + k - 1.
 
-* g2 leads in position 2, so deg g2.f2 = ell2 - k + 1 and
-  deg(b*g2.f2) <= j + ell2 - k + 1 = t, with equality for a monic b of
-  degree j; g1 leads in position 1 (a tie would go to position 2), so
-  deg g1.f2 <= ell1 - k and deg(a*g1.f2) <= t - 1.  Hence deg f2 <= t for
-  every pair of the level, the rational fit's included (its b has degree
-  at most j), and deg f2 = t for the enumerated ones.
-* f has weighted degree at most ell2 + j = t + k - 1, so
-  deg f1 <= t + k - 1 < n.
-* If the division accepts, f2 != 0 vanishes at the t positions where m's
-  codeword differs from r, and with deg f2 <= t these are all its zeros Z.
-  That codeword agrees with r off Z and differs on all of Z: the check
-  accepts, with m.
-* If the check accepts, f2 != 0 has t zeros Z, so f2 = lc * prod_Z (x - x_i),
-  and some codeword m(x_i) equals r_i off Z and differs on all of Z.  Then
-  f1 + m*f2 vanishes at every point: off Z as m(x_i) = r_i, on Z as
-  f1(x_i) = -r_i*f2(x_i) = 0.  Its degree is at most t + k - 1 < n, so
-  f1 = -m*f2: the division accepts, with m.
-
-At every level the search reaches, both accept every pair the filter
-passes.  Such a pair has deg f2 = t, so its t or more zeros are exactly t;
-f1 vanishes on them, so f2 divides f1 and m = -f1/f2 has degree < k.  Off Z,
-f2(x_i) != 0 gives m(x_i) = r_i, so m lies within t of r, and a distance
-below t would have been found at an earlier level.
-
-On the re-encoded path the same holds for r - shift and the lifted degrees;
-r - shift has the errors of r, so the check runs on r itself.
+* The check is sound by construction: `CandidateCheck` returns m only when
+  m's codeword differs from r exactly on Z, with |Z| = t <= n - k.
+* It is complete: a codeword m at distance t, with the monic locator Lam
+  of its errors, gives (-m*Lam, Lam) in the module, a*g1 + b*g2 for a pair
+  (a, b) of level j (b monic, as Lam is; the rational fit finds it as a
+  factor).  Its f2 = Lam vanishes exactly on the errors, so the filter
+  passes that Z and the check, which fills Z as erasures, returns m.
+  Levels below the minimum distance accept nothing, so the first level
+  that accepts anything is the minimum distance, with every message there.
+* A pair that passes the filter at a level the search reaches is coprime,
+  and the check accepts its Z.  With deg f2 = t and at least t zeros, f2
+  has exactly t, and f2 = lc * prod_Z (x - x_i); every f in the module has
+  f1(x_i) + r_i*f2(x_i) = 0, so f1 vanishes on Z, f2 divides f1, and
+  m = -f1/f2 has degree < k with m(x_i) = r_i off Z: a codeword within t.
+  No codeword is closer at a level the search reaches, so this one differs
+  from r on all of Z.  A common monic factor h of degree d >= 1 of a and b
+  would make (a/h, b/h) a pair of level j - d whose f2/h, of degree t - d,
+  vanishes at t - d or more of the points; by the same argument it gives
+  the same m within t - d of r, which an earlier level would have found.
+  So the pair source needs no gcd test.
 """
 
 from __future__ import annotations
@@ -69,7 +62,7 @@ from .groebner import (GroebnerPair, ModuleVector, interpolant, mgb_euclid,
                        mgb_euclid_reencoded)
 # looked up here by the benchmark's tracer; nothing in this module calls them
 from .groebner import mgb_iterative, mgb_iterative_reencoded  # noqa: F401
-from .polys import Polynomial, base_q_digits
+from .polys import Polynomial, vanishing_poly
 
 # A level can hold q^(k1 + k2 + 1) pairs, so the pair source works a chunk
 # of a's and b's at a time: a value table (rows x n) holds at most
@@ -129,27 +122,31 @@ def level_shapes(pair: GroebnerPair, k: int, t_cap: int,
 
 
 def combinations_at_level(code: RSCode, pair: GroebnerPair,
-                          shape: LevelShape) -> Iterator[tuple[Polynomial, Polynomial]]:
-    """The coprime pairs (a, b) of one level, deg a <= shape.a_max_deg and b
-    monic of degree shape.b_deg, whose f2 = a*g1.f2 + b*g2.f2 vanishes at
-    shape.t or more of the evaluation points; no other pair can be accepted
-    (see the module docstring).  When a's degree bound is negative the only
-    combination left is g2 itself (a = 0, b = 1), at level 0.
+                          shape: LevelShape) -> Iterator[np.ndarray]:
+    """The zero sets, as sorted arrays of positions, of the pairs (a, b) of
+    one level, deg a <= shape.a_max_deg and b monic of degree shape.b_deg,
+    whose f2 = a*g1.f2 + b*g2.f2 vanishes at shape.t or more of the
+    evaluation points; no other pair can be accepted (see the module
+    docstring).  When a's degree bound is negative the only combination
+    left is g2 itself (a = 0, b = 1), at level 0.
 
     Polynomial number i has the base-q digits of i as coefficients: the a
-    are the numbers 0 .. q^(k1 + 1) - 1 (just 0 when k1 < 0), and the monic
-    b of degree k2 are q^k2 .. 2*q^k2 - 1 with k2 + 1 digits.  Per chunk the
-    tables A[a] = (a*g1.f2)(x_i) and -B[b] = -(b*g2.f2)(x_i) are compared
+    are the numbers 0 .. q^(k1 + 1) - 1, and the monic b of degree k2 are
+    q^k2 .. 2*q^k2 - 1 with k2 + 1 digits.  Per chunk the tables
+    A[a] = (a*g1.f2)(x_i) and -B[b] = -(b*g2.f2)(x_i) are compared
     pointwise, and each pair's count of equal entries is its f2's zero
     count."""
-    if shape.a_max_deg < 0 and shape.level > 0:
-        return
-    field = pair.g1.field
     arr, xs = code.constants().arrays, code.constants().points
-    q, n = field.q, code.n
+    if shape.a_max_deg < 0:
+        if shape.level == 0:
+            zeros = np.flatnonzero(arr.evaluate(pair.g2.f2.coeffs, xs) == 0)
+            if len(zeros) >= shape.t:
+                yield zeros
+        return
+    q, n = code.field.q, code.n
     g1_f2 = arr.evaluate(pair.g1.f2.coeffs, xs)
     g2_f2 = arr.evaluate(pair.g2.f2.coeffs, xs)
-    a_width, b_width = max(0, shape.a_max_deg + 1), shape.b_deg + 1
+    a_width, b_width = shape.a_max_deg + 1, shape.b_deg + 1
     a_stop, b_start = q ** a_width, q ** shape.b_deg
     rows = max(1, TABLE_CHUNK // n)
     b_step = min(b_start, rows)
@@ -160,12 +157,10 @@ def combinations_at_level(code: RSCode, pair: GroebnerPair,
         for a_lo in range(0, a_stop, a_step):
             a_vals = arr.indexed_values(a_lo, min(a_lo + a_step, a_stop),
                                         a_width, xs, g1_f2)
-            zeros = np.count_nonzero(a_vals[:, None] == neg_b, axis=2)
-            for i, j in zip(*np.nonzero(zeros >= shape.t)):
-                a = Polynomial(field, base_q_digits(a_lo + int(i), q, a_width))
-                b = Polynomial(field, base_q_digits(b_lo + int(j), q, b_width))
-                if a.coprime(b):
-                    yield a, b
+            equal = a_vals[:, None] == neg_b
+            counts = np.count_nonzero(equal, axis=2)
+            for i, j in zip(*np.nonzero(counts >= shape.t)):
+                yield np.flatnonzero(equal[i, j])
 
 
 def combine(pair: GroebnerPair, a: Polynomial, b: Polynomial) -> ModuleVector:
@@ -186,32 +181,26 @@ class Interpolant(NamedTuple):
 
 
 class CandidateCheck:
-    """The candidate test of one word: given the second component f2 of a
-    combination at level distance t, the message at distance t from r that
-    the combination stands for, or None.  f1 is never needed.
+    """The candidate test of one word: given a set Z of t <= n - k
+    positions, the message whose codeword differs from r at exactly the
+    positions of Z, or None.  It is unique: it agrees with r at n - t >= k
+    points.
 
-    A combination is accepted when f2 has exactly t zeros Z among the
-    evaluation points and r, with Z erased, decodes to a codeword c that
-    differs from r at every point of Z.  Every product runs on the rows
-    v_i * x_i^j of `CodeConstants.weighted_powers`, v_i = 1 / Pi'(x_i):
-    f2's values come as v_i * f2(x_i), and the first n - k columns are
-    H^T, which gives the syndromes S = r . H^T once per word, when the
-    first combination gets that far.  An error e on Z has
-    S_j = sum_Z u_i x_i^j with u_i = v_i e_i, and with P = f2 (at any
-    scale, lc times the locator prod_Z (x - x_i)) the first t syndromes
-    give
+    Z is erased.  Every product runs on the rows v_i * x_i^j of H^T,
+    `CodeConstants.weighted_powers`, v_i = 1 / Pi'(x_i), which give the
+    syndromes S = r . H^T once per word, when the first set gets that
+    far.  An error e on Z has S_j = sum_Z u_i x_i^j with u_i = v_i e_i,
+    and with the locator P = prod_Z (x - x_i) the first t syndromes give
 
         u_i = W(x_i) / P'(x_i),   W_d = sum_j S_j P_(j + d + 1)
 
     (Forney, IEEE T-IT 11(4), 1965, in a form with no reversed locator, so a
     point x_i = 0 needs no care).  Z's rows give v_i W(x_i) and
     v_i P'(x_i), so e_i = u_i / v_i.  The other n - k - t syndromes must
-    agree, e_Z . H^T[Z] = S: that is the codeword check.  The message is
-    c's interpolant: r's `interpolant` less that of the errors it covers,
-    one row of its matrix per error.
-
-    The re-encoded search checks r itself: its combinations' f2 vanish on
-    the errors of r - shift, which are those of r."""
+    agree, e_Z . H^T[Z] = S: r less e is then a codeword, and it must
+    differ from r at every point of Z.  The message is its interpolant:
+    r's `interpolant` less that of the errors it covers, one row of its
+    matrix per error."""
 
     def __init__(self, code: RSCode, r: Word, interpolant: Interpolant):
         consts = code.constants()
@@ -227,22 +216,17 @@ class CandidateCheck:
     def syndromes(self) -> np.ndarray:
         """S = r . H^T, computed on first use."""
         if self._syndromes is None:
-            powers = self.code.constants().weighted_powers
-            self._syndromes = self.arr.dot(self.symbols, powers[:, :-1])
+            self._syndromes = self.arr.dot(
+                self.symbols, self.code.constants().weighted_powers)
         return self._syndromes
 
-    def __call__(self, f2: Polynomial, t: int) -> Polynomial | None:
-        if f2.degree() > t:   # t zeros and degree <= t make degree t
+    def __call__(self, zeros: np.ndarray, t: int) -> Polynomial | None:
+        if len(zeros) != t:
             return None
-        arr, consts = self.arr, self.code.constants()
-        powers = consts.weighted_powers
-        coeffs = arr.array(f2.coeffs)
-        zeros = np.flatnonzero(
-            arr.dot(coeffs, powers[:, :len(coeffs)].T) == 0)
-        if len(zeros) != t:   # a zero f2 vanishes at all n > t points
-            return None
-        h_z = powers[zeros, :-1]
-        e = self._erasure_values(coeffs, h_z, t)
+        arr, code, consts = self.arr, self.code, self.code.constants()
+        h_z = consts.weighted_powers[zeros]
+        locator = vanishing_poly(code.field, consts.points[zeros].tolist())
+        e = self._erasure_values(arr.array(locator.coeffs), h_z, t)
         if (arr.dot(e, h_z) != self.syndromes()).any():
             return None
         c = self.symbols.copy()
@@ -252,45 +236,43 @@ class CandidateCheck:
         covered = zeros >= self.start
         m = arr.sub(self.base, arr.dot(e[covered],
                                        self.rows[zeros[covered] - self.start]))
-        return Polynomial(self.code.field, m[:self.code.k].tolist())
+        return Polynomial(code.field, m[:code.k].tolist())
 
-    def _erasure_values(self, f2: np.ndarray, h_z: np.ndarray,
+    def _erasure_values(self, locator: np.ndarray, h_z: np.ndarray,
                         t: int) -> np.ndarray:
-        """e_i = W(x_i) / (P'(x_i) v_i) on the t zeros of P = f2, whose rows
-        of H^T are h_z."""
+        """e_i = W(x_i) / (P'(x_i) v_i) on the t roots of P = locator,
+        whose rows of H^T are h_z."""
         arr, p = self.arr, self.code.field.p
         if not t:
-            return f2[:0]
+            return locator[:0]
         # the Hankel matrix of P_1 .. P_t: entry (j, d) is P_(j + d + 1)
         hankel = np.zeros(2 * t, dtype=arr.dtype)
-        hankel[:t] = f2[1:]
+        hankel[:t] = locator[1:]
         steps = np.arange(t)
         w = arr.dot(self.syndromes()[:t], hankel[steps[:, None] + steps])
-        dp = arr.mul(np.arange(1, t + 1) % p, f2[1:])
+        dp = arr.mul(np.arange(1, t + 1) % p, locator[1:])
         num, den = arr.dot(np.stack([w, dp]), h_z[:, :t].T)
         return arr.mul(num, arr.inv(arr.mul(den, h_z[:, 0])))
 
 
 def search_levels(code: RSCode, r: Word, pair: GroebnerPair,
-                  pairs_of: Callable[[LevelShape],
-                                     Iterable[tuple[Polynomial, Polynomial]]],
+                  zero_sets_of: Callable[[LevelShape], Iterable[np.ndarray]],
                   method: str, t_cap: int, j_cap: int | None,
                   interpolant: Interpolant) -> DecodeOutcome:
     """The level loop of every decoder: report the first level with any
     valid message.
 
-    `pairs_of(shape)` gives the (a, b) pairs to test at a level, with
-    deg a <= shape.a_max_deg and deg b <= shape.b_deg: the zero-count
-    filtered `combinations_at_level`, or the few pairs of a rational fit.
-    Each pair's f2 goes through the `CandidateCheck` of r and its
-    `interpolant`, which keeps the messages at exactly the level's distance
-    from r."""
+    `zero_sets_of(shape)` gives the zero sets, as arrays of positions, of
+    the f2 of the pairs to test at a level, with deg a <= shape.a_max_deg
+    and deg b <= shape.b_deg: the zero-count filtered
+    `combinations_at_level`, or the few pairs of a rational fit.  Each set
+    goes through the `CandidateCheck` of r and its `interpolant`, which
+    keeps the messages at exactly the level's distance from r."""
     check = CandidateCheck(code, r, interpolant)
-    g1_f2, g2_f2 = pair.g1.f2, pair.g2.f2
     for shape in level_shapes(pair, code.k, t_cap, j_cap):
         found: dict[tuple[int, ...], Polynomial] = {}
-        for a, b in pairs_of(shape):
-            m = check(a * g1_f2 + b * g2_f2, shape.t)
+        for zeros in zero_sets_of(shape):
+            m = check(zeros, shape.t)
             if m is not None:
                 found.setdefault(tuple(m.coeffs), m)
         if found:

@@ -54,16 +54,34 @@ DEFAULT_MODULI = {
 }
 
 
+# Miller-Rabin with the prime bases up to 37 is exact for every n below
+# 3.18 * 10^23 (Sorenson & Webster, Math. Comp. 86, 2017), past 2^63.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Trial division by the bases, enough below 41^2, then a deterministic
+    Miller-Rabin test: one modular power per base."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+        if a * a > n:
+            return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -109,6 +127,8 @@ class Field:
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_hash", "_arrays")
 
     def __init__(self, p: int, m: int = 1, modulus: int | None = None):
+        if p >= 2**63:   # numpy takes p as an int64 scalar
+            raise ValueError(f"field characteristic must be below 2^63, got {p}")
         if not _is_prime(p):
             raise ValueError(f"field characteristic must be prime, got {p}")
         if m < 1:

@@ -27,7 +27,9 @@ class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs: Iterable[int] = ()):
-        cs = [field.canon(c) for c in coeffs]
+        q = field.q   # an int already in 0..q-1 is canonical as it stands
+        cs = [c if type(c) is int and 0 <= c < q else field.canon(c)
+              for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
@@ -192,23 +194,7 @@ class Polynomial:
         return a.monic() if not a.is_zero() else a
 
     def coprime(self, other: "Polynomial") -> bool:
-        """True when gcd(self, other) = 1.
-
-        The Euclidean gcd runs only when both degrees are at least 2: a
-        constant side settles it at once, and a linear side has one root
-        to evaluate the other at.
-        """
-        self._check(other)
-        da, db = self.degree(), other.degree()
-        if da == 0 or db == 0:
-            return True
-        if da < 0 or db < 0:
-            return False  # the gcd is the other side, zero or of degree > 0
-        f = self.field
-        for linear, rest in ((self, other), (other, self)):
-            if linear.degree() == 1:
-                c0, c1 = linear.coeffs
-                return rest.evaluate(f.neg(f.div(c0, c1))) != 0
+        """True when gcd(self, other) = 1."""
         return self.gcd(other).degree() == 0
 
     # -- evaluation ------------------------------------------------------------

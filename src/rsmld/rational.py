@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from . import division
 from .bivar import BivariatePolynomial, ProjectivePoint, koetter_interpolate
 from .code import DecodeOutcome, RSCode, Word
@@ -119,17 +121,22 @@ def rational_factorize(Q: BivariatePolynomial, k1: int,
     return out
 
 
-def _fit_level(code: RSCode, anchors: list[ProjectivePoint],
-               shape: LevelShape) -> tuple[InterpParams, list]:
-    """Interpolation caps and factor candidates for one in-bound level."""
+def _fit_level(code: RSCode, pair: GroebnerPair,
+               shape: LevelShape) -> tuple[InterpParams, list[np.ndarray]]:
+    """Interpolation caps for one in-bound level, and the zero sets of the
+    f2 of its factor pairs."""
     if shape.a_max_deg == 0 and shape.b_deg == 0:
         params = single_multiplicity_params(code.n, shape.t, 0, 0)
     else:
         params = optimize_params(code.n, code.k, shape.t,
                                  shape.a_max_deg, shape.b_deg).best
-    Q = koetter_interpolate(code.field, anchors, params.s, params.M,
-                            params.w, params.rho)
-    return params, rational_factorize(Q, shape.a_max_deg, shape.b_deg)
+    Q = koetter_interpolate(code.field, anchor_points(code, pair), params.s,
+                            params.M, params.w, params.rho)
+    arr, xs = code.constants().arrays, code.constants().points
+    return params, [
+        np.flatnonzero(arr.evaluate((a * pair.g1.f2 + b * pair.g2.f2).coeffs,
+                                    xs) == 0)
+        for a, b in rational_factorize(Q, shape.a_max_deg, shape.b_deg)]
 
 
 def decode_rational(code: RSCode, r: Word, j_cap: int | None = None,
@@ -142,18 +149,17 @@ def decode_rational(code: RSCode, r: Word, j_cap: int | None = None,
     radius bound n - k)."""
     L = interpolant(code, r)
     pair = mgb_euclid(code, r, L)
-    anchors = anchor_points(code, pair)
     fit_max = code.johnson_radius_max()
     params_used: list[InterpParams] = []
 
-    def pairs_of(shape: LevelShape) -> Iterable[tuple[Polynomial, Polynomial]]:
+    def zero_sets_of(shape: LevelShape) -> Iterable[np.ndarray]:
         if shape.a_max_deg < 0 or shape.t > fit_max:
             return division.combinations_at_level(code, pair, shape)
-        params, ab_pairs = _fit_level(code, anchors, shape)
+        params, zero_sets = _fit_level(code, pair, shape)
         params_used.append(params)
-        return ab_pairs
+        return zero_sets
 
-    out = search_levels(code, r, pair, pairs_of, "rational",
+    out = search_levels(code, r, pair, zero_sets_of, "rational",
                         search_radius_cap(code, beyond_johnson), j_cap,
                         Interpolant(L, 0))
     out.params_used = params_used

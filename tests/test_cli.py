@@ -60,6 +60,16 @@ def test_encode_out_of_range_exit_code(capsys, field, bad, option):
     assert "is not a canonical element" in err
 
 
+def test_encode_field_past_int64_exit_code(capsys):
+    # 2^64 - 59 is prime, but arrays take the characteristic as an int64
+    code, out, err = run_cli(capsys, "encode", "--field",
+                             "p:18446744073709551557", "--n", "3", "--k", "2",
+                             "--msg", "1,2")
+    assert code == 2
+    assert out == ""
+    assert "2^63" in err
+
+
 @pytest.mark.parametrize("option, value", [
     ("--msg", "1,,2"), ("--msg", "1,2,"), ("--msg", ""),
     ("--eval-points", "0,1,2,,3,4,5,6"), ("--eval-points", ",0,1,2,3,4,5,6"),

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from rsmld import division
@@ -9,10 +10,9 @@ from rsmld.division import (CandidateCheck, Interpolant, LevelShape,
                             decode_minimal, decode_minimal_reencoded,
                             extract_message, level_shapes, reencode,
                             search_radius_cap)
-from rsmld.fields import Field
+from rsmld.fields import Field, FieldArrays
 from rsmld.groebner import ModuleVector, interpolant, mgb_iterative
-from rsmld.polys import (Polynomial, base_q_digits, monic_polys,
-                         vanishing_poly)
+from rsmld.polys import Polynomial, base_q_digits, monic_polys
 from rsmld.rational import decode_rational
 
 F7 = Field(7)
@@ -47,17 +47,13 @@ def interpolants(code, r):
             Interpolant(reencode(code, r).shift.coeffs, code.n - code.k)]
 
 
-def locator(code, positions, scale):
-    return vanishing_poly(code.field,
-                          [code.eval_points[i] for i in positions]).scale(scale)
-
-
 @pytest.mark.parametrize("name", CHECK_CODES)
 def test_candidate_check_fills_erasures(name):
     # a codeword plus nonzero errors on Z, for every |Z| <= n - k: the check
-    # of Z's locator (at any scale) returns the sent message; an extra error
-    # outside Z leaves no codeword that agrees with r off Z when
-    # |Z| < n - k; a zero error value on Z puts the codeword at |Z| - 1
+    # of Z returns the sent message and rejects a set of any other size (all
+    # n points are the zero set of a zero f2); an extra error outside Z
+    # leaves no codeword that agrees with r off Z when |Z| < n - k; a zero
+    # error value on Z puts the codeword at |Z| - 1
     code = CHECK_CODES[name]
     F, n, k = code.field, code.n, code.k
     rng = random.Random(name)
@@ -66,47 +62,60 @@ def test_candidate_check_fills_erasures(name):
             msg = code.message_poly([rng.randrange(F.q) for _ in range(k)])
             sent = list(code.encode(msg).symbols)
             where = rng.sample(range(n), t + 1)
-            zs, extra = sorted(where[:t]), where[t]
+            zs, extra = np.array(sorted(where[:t]), dtype=int), where[t]
             errors = {i: rng.randrange(1, F.q) for i in zs}
             r = sent.copy()
             for i, e in errors.items():
                 r[i] = F.add(r[i], e)
             word = Word(code, tuple(r))
-            f2 = locator(code, zs, rng.randrange(1, F.q))
             for base in interpolants(code, word):
-                assert CandidateCheck(code, word, base)(f2, t) == msg
-                assert CandidateCheck(code, word, base)(f2, t + 1) is None
-                assert CandidateCheck(code, word, base)(
-                    Polynomial.zero(F), t) is None
+                check = CandidateCheck(code, word, base)
+                assert check(zs, t) == msg
+                assert check(zs, t + 1) is None
+                assert check(np.array(sorted(where)), t) is None
+                assert check(np.arange(n), t) is None
+                if t:
+                    assert check(zs[1:], t) is None
             if t < n - k:
                 r2 = r.copy()
                 r2[extra] = F.add(r2[extra], rng.randrange(1, F.q))
                 word2 = Word(code, tuple(r2))
                 for base in interpolants(code, word2):
-                    assert CandidateCheck(code, word2, base)(f2, t) is None
+                    assert CandidateCheck(code, word2, base)(zs, t) is None
             if t:
                 r3 = r.copy()
                 r3[zs[0]] = sent[zs[0]]
                 word3 = Word(code, tuple(r3))
                 for base in interpolants(code, word3):
-                    assert CandidateCheck(code, word3, base)(f2, t) is None
+                    assert CandidateCheck(code, word3, base)(zs, t) is None
 
 
-def test_candidate_check_rejects_degree_above_t():
-    # t zeros and one more root off the points: f2 is no locator of Z; and a
-    # degree past n - k goes no further than the degree test
-    code = CHECK_CODES["GF16"]
-    F, zs = code.field, [1, 4, 9]
-    missing, = set(range(F.q)) - set(code.eval_points)
-    sent = code.encode([3, 1, 4, 1, 5])
-    word = Word(code, tuple(F.add(s, 7) if i in zs else s
-                            for i, s in enumerate(sent.symbols)))
-    f2 = locator(code, zs, 1)
-    for base in interpolants(code, word):
-        check = CandidateCheck(code, word, base)
-        assert check(f2, 3) == code.message_poly([3, 1, 4, 1, 5])
-        assert check(f2 * Polynomial(F, [missing, 1]), 3) is None
-        assert check(f2 * Polynomial.monomial(F, 1, code.n), 3) is None
+def zero_set_reference(code, pair, shape):
+    """The zero sets, sorted, of every pair of a level whose f2 has at least
+    shape.t zeros, by scalar arithmetic and with no gcd test; (0, 1) alone
+    at level 0 when a's degree bound is negative."""
+    field, q = code.field, code.field.q
+    if shape.a_max_deg < 0:
+        pairs = ([(Polynomial.zero(field), Polynomial.one(field))]
+                 if shape.level == 0 else [])
+    else:
+        width = shape.a_max_deg + 1
+        pairs = [(Polynomial(field, base_q_digits(i, q, width)), b)
+                 for b in monic_polys(field, shape.b_deg)
+                 for i in range(q ** width)]
+    sets = []
+    for a, b in pairs:
+        f2 = combine(pair, a, b).f2
+        zeros = tuple(i for i, x in enumerate(code.eval_points)
+                      if f2.evaluate(x) == 0)
+        if len(zeros) >= shape.t:
+            sets.append(zeros)
+    return sorted(sets)
+
+
+def zero_sets(code, pair, shape):
+    return sorted(tuple(z.tolist())
+                  for z in combinations_at_level(code, pair, shape))
 
 
 def test_monic_polys():
@@ -127,82 +136,66 @@ def test_level_shapes():
     assert len(level_shapes(pair, code.k, t_cap=2, j_cap=0)) == 1
 
 
-def test_combinations_level_zero_degenerate():
+def test_combinations_level_zero_degenerate(monkeypatch):
+    # a's degree bound is negative at level 0: the one pair is g2 itself,
+    # and its zero set comes from g2.f2 alone, without the value tables
     code = RSCode(F7, 7, 5)
     pair = mgb_iterative(code, Word(code, (3, 2, 6, 3, 4, 2, 4)))
     shapes = level_shapes(pair, code.k, t_cap=2)
+    monkeypatch.setattr(FieldArrays, "indexed_values", None)
     combos = list(combinations_at_level(code, pair, shapes[0]))
     assert len(combos) == 1
-    a, b = combos[0]
-    assert a.is_zero() and b == Polynomial.one(F7)
-    assert combine(pair, a, b) == pair.g2
+    assert combos[0].tolist() == [i for i, x in enumerate(code.eval_points)
+                                  if pair.g2.f2.evaluate(x) == 0]
+    too_many = LevelShape(0, len(combos[0]) + 1, shapes[0].a_max_deg, 0)
+    assert not list(combinations_at_level(code, pair, too_many))
 
 
-def test_combinations_respect_degree_and_gcd():
+def test_combinations_respect_degree_bounds():
+    # each set has at least t zeros, and the sets are those of the pairs
+    # with deg a <= 1 and b monic of degree 1; level 1 lies past this word's
+    # distance 2, so pairs with a common factor count too
     code = RSCode(F7, 7, 4)
     pair = mgb_iterative(code, Word(code, (3, 2, 6, 3, 2, 2, 4)))
     shapes = level_shapes(pair, code.k, t_cap=3)
     target = shapes[1]
     assert (target.a_max_deg, target.b_deg) == (1, 1)
-    seen = set()
-    for a, b in combinations_at_level(code, pair, target):
-        assert a.degree() <= 1
-        assert b.degree() == 1 and b.leading() == 1
-        assert a.gcd(b).degree() <= 0
-        f2 = combine(pair, a, b).f2
-        assert sum(f2.evaluate(x) == 0 for x in code.eval_points) >= target.t
-        seen.add((tuple(a.coeffs), tuple(b.coeffs)))
-    assert len(seen) == len(set(seen)) and len(seen) > 0
+    got = zero_sets(code, pair, target)
+    assert all(len(z) >= target.t for z in got)
+    assert got == zero_set_reference(code, pair, target) and got
 
 
 @pytest.mark.parametrize("field", [Field(3), Field(2, 2), Field(7),
                                    Field(2, 3, 0b1101)],
                          ids=["GF3", "GF4", "GF7", "GF8"])
 def test_combinations_match_gcd_reference(field):
-    # every pair of the level, coprime by a full gcd, kept when its f2 has
-    # at least t zeros among the points
+    # every pair of the level, with no gcd test, gives its f2's zero set
+    # when it has at least t points; at level 0 a negative a-bound leaves
+    # (0, 1), at other levels nothing
     code = RSCode(field, 3, 1)
     pair = mgb_iterative(code, Word(code, (0, 1, 2)))
-    q = field.q
-    g_f2 = [(x, pair.g1.f2.evaluate(x), pair.g2.f2.evaluate(x))
-            for x in code.eval_points]
-    for a_max_deg in range(-1, 3):
-        for b_deg in range(3):
-            zeros = {}
-            for b in monic_polys(field, b_deg):
-                for i in range(q ** (a_max_deg + 1)):
-                    a = Polynomial(field, base_q_digits(i, q, a_max_deg + 1))
-                    if a.gcd(b).degree() > 0:
-                        continue
-                    zeros[tuple(a.coeffs), tuple(b.coeffs)] = sum(
-                        field.add(field.mul(a.evaluate(x), g1),
-                                  field.mul(b.evaluate(x), g2)) == 0
-                        for x, g1, g2 in g_f2)
-            for t in range(code.n + 1):
-                shape = LevelShape(1, t, a_max_deg, b_deg)
-                reference = {ab for ab, z in zeros.items() if z >= t}
-                if a_max_deg < 0:
-                    reference = set()   # only level 0 keeps the pair (0, 1)
-                got = [(tuple(a.coeffs), tuple(b.coeffs))
-                       for a, b in combinations_at_level(code, pair, shape)]
-                assert len(got) == len(set(got))
-                assert set(got) == reference, (a_max_deg, b_deg, t)
+    for level in (0, 1):
+        for a_max_deg in range(-1, 3):
+            for b_deg in range(3):
+                for t in range(code.n + 1):
+                    shape = LevelShape(level, t, a_max_deg, b_deg)
+                    assert zero_sets(code, pair, shape) == \
+                        zero_set_reference(code, pair, shape), shape
 
 
 @pytest.mark.parametrize("chunk", [1, 20, 150])
 def test_combinations_chunked(monkeypatch, chunk):
     # chunks of one pair, of a few a's, and of several b's with a few a's
-    # give the pairs of the one-chunk default
+    # give the sets of the one-chunk default and of the scalar reference
     code = RSCode(F7, 7, 3)
     pair = mgb_iterative(code, random_word(code, 4))
     shapes = [LevelShape(1, t, 1, 1) for t in range(4)] + \
         [LevelShape(2, 2, 0, 2)]
-    unchunked = [set(map(str, combinations_at_level(code, pair, s)))
-                 for s in shapes]
+    unchunked = [zero_sets(code, pair, s) for s in shapes]
     monkeypatch.setattr(division, "COMPARE_CHUNK", chunk)
     for shape, expected in zip(shapes, unchunked):
-        got = list(map(str, combinations_at_level(code, pair, shape)))
-        assert len(got) == len(set(got)) and set(got) == expected
+        assert zero_sets(code, pair, shape) == expected
+        assert expected == zero_set_reference(code, pair, shape)
 
 
 def test_radius_caps():

@@ -1,10 +1,11 @@
 from math import prod
+from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rsmld.code import RSCode, Word
-from rsmld.fields import Field, FieldMismatch, parse_field
+from rsmld.fields import Field, FieldMismatch, _is_prime, parse_field
 from rsmld.polys import Polynomial, base_q_digits
 from rsmld.rng import XorShift64Star
 
@@ -72,6 +73,33 @@ def test_rejects_bad_parameters():
         F7.inv(0)
     with pytest.raises(ZeroDivisionError):
         F16.div(3, 0)
+
+
+def test_is_prime_matches_trial_division():
+    sieve = [False, False] + [True] * (10**5 - 2)
+    for i in range(2, 317):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    assert [n for n in range(10**5) if _is_prime(n)] == \
+        [n for n, prime in enumerate(sieve) if prime]
+    # a Carmichael number, and strong pseudoprimes to base 2 and to the
+    # bases 2, 3, 5, 7
+    for n in (561, 2047, 3215031751):
+        assert not _is_prime(n), n
+    assert _is_prime(2**61 - 1) and _is_prime(2**63 - 25)
+
+
+def test_large_prime_fields():
+    start = perf_counter()
+    F = Field(2**61 - 1)
+    assert perf_counter() - start < 1.0
+    assert F.mul(2**60, 2) == 1
+    with pytest.raises(ValueError, match="2\\^63"):
+        Field(18446744073709551557)   # 2^64 - 59, a prime
+    with pytest.raises(ValueError, match="2\\^63"):
+        parse_field("p:18446744073709551557")
+    with pytest.raises(ValueError, match="prime"):
+        Field(3215031751)
 
 
 def test_field_mismatch():

@@ -1,6 +1,7 @@
 """Every decoder against the exhaustive oracle on random small codes, the
-filtered level search against the exhaustive one, the filter against the
-exact test, and the candidate check against the exact test.
+filtered level search against the exhaustive one, the filter's zero sets
+against the oracle's error sets, and the candidate check against the exact
+test and the oracle.
 
 The exhaustive search is kept here as the reference: the level loop with
 every coprime pair of every level sent to the exact test, which divides f1
@@ -9,8 +10,9 @@ decoder's `search_levels` call is also run as that loop, and the outcomes
 must match exactly.
 """
 
-from itertools import chain
 from unittest import mock
+
+import numpy as np
 
 from hypothesis import given, settings, strategies as st
 
@@ -116,6 +118,19 @@ def exact_message(code, r, f, lift, t):
     return m if hamming_distance(code.encode(m), r) == t else None
 
 
+def zero_set(code, f2):
+    """The positions of f2's zeros among the evaluation points."""
+    return np.array([i for i, x in enumerate(code.eval_points)
+                     if f2.evaluate(x) == 0], dtype=int)
+
+
+def error_sets(code, r, messages):
+    """Each message by the positions where its codeword differs from r."""
+    return {tuple(i for i, (c, s) in enumerate(zip(code.encode(m).symbols,
+                                                   r.symbols)) if c != s): m
+            for m in messages}
+
+
 def unfiltered_levels(code, r, pair, pairs_of, lift, method, t_cap, j_cap,
                       accepted):
     """The level loop with every pair sent to the exact test; appends
@@ -149,7 +164,7 @@ class Comparison:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, code, r, pair, pairs_of, method, t_cap, j_cap,
+    def __call__(self, code, r, pair, zero_sets_of, method, t_cap, j_cap,
                  interpolant):
         self.calls += 1
         field = pair.g1.field
@@ -165,8 +180,8 @@ class Comparison:
             zeros = sum(f2.evaluate(x) == 0 for x in code.eval_points)
             assert zeros >= t, (method, t, f2)
         try:
-            out = PREFILTERED(code, r, pair, pairs_of, method, t_cap, j_cap,
-                              interpolant)
+            out = PREFILTERED(code, r, pair, zero_sets_of, method, t_cap,
+                              j_cap, interpolant)
         except RadiusCapExceeded:
             assert expected is None, method
             raise
@@ -191,29 +206,24 @@ def test_prefilter_keeps_every_accepted_pair(case):
 
 
 class FilterExactness:
-    """Stands in for `search_levels`: sends every pair the zero-count filter
-    passes, level by level up to the first that passes any, through the
-    exact test, and asserts that each one is accepted (the proof in the
-    `division` docstring)."""
+    """Stands in for `search_levels`: takes every set the zero-count filter
+    passes, level by level up to the first that passes any, and asserts
+    that each one is the error set of an oracle message and that the level
+    is the oracle distance (the proof in the `division` docstring)."""
 
-    def __init__(self, distance):
-        self.distance = distance
+    def __init__(self, oracle):
+        self.oracle = oracle
 
-    def __call__(self, code, r, pair, pairs_of, method, t_cap, j_cap,
+    def __call__(self, code, r, pair, zero_sets_of, method, t_cap, j_cap,
                  interpolant):
-        lift = reference_lift(code, r, method)
+        errors = error_sets(code, r, self.oracle.messages)
         for shape in level_shapes(pair, code.k, t_cap, j_cap):
-            pairs = list(pairs_of(shape))
-            for a, b in pairs:
-                f = combine(pair, a, b)
-                assert f.f2.degree() == shape.t, (method, shape)
-                m = lift(f)
-                assert m is not None and m.degree() < code.k, (method, shape)
-                assert hamming_distance(code.encode(m), r) == shape.t
-            if pairs:
-                assert shape.t == self.distance, method
+            sets = [tuple(z.tolist()) for z in zero_sets_of(shape)]
+            assert all(z in errors for z in sets), (method, shape)
+            if sets:
+                assert shape.t == self.oracle.min_distance, method
                 break
-        return PREFILTERED(code, r, pair, pairs_of, method, t_cap, j_cap,
+        return PREFILTERED(code, r, pair, zero_sets_of, method, t_cap, j_cap,
                            interpolant)
 
 
@@ -221,40 +231,49 @@ class FilterExactness:
 @given(received_words())
 def test_prefilter_admits_only_accepted_pairs(case):
     code, word = case
-    distance = code.ml_oracle(word).min_distance
+    oracle = code.ml_oracle(word)
     with mock.patch.object(division, "search_levels",
-                           FilterExactness(distance)):
+                           FilterExactness(oracle)):
         for decode in (decode_minimal, decode_minimal_reencoded):
             out = decode(code, word, beyond_johnson=True)
-            assert out.min_distance == distance
+            assert out.min_distance == oracle.min_distance
 
 
 class CheckAgreement:
     """Stands in for `search_levels`: at every level up to the oracle
-    distance, sends every coprime pair and every pair of the decoder's own
-    source (so the rational fit's pairs too) through the candidate check
-    and through the exact test, and asserts that both accept the same pairs
-    with the same message."""
+    distance, sends the zero set of every coprime pair's f2 through the
+    candidate check and the pair through the exact test, and asserts that
+    both accept with the same message; and asserts that the check accepts
+    a set of the decoder's own source (so the rational fit's too) exactly
+    when it is the error set of an oracle message at the level's
+    distance."""
 
-    def __init__(self, distance):
-        self.distance = distance
+    def __init__(self, oracle):
+        self.oracle = oracle
         self.accepted = 0
 
-    def __call__(self, code, r, pair, pairs_of, method, t_cap, j_cap,
+    def __call__(self, code, r, pair, zero_sets_of, method, t_cap, j_cap,
                  interpolant):
         check = CandidateCheck(code, r, interpolant)
         lift = reference_lift(code, r, method)
         field = pair.g1.field
+        distance = self.oracle.min_distance
+        errors = error_sets(code, r, self.oracle.messages)
         for shape in level_shapes(pair, code.k, t_cap, j_cap):
-            if shape.t > self.distance:
+            if shape.t > distance:
                 break
-            for a, b in chain(every_coprime_pair(field, shape),
-                              pairs_of(shape)):
+            for a, b in every_coprime_pair(field, shape):
                 f = combine(pair, a, b)
                 expected = exact_message(code, r, f, lift, shape.t)
-                assert check(f.f2, shape.t) == expected, (method, shape, a, b)
+                assert check(zero_set(code, f.f2), shape.t) == expected, \
+                    (method, shape, a, b)
                 self.accepted += expected is not None
-        return PREFILTERED(code, r, pair, pairs_of, method, t_cap, j_cap,
+            for zeros in zero_sets_of(shape):
+                expected = (errors.get(tuple(zeros.tolist()))
+                            if shape.t == distance else None)
+                assert check(zeros, shape.t) == expected, (method, shape)
+                self.accepted += expected is not None
+        return PREFILTERED(code, r, pair, zero_sets_of, method, t_cap, j_cap,
                            interpolant)
 
 
@@ -262,11 +281,11 @@ class CheckAgreement:
 @given(received_words())
 def test_candidate_check_matches_exact_test(case):
     code, word = case
-    distance = code.ml_oracle(word).min_distance
+    oracle = code.ml_oracle(word)
     for decode in DECODERS:
-        agreement = CheckAgreement(distance)
+        agreement = CheckAgreement(oracle)
         with mock.patch.object(division, "search_levels", agreement), \
                 mock.patch.object(rational, "search_levels", agreement):
             out = decode(code, word, beyond_johnson=True)
-        assert out.min_distance == distance
+        assert out.min_distance == oracle.min_distance
         assert agreement.accepted > 0, decode.__name__

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,12 @@ def P(*coeffs):
 
 def test_construction_trims_and_canonicalizes():
     assert P(3, 8, 0, 0).coeffs == [3, 1]
+    # bools, negatives and numpy ints go through Field.canon too
+    assert P(True, False, -1, np.int64(10)).coeffs == [1, 0, 6, 3]
+    F16 = Field(2, 4)
+    assert Polynomial(F16, [15, 0b10000, True]).coeffs == [15, 0b0011, 1]
+    with pytest.raises(ValueError):
+        Polynomial(F16, [1, -1])
     assert P().is_zero()
     assert P(0, 0).degree() == -1
     assert Polynomial.x(F).coeffs == [0, 1]
