@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .code import RSCode, Word, corrupt
 from .division import (RadiusCapExceeded, decode_minimal,
@@ -154,10 +153,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
-
-
 def cmd_params(args: argparse.Namespace) -> int:
     res = optimize_params(args.n, args.k, args.t, args.k1, args.k2)
     try:
@@ -171,7 +166,7 @@ def cmd_params(args: argparse.Namespace) -> int:
             "n": args.n, "k": args.k, "t": args.t,
             "k1": args.k1, "k2": args.k2,
             "s_low": res.s_low, "s_high": res.s_high,
-            "scan": [{"s": sc.s, "N": sc.N, "disc": _frac_str(sc.disc),
+            "scan": [{"s": sc.s, "N": sc.N, "disc": str(sc.disc),
                       "M1": None if sc.M1 is None else float(sc.M1),
                       "M2": None if sc.M2 is None else float(sc.M2),
                       "feasible": sc.feasible} for sc in res.scan],
@@ -187,7 +182,7 @@ def cmd_params(args: argparse.Namespace) -> int:
     print(f"multiplicity range tried: {res.s_low}..{res.s_high}")
     for sc in res.scan:
         if sc.M1 is None:
-            print(f"  s={sc.s}: N={sc.N} disc={_frac_str(sc.disc)} "
+            print(f"  s={sc.s}: N={sc.N} disc={sc.disc} "
                   f"no real interval")
         else:
             gap = f"M in [{sc.m_low}, {sc.m_high}]" if sc.feasible \

@@ -223,6 +223,9 @@ class CandidateCheck:
     def __call__(self, zeros: np.ndarray, t: int) -> Polynomial | None:
         if len(zeros) != t:
             return None
+        if t > self.code.n - self.code.k:
+            raise ValueError(f"the check needs t <= n - k = "
+                             f"{self.code.n - self.code.k}, got t = {t}")
         arr, code, consts = self.arr, self.code, self.code.constants()
         h_z = consts.weighted_powers[zeros]
         locator = vanishing_poly(code.field, consts.points[zeros].tolist())

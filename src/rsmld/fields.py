@@ -423,57 +423,6 @@ class FieldArrays:
         nz = np.flatnonzero(a)
         return a[:nz[-1] + 1] if nz.size else a[:0]
 
-    def poly_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Trimmed coefficients of the product of two coefficient arrays:
-        one vector step over the longer operand per coefficient of the
-        shorter one."""
-        a, b = self.trim(a), self.trim(b)
-        if len(a) > len(b):
-            a, b = b, a
-        if not a.size:
-            return self.array([])
-        out = np.zeros(len(a) + len(b) - 1, dtype=self.dtype)
-        width = len(b)
-        if self.binary:
-            log_b = self._log[b]
-            for i, c in enumerate(a.tolist()):
-                if c:
-                    out[i:i + width] ^= self._exp[self._log[c] + log_b]
-        else:
-            for i, c in enumerate(a.tolist()):
-                if c:
-                    out[i:i + width] = (out[i:i + width] + c * b) % self.p
-        return out
-
-    def poly_divmod(self, num: np.ndarray,
-                    den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Trimmed (quotient, remainder) of the coefficient arrays num / den
-        by long division: one vector step over the divisor per quotient
-        coefficient.  The steps divide by den made monic; scaling that
-        quotient by 1 / lead(den) gives num / den's."""
-        num, den = self.trim(num), self.trim(den)
-        if not den.size:
-            raise ZeroDivisionError("polynomial division by zero")
-        dd = len(den) - 1
-        if len(num) <= dd:
-            return self.array([]), num
-        inv_lead = self.field.inv(int(den[-1]))
-        den = self.mul(inv_lead, den)
-        rem = num.copy()
-        quot = np.zeros(len(num) - dd, dtype=self.dtype)
-        if self.binary:
-            log_den = self._log[den]
-        for i in range(len(quot) - 1, -1, -1):
-            c = int(rem[i + dd])
-            if not c:
-                continue
-            quot[i] = c
-            if self.binary:
-                rem[i:i + dd + 1] ^= self._exp[self._log[c] + log_den]
-            else:
-                rem[i:i + dd + 1] = (rem[i:i + dd + 1] - c * den) % self.p
-        return self.mul(inv_lead, quot), self.trim(rem[:dd])
-
     def powers(self, x, n: int) -> np.ndarray:
         """x^0, x^1, ..., x^(n-1) along a new last axis, for a point x or
         an array of points."""

@@ -12,23 +12,26 @@ weighted degrees ell1, ell2 of the two elements sum to n + k - 1 and the
 leading positions are 1 and 2 respectively (either degree may be the larger
 one).
 
-Two constructions are provided: a Euclidean remainder sequence on (Pi, L),
-which the decoders use, and a point-by-point iteration, its test reference,
-plus re-encoded variants of both over a shifted word's n - k + 1 points
-(unweighted order), lifted by the caller.  The iteration is Koetter's update
-(`bivar.koetter_candidates`) at multiplicity s = 1 and z-degree M = 1:
-Q = f1(x) + z*f2(x) passes through (x_i, r_i) exactly when (f1, f2) lies in
-M(r), and the two final candidates, led by z^0 and z^1 under (1, k-1)
-weights, are a minimal Groebner basis under the (0, k-1) order (McEliece,
-IPN PR 42-153, 2003; Lee & O'Sullivan, JSC 43, 2008).
+Two constructions are provided: a reduction of the generators (Pi, 0),
+(L, -1), which the decoders use, and a point-by-point iteration, its test
+reference, plus re-encoded variants of both over a shifted word's n - k + 1
+points (unweighted order), lifted by the caller.  The iteration is Koetter's
+update (`bivar.koetter_candidates`) at multiplicity s = 1 and z-degree
+M = 1: Q = f1(x) + z*f2(x) passes through (x_i, r_i) exactly when (f1, f2)
+lies in M(r), and the two final candidates, led by z^0 and z^1 under
+(1, k-1) weights, are a minimal Groebner basis under the (0, k-1) order
+(McEliece, IPN PR 42-153, 2003; Lee & O'Sullivan, JSC 43, 2008).
 
-Both constructions work on rows (f1, f2) of trimmed coefficient arrays: the
-remainder sequence divides and multiplies with `FieldArrays.poly_divmod` and
-`poly_mul`, and Koetter's candidates are arrays already.  All four hand
-their two rows to one normalization, also on arrays, which yields the unique
-reduced basis (monic leading coefficients, each element fully reduced by the
-other), so the different constructions return identical objects; only that
-final pair is built as `Polynomial`s.
+All four hand their two rows (f1, f2), trimmed coefficient arrays, to one
+reduction built on one row operation: subtract c * x^s times one row from
+the other so that a chosen top coefficient cancels (Mulders & Storjohann,
+JSC 35, 2003).  While both rows lead in the same position it cancels the
+higher lead; on (Pi, 0), (L, -1) that is the Euclidean remainder sequence
+on (Pi, L), one quotient term at a time, and Koetter's rows, a minimal
+basis already, need no such step.  The same operation then inter-reduces
+the monic rows into the unique reduced basis (each element fully reduced by
+the other), so the different constructions return identical objects; only
+that final pair is built as `Polynomial`s.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from .bivar import ProjectivePoint, koetter_candidates
 from .code import RSCode, Word
-from .fields import Field, FieldArrays
+from .fields import Field
 from .polys import Polynomial
 
 
@@ -156,38 +159,68 @@ def _vector(field: Field, row: Row) -> ModuleVector:
                         Polynomial(field, row[1].tolist()))
 
 
-def _poly_sub(arr: FieldArrays, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a - b on coefficient arrays of any lengths, trimmed."""
-    out = np.zeros(max(len(a), len(b)), dtype=arr.dtype)
-    out[:len(a)] = a
-    out[:len(b)] = arr.sub(out[:len(b)], b)
-    return arr.trim(out)
+def _reduced_pair(field: Field, rows: list[Row],
+                  order: WeightedOrder) -> GroebnerPair:
+    """The reduced basis of the rank-2 module that two rows span.
 
+    One row operation does all the work: cancel the top coefficient of
+    component j of one row against that of the other row, by subtracting
+    c * x^s times the other row (Mulders & Storjohann, JSC 35, 2003).
 
-def _minus_multiple(arr: FieldArrays, v: Row, q: np.ndarray, g: Row) -> Row:
-    """v - q*g for a coefficient array q."""
-    return (_poly_sub(arr, v[0], arr.poly_mul(q, g[0])),
-            _poly_sub(arr, v[1], arr.poly_mul(q, g[1])))
+    Reduce: while both rows lead in the same position, cancel the higher
+    lead there.  The lead falls strictly each time, so this ends with the
+    rows leading in positions 1 and 2: a minimal basis.  No step raises a
+    component's weighted degree past the larger lead of the two rows given,
+    which sizes the array the rows are kept in.
 
-
-def _normalize_pair(field: Field, rows: list[Row],
-                    order: WeightedOrder) -> GroebnerPair:
-    """Monic + inter-reduced form of a two-element minimal basis.
-
-    With g1 leading in x^ell1 e1 and g2 in x^d e2, g1 is reduced modulo g2
-    when deg g1.f2 < d and g2 modulo g1 when deg g2.f1 < ell1; one division
-    each gets there without moving either leading monomial."""
+    Normalize: make both rows monic.  With g1 leading in x^e1 e1 and g2 in
+    x^d e2, cancel g1.f2's coefficients of degree >= d, top down, then
+    g2.f1's of degree >= e1; no step moves either leading monomial, and the
+    pair is then unique for the module and order."""
     arr = field.arrays()
-    leads = [_lead(order, *row) for row in rows]
-    if [lead.position for lead in leads] != [1, 2]:
-        raise ArithmeticError("basis rows do not lead in positions 1 and 2; "
-                              "not a minimal Groebner basis")
-    g1, g2 = (tuple(arr.mul(field.inv(lead.coeff), c) for c in row)
-              for row, lead in zip(rows, leads))
-    g1 = _minus_multiple(arr, g1, arr.poly_divmod(g1[1], g2[1])[0], g2)
-    g2 = _minus_multiple(arr, g2, arr.poly_divmod(g2[0], g1[0])[0], g1)
-    return GroebnerPair(_vector(field, g1), _vector(field, g2),
-                        leads[0].wdeg, leads[1].wdeg, order)
+    cap = max(len(c) + w for row in rows for c, w in zip(row, order.weights))
+    a = np.zeros((2, 2, cap), dtype=arr.dtype)  # row x component x degree
+    degs = [[len(c) - 1 for c in row] for row in rows]
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            a[i, j, :len(c)] = c
+
+    def trimmed(i: int) -> Row:
+        return a[i, 0, :degs[i][0] + 1], a[i, 1, :degs[i][1] + 1]
+
+    def lead(i: int) -> Lead:
+        if degs[i] == [-1, -1]:
+            raise ArithmeticError("the rows do not span a rank-2 module")
+        return _lead(order, *trimmed(i))
+
+    def cancel(hi: int, lo: int, j: int) -> None:
+        s = degs[hi][j] - degs[lo][j]
+        c = field.div(int(a[hi, j, degs[hi][j]]), int(a[lo, j, degs[lo][j]]))
+        width = max(degs[lo]) + 1
+        a[hi, :, s:s + width] = arr.sub(a[hi, :, s:s + width],
+                                        arr.mul(c, a[lo, :, :width]))
+        for comp in (0, 1):
+            d = max(degs[hi][comp], s + degs[lo][comp])
+            while d >= 0 and not a[hi, comp, d]:
+                d -= 1
+            degs[hi][comp] = d
+
+    leads = [lead(0), lead(1)]
+    while leads[0].position == leads[1].position:
+        hi = int(leads[1].exponent >= leads[0].exponent)  # at a tie, either
+        cancel(hi, 1 - hi, leads[hi].position - 1)
+        leads[hi] = lead(hi)
+
+    g1, g2 = (0, 1) if leads[0].position == 1 else (1, 0)
+    for i in (g1, g2):
+        a[i] = arr.mul(field.inv(leads[i].coeff), a[i])
+    while degs[g1][1] >= degs[g2][1]:
+        cancel(g1, g2, 1)
+    while degs[g2][0] >= degs[g1][0]:
+        cancel(g2, g1, 0)
+    return GroebnerPair(_vector(field, trimmed(g1)),
+                        _vector(field, trimmed(g2)),
+                        leads[g1].wdeg, leads[g2].wdeg, order)
 
 
 # ---------------------------------------------------------------------------
@@ -236,28 +269,14 @@ def interpolation_generators(code: RSCode, r) -> tuple[ModuleVector, ModuleVecto
     return tuple(_vector(code.field, row) for row in rows)
 
 
-def _euclid_rows(arr: FieldArrays, top: Row, bottom: Row,
-                 weight2: int) -> list[Row]:
-    """Remainder sequence on the first components, stopping as soon as the
-    newer row leads in position 2 (deg f2 + weight2 >= deg f1).  A step's
-    new f1 is the remainder of its division, and its f2 is
-    prev.f2 - q*cur.f2."""
-    prev, cur = top, bottom
-    while len(cur[1]) + weight2 < len(cur[0]):
-        q, rem = arr.poly_divmod(prev[0], cur[0])
-        f2 = _poly_sub(arr, prev[1], arr.poly_mul(q, cur[1]))
-        prev, cur = cur, (rem, f2)
-    return [prev, cur]
-
-
 def mgb_euclid(code: RSCode, r, L: np.ndarray | None = None) -> GroebnerPair:
-    """Minimal Groebner basis of M(r) via a Euclidean remainder sequence;
+    """Minimal Groebner basis of M(r), reduced from the generators (Pi, 0),
+    (L, -1) (the Euclidean remainder sequence, one quotient term at a time);
     L is r's `interpolant`, when the caller has it already."""
     if L is None:
         L = interpolant(code, r)
-    gens = _generator_rows(code, code.constants().vanishing, L)
-    rows = _euclid_rows(code.field.arrays(), *gens, code.k - 1)
-    return _normalize_pair(code.field, rows, decoder_order(code))
+    rows = _generator_rows(code, code.constants().vanishing, L)
+    return _reduced_pair(code.field, rows, decoder_order(code))
 
 
 def _koetter_rows(field: Field, anchors: list[ProjectivePoint],
@@ -275,7 +294,7 @@ def mgb_iterative(code: RSCode, r) -> GroebnerPair:
     anchors = [ProjectivePoint.finite(x, v)
                for x, v in zip(code.eval_points, _symbols(code, r))]
     rows = _koetter_rows(code.field, anchors, code.k - 1)
-    return _normalize_pair(code.field, rows, decoder_order(code))
+    return _reduced_pair(code.field, rows, decoder_order(code))
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +314,13 @@ def _short_values(code: RSCode, y: Sequence[int]) -> np.ndarray:
 
 
 def mgb_euclid_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
-    """Unweighted minimal Groebner basis of the short module, Euclid style,
-    from (Pi_y, 0) and (L_y, -1) on the first n - k + 1 points."""
+    """Unweighted minimal Groebner basis of the short module, reduced from
+    (Pi_y, 0) and (L_y, -1) on the first n - k + 1 points."""
     consts = code.constants()
     L_y = consts.arrays.trim(consts.arrays.dot(
         _short_values(code, y), consts.short_interpolation_matrix))
-    gens = _generator_rows(code, consts.short_vanishing, L_y)
-    rows = _euclid_rows(code.field.arrays(), *gens, 0)
-    return _normalize_pair(code.field, rows, WeightedOrder((0, 0)))
+    rows = _generator_rows(code, consts.short_vanishing, L_y)
+    return _reduced_pair(code.field, rows, WeightedOrder((0, 0)))
 
 
 def mgb_iterative_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
@@ -311,4 +329,4 @@ def mgb_iterative_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
     anchors = [ProjectivePoint.finite(x, v) for x, v in
                zip(code.eval_points, _short_values(code, y).tolist())]
     rows = _koetter_rows(code.field, anchors, 0)
-    return _normalize_pair(code.field, rows, WeightedOrder((0, 0)))
+    return _reduced_pair(code.field, rows, WeightedOrder((0, 0)))

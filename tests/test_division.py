@@ -90,6 +90,16 @@ def test_candidate_check_fills_erasures(name):
                     assert CandidateCheck(code, word3, base)(zs, t) is None
 
 
+def test_candidate_check_rejects_t_above_n_minus_k():
+    # Z = {0, 1, 2} on RS(7,5): three erasures, two syndromes
+    code = RSCode(Field(7), 7, 5)
+    word = random_word(code, 1)
+    for base in interpolants(code, word):
+        check = CandidateCheck(code, word, base)
+        with pytest.raises(ValueError, match=r"t <= n - k = 2, got t = 3"):
+            check(np.array([0, 1, 2]), 3)
+
+
 def zero_set_reference(code, pair, shape):
     """The zero sets, sorted, of every pair of a level whose f2 has at least
     shape.t zeros, by scalar arithmetic and with no gcd test; (0, 1) alone

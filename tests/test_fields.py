@@ -241,65 +241,6 @@ def test_array_indexed_values_match_evaluate(field):
             expected(start, stop, width)
 
 
-@pytest.mark.parametrize("field", [F7, Field(2, 4, 0b11001), Field(2, 8),
-                                   Field(2**31 - 1), Field(4294967291)],
-                         ids=["gf7", "gf16-alt", "gf256", "mersenne31", "p32"])
-def test_array_poly_mul_divmod_match_polynomial(field):
-    # GF(4294967291) runs the same code on Python-int (object) arrays
-    A = field.arrays()
-    rng = XorShift64Star(field.q)
-
-    def poly(deg):
-        """Random coefficients of exact degree deg (-1: the zero list)."""
-        if deg < 0:
-            return []
-        return [rng.below(field.q) for _ in range(deg)] + \
-            [1 + rng.below(field.q - 1)]
-
-    def check(a, b):
-        pa, pb = Polynomial(field, a), Polynomial(field, b)
-        prod = A.poly_mul(A.array(a), A.array(b))
-        assert prod.dtype == A.dtype
-        assert prod.tolist() == (pa * pb).coeffs, (a, b)
-        assert A.poly_mul(A.array(b), A.array(a)).tolist() == prod.tolist()
-        if not pb:
-            with pytest.raises(ZeroDivisionError):
-                A.poly_divmod(A.array(a), A.array(b))
-            return None
-        quot, rem = A.poly_divmod(A.array(a), A.array(b))
-        assert quot.dtype == A.dtype and rem.dtype == A.dtype
-        want = divmod(pa, pb)
-        assert (quot.tolist(), rem.tolist()) == \
-            (want[0].coeffs, want[1].coeffs), (a, b)
-        return quot, rem
-
-    # zero operands, and a zero divisor given with trailing zeros
-    check([], [])
-    check([], poly(3))
-    check(poly(3), [])
-    check(poly(2), [0, 0])
-    # inputs with trailing zeros come out trimmed
-    check(poly(4) + [0, 0], poly(2) + [0])
-    # a divisor of higher degree than the numerator: quotient 0
-    num = poly(2)
-    quot, rem = check(num, poly(5))
-    assert quot.size == 0 and rem.tolist() == num
-    # a quotient of degree 3 with zero inner coefficients, so the working
-    # remainder drops two degrees at once, and a final remainder four
-    # degrees below the divisor
-    den, q3 = poly(4), poly(0) + [0, 0] + poly(0)
-    num = (Polynomial(field, q3) * Polynomial(field, den)
-           + Polynomial(field, [1 + rng.below(field.q - 1)])).coeffs
-    quot, rem = check(num, den)
-    assert len(quot) == 4 and len(rem) == 1
-    # an exact division: remainder 0
-    quot, rem = check((Polynomial(field, q3) * Polynomial(field, den)).coeffs,
-                      den)
-    assert quot.tolist() == q3 and rem.size == 0
-    for _ in range(60):
-        check(poly(rng.below(10) - 1), poly(rng.below(6) - 1))
-
-
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
 def test_prime_field_ring_axioms(a, b, c):
     F = Field(13)

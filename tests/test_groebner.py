@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rsmld.bivar import ProjectivePoint
 from rsmld.code import RSCode, Word, corrupt, random_word, shifted_word
 from rsmld.fields import Field
 from rsmld.groebner import (GroebnerPair, ModuleVector, WeightedOrder,
-                            _euclid_rows, decoder_order,
+                            _koetter_rows, _reduced_pair, decoder_order,
                             interpolation_generators,
                             leading, mgb_euclid, mgb_euclid_reencoded,
                             mgb_iterative, mgb_iterative_reencoded)
@@ -146,14 +148,34 @@ def test_engines_agree_at_benchmark_sizes(field, n, k):
 
 
 def _scalar_euclid_rows(top, bottom, weight2):
-    """Reference for `_euclid_rows`: the remainder sequence on `Polynomial`
-    rows, each step's f1 recomputed as prev.f1 - q*cur.f1."""
+    """The remainder sequence on `Polynomial` rows, each step's f1
+    recomputed as prev.f1 - q*cur.f1, stopping as soon as the newer row
+    leads in position 2."""
     prev, cur = top, bottom
     while cur.f2.degree() + weight2 < cur.f1.degree():
         q = prev.f1 // cur.f1
         prev, cur = cur, ModuleVector(prev.f1 - q * cur.f1,
                                       prev.f2 - q * cur.f2)
     return [prev, cur]
+
+
+def _scalar_reduced(order, rows):
+    """Reference reduced basis of a minimal basis given as `ModuleVector`s:
+    each row monic, then g1 reduced modulo g2 and g2 modulo g1 by one
+    `Polynomial` division each."""
+    g1, g2 = sorted(rows, key=lambda v: leading(order, v).position)
+
+    def monic(v):
+        inv = v.field.inv(leading(order, v).coeff)
+        return ModuleVector(v.f1.scale(inv), v.f2.scale(inv))
+
+    def minus_multiple(v, q, g):
+        return ModuleVector(v.f1 - q * g.f1, v.f2 - q * g.f2)
+
+    g1, g2 = monic(g1), monic(g2)
+    g1 = minus_multiple(g1, g1.f2 // g2.f2, g2)
+    g2 = minus_multiple(g2, g2.f1 // g1.f1, g1)
+    return g1, g2
 
 
 def _short_generators(code, y):
@@ -182,25 +204,83 @@ def _short_generators(code, y):
 ], ids=["255-223-gf256", "31-15-gf31", "24-4-mersenne31", "24-4-p32",
         "7-3-gf7", "7-1-gf7", "7-6-gf7", "8-3-gf8", "8-1-gf8", "8-7-gf8"])
 def test_euclid_rows_match_scalar_sequence(field, n, k):
+    # the reduced basis from the array reduction equals the scalar remainder
+    # sequence on the same generators, made monic and inter-reduced
     code = RSCode(field, n, k)
-    A = field.arrays()
     rng = XorShift64Star(n + k)
     msg = [rng.below(field.q) for _ in range(k)]
     words = [random_word(code, n), Word(code, (0,) * n), code.encode(msg)]
     for t in (1, code.classical_radius() + 1, n - k):
         words.append(corrupt(code.encode(msg), t, rng.next_u64()))
 
-    def check(gens, weight2):
-        rows = [(A.array(g.f1.coeffs), A.array(g.f2.coeffs)) for g in gens]
-        got = _euclid_rows(A, *rows, weight2)
-        want = _scalar_euclid_rows(*gens, weight2)
-        assert all(c.dtype == A.dtype for row in got for c in row)
-        assert [(f1.tolist(), f2.tolist()) for f1, f2 in got] == \
-            [(v.f1.coeffs, v.f2.coeffs) for v in want]
+    def check(pair, gens, order):
+        want = _scalar_reduced(order, _scalar_euclid_rows(*gens,
+                                                          order.weights[1]))
+        assert (pair.g1, pair.g2) == want
+        assert (pair.ell1, pair.ell2) == \
+            tuple(leading(order, v).wdeg for v in want)
+        assert pair.order == order
 
     for r in words:
-        check(interpolation_generators(code, r), k - 1)
-        check(_short_generators(code, reencode(code, r).y), 0)
+        check(mgb_euclid(code, r), interpolation_generators(code, r),
+              decoder_order(code))
+        y = reencode(code, r).y
+        check(mgb_euclid_reencoded(code, y), _short_generators(code, y),
+              WeightedOrder((0, 0)))
+
+
+@st.composite
+def module_cases(draw):
+    """A word of a small code, with the generators, the points and the order
+    of its full module or of its short (re-encoded) module, and a row
+    index i, a nonzero c and an exponent j."""
+    field = draw(st.sampled_from([F7, Field(5), Field(2, 2), Field(2, 3)]))
+    n = draw(st.integers(2, min(7, field.q)))
+    k = draw(st.integers(1, n - 1))
+    code = RSCode(field, n, k)
+    r = Word(code, tuple(draw(st.lists(st.integers(0, field.q - 1),
+                                       min_size=n, max_size=n))))
+    if draw(st.booleans()):
+        module = (interpolation_generators(code, r), code.eval_points,
+                  decoder_order(code))
+    else:
+        module = (_short_generators(code, reencode(code, r).y),
+                  code.eval_points[:n - k + 1], WeightedOrder((0, 0)))
+    return (field, *module, draw(st.integers(0, 1)),
+            draw(st.integers(1, field.q - 1)), draw(st.integers(0, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(module_cases())
+def test_reduction_independent_of_generating_pair(case):
+    # the generators (V, 0), (L, -1) swapped, one of them plus c*x^j times
+    # the other, and Koetter's rows on the anchors (x, L(x)) all span the
+    # module and give the same pair; rows of rank < 2 raise
+    field, gens, points, order, i, c, j = case
+    A = field.arrays()
+
+    def rows(vectors):
+        return [(A.array(v.f1.coeffs), A.array(v.f2.coeffs)) for v in vectors]
+
+    def times(v, p):
+        return ModuleVector(p * v.f1, p * v.f2)
+
+    want = _reduced_pair(field, rows(gens), order)
+    shift = Polynomial.monomial(field, c, j)
+    mixed = list(gens)
+    mixed[i] = ModuleVector(gens[i].f1 + shift * gens[1 - i].f1,
+                            gens[i].f2 + shift * gens[1 - i].f2)
+    anchors = [ProjectivePoint.finite(x, gens[1].f1.evaluate(x))
+               for x in points]
+    for other in (rows(gens[::-1]), rows(mixed),
+                  _koetter_rows(field, anchors, order.weights[1])):
+        assert _reduced_pair(field, other, order) == want
+    zero = Polynomial.zero(field)
+    for dependent in ([gens[i], times(gens[i], shift)],
+                      [times(gens[i], shift), gens[i]],
+                      [gens[i], ModuleVector(zero, zero)]):
+        with pytest.raises(ArithmeticError):
+            _reduced_pair(field, rows(dependent), order)
 
 
 def test_order_of_decoder():
