@@ -92,11 +92,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
     code = word.code
 
     method = args.method
-    if args.reencode:
-        if method != "division":
-            raise ValueError("--reencode only applies to --method division")
-        method = "division-reencoded"
-
     if method == "all":
         names = ["division", "division-reencoded", "rational"]
         if code.field.q ** code.k <= args.oracle_budget:
@@ -267,10 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec = subs.add_parser("decode", help="find all nearest codewords")
     dec.add_argument("--word", required=True,
                      help='word JSON file, or "-" for stdin')
-    dec.add_argument("--method", choices=["division", "rational", "oracle", "all"],
+    dec.add_argument("--method", choices=[*_METHOD_RUNNERS, "all"],
                      default="division")
-    dec.add_argument("--reencode", action="store_true",
-                     help="use the re-encoded (shifted) basis for the division method")
     dec.add_argument("--j-cap", type=int, default=None,
                      help="search levels 0..J only (J >= 0)")
     dec.add_argument("--beyond-johnson", action="store_true",

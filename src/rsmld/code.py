@@ -179,8 +179,9 @@ class CodeConstants:
 
     * `interpolation_matrix` (n x n): row j holds w_j * Pi / (x - x_j) with
       w_j = 1 / Pi'(x_j), so a word r has Lagrange interpolant L = r . B;
-    * `short_interpolation_matrix`: the same over the first n - k + 1
-      points, for the re-encoded L_y;
+    * `short_interpolation_matrix` ((n - k) x (n - k + 1)): the rows
+      w_j * Pi_y / (x - x_j) at the first n - k points, for the re-encoded
+      L_y = y . R;
     * `tail_matrix` (k x k): the same over the tail, the last k points,
       with G_t = prod (x - x_j) there; the re-encoding shift is r_tail . T;
     * `vandermonde` (k x n): x_i^e in row e, so a message m of length
@@ -191,7 +192,7 @@ class CodeConstants:
       matrix: a word r has syndromes S = r . H^T, all zero exactly on
       codewords.
 
-    Memory: the five matrices hold n^2 + (n - k + 1)^2 + k^2 + kn
+    Memory: the five matrices hold n^2 + (n - k)(n - k + 1) + k^2 + kn
     + (n - k)n elements, 8 bytes each as int64 (Python ints past that).
     That is 1.45 MB at (255, 223), of which the weighted powers are 65 KB,
     25 MB at (1023, 991) and 400 MB at (4095, 4063), where a prototype
@@ -217,17 +218,12 @@ class CodeConstants:
         return vanishing_poly(self.field, self.eval_points)
 
     @cached_property
-    def multiplier(self) -> Polynomial:
-        """G = prod (x - x_i) over the last k - 1 points (1 when k = 1)."""
-        return vanishing_poly(self.field, self.eval_points[self.split + 1:])
-
-    @cached_property
     def short_vanishing(self) -> Polynomial:
         """Pi_y = prod (x - x_i) over the first n - k + 1 points."""
         return vanishing_poly(self.field, self.eval_points[:self.split + 1])
 
     def _weights(self, vanishing: Polynomial, roots: np.ndarray) -> np.ndarray:
-        """w_j = 1 / V'(x_j) at the roots x_j of V = prod (x - x_j)."""
+        """w_j = 1 / V'(x_j) at roots x_j of V, all of them or some."""
         F = self.field
         derivative = [F.mul(e % F.p, c) for e, c in enumerate(vanishing.coeffs)]
         return self.arrays.inv(self.arrays.evaluate(derivative[1:], roots))
@@ -246,24 +242,26 @@ class CodeConstants:
 
     @cached_property
     def short_interpolation_matrix(self) -> np.ndarray:
-        """(n - k + 1) x (n - k + 1): row j is w_j * Pi_y / (x - x_j),
-        w_j = 1 / Pi_y'(x_j), over the first n - k + 1 points."""
-        return self._interpolator(self.short_vanishing,
-                                  self.points[:self.split + 1])
+        """(n - k) x (n - k + 1): row j is w_j * Pi_y / (x - x_j) for each of
+        the first n - k points, w_j = 1 / Pi'(x_j).
+
+        The re-encoded decoder interpolates y_j / G(x_j) at those points and
+        0 at x_(n-k), with G = prod (x - x_i) over the last k - 1 points.
+        Pi = Pi_y * G and Pi_y(x_j) = 0 give Pi'(x_j) = Pi_y'(x_j) * G(x_j),
+        so that interpolant is y . R: the rows carry the 1 / G(x_j), and the
+        zero at x_(n-k) needs no row."""
+        head = self.points[:self.split]
+        return _read_only(self.arrays.barycentric(
+            head, self.short_vanishing.coeffs,
+            self._weights(self.vanishing, head)))
 
     @cached_property
     def tail_matrix(self) -> np.ndarray:
         """k x k: row j is w_j * G_t / (x - x_j) over the tail points, with
-        G_t = G * (x - x_{n-k}) zero at each of them."""
-        g_t = self.multiplier.times_x_minus(self.eval_points[self.split])
-        return self._interpolator(g_t, self.points[self.split:])
-
-    @cached_property
-    def head_multiplier_inverse(self) -> np.ndarray:
-        """1 / G(x_i) at the head points, where G has no root."""
-        head = self.points[:self.split]
-        return _read_only(self.arrays.inv(
-            self.arrays.evaluate(self.multiplier.coeffs, head)))
+        G_t = prod (x - x_i) there and w_j = 1 / G_t'(x_j)."""
+        return self._interpolator(
+            vanishing_poly(self.field, self.eval_points[self.split:]),
+            self.points[self.split:])
 
     @cached_property
     def vandermonde(self) -> np.ndarray:

@@ -171,13 +171,13 @@ def combine(pair: GroebnerPair, a: Polynomial, b: Polynomial) -> ModuleVector:
 
 
 class Interpolant(NamedTuple):
-    """A word's interpolant on the points x_start, ..., x_(n-1), as
-    coefficients low to high: L on all n points (start 0, interpolated by
-    `CodeConstants.interpolation_matrix`), or the re-encoding shift on the
-    last k (start n - k, by `tail_matrix`)."""
+    """A word's interpolant on its last len(matrix) points, as coefficients
+    low to high, and the matrix that interpolates it: L on all n points with
+    `CodeConstants.interpolation_matrix`, or the re-encoding shift on the
+    last k with `tail_matrix`."""
 
     coeffs: np.ndarray | Sequence[int]
-    start: int
+    matrix: np.ndarray
 
 
 class CandidateCheck:
@@ -203,12 +203,10 @@ class CandidateCheck:
     matrix per error."""
 
     def __init__(self, code: RSCode, r: Word, interpolant: Interpolant):
-        consts = code.constants()
-        self.code, self.r, self.start = code, r, interpolant.start
-        self.arr = consts.arrays
+        self.code, self.r, self.rows = code, r, interpolant.matrix
+        self.start = code.n - len(self.rows)
+        self.arr = code.constants().arrays
         self.symbols = self.arr.array(r.symbols)
-        self.rows = (consts.interpolation_matrix if interpolant.start == 0
-                     else consts.tail_matrix)
         self.base = np.zeros(self.rows.shape[1], dtype=self.arr.dtype)
         self.base[:len(interpolant.coeffs)] = interpolant.coeffs
         self._syndromes: np.ndarray | None = None
@@ -301,7 +299,8 @@ def decode_minimal(code: RSCode, r: Word, j_cap: int | None = None,
     return search_levels(code, r, pair,
                          lambda shape: combinations_at_level(code, pair, shape),
                          "division", search_radius_cap(code, beyond_johnson),
-                         j_cap, Interpolant(L, 0))
+                         j_cap,
+                         Interpolant(L, code.constants().interpolation_matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -353,4 +352,5 @@ def decode_minimal_reencoded(code: RSCode, r: Word, j_cap: int | None = None,
                          lambda shape: combinations_at_level(code, lifted, shape),
                          "division-reencoded",
                          search_radius_cap(code, beyond_johnson), j_cap,
-                         Interpolant(enc.shift.coeffs, code.n - code.k))
+                         Interpolant(enc.shift.coeffs,
+                                     code.constants().tail_matrix))

@@ -376,19 +376,19 @@ class FieldArrays:
 
     def barycentric(self, roots: np.ndarray, vanishing,
                     c: np.ndarray) -> np.ndarray:
-        """The matrix whose row j holds the coefficients, low to high, of
-        c_j * V(x) / (x - x_j), where V = prod (x - x_j) over the roots has
-        coefficients `vanishing`.
+        """The matrix whose row j holds the deg V coefficients, low to high,
+        of c_j * V(x) / (x - x_j), where the monic V with coefficients
+        `vanishing` has every x_j among its roots.
 
-        With c_j = 1 / V'(x_j) it interpolates: the values r_j at the roots
-        have the interpolant r . B, one `dot` per word.  Synthetic division
-        of V by every (x - x_j) at once runs from the top degree down: at
-        step e, u_j is c_j times the x^e coefficient of V / (x - x_j), and
-        it becomes column e.  One step per root, run once per matrix.
+        With V = prod (x - x_j) and c_j = 1 / V'(x_j) it interpolates: the
+        values r_j at the roots have the interpolant r . B, one `dot` per
+        word.  Synthetic division of V by every (x - x_j) at once runs from
+        the top degree down: at step e, u_j is c_j times the x^e coefficient
+        of V / (x - x_j), and it becomes column e.  One step per degree.
         """
         u = c
-        out = np.zeros((len(roots), len(roots)), dtype=self.dtype)
-        for e in range(len(roots) - 1, -1, -1):
+        out = np.zeros((len(roots), len(vanishing) - 1), dtype=self.dtype)
+        for e in range(len(vanishing) - 2, -1, -1):
             out[:, e] = u
             if e:  # the next quotient coefficient is v_e + x_j * this one
                 u = self.msub(roots, u, self.field.neg(vanishing[e]), c)

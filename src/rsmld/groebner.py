@@ -44,7 +44,7 @@ import numpy as np
 from .bivar import ProjectivePoint, koetter_candidates
 from .code import RSCode, Word
 from .fields import Field
-from .polys import Polynomial
+from .polys import Polynomial, vanishing_poly
 
 
 @dataclass(frozen=True)
@@ -302,31 +302,35 @@ def mgb_iterative(code: RSCode, r) -> GroebnerPair:
 # ---------------------------------------------------------------------------
 
 
-def _short_values(code: RSCode, y: Sequence[int]) -> np.ndarray:
-    """L_y's values: y_j / G(x_j) at the first n - k points, 0 at the next."""
+def _residuals(code: RSCode, y: Sequence[int]) -> np.ndarray:
+    """A re-encoded word's n - k residuals, checked, as a field array."""
     nk = code.n - code.k
     ys = [code.field.check(v) for v in y]
     if len(ys) != nk:
         raise ValueError(f"expected {nk} shifted symbols, got {len(ys)}")
-    consts = code.constants()
-    return np.append(consts.arrays.mul(consts.arrays.array(ys),
-                                       consts.head_multiplier_inverse), 0)
+    return code.constants().arrays.array(ys)
 
 
 def mgb_euclid_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
     """Unweighted minimal Groebner basis of the short module, reduced from
-    (Pi_y, 0) and (L_y, -1) on the first n - k + 1 points."""
+    (Pi_y, 0) and (L_y, -1) on the first n - k + 1 points, where
+    L_y = y . R with R the code's `short_interpolation_matrix`."""
     consts = code.constants()
     L_y = consts.arrays.trim(consts.arrays.dot(
-        _short_values(code, y), consts.short_interpolation_matrix))
+        _residuals(code, y), consts.short_interpolation_matrix))
     rows = _generator_rows(code, consts.short_vanishing, L_y)
     return _reduced_pair(code.field, rows, WeightedOrder((0, 0)))
 
 
 def mgb_iterative_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
     """Unweighted minimal Groebner basis of the short module, iteratively:
-    one anchor (x_j, L_y(x_j)) per point of the short module."""
-    anchors = [ProjectivePoint.finite(x, v) for x, v in
-               zip(code.eval_points, _short_values(code, y).tolist())]
-    rows = _koetter_rows(code.field, anchors, 0)
-    return _reduced_pair(code.field, rows, WeightedOrder((0, 0)))
+    one anchor (x_j, L_y(x_j)) per point of the short module, L_y(x_j) =
+    y_j / G(x_j) at the first n - k points with G = prod (x - x_i) over the
+    last k - 1, and 0 at the next."""
+    F, nk = code.field, code.n - code.k
+    g = vanishing_poly(F, code.eval_points[nk + 1:])
+    values = [F.div(v, g.evaluate(x)) for x, v in
+              zip(code.eval_points, _residuals(code, y).tolist())] + [0]
+    anchors = [ProjectivePoint.finite(x, v)
+               for x, v in zip(code.eval_points, values)]
+    return _reduced_pair(F, _koetter_rows(F, anchors, 0), WeightedOrder((0, 0)))

@@ -293,12 +293,15 @@ def monic_polys(field: Field, deg: int) -> Iterator[Polynomial]:
         yield Polynomial(field, base_q_digits(packed, q, deg) + [1])
 
 
-def bounded_monic_divisors(f: Polynomial, dmax: int, limit: int = 500_000) -> list[Polynomial]:
+DIVISOR_CANDIDATE_LIMIT = 500_000
+
+
+def bounded_monic_divisors(f: Polynomial, dmax: int) -> list[Polynomial]:
     """All monic divisors of f with degree <= dmax (including the constant 1).
 
     Enumerates monic candidates degree by degree with trial division, which
-    is fine at the field sizes and degree bounds this package works at; a
-    guard trips if the candidate count q^d would be unreasonable.
+    is fine at the field sizes and degree bounds this package works at; past
+    DIVISOR_CANDIDATE_LIMIT candidates it raises ValueError, dividing none.
     """
     if f.is_zero():
         raise ValueError("divisors of the zero polynomial are not enumerable")
@@ -306,10 +309,10 @@ def bounded_monic_divisors(f: Polynomial, dmax: int, limit: int = 500_000) -> li
     q = field.q
     dmax = min(dmax, f.degree())
     total = sum(q**d for d in range(1, dmax + 1))
-    if total > limit:
+    if total > DIVISOR_CANDIDATE_LIMIT:
         raise ValueError(
-            f"divisor enumeration too large ({total} candidates, limit {limit})"
-        )
+            f"divisor enumeration too large ({total} candidates, "
+            f"limit {DIVISOR_CANDIDATE_LIMIT})")
     return [Polynomial.one(field)] + [
         cand for d in range(1, dmax + 1) for cand in monic_polys(field, d)
         if cand.divides(f)]

@@ -161,6 +161,6 @@ def decode_rational(code: RSCode, r: Word, j_cap: int | None = None,
 
     out = search_levels(code, r, pair, zero_sets_of, "rational",
                         search_radius_cap(code, beyond_johnson), j_cap,
-                        Interpolant(L, 0))
+                        Interpolant(L, code.constants().interpolation_matrix))
     out.params_used = params_used
     return out

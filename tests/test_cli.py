@@ -232,16 +232,17 @@ def test_decode_dump_basis_pinned(tmp_path, capsys, word):
 
 
 def test_decode_reencode_flag(tmp_path, capsys):
+    # the re-encoded decoder is a --method; the old --reencode flag is gone
     word_file = tmp_path / "w.json"
     word_file.write_text(WORD_74)
     code, out, _ = run_cli(capsys, "decode", "--word", str(word_file),
-                           "--reencode", "--output", "json")
+                           "--method", "division-reencoded", "--output", "json")
     assert code == 0
     assert json.loads(out)["method"] == "division-reencoded"
-    code2, _, err = run_cli(capsys, "decode", "--word", str(word_file),
-                            "--reencode", "--method", "oracle")
-    assert code2 == 2
-    assert "reencode" in err
+    with pytest.raises(SystemExit) as info:
+        main(["decode", "--word", str(word_file), "--reencode"])
+    assert info.value.code == 2
+    assert "--reencode" in capsys.readouterr().err
 
 
 def test_decode_radius_cap_exit_code(tmp_path, capsys):
@@ -257,7 +258,8 @@ def test_decode_radius_cap_exit_code(tmp_path, capsys):
     assert json.loads(out2)["min_distance"] == 2
 
 
-@pytest.mark.parametrize("method", [["--method", "division"], ["--reencode"],
+@pytest.mark.parametrize("method", [["--method", "division"],
+                                    ["--method", "division-reencoded"],
                                     ["--method", "rational"]],
                          ids=["division", "reencoded", "rational"])
 def test_decode_negative_level_cap_exit_code(tmp_path, capsys, method):

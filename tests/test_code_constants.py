@@ -4,9 +4,9 @@
 and the short module's generators are checked against the scalar
 definitions they replaced: per-point Horner evaluation, and Newton
 interpolation of the tail symbols, of the whole word or of the shifted
-word.  The interpolation, tail and Vandermonde matrices and the weighted
-powers are checked entry by entry against theirs.  The cache must hold
-nothing of a word.
+word.  The interpolation, short, tail and Vandermonde matrices and the
+weighted powers are checked entry by entry against theirs.  The cache must
+hold nothing of a word.
 """
 
 import pytest
@@ -14,7 +14,7 @@ import pytest
 from rsmld.code import RSCode, Word, corrupt, random_word
 from rsmld.division import decode_minimal, decode_minimal_reencoded, reencode
 from rsmld.fields import Field
-from rsmld.groebner import _short_values, interpolation_generators
+from rsmld.groebner import interpolation_generators
 from rsmld.polys import Polynomial, lagrange_interpolate, vanishing_poly
 from rsmld.rational import decode_rational
 from rsmld.rng import XorShift64Star
@@ -49,12 +49,17 @@ def _messages(code, seed):
 
 def _lagrange_reencode(code, r):
     """Re-encoding as defined: Newton interpolation of the last k symbols,
-    residuals at the first n - k points, and G over the last k - 1 points."""
+    and the residuals at the first n - k points."""
     F, nk = code.field, code.n - code.k
     shift = lagrange_interpolate(F, code.eval_points[nk:], r.symbols[nk:])
     y = tuple(F.sub(s, shift.evaluate(x))
               for x, s in zip(code.eval_points[:nk], r.symbols[:nk]))
-    return shift, y, vanishing_poly(F, code.eval_points[nk + 1:])
+    return shift, y
+
+
+def _multiplier(code):
+    """G = prod (x - x_i) over the last k - 1 points (1 when k = 1)."""
+    return vanishing_poly(code.field, code.eval_points[code.n - code.k + 1:])
 
 
 @pytest.mark.parametrize("spec", CODES, ids=IDS)
@@ -77,25 +82,22 @@ def test_reencode_matches_lagrange(spec):
                              rng.next_u64()))
     for r in words:
         enc = reencode(code, r)
-        shift, y, multiplier = _lagrange_reencode(code, r)
+        shift, y = _lagrange_reencode(code, r)
         assert enc.shift == shift
         assert enc.y == y and all(type(v) is int for v in enc.y)
-        assert code.constants().multiplier == multiplier
-    if code.k == 1:
-        assert code.constants().multiplier == Polynomial.one(code.field)
 
 
 @pytest.mark.parametrize("spec", CODES, ids=IDS)
 def test_generators_match_lagrange(spec):
     # the remainder sequence's generators (Pi, 0), (L, -1) from the cached Pi
     # and weights, against Newton interpolation of the whole word; and the
-    # short module's Pi_y and L_y = values . short matrix, against Newton
+    # short module's Pi_y and L_y = y . short matrix, against Newton
     # interpolation of y_j / G(x_j) at the first n - k points and 0 at the
     # next one
     code = RSCode(*spec)
     F, nk = code.field, code.n - code.k
     short = code.eval_points[:nk + 1]
-    g = vanishing_poly(F, code.eval_points[nk + 1:])
+    g = _multiplier(code)
     consts = code.constants()
     arr = consts.arrays
     assert consts.short_vanishing == vanishing_poly(F, short)
@@ -106,8 +108,7 @@ def test_generators_match_lagrange(spec):
         assert gen_lag.f2 == Polynomial.constant(F, F.neg(1))
         y = reencode(code, r).y
         values = [F.div(v, g.evaluate(x)) for x, v in zip(short, y)] + [0]
-        assert _short_values(code, y).tolist() == values
-        short_lag = arr.dot(arr.array(values), consts.short_interpolation_matrix)
+        short_lag = arr.dot(arr.array(y), consts.short_interpolation_matrix)
         assert Polynomial(F, short_lag.tolist()) == \
             lagrange_interpolate(F, short, values)
 
@@ -157,10 +158,16 @@ def test_matrices_match_scalar_definitions(spec):
     F, pts, nk = code.field, code.eval_points, code.n - code.k
     consts = code.constants()
     for matrix, points in ((consts.interpolation_matrix, pts),
-                           (consts.short_interpolation_matrix, pts[:nk + 1]),
                            (consts.tail_matrix, pts[nk:])):
         assert matrix.shape == (len(points), len(points))
         assert matrix.tolist() == _scalar_interpolator(F, points)
+    # the short module's rows at the first n - k points, each times 1 / G(x_j)
+    g = _multiplier(code)
+    short_rows = _scalar_interpolator(F, pts[:nk + 1])[:nk]
+    assert consts.short_interpolation_matrix.shape == (nk, nk + 1)
+    assert consts.short_interpolation_matrix.tolist() == \
+        [[F.div(c, g.evaluate(x)) for c in row]
+         for x, row in zip(pts, short_rows)]
     assert consts.vandermonde.shape == (code.k, code.n)
     assert consts.vandermonde.tolist() == \
         [[F.pow(x, e) for x in pts] for e in range(code.k)]
@@ -214,10 +221,9 @@ def test_cache_leaves_equality_and_hash_alone():
     code = RSCode(Field(2, 4), 15, 5)
     before = hash(code)
     consts = code.constants()
-    for name in ("points", "vanishing", "multiplier", "short_vanishing",
-                 "head_multiplier_inverse", "interpolation_matrix",
-                 "short_interpolation_matrix", "tail_matrix", "vandermonde",
-                 "weighted_powers"):
+    for name in ("points", "vanishing", "short_vanishing",
+                 "interpolation_matrix", "short_interpolation_matrix",
+                 "tail_matrix", "vandermonde", "weighted_powers"):
         value = getattr(consts, name)
         if not isinstance(value, Polynomial):  # shared by every word
             assert not value.flags.writeable, name
@@ -234,8 +240,4 @@ def test_constants_are_the_code_polynomials():
     F, pts, nk = code.field, code.eval_points, code.n - code.k
     consts = code.constants()
     assert consts.vanishing == vanishing_poly(F, pts)
-    assert consts.multiplier == vanishing_poly(F, pts[nk + 1:])
     assert consts.short_vanishing == vanishing_poly(F, pts[:nk + 1])
-    for i, xi in enumerate(pts[:nk]):
-        g = consts.multiplier.evaluate(xi)
-        assert int(consts.head_multiplier_inverse[i]) == F.inv(g)

@@ -43,8 +43,9 @@ CHECK_CODES = {
 
 def interpolants(code, r):
     """Both bases of the check: L on all points and the re-encoding shift."""
-    return [Interpolant(interpolant(code, r), 0),
-            Interpolant(reencode(code, r).shift.coeffs, code.n - code.k)]
+    consts = code.constants()
+    return [Interpolant(interpolant(code, r), consts.interpolation_matrix),
+            Interpolant(reencode(code, r).shift.coeffs, consts.tail_matrix)]
 
 
 @pytest.mark.parametrize("name", CHECK_CODES)

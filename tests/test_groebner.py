@@ -292,11 +292,13 @@ def test_order_of_decoder():
 
 
 def test_reencoding_multiplier_splits_vanishing():
+    # Pi = Pi_y * G, with G over the last k - 1 points: the identity that
+    # lets the short module's matrix carry the 1 / G(x_j)
     code = RSCode(F7, 7, 5)
-    g = code.constants().multiplier
+    consts = code.constants()
+    g = vanishing_poly(F7, code.eval_points[code.n - code.k + 1:])
     assert g.degree() == code.k - 1
-    pi_short = vanishing_poly(F7, code.eval_points[:code.n - code.k + 1])
-    assert pi_short * g == vanishing_poly(F7, code.eval_points)
+    assert consts.short_vanishing * g == consts.vanishing
 
 
 def test_reencoded_generators_satisfy_short_constraints():

@@ -24,7 +24,7 @@ from rsmld.division import (CandidateCheck, RadiusCapExceeded, combine,
                             search_radius_cap)
 from rsmld.fields import Field
 from rsmld.groebner import ModuleVector
-from rsmld.polys import Polynomial, monic_polys
+from rsmld.polys import Polynomial, monic_polys, vanishing_poly
 from rsmld.rational import decode_rational
 
 FIELDS = [Field(5), Field(7), Field(2, 2), Field(2, 3), Field(2, 3, 0b1101)]
@@ -99,7 +99,7 @@ def reference_lift(code, r, method):
     added back."""
     if method != "division-reencoded":
         return extract_message
-    G = code.constants().multiplier
+    G = vanishing_poly(code.field, code.eval_points[code.n - code.k + 1:])
     shift = reencode(code, r).shift
 
     def lift(f):

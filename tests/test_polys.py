@@ -172,6 +172,19 @@ def test_bounded_monic_divisors_zero_and_cap():
     assert bounded_monic_divisors(f, 9) == bounded_monic_divisors(f, 2)
 
 
+def test_bounded_monic_divisors_refuses_past_the_limit(monkeypatch):
+    # degree 7 over GF(7) with dmax = 7: 7 + 7^2 + ... + 7^7 = 960 799
+    # candidates, past the limit, so it refuses before any trial division
+    def no_division(*args):
+        raise AssertionError("trial division ran")
+
+    monkeypatch.setattr(Polynomial, "divides", no_division)
+    f = P(1, 2, 3, 4, 5, 6, 0, 1)
+    with pytest.raises(ValueError,
+                       match="960799 candidates, limit 500000"):
+        bounded_monic_divisors(f, 7)
+
+
 coeff_lists = st.lists(st.integers(0, 6), max_size=6)
 
 
