@@ -179,25 +179,32 @@ class CodeConstants:
 
     * `interpolation_matrix` (n x n): row j holds w_j * Pi / (x - x_j) with
       w_j = 1 / Pi'(x_j), so a word r has Lagrange interpolant L = r . B;
+      only `mgb_euclid` reads it (`--dump-basis`, `rsmld repro`, tests);
     * `short_interpolation_matrix` ((n - k) x (n - k + 1)): the rows
       w_j * Pi_y / (x - x_j) at the first n - k points, for the re-encoded
       L_y = y . R;
     * `tail_matrix` (k x k): the same over the tail, the last k points,
-      with G_t = prod (x - x_j) there; the re-encoding shift is r_tail . T;
+      with G_t = prod (x - x_j) there; the re-encoding shift is r_tail . T,
+      from which every decoder's candidate check reads its messages;
     * `vandermonde` (k x n): x_i^e in row e, so a message m of length
       <= k encodes as m . V[:len m], and the shift's values at the first
       n - k points are shift . V[:, :n - k];
     * `weighted_powers` (n x (n - k)): v_i * x_i^j in row i, column j,
       with v_i = 1 / Pi'(x_i).  It is H^T, the transposed parity-check
       matrix: a word r has syndromes S = r . H^T, all zero exactly on
-      codewords.
+      codewords; they give the division and rational decoders their basis.
 
-    Memory: the five matrices hold n^2 + (n - k)(n - k + 1) + k^2 + kn
-    + (n - k)n elements, 8 bytes each as int64 (Python ints past that).
-    That is 1.45 MB at (255, 223), of which the weighted powers are 65 KB,
-    25 MB at (1023, 991) and 400 MB at (4095, 4063), where a prototype
-    decoded a word no faster with the matrices than with a numpy step per
-    point.
+    The division and rational decoders build the tail matrix and the
+    weighted powers; the re-encoded decoder also the short matrix and the
+    Vandermonde matrix; encoding builds the Vandermonde matrix.
+
+    Memory, 8 bytes per element as int64 (Python ints past that): the
+    division and rational decoders' k^2 + (n - k)n elements are 0.46 MB at
+    (255, 223), 8.1 MB at (1023, 991) and 133 MB at (4095, 4063); the
+    re-encoded decoder's, with (n - k)(n - k + 1) + kn more, 0.93, 16 and
+    266 MB; all five matrices, with the n^2 of the interpolation matrix,
+    1.45, 25 and 400 MB.  At (4095, 4063) a prototype decoded a word no
+    faster with the matrices than with a numpy step per point.
     """
 
     def __init__(self, code: RSCode):

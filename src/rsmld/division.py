@@ -19,8 +19,13 @@ points.  Since f2 = a*g1.f2 + b*g2.f2, it vanishes at x_i exactly when
 the n points, for every a and every monic b of the level, and one broadcast
 comparison gives every pair's zero count; the Z of each pair with at least
 t zeros goes to the candidate check, which never sees f2, f1 or the pair.
-The re-encoded path meets the same condition, since its lifted (G*f1, f2)
-lies in the module of r - shift, whose errors are those of r.
+The search reads only the ell's and the second components g1.f2, g2.f2.
+The division and rational decoders take them from r's syndromes
+(`groebner.syndrome_pair`): the same ell's and g1.f2 as M(r)'s basis, and
+a g2.f2 that may differ by c*g1.f2, deg c <= ell2 - ell1.  So their pair
+(a, b) has the f2 of M(r)'s pair (a + b*c, b) of the same level, a
+one-to-one map, and each level yields the same zero sets.  The re-encoded path meets the same condition, since its lifted
+(G*f1, f2) lies in the module of r - shift, whose errors are those of r.
 
 Three facts make the search exact.  The degrees come from the basis: g2
 leads in position 2, so deg(b*g2.f2) = j + ell2 - k + 1 = t for b monic of
@@ -53,13 +58,13 @@ ell2 + j, so deg f1 <= t + k - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .code import DecodeOutcome, RSCode, Word, hamming_distance
-from .groebner import (GroebnerPair, ModuleVector, interpolant, mgb_euclid,
-                       mgb_euclid_reencoded)
+from .groebner import (GroebnerPair, ModuleVector, mgb_euclid_reencoded,
+                       syndrome_pair)
 # looked up here by the benchmark's tracer; nothing in this module calls them
 from .groebner import mgb_iterative, mgb_iterative_reencoded  # noqa: F401
 from .polys import Polynomial, vanishing_poly
@@ -165,19 +170,14 @@ def combinations_at_level(code: RSCode, pair: GroebnerPair,
 
 def combine(pair: GroebnerPair, a: Polynomial, b: Polynomial) -> ModuleVector:
     """The combination a*g1 + b*g2; the search never builds it (see
-    `CandidateCheck`), the tests and the benchmark's tracer look it up."""
+    `CandidateCheck`), the tests and the benchmark's tracer look it up.
+
+    Its first component is M(r)'s only on M(r)'s basis (`mgb_euclid` or
+    `mgb_iterative`): the decoders' pairs carry the key equation's omega
+    (`syndrome_pair`), or the short module's f1, in their first
+    components.  The second component is right on every pair."""
     return ModuleVector(a * pair.g1.f1 + b * pair.g2.f1,
                         a * pair.g1.f2 + b * pair.g2.f2)
-
-
-class Interpolant(NamedTuple):
-    """A word's interpolant on its last len(matrix) points, as coefficients
-    low to high, and the matrix that interpolates it: L on all n points with
-    `CodeConstants.interpolation_matrix`, or the re-encoding shift on the
-    last k with `tail_matrix`."""
-
-    coeffs: np.ndarray | Sequence[int]
-    matrix: np.ndarray
 
 
 class CandidateCheck:
@@ -188,8 +188,9 @@ class CandidateCheck:
 
     Z is erased.  Every product runs on the rows v_i * x_i^j of H^T,
     `CodeConstants.weighted_powers`, v_i = 1 / Pi'(x_i), which give the
-    syndromes S = r . H^T once per word, when the first set gets that
-    far.  An error e on Z has S_j = sum_Z u_i x_i^j with u_i = v_i e_i,
+    syndromes S = r . H^T once per word, as the check is made; the
+    decoders build their basis from them too (`groebner.syndrome_pair`).
+    An error e on Z has S_j = sum_Z u_i x_i^j with u_i = v_i e_i,
     and with the locator P = prod_Z (x - x_i) the first t syndromes give
 
         u_i = W(x_i) / P'(x_i),   W_d = sum_j S_j P_(j + d + 1)
@@ -198,25 +199,17 @@ class CandidateCheck:
     point x_i = 0 needs no care).  Z's rows give v_i W(x_i) and
     v_i P'(x_i), so e_i = u_i / v_i.  The other n - k - t syndromes must
     agree, e_Z . H^T[Z] = S: r less e is then a codeword, and it must
-    differ from r at every point of Z.  The message is its interpolant:
-    r's `interpolant` less that of the errors it covers, one row of its
-    matrix per error."""
+    differ from r at every point of Z.  The message is that codeword's
+    interpolant on the last k points: r's re-encoding shift r_tail . T
+    (`reencode`), less e . T at the rows of the errors among those points,
+    with T the code's `tail_matrix`."""
 
-    def __init__(self, code: RSCode, r: Word, interpolant: Interpolant):
-        self.code, self.r, self.rows = code, r, interpolant.matrix
-        self.start = code.n - len(self.rows)
-        self.arr = code.constants().arrays
+    def __init__(self, code: RSCode, r: Word):
+        consts = code.constants()
+        self.code, self.r, self.arr = code, r, consts.arrays
         self.symbols = self.arr.array(r.symbols)
-        self.base = np.zeros(self.rows.shape[1], dtype=self.arr.dtype)
-        self.base[:len(interpolant.coeffs)] = interpolant.coeffs
-        self._syndromes: np.ndarray | None = None
-
-    def syndromes(self) -> np.ndarray:
-        """S = r . H^T, computed on first use."""
-        if self._syndromes is None:
-            self._syndromes = self.arr.dot(
-                self.symbols, self.code.constants().weighted_powers)
-        return self._syndromes
+        self.syndromes = self.arr.dot(self.symbols, consts.weighted_powers)
+        self.shift = _shift(code, self.symbols)
 
     def __call__(self, zeros: np.ndarray, t: int) -> Polynomial | None:
         if len(zeros) != t:
@@ -228,16 +221,17 @@ class CandidateCheck:
         h_z = consts.weighted_powers[zeros]
         locator = vanishing_poly(code.field, consts.points[zeros].tolist())
         e = self._erasure_values(arr.array(locator.coeffs), h_z, t)
-        if (arr.dot(e, h_z) != self.syndromes()).any():
+        if (arr.dot(e, h_z) != self.syndromes).any():
             return None
         c = self.symbols.copy()
         c[zeros] = arr.sub(c[zeros], e)
         if hamming_distance(c.tolist(), self.r) != t:
             return None
-        covered = zeros >= self.start
-        m = arr.sub(self.base, arr.dot(e[covered],
-                                       self.rows[zeros[covered] - self.start]))
-        return Polynomial(code.field, m[:code.k].tolist())
+        nk = code.n - code.k
+        covered = zeros >= nk
+        m = arr.sub(self.shift, arr.dot(e[covered],
+                                        consts.tail_matrix[zeros[covered] - nk]))
+        return Polynomial(code.field, m.tolist())
 
     def _erasure_values(self, locator: np.ndarray, h_z: np.ndarray,
                         t: int) -> np.ndarray:
@@ -250,16 +244,15 @@ class CandidateCheck:
         hankel = np.zeros(2 * t, dtype=arr.dtype)
         hankel[:t] = locator[1:]
         steps = np.arange(t)
-        w = arr.dot(self.syndromes()[:t], hankel[steps[:, None] + steps])
+        w = arr.dot(self.syndromes[:t], hankel[steps[:, None] + steps])
         dp = arr.mul(np.arange(1, t + 1) % p, locator[1:])
         num, den = arr.dot(np.stack([w, dp]), h_z[:, :t].T)
         return arr.mul(num, arr.inv(arr.mul(den, h_z[:, 0])))
 
 
-def search_levels(code: RSCode, r: Word, pair: GroebnerPair,
+def search_levels(check: CandidateCheck, pair: GroebnerPair,
                   zero_sets_of: Callable[[LevelShape], Iterable[np.ndarray]],
-                  method: str, t_cap: int, j_cap: int | None,
-                  interpolant: Interpolant) -> DecodeOutcome:
+                  method: str, t_cap: int, j_cap: int | None) -> DecodeOutcome:
     """The level loop of every decoder: report the first level with any
     valid message.
 
@@ -267,10 +260,9 @@ def search_levels(code: RSCode, r: Word, pair: GroebnerPair,
     the f2 of the pairs to test at a level, with deg a <= shape.a_max_deg
     and deg b <= shape.b_deg: the zero-count filtered
     `combinations_at_level`, or the few pairs of a rational fit.  Each set
-    goes through the `CandidateCheck` of r and its `interpolant`, which
-    keeps the messages at exactly the level's distance from r."""
-    check = CandidateCheck(code, r, interpolant)
-    for shape in level_shapes(pair, code.k, t_cap, j_cap):
+    goes through the word's `check`, which keeps the messages at exactly
+    the level's distance from r."""
+    for shape in level_shapes(pair, check.code.k, t_cap, j_cap):
         found: dict[tuple[int, ...], Polynomial] = {}
         for zeros in zero_sets_of(shape):
             m = check(zeros, shape.t)
@@ -294,13 +286,12 @@ def search_radius_cap(code: RSCode, beyond_johnson: bool) -> int:
 def decode_minimal(code: RSCode, r: Word, j_cap: int | None = None,
                    beyond_johnson: bool = False) -> DecodeOutcome:
     """Exact minimum distance and complete message list for word r."""
-    L = interpolant(code, r)
-    pair = mgb_euclid(code, r, L)
-    return search_levels(code, r, pair,
+    check = CandidateCheck(code, r)
+    pair = syndrome_pair(code, check.syndromes)
+    return search_levels(check, pair,
                          lambda shape: combinations_at_level(code, pair, shape),
                          "division", search_radius_cap(code, beyond_johnson),
-                         j_cap,
-                         Interpolant(L, code.constants().interpolation_matrix))
+                         j_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +308,36 @@ class Reencoding:
     y: tuple[int, ...]      # r_i - shift(x_i) for the first n - k points
 
 
+def _shift(code: RSCode, symbols: np.ndarray) -> np.ndarray:
+    """The k coefficients, low to high, of the interpolant of the symbols
+    on the last k points: r_tail . T, with the tail interpolation matrix
+    T."""
+    consts = code.constants()
+    return consts.arrays.dot(symbols[code.n - code.k:], consts.tail_matrix)
+
+
+def _residuals(code: RSCode, symbols: np.ndarray,
+               shift: np.ndarray) -> tuple[int, ...]:
+    """y_i = r_i - shift(x_i) at the first n - k points: the shift's
+    values there are shift . V[:, :n - k], with the Vandermonde matrix V."""
+    consts = code.constants()
+    arr, nk = consts.arrays, code.n - code.k
+    return tuple(arr.sub(symbols[:nk], arr.dot(
+        shift, consts.vandermonde[:, :nk])).tolist())
+
+
 def reencode(code: RSCode, r: Word) -> Reencoding:
     """Split r as shift + y, with the shift interpolating r on the last k
     points.
 
     Both maps come from `code.constants()`, so a word costs two matrix
-    products: the shift's coefficients are r_tail . T, with the tail
-    interpolation matrix T, and its values at the first n - k points are
-    shift . V[:, :n - k], with the Vandermonde matrix V.
+    products, `_shift` and `_residuals`; the candidate check computes the
+    first, and the re-encoded decoder reads it there.
     """
-    consts = code.constants()
-    arr = consts.arrays
-    nk = code.n - code.k
-    syms = arr.array(r.symbols)
-    shift = arr.dot(syms[nk:], consts.tail_matrix)
-    y = arr.sub(syms[:nk], arr.dot(shift, consts.vandermonde[:, :nk]))
-    return Reencoding(Polynomial(code.field, shift.tolist()), tuple(y.tolist()))
+    symbols = code.constants().arrays.array(r.symbols)
+    shift = _shift(code, symbols)
+    return Reencoding(Polynomial(code.field, shift.tolist()),
+                      _residuals(code, symbols, shift))
 
 
 def decode_minimal_reencoded(code: RSCode, r: Word, j_cap: int | None = None,
@@ -343,14 +348,13 @@ def decode_minimal_reencoded(code: RSCode, r: Word, j_cap: int | None = None,
     multiplying first components with G; the second components, which the
     candidate check reads, stay as they are, and r - shift has the errors
     of r."""
-    enc = reencode(code, r)
-    short = mgb_euclid_reencoded(code, enc.y)
+    check = CandidateCheck(code, r)
+    short = mgb_euclid_reencoded(
+        code, _residuals(code, check.symbols, check.shift))
     # Lift the weighted degrees: each first component gains deg G = k - 1.
     lifted = GroebnerPair(short.g1, short.g2, short.ell1 + code.k - 1,
                           short.ell2 + code.k - 1, short.order)
-    return search_levels(code, r, lifted,
+    return search_levels(check, lifted,
                          lambda shape: combinations_at_level(code, lifted, shape),
                          "division-reencoded",
-                         search_radius_cap(code, beyond_johnson), j_cap,
-                         Interpolant(enc.shift.coeffs,
-                                     code.constants().tail_matrix))
+                         search_radius_cap(code, beyond_johnson), j_cap)

@@ -279,6 +279,10 @@ class Field:
         return self._arrays
 
 
+# Elements of one int64 temporary of a GF(2^m) `FieldArrays.dot`: 64 KB.
+DOT_CHUNK = 1 << 13
+
+
 class FieldArrays:
     """Field arithmetic on integer numpy arrays of canonical elements.
 
@@ -343,10 +347,22 @@ class FieldArrays:
         return (a * x - b * y) % self.p
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product over the field: a's last axis against b's first."""
+        """Matrix product over the field: a's last axis against b's first.
+
+        GF(2^m) gathers every product term from the antilog table and sums
+        them with XOR, a chunk of b's rows at a time, so that each int64
+        temporary stays near DOT_CHUNK elements.  That is below glibc's
+        default mmap threshold (128 KB): the allocator reuses heap memory
+        instead of mapping, and faulting in, fresh pages on every call."""
         if self.binary:
-            terms = self._exp[self._log[a][..., :, None] + self._log[b]]
-            return np.bitwise_xor.reduce(terms, axis=-2)
+            log_a = self._log[a]
+            out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=self.dtype)
+            rows = max(1, DOT_CHUNK // max(1, out.size))
+            for lo in range(0, len(b), rows):
+                terms = self._exp[log_a[..., lo:lo + rows, None]
+                                  + self._log[b[lo:lo + rows]]]
+                out ^= np.bitwise_xor.reduce(terms, axis=-2)
+            return out
         p = self.p
         if self.dtype == object or a.shape[-1] * (p - 1) ** 2 < 2**63:
             return a @ b % p

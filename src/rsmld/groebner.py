@@ -6,23 +6,44 @@ A received word r for an (n, k) Reed-Solomon code determines the module
          = span{(Pi, 0), (L, -1)}
 
 where Pi is the vanishing polynomial of the evaluation points and L is the
-Lagrange interpolant of r.  The decoders consume a minimal Groebner basis
-{g1, g2} of M(r) under the (0, k-1)-weighted term-over-position order; the
-weighted degrees ell1, ell2 of the two elements sum to n + k - 1 and the
-leading positions are 1 and 2 respectively (either degree may be the larger
-one).
+Lagrange interpolant of r.  The decoders search over a minimal Groebner
+basis {g1, g2} of M(r) under the (0, k-1)-weighted term-over-position
+order; the weighted degrees ell1, ell2 of the two elements sum to
+n + k - 1 and the leading positions are 1 and 2 respectively (either
+degree may be the larger one).
 
-Two constructions are provided: a reduction of the generators (Pi, 0),
-(L, -1), which the decoders use, and a point-by-point iteration, its test
-reference, plus re-encoded variants of both over a shifted word's n - k + 1
-points (unweighted order), lifted by the caller.  The iteration is Koetter's
-update (`bivar.koetter_candidates`) at multiplicity s = 1 and z-degree
-M = 1: Q = f1(x) + z*f2(x) passes through (x_i, r_i) exactly when (f1, f2)
-lies in M(r), and the two final candidates, led by z^0 and z^1 under
-(1, k-1) weights, are a minimal Groebner basis under the (0, k-1) order
-(McEliece, IPN PR 42-153, 2003; Lee & O'Sullivan, JSC 43, 2008).
+Two constructions of M(r)'s basis are provided: a reduction of the
+generators (Pi, 0), (L, -1), the paper's, and a point-by-point iteration,
+its test reference, plus re-encoded variants of both over a shifted word's
+n - k + 1 points (unweighted order), lifted by the caller.
 
-All four hand their two rows (f1, f2), trimmed coefficient arrays, to one
+The decoders read only the ell's and the second components g1.f2, g2.f2,
+and those follow from the n - k syndromes S = r . H^T alone, with no
+interpolant: the division and rational decoders take them from
+`syndrome_pair`.  For (f1, f2) in M(r) of weighted degree
+ell, sum_i v_i x_i^j f1(x_i) = 0 for j <= n - 2 - ell, with
+v_i = 1 / Pi'(x_i), and f1(x_i) = -r_i f2(x_i); so sum_l f2_l S_(j+l) = 0,
+and f2 lies in the key-equation module
+
+    N = {(omega, f2) : omega = f2 * S~ mod x^(n-k)},
+    S~ = sum_j S_j x^(n-k-1-j),
+
+with deg omega = deg f1 - k and lc omega = -lc f1 (Fitzpatrick, "On the
+key equation", IEEE T-IT 41(5), 1995).  Under the (1, 0)-weighted order
+N's reduced basis, from (x^(n-k), 0) and (S~, 1), has M(r)'s ell's less
+k - 1 and M(r)'s g1.f2 up to sign.  Its g2.f2 may be M(r)'s plus c * g1.f2
+with deg c <= ell2 - ell1, since omega's low coefficients are not f1's:
+a level's pairs (a, b), deg a <= ell2 - ell1 + j, then have the same
+f2's, as a + b*c runs over the same a's.
+
+The iteration is Koetter's update (`bivar.koetter_candidates`) at
+multiplicity s = 1 and z-degree M = 1: Q = f1(x) + z*f2(x) passes through
+(x_i, r_i) exactly when (f1, f2) lies in M(r), and the two final
+candidates, led by z^0 and z^1 under (1, k-1) weights, are a minimal
+Groebner basis under the (0, k-1) order (McEliece, IPN PR 42-153, 2003;
+Lee & O'Sullivan, JSC 43, 2008).
+
+All five hand their two rows (f1, f2), trimmed coefficient arrays, to one
 reduction built on one row operation: subtract c * x^s times one row from
 the other so that a chosen top coefficient cancels (Mulders & Storjohann,
 JSC 35, 2003).  While both rows lead in the same position it cancels the
@@ -30,8 +51,8 @@ higher lead; on (Pi, 0), (L, -1) that is the Euclidean remainder sequence
 on (Pi, L), one quotient term at a time, and Koetter's rows, a minimal
 basis already, need no such step.  The same operation then inter-reduces
 the monic rows into the unique reduced basis (each element fully reduced by
-the other), so the different constructions return identical objects; only
-that final pair is built as `Polynomial`s.
+the other), so the constructions of one module return identical objects;
+only that final pair is built as `Polynomial`s.
 """
 
 from __future__ import annotations
@@ -269,14 +290,36 @@ def interpolation_generators(code: RSCode, r) -> tuple[ModuleVector, ModuleVecto
     return tuple(_vector(code.field, row) for row in rows)
 
 
-def mgb_euclid(code: RSCode, r, L: np.ndarray | None = None) -> GroebnerPair:
+def mgb_euclid(code: RSCode, r) -> GroebnerPair:
     """Minimal Groebner basis of M(r), reduced from the generators (Pi, 0),
-    (L, -1) (the Euclidean remainder sequence, one quotient term at a time);
-    L is r's `interpolant`, when the caller has it already."""
-    if L is None:
-        L = interpolant(code, r)
-    rows = _generator_rows(code, code.constants().vanishing, L)
+    (L, -1) (the Euclidean remainder sequence, one quotient term at a
+    time)."""
+    rows = _generator_rows(code, code.constants().vanishing,
+                           interpolant(code, r))
     return _reduced_pair(code.field, rows, decoder_order(code))
+
+
+def syndrome_pair(code: RSCode, syndromes: np.ndarray) -> GroebnerPair:
+    """The ell's and second components of M(r)'s basis, from r's n - k
+    syndromes S = r . H^T alone (the key-equation module).
+
+    The basis is reduced from (x^(n-k), 0) and (S~, 1), with
+    S~ = sum_j S_j x^(n-k-1-j), under the (1, 0)-weighted order; each ell
+    is its row's weighted degree plus k - 1, and g1 is negated, so that
+    g1.f2 is M(r)'s.  The first components are the omegas of the key
+    equation, not M(r)'s f1, so `combine` does not apply to this pair.
+    g2.f2 may differ from `mgb_euclid`'s by c * g1.f2 with
+    deg c <= ell2 - ell1, which maps each level's pairs (a, b) onto
+    themselves (see the module docstring)."""
+    arr, nk = code.constants().arrays, code.n - code.k
+    power = np.zeros(nk + 1, dtype=arr.dtype)
+    power[nk] = 1
+    rows = [(power, arr.array([])),
+            (arr.trim(syndromes[::-1]), arr.array([1]))]
+    pair = _reduced_pair(code.field, rows, WeightedOrder((1, 0)))
+    g1 = ModuleVector(-pair.g1.f1, -pair.g1.f2)
+    return GroebnerPair(g1, pair.g2, pair.ell1 + code.k - 1,
+                        pair.ell2 + code.k - 1, pair.order)
 
 
 def _koetter_rows(field: Field, anchors: list[ProjectivePoint],

@@ -24,9 +24,9 @@ import numpy as np
 from . import division
 from .bivar import BivariatePolynomial, ProjectivePoint, koetter_interpolate
 from .code import DecodeOutcome, RSCode, Word
-from .division import (Interpolant, LevelShape, search_levels,
+from .division import (CandidateCheck, LevelShape, search_levels,
                        search_radius_cap)
-from .groebner import GroebnerPair, interpolant, mgb_euclid
+from .groebner import GroebnerPair, syndrome_pair
 # looked up here by the benchmark's tracer; nothing in this module calls them
 from .code import hamming_distance  # noqa: F401
 from .division import combine, extract_message  # noqa: F401
@@ -147,8 +147,8 @@ def decode_rational(code: RSCode, r: Word, j_cap: int | None = None,
     handled by curve fitting; with `beyond_johnson` they run the direct
     enumeration instead (the search then always terminates by the covering
     radius bound n - k)."""
-    L = interpolant(code, r)
-    pair = mgb_euclid(code, r, L)
+    check = CandidateCheck(code, r)
+    pair = syndrome_pair(code, check.syndromes)
     fit_max = code.johnson_radius_max()
     params_used: list[InterpParams] = []
 
@@ -159,8 +159,7 @@ def decode_rational(code: RSCode, r: Word, j_cap: int | None = None,
         params_used.append(params)
         return zero_sets
 
-    out = search_levels(code, r, pair, zero_sets_of, "rational",
-                        search_radius_cap(code, beyond_johnson), j_cap,
-                        Interpolant(L, code.constants().interpolation_matrix))
+    out = search_levels(check, pair, zero_sets_of, "rational",
+                        search_radius_cap(code, beyond_johnson), j_cap)
     out.params_used = params_used
     return out

@@ -5,8 +5,9 @@ and the short module's generators are checked against the scalar
 definitions they replaced: per-point Horner evaluation, and Newton
 interpolation of the tail symbols, of the whole word or of the shifted
 word.  The interpolation, short, tail and Vandermonde matrices and the
-weighted powers are checked entry by entry against theirs.  The cache must
-hold nothing of a word.
+weighted powers are checked entry by entry against theirs, and the
+decoders' basis from the syndromes against `mgb_euclid`'s.  The cache
+must hold nothing of a word.
 """
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from rsmld.code import RSCode, Word, corrupt, random_word
 from rsmld.division import decode_minimal, decode_minimal_reencoded, reencode
 from rsmld.fields import Field
-from rsmld.groebner import interpolation_generators
+from rsmld.groebner import interpolation_generators, mgb_euclid, syndrome_pair
 from rsmld.polys import Polynomial, lagrange_interpolate, vanishing_poly
 from rsmld.rational import decode_rational
 from rsmld.rng import XorShift64Star
@@ -198,17 +199,50 @@ def test_syndromes_vanish_exactly_on_codewords(spec):
             assert arr.dot(arr.array(r.symbols), parity).any()
 
 
+@pytest.mark.parametrize("spec", CODES, ids=IDS)
+def test_syndrome_pair_matches_mgb_euclid(spec):
+    # the decoders' pair from S = r . H^T: ell1, ell2 and g1.f2 are
+    # mgb_euclid's, and g2.f2 is mgb_euclid's plus c * g1.f2 with
+    # deg c <= ell2 - ell1; on codewords, random words and corrupted ones
+    code = RSCode(*spec)
+    consts = code.constants()
+    arr = consts.arrays
+    rng = XorShift64Star(code.n + 2)
+    words = [random_word(code, seed) for seed in (1, 2, 3)]
+    for coeffs in _messages(code, code.n + 2):
+        w = code.encode(coeffs)
+        words.append(w)
+        words += [corrupt(w, weight, rng.next_u64())
+                  for weight in {1, (code.n - code.k + 1) // 2,
+                                 code.n - code.k, code.n}]
+    for r in words:
+        pair = syndrome_pair(code, arr.dot(arr.array(r.symbols),
+                                           consts.weighted_powers))
+        full = mgb_euclid(code, r)
+        assert (pair.ell1, pair.ell2) == (full.ell1, full.ell2)
+        assert pair.g1.f2 == full.g1.f2
+        diff = pair.g2.f2 - full.g2.f2
+        if full.g1.f2.is_zero():  # r is a codeword: g2.f2 = 1
+            assert diff.is_zero()
+            continue
+        c, rest = divmod(diff, full.g1.f2)
+        assert rest.is_zero()
+        assert c.is_zero() or c.degree() <= pair.ell2 - pair.ell1
+
+
 def test_decoders_build_only_the_matrices_they_use():
     # cached_property keeps a built attribute in the instance __dict__; the
     # word is made on another code, so that its encoding builds nothing here
     source = RSCode(Field(2, 8), 255, 223)
     r = corrupt(source.encode([1, 2, 3]), 16, seed=4)
-    code = RSCode(Field(2, 8), 255, 223)
-    decode_minimal(code, Word(code, r.symbols))
-    built = vars(code.constants())
-    assert "interpolation_matrix" in built and "weighted_powers" in built
-    assert "tail_matrix" not in built and "vandermonde" not in built
-    assert "short_interpolation_matrix" not in built
+    for decode in (decode_minimal, decode_rational):
+        code = RSCode(Field(2, 8), 255, 223)
+        decode(code, Word(code, r.symbols))
+        built = vars(code.constants())
+        assert "weighted_powers" in built and "tail_matrix" in built
+        assert "interpolation_matrix" not in built
+        assert "vandermonde" not in built
+        assert "short_interpolation_matrix" not in built
     fresh = RSCode(Field(2, 8), 255, 223)
     decode_minimal_reencoded(fresh, Word(fresh, r.symbols))
     built = vars(fresh.constants())

@@ -1,11 +1,13 @@
 from math import prod
 from time import perf_counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rsmld.code import RSCode, Word
-from rsmld.fields import Field, FieldMismatch, _is_prime, parse_field
+from rsmld.fields import (DOT_CHUNK, Field, FieldMismatch, _is_prime,
+                          parse_field)
 from rsmld.polys import Polynomial, base_q_digits
 from rsmld.rng import XorShift64Star
 
@@ -191,6 +193,37 @@ def test_array_dot_matches_scalar_sums(field):
                    if field.m == 1 else _gf2_dot(field, row, b[:, j].tolist())
                    for j in range(b_shape[1])] for row in flat_a]
         assert got.reshape(len(flat_a), b_shape[1]).tolist() == expect
+
+
+@pytest.mark.parametrize("field", [Field(2, 8), Field(2, 16)])
+def test_binary_dot_in_row_chunks(field):
+    # the unchunked formula: every product term gathered at once, summed
+    # with XOR over the contraction axis; the row chunks of b must not show
+    A = field.arrays()
+    rng = XorShift64Star(field.m)
+
+    def draw(*shape):
+        return A.array([rng.below(field.q) for _ in range(prod(shape))]
+                       ).reshape(shape)
+
+    def unchunked(a, b):
+        return np.bitwise_xor.reduce(
+            A._exp[A._log[a][..., :, None] + A._log[b]], axis=-2)
+
+    wide = DOT_CHUNK + 5     # one row of b per chunk, past the chunk size
+    cases = [((0,), (0, 7)), ((3, 0), (0, 7)), ((0,), (0, wide)),
+             ((3 * DOT_CHUNK // 64,), (3 * DOT_CHUNK // 64, 64)),
+             ((4, 300), (300, 50)), ((2, 3, 70), (70, 90)), ((3,), (3, wide))]
+    for a_shape, b_shape in cases:
+        a, b = draw(*a_shape), draw(*b_shape)
+        rows = max(1, DOT_CHUNK // prod(a_shape[:-1] + b_shape[1:]))
+        assert a_shape[-1] == 0 or a_shape[-1] > rows, "one chunk only"
+        got = A.dot(a, b)
+        assert got.shape == a_shape[:-1] + b_shape[1:] and got.dtype == A.dtype
+        assert (got == unchunked(a, b)).all(), (a_shape, b_shape)
+    # the zero message encodes as the zero word
+    code = RSCode(field, 40, 9)
+    assert code.encode([]).symbols == (0,) * 40
 
 
 def _gf2_dot(field, xs, ys):

@@ -7,7 +7,10 @@ The exhaustive search is kept here as the reference: the level loop with
 every coprime pair of every level sent to the exact test, which divides f1
 by f2, encodes the quotient and counts its distance from r.  Every
 decoder's `search_levels` call is also run as that loop, and the outcomes
-must match exactly.
+must match exactly.  The division and rational decoders' pair comes from
+the syndromes and carries no f1 of M(r), so the exact test combines
+`mgb_euclid`'s basis instead, which has the same ell's and, level by level,
+the same f2's.
 """
 
 from unittest import mock
@@ -18,12 +21,11 @@ from hypothesis import given, settings, strategies as st
 
 from rsmld import division, rational
 from rsmld.code import DecodeOutcome, RSCode, Word, hamming_distance
-from rsmld.division import (CandidateCheck, RadiusCapExceeded, combine,
-                            decode_minimal, decode_minimal_reencoded,
-                            extract_message, level_shapes, reencode,
-                            search_radius_cap)
+from rsmld.division import (RadiusCapExceeded, combine, decode_minimal,
+                            decode_minimal_reencoded, extract_message,
+                            level_shapes, reencode, search_radius_cap)
 from rsmld.fields import Field
-from rsmld.groebner import ModuleVector
+from rsmld.groebner import ModuleVector, mgb_euclid
 from rsmld.polys import Polynomial, monic_polys, vanishing_poly
 from rsmld.rational import decode_rational
 
@@ -90,6 +92,17 @@ def every_coprime_pair(field, shape):
         for a in enumerate_polys(field, shape.a_max_deg):
             if a.coprime(b):
                 yield a, b
+
+
+def exact_pair(code, r, pair, method):
+    """The pair whose combinations the exact test divides: the decoder's
+    own on the re-encoded path (see `reference_lift`), and otherwise
+    `mgb_euclid`'s basis of M(r), with the decoder pair's ell's."""
+    if method == "division-reencoded":
+        return pair
+    full = mgb_euclid(code, r)
+    assert (full.ell1, full.ell2) == (pair.ell1, pair.ell2), method
+    return full
 
 
 def reference_lift(code, r, method):
@@ -164,14 +177,14 @@ class Comparison:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, code, r, pair, zero_sets_of, method, t_cap, j_cap,
-                 interpolant):
+    def __call__(self, check, pair, zero_sets_of, method, t_cap, j_cap):
         self.calls += 1
-        field = pair.g1.field
+        code, r, field = check.code, check.r, pair.g1.field
         accepted = []
         try:
             expected = summary(unfiltered_levels(
-                code, r, pair, lambda shape: every_coprime_pair(field, shape),
+                code, r, exact_pair(code, r, pair, method),
+                lambda shape: every_coprime_pair(field, shape),
                 reference_lift(code, r, method), method, t_cap, j_cap,
                 accepted))
         except RadiusCapExceeded:
@@ -180,8 +193,7 @@ class Comparison:
             zeros = sum(f2.evaluate(x) == 0 for x in code.eval_points)
             assert zeros >= t, (method, t, f2)
         try:
-            out = PREFILTERED(code, r, pair, zero_sets_of, method, t_cap,
-                              j_cap, interpolant)
+            out = PREFILTERED(check, pair, zero_sets_of, method, t_cap, j_cap)
         except RadiusCapExceeded:
             assert expected is None, method
             raise
@@ -214,17 +226,16 @@ class FilterExactness:
     def __init__(self, oracle):
         self.oracle = oracle
 
-    def __call__(self, code, r, pair, zero_sets_of, method, t_cap, j_cap,
-                 interpolant):
-        errors = error_sets(code, r, self.oracle.messages)
+    def __call__(self, check, pair, zero_sets_of, method, t_cap, j_cap):
+        code = check.code
+        errors = error_sets(code, check.r, self.oracle.messages)
         for shape in level_shapes(pair, code.k, t_cap, j_cap):
             sets = [tuple(z.tolist()) for z in zero_sets_of(shape)]
             assert all(z in errors for z in sets), (method, shape)
             if sets:
                 assert shape.t == self.oracle.min_distance, method
                 break
-        return PREFILTERED(code, r, pair, zero_sets_of, method, t_cap, j_cap,
-                           interpolant)
+        return PREFILTERED(check, pair, zero_sets_of, method, t_cap, j_cap)
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,18 +254,19 @@ class CheckAgreement:
     """Stands in for `search_levels`: at every level up to the oracle
     distance, sends the zero set of every coprime pair's f2 through the
     candidate check and the pair through the exact test, and asserts that
-    both accept with the same message; and asserts that the check accepts
-    a set of the decoder's own source (so the rational fit's too) exactly
-    when it is the error set of an oracle message at the level's
-    distance."""
+    both accept with the same message, with the pairs of `exact_pair`,
+    whose f2's at each level are those of the decoder's pair; and asserts
+    that the check accepts a set of the decoder's own source (so the
+    rational fit's too) exactly when it is the error set of an oracle
+    message at the level's distance."""
 
     def __init__(self, oracle):
         self.oracle = oracle
         self.accepted = 0
 
-    def __call__(self, code, r, pair, zero_sets_of, method, t_cap, j_cap,
-                 interpolant):
-        check = CandidateCheck(code, r, interpolant)
+    def __call__(self, check, pair, zero_sets_of, method, t_cap, j_cap):
+        code, r = check.code, check.r
+        full = exact_pair(code, r, pair, method)
         lift = reference_lift(code, r, method)
         field = pair.g1.field
         distance = self.oracle.min_distance
@@ -262,8 +274,11 @@ class CheckAgreement:
         for shape in level_shapes(pair, code.k, t_cap, j_cap):
             if shape.t > distance:
                 break
-            for a, b in every_coprime_pair(field, shape):
-                f = combine(pair, a, b)
+            pairs = list(every_coprime_pair(field, shape))
+            assert {combine(full, a, b).f2 for a, b in pairs} == \
+                {combine(pair, a, b).f2 for a, b in pairs}, (method, shape)
+            for a, b in pairs:
+                f = combine(full, a, b)
                 expected = exact_message(code, r, f, lift, shape.t)
                 assert check(zero_set(code, f.f2), shape.t) == expected, \
                     (method, shape, a, b)
@@ -273,8 +288,7 @@ class CheckAgreement:
                             if shape.t == distance else None)
                 assert check(zeros, shape.t) == expected, (method, shape)
                 self.accepted += expected is not None
-        return PREFILTERED(code, r, pair, zero_sets_of, method, t_cap, j_cap,
-                           interpolant)
+        return PREFILTERED(check, pair, zero_sets_of, method, t_cap, j_cap)
 
 
 @settings(max_examples=60, deadline=None)
