@@ -390,6 +390,27 @@ class FieldArrays:
             acc = (acc * x + c) % self.p
         return acc
 
+    def monic_remainders(self, coeffs, g: np.ndarray) -> np.ndarray:
+        """Row i: the d coefficients, low to high, of the remainder of the
+        polynomial with coefficients `coeffs` (low to high) modulo the monic
+        x^d + g[i, d-1] x^(d-1) + ... + g[i, 0], for every row of the
+        (rows, d) array g at once.
+
+        Long division one coefficient at a time, high to low: the register
+        r becomes r*x + c, and its x^d term t is replaced by -t*g.  The top
+        d coefficients enter with t = 0, so r starts as them.  At d = 1 the
+        remainder is the value at -g[i, 0]: Horner at every root at once.
+        """
+        d = g.shape[1]
+        coeffs = list(coeffs) + [0] * (d - len(coeffs))
+        r = np.broadcast_to(self.array(coeffs[-d:]), g.shape)
+        for c in reversed(coeffs[:-d]):
+            shifted = np.empty_like(g)
+            shifted[:, 0] = c
+            shifted[:, 1:] = r[:, :-1]
+            r = self.sub(shifted, self.mul(r[:, -1:], g))
+        return r
+
     def barycentric(self, roots: np.ndarray, vanishing,
                     c: np.ndarray) -> np.ndarray:
         """The matrix whose row j holds the deg V coefficients, low to high,

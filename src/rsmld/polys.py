@@ -295,12 +295,19 @@ def monic_polys(field: Field, deg: int) -> Iterator[Polynomial]:
 
 DIVISOR_CANDIDATE_LIMIT = 500_000
 
+# Candidate rows per `FieldArrays.monic_remainders` call, so that its
+# temporaries stay small however many candidates a degree has.
+DIVISOR_CHUNK = 1 << 12
+
 
 def bounded_monic_divisors(f: Polynomial, dmax: int) -> list[Polynomial]:
-    """All monic divisors of f with degree <= dmax (including the constant 1).
+    """All monic divisors of f with degree <= dmax (including the constant 1),
+    by degree and then by their lower coefficients counted little-endian.
 
-    Enumerates monic candidates degree by degree with trial division, which
-    is fine at the field sizes and degree bounds this package works at; past
+    For each degree d the remainders of f modulo all q^d monic candidates
+    are taken at once, DIVISOR_CHUNK candidates per array step, one step
+    per coefficient of f (at d = 1 that is f at every field point); the
+    candidates with a zero remainder divide f.  Past
     DIVISOR_CANDIDATE_LIMIT candidates it raises ValueError, dividing none.
     """
     if f.is_zero():
@@ -313,6 +320,14 @@ def bounded_monic_divisors(f: Polynomial, dmax: int) -> list[Polynomial]:
         raise ValueError(
             f"divisor enumeration too large ({total} candidates, "
             f"limit {DIVISOR_CANDIDATE_LIMIT})")
-    return [Polynomial.one(field)] + [
-        cand for d in range(1, dmax + 1) for cand in monic_polys(field, d)
-        if cand.divides(f)]
+    arr = field.arrays()
+    out = [Polynomial.one(field)]
+    for d in range(1, dmax + 1):
+        place = arr.array([q**i for i in range(d)])
+        for lo in range(0, q**d, DIVISOR_CHUNK):
+            packed = np.arange(lo, min(lo + DIVISOR_CHUNK, q**d))
+            g = arr.array(packed[:, None] // place % q)
+            rem = arr.monic_remainders(f.coeffs, g)
+            out += [Polynomial(field, row + [1])
+                    for row in g[~rem.any(axis=1)].tolist()]
+    return out

@@ -8,7 +8,11 @@ passes through the anchor (x_i, z_i) with z_i = -g2.f2(x_i) / g1.f2(x_i)
 the pair is coprime).  Instead of enumerating all (a, b), fit one bivariate
 Q through every anchor with multiplicity s and caps (M, rho) chosen by the
 parameter optimizer; every valid (a, b) at the level then appears as a
-factor b*z - a of Q and is read off the z-leading and z-constant slices.
+factor b*z - a of Q.  `rational_factorize` reads them off on arrays: b and
+a's monic part from the divisors of the z-leading and z-constant slices
+(remainders modulo all monic candidates of a degree at once), a's scalar
+from the roots of Q at one point, a table of Q's values at the field's
+points as the point test, and synthetic division in z as the exact test.
 
 Radii at or beyond the feasible curve-fitting bound (above the Johnson-type
 radius) fall back to direct enumeration, and are only searched when the
@@ -31,7 +35,8 @@ from .groebner import GroebnerPair, syndrome_pair
 from .code import hamming_distance  # noqa: F401
 from .division import combine, extract_message  # noqa: F401
 from .groebner import mgb_iterative  # noqa: F401
-from .polys import Polynomial, bounded_monic_divisors
+from .polys import (DIVISOR_CANDIDATE_LIMIT, Polynomial,
+                    bounded_monic_divisors)
 from .ratparams import (InterpParams, optimize_params,
                         single_multiplicity_params)
 
@@ -56,69 +61,76 @@ def anchor_points(code: RSCode, pair: GroebnerPair) -> list[ProjectivePoint]:
 def rational_factorize(Q: BivariatePolynomial, k1: int,
                        k2: int) -> list[tuple[Polynomial, Polynomial]]:
     """All coprime pairs (a, b), b monic, deg a <= k1, deg b <= k2, with
-    b*z - a dividing Q.
+    b*z - a dividing Q, in the order of b's divisor list, then a's monic
+    part's, then a's leading coefficient.
 
     A factor with a = 0 means z divides Q (reported once).  For the rest,
     b must divide the z-leading slice of Q and a the z-constant slice, so
-    candidates come from bounded divisor enumeration.  A candidate must make
-    Q(x, a(x)/b(x)) vanish at every field point x with b(x) != 0; points are
-    tried in turn until one rejects it, and the survivors are confirmed with
-    an exact Horner evaluation of b^zdeg * Q(x, a/b).
+    candidates come from `bounded_monic_divisors`.  With a = c*a_m, a_m
+    monic, the scalar c comes from one point: at the first x0 with
+    b(x0)*a_m(x0) != 0, z = c*a_m(x0)/b(x0) is a nonzero root of Q(x0, .),
+    so c is one of at most zdeg Q values (all of 1..q-1 when no such x0
+    exists).  The root table T[x, z] = Q(x, z), for every z and the first
+    min(q, L // q) points x (L = DIVISOR_CANDIDATE_LIMIT, so every point
+    while q^2 <= L), gives those roots, and then drops every c with
+    T[x, c*a_m(x)/b(x)] != 0 at one of its x with b(x) != 0.  Each
+    survivor is confirmed by synthetic division of Q by b*z - a.  Past
+    q = L the table would not hold one row, and it raises ValueError.
     """
     if Q.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     F = Q.field
+    arr = F.arrays()
     out: list[tuple[Polynomial, Polynomial]] = []
     deflate = min(j for _, j in Q.coeffs)
     if deflate:
         out.append((Polynomial.zero(F), Polynomial.one(F)))
-        Q = BivariatePolynomial(
-            F, {(i, j - deflate): c for (i, j), c in Q.coeffs.items()})
-    mz = Q.zdeg()
+    mz = Q.zdeg() - deflate
     if mz == 0:
         return out
-    top = Q.slice_z(mz)
-    low = Q.slice_z(0)
-    slices = [Q.slice_z(j) for j in range(mz + 1)]
-    b_cands = bounded_monic_divisors(top, k2)
-    a_monics = bounded_monic_divisors(low, k1)
-    scalars = range(1, F.q)
-    # slice values S_mz(x), ..., S_0(x) per point, filled as points are reached
-    at_point: dict[int, list[int]] = {}
-
-    def vanishes_on_points(am: Polynomial, b: Polynomial, c: int) -> bool:
-        for x in range(F.q):
-            bx = b.evaluate(x)
-            if not bx:
-                continue
-            if x not in at_point:
-                at_point[x] = [sl.evaluate(x) for sl in reversed(slices)]
-            z = F.div(F.mul(c, am.evaluate(x)), bx)
-            acc = 0
-            for sx in at_point[x]:
-                acc = F.add(F.mul(acc, z), sx)
-            if acc:
-                return False
-        return True
-
-    for b in b_cands:
-        bpow = [Polynomial.one(F)]
-        for _ in range(mz):
-            bpow.append(bpow[-1] * b)
-        for am in a_monics:
-            if not am.coprime(b):
-                continue
-            for c in scalars:
-                if not vanishes_on_points(am, b, c):
-                    continue
-                a = am.scale(c)
-                # b^mz * Q(x, a/b) via Horner in the z slices
-                acc = slices[mz]
-                for j in range(mz - 1, -1, -1):
-                    acc = acc * a + slices[j] * bpow[mz - j]
-                if acc.is_zero():
-                    out.append((a, b))
+    rows = [[0] * (Q.xdeg() + 1) for _ in range(mz + 1)]
+    for (i, j), c in Q.coeffs.items():
+        rows[j - deflate][i] = c
+    slices = [Polynomial(F, row) for row in rows]
+    b_cands = bounded_monic_divisors(slices[mz], k2)
+    a_monics = bounded_monic_divisors(slices[0], k1)
+    points = min(F.q, DIVISOR_CANDIDATE_LIMIT // F.q)
+    if not points:
+        raise ValueError(f"root table too large ({F.q} field elements, "
+                         f"limit {DIVISOR_CANDIDATE_LIMIT})")
+    zs = arr.array(range(F.q))
+    xs = zs[:points]
+    # the slices' values at the points, then Horner in z on every row
+    at_xs = arr.dot(arr.powers(xs, len(rows[0])), arr.array(rows).T)
+    table = arr.evaluate(at_xs.T[:, :, None], zs)
+    b_vals, a_vals = ([arr.evaluate(p.coeffs, xs) for p in ps]
+                      for ps in (b_cands, a_monics))
+    for b, b_at in zip(b_cands, b_vals):
+        on = b_at.nonzero()[0]
+        inv_b = arr.inv(b_at[on])
+        for am, am_at in zip(a_monics, a_vals):
+            ratio = arr.mul(am_at[on], inv_b)   # a_m(x)/b(x) where b(x) != 0
+            x0 = ratio.nonzero()[0][:1]
+            cs = zs[1:]
+            if x0.size:   # c*ratio(x0) is a root of Q(x0, .)
+                cs = cs[table[on[x0[0]], arr.mul(cs, ratio[x0[0]])] == 0]
+            hits = cs[~table[on, arr.mul(cs[:, None], ratio)].any(axis=1)]
+            if hits.size and am.coprime(b):
+                out += [(a, b) for a in map(am.scale, hits.tolist())
+                        if _divides(b, a, slices)]
     return out
+
+
+def _divides(b: Polynomial, a: Polynomial, slices: list[Polynomial]) -> bool:
+    """True when b*z - a divides sum_j slices[j] z^j: synthetic division
+    from the top, P_(j-1) = (S_j + a*P_j) / b with P_mz = 0, each division
+    exact, and S_0 + a*P_0 = 0."""
+    quot = Polynomial.zero(b.field)
+    for s in reversed(slices[1:]):
+        quot, rem = divmod(s + a * quot, b)
+        if rem:
+            return False
+    return (slices[0] + a * quot).is_zero()
 
 
 def _fit_level(code: RSCode, pair: GroebnerPair,

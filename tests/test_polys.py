@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rsmld.fields import Field
+from rsmld.fields import Field, FieldArrays
 from rsmld.polys import (Polynomial, base_q_digits, bounded_monic_divisors,
                          lagrange_interpolate, monic_polys, vanishing_poly)
 
@@ -174,15 +176,35 @@ def test_bounded_monic_divisors_zero_and_cap():
 
 def test_bounded_monic_divisors_refuses_past_the_limit(monkeypatch):
     # degree 7 over GF(7) with dmax = 7: 7 + 7^2 + ... + 7^7 = 960 799
-    # candidates, past the limit, so it refuses before any trial division
-    def no_division(*args):
-        raise AssertionError("trial division ran")
+    # candidates, past the limit, so it refuses before any remainder is taken
+    def no_remainders(*args):
+        raise AssertionError("the batched remainder ran")
 
-    monkeypatch.setattr(Polynomial, "divides", no_division)
+    monkeypatch.setattr(FieldArrays, "monic_remainders", no_remainders)
     f = P(1, 2, 3, 4, 5, 6, 0, 1)
     with pytest.raises(ValueError,
                        match="960799 candidates, limit 500000"):
         bounded_monic_divisors(f, 7)
+
+
+@pytest.mark.parametrize("field", [Field(7), Field(2, 3), Field(2, 4)],
+                         ids=["gf7", "gf8", "gf16"])
+def test_bounded_monic_divisors_match_trial_division(field):
+    # f = product of random monic factors of degree 1..3, so that divisors
+    # of every degree up to 3 occur; the batched remainders must give
+    # exactly the trial-division list, in the same order
+    rng = random.Random(field.q)
+    for _ in range(4):
+        f = Polynomial.one(field)
+        for deg in rng.choices((1, 1, 2, 3), k=rng.randrange(1, 5)):
+            f = f * Polynomial(field, [rng.randrange(field.q)
+                                       for _ in range(deg)] + [1])
+        f = f.scale(rng.randrange(1, field.q))
+        for dmax in range(4):
+            want = [Polynomial.one(field)] + [
+                cand for d in range(1, min(dmax, f.degree()) + 1)
+                for cand in monic_polys(field, d) if cand.divides(f)]
+            assert bounded_monic_divisors(f, dmax) == want
 
 
 coeff_lists = st.lists(st.integers(0, 6), max_size=6)

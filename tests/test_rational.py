@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rsmld.bivar import BivariatePolynomial, ProjectivePoint, koetter_interpolate
 from rsmld.code import RSCode, Word, corrupt, random_word
@@ -8,7 +9,7 @@ from rsmld.division import RadiusCapExceeded, decode_minimal
 from rsmld.fields import Field
 from rsmld.groebner import (GroebnerPair, ModuleVector, WeightedOrder,
                             mgb_euclid, mgb_iterative)
-from rsmld.polys import Polynomial
+from rsmld.polys import Polynomial, monic_polys
 from rsmld.rational import anchor_points, decode_rational, rational_factorize
 
 F7 = Field(7)
@@ -188,6 +189,152 @@ def test_factorize_matches_brute_force_random():
             assert sorted(got, key=key) == sorted(want, key=key)
 
 
+def _scalar_divisors(f, dmax):
+    """Monic divisors of f of degree <= dmax, by trial division."""
+    F = f.field
+    return [Polynomial.one(F)] + [
+        cand for d in range(1, min(dmax, f.degree()) + 1)
+        for cand in monic_polys(F, d) if cand.divides(f)]
+
+
+def _scalar_factorize(Q, k1, k2):
+    """The factor pairs by the scalar algorithm: every coprime (b, a_m) from
+    the divisor lists, every scalar c = 1..q-1, Q(x, c*a_m(x)/b(x)) tried at
+    each field point with b(x) != 0, then b^mz * Q(x, a/b) = 0 by Horner."""
+    F = Q.field
+    out = []
+    deflate = min(j for _, j in Q.coeffs)
+    if deflate:
+        out.append((Polynomial.zero(F), Polynomial.one(F)))
+        Q = BivariatePolynomial(
+            F, {(i, j - deflate): c for (i, j), c in Q.coeffs.items()})
+    mz = Q.zdeg()
+    if mz == 0:
+        return out
+    slices = [Q.slice_z(j) for j in range(mz + 1)]
+
+    def vanishes_on_points(am, b, c):
+        for x in range(F.q):
+            bx = b.evaluate(x)
+            if bx:
+                z = F.div(F.mul(c, am.evaluate(x)), bx)
+                acc = 0
+                for sl in reversed(slices):
+                    acc = F.add(F.mul(acc, z), sl.evaluate(x))
+                if acc:
+                    return False
+        return True
+
+    for b in _scalar_divisors(slices[mz], k2):
+        bpow = [Polynomial.one(F)]
+        for _ in range(mz):
+            bpow.append(bpow[-1] * b)
+        for am in _scalar_divisors(slices[0], k1):
+            if not am.coprime(b):
+                continue
+            for c in range(1, F.q):
+                if not vanishes_on_points(am, b, c):
+                    continue
+                a = am.scale(c)
+                acc = slices[mz]
+                for j in range(mz - 1, -1, -1):
+                    acc = acc * a + slices[j] * bpow[mz - j]
+                if acc.is_zero():
+                    out.append((a, b))
+    return out
+
+
+def _times_linear(Q, a, b):
+    """Q * (b*z - a)."""
+    F = Q.field
+    terms = {}
+    for (i, j), c in Q.coeffs.items():
+        for e, bc in enumerate(b.coeffs):
+            terms[(i + e, j + 1)] = F.add(terms.get((i + e, j + 1), 0),
+                                          F.mul(c, bc))
+        for e, ac in enumerate(a.coeffs):
+            terms[(i + e, j)] = F.sub(terms.get((i + e, j), 0), F.mul(c, ac))
+    return BivariatePolynomial(F, terms)
+
+
+@st.composite
+def planted_products(draw):
+    """(Q, k1, k2): a random nonzero cofactor times up to three factors
+    b*z - a with b monic, deg a, deg b <= 2, times z^e, e <= 2."""
+    F = draw(st.sampled_from(FACTOR_FIELDS))
+    elem = st.integers(0, F.q - 1)
+
+    def poly(deg, monic):
+        return Polynomial(F, draw(st.lists(elem, min_size=deg, max_size=deg))
+                          + [1 if monic else draw(st.integers(1, F.q - 1))])
+
+    cofactor = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 1)), elem, min_size=1))
+    Q = BivariatePolynomial(F, cofactor)
+    if Q.is_zero():
+        Q = BivariatePolynomial(F, {(0, 0): 1})
+    for _ in range(draw(st.integers(0, 3))):
+        Q = _times_linear(Q, poly(draw(st.integers(0, 2)), False),
+                          poly(draw(st.integers(0, 2)), True))
+    e = draw(st.integers(0, 2))
+    Q = BivariatePolynomial(F, {(i, j + e): c for (i, j), c in Q.coeffs.items()})
+    return Q, draw(st.integers(0, 2)), draw(st.integers(0, 2))
+
+
+FACTOR_FIELDS = [Field(2), Field(3), Field(2, 2), F7, Field(2, 4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_products())
+def test_factorize_matches_scalar_algorithm(case):
+    Q, k1, k2 = case
+    assert rational_factorize(Q, k1, k2) == _scalar_factorize(Q, k1, k2)
+
+
+@pytest.mark.parametrize("F, a_m, b", [
+    # a_m = x^2 + x vanishes at both points of GF(2)
+    (Field(2), [0, 1, 1], [1]),
+    # b * a_m = x * (x^2 + 2) = x^3 - x over GF(3)
+    (Field(3), [2, 0, 1], [0, 1]),
+    # b = x^2 + x vanishes at both points: no point is left to test
+    (Field(2), [1], [0, 1, 1]),
+], ids=["gf2-a", "gf3-ab", "gf2-b"])
+def test_factorize_without_a_scalar_point(F, a_m, b):
+    # b*a_m is zero at every field point, so no point fixes the scalar and
+    # every c = 1..q-1 is tried; z divides Q as well (the deflation)
+    a_m, b = Polynomial(F, a_m), Polynomial(F, b)
+    assert not any(F.mul(a_m.evaluate(x), b.evaluate(x)) for x in range(F.q))
+    Q = BivariatePolynomial(F, {(0, 1): 1, (1, 2): 1})   # z + x z^2
+    for c in range(1, F.q):
+        Q = _times_linear(Q, a_m.scale(c), b)
+    got = rational_factorize(Q, 2, 2)
+    assert got == _scalar_factorize(Q, 2, 2)
+    assert got[0] == (Polynomial.zero(F), Polynomial.one(F))
+    assert {(a_m.scale(c), b) for c in range(1, F.q)} <= set(got)
+
+
+def test_factorize_on_part_of_the_points():
+    # GF(1024): the root table holds 488 of the 1024 points; the point
+    # test is weaker there, and synthetic division still decides
+    F = Field(2, 10)
+    Q = BivariatePolynomial(F, {(0, 0): 5, (1, 1): 7, (3, 0): 1})
+    for a, b in (([3, 9], [1]), ([77], [5, 1]), ([1, 2], [0, 1])):
+        Q = _times_linear(Q, Polynomial(F, a), Polynomial(F, b))
+    got = rational_factorize(Q, 1, 1)
+    assert got == _scalar_factorize(Q, 1, 1)
+    assert (Polynomial(F, [77]), Polynomial(F, [5, 1])) in got
+
+
+def test_factorize_refuses_past_the_table_limit():
+    # GF(500009): one row of the root table would exceed the limit, where
+    # the scalar algorithm tried each of the 500008 scalars in turn
+    F = Field(500009)
+    Q = _times_linear(BivariatePolynomial(F, {(0, 0): 1}),
+                      Polynomial(F, [3]), Polynomial.one(F))
+    with pytest.raises(ValueError, match="root table too large"):
+        rational_factorize(Q, 0, 0)
+
+
 def test_decode_rational_worked_examples():
     code = RSCode(F7, 7, 5)
     r = Word(code, (3, 2, 6, 3, 4, 2, 4))
@@ -237,3 +384,16 @@ def test_decode_rational_radius_cap():
     out = decode_rational(code, r, beyond_johnson=True)
     assert out.min_distance == 2
     assert len(out.messages) == 21
+
+
+def test_decode_rational_long_code_at_level_two():
+    # RS(255,33) over GF(2^8), 113 errors: level 2, where enumerating the
+    # pairs would take 256^5 of them, so the division decoder is only run
+    # capped at level 1, to show that no codeword is closer
+    code = RSCode(Field(2, 8), 255, 33)
+    r = corrupt(code.encode([1, 2, 3, 4, 5]), 113, seed=7)
+    out = decode_rational(code, r)
+    assert (out.min_distance, out.message_coeff_lists()) == (113, [[1, 2, 3, 4, 5]])
+    assert (out.ell1, out.ell2) == (144, 143)
+    with pytest.raises(RadiusCapExceeded):
+        decode_minimal(code, r, j_cap=1)
