@@ -1,10 +1,13 @@
 """Reed-Solomon codes, received words, and the exhaustive ML oracle.
 
 An (n, k) Reed-Solomon code over GF(q) evaluates message polynomials of
-degree < k at n distinct field points.  The oracle decoder enumerates all
-q**k codewords with numpy and returns every message at minimum Hamming
-distance from the received word — slow but exact, which is what the fast
-decoders are tested against.
+degree < k at n distinct field points.  The oracle decoder counts the
+distance of all q**k codewords from the received word with numpy and
+returns every message at the minimum — slow but exact, which is what the
+fast decoders are tested against.  It keeps a table of the q**(k-1)
+codewords whose top coefficient is 0 (q**(k-1) * n entries) and reads the
+agreements of all q top coefficients of a row off one histogram, q**k cells
+per word.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ from .polys import Polynomial, base_q_digits, vanishing_poly
 from .rng import XorShift64Star
 
 JSON_VERSION = 1
+
+
+# The oracle works on about ORACLE_CHUNK elements at a time: table entries
+# while it builds its table, histogram cells (low rows x top digits) while it
+# scans it, so no temporary grows with q**k or with q.
+ORACLE_CHUNK = 1 << 14
 
 
 class OracleBudgetExceeded(ValueError):
@@ -51,7 +60,7 @@ class RSCode:
         self.n = n
         self.k = k
         self.eval_points = pts
-        self._table: np.ndarray | None = None
+        self._table: tuple[np.ndarray, np.ndarray, int | None] | None = None
         self._constants: CodeConstants | None = None
 
     # -- basic parameters ------------------------------------------------
@@ -109,56 +118,94 @@ class RSCode:
     # -- oracle ----------------------------------------------------------
 
     def _codeword_table(self) -> np.ndarray:
-        """All q**k codewords as a (q**k, n) integer array, cached."""
+        """The q**(k-1) codewords whose top message coefficient is 0, as a
+        (q**(k-1), n) integer array, cached.
+
+        Row j encodes the message whose k - 1 low coefficients are the
+        base-q digits of j.  Column i is multiplied by x_i^-(k-1) wherever
+        x_i != 0.  That column scale, and the index of the column where
+        x_i = 0 (None when k = 1 or 0 is no point), are cached with the
+        table for `ml_oracle`."""
         if self._table is not None:
-            return self._table
+            return self._table[0]
         F, k, n, q = self.field, self.k, self.n, self.field.q
-        total = q ** k
-        # contrib[e][s][i] = s * eval_points[i]**e  (one row per message digit)
-        contrib = np.zeros((k, q, n), dtype=np.int32)
-        for e in range(k):
-            for s in range(q):
-                row = contrib[e][s]
-                for i, x in enumerate(self.eval_points):
-                    row[i] = F.mul(s, F.pow(x, e))
-        dtype = np.int8 if q <= 127 else np.int16 if q <= 32768 else np.int32
-        table = np.zeros((total, n), dtype=dtype)
-        chunk = 1 << 16
-        idx = np.arange(total, dtype=np.int64)
-        for lo in range(0, total, chunk):
-            sel = idx[lo:lo + chunk]
-            acc = np.zeros((len(sel), n), dtype=np.int32)
-            rest = sel.copy()
-            for e in range(k):
+        arr = F.arrays()
+        pts = self.eval_points
+        zero = pts.index(0) if k > 1 and 0 in pts else None
+        # x_i^-(k-1), and 1 at x_i = 0
+        points = arr.array(pts)
+        scale = arr.powers(arr.inv(np.where(points == 0, 1, points)), k)[:, -1]
+        # contrib[e][s][i] = s * x_i^e * scale_i, one block per low digit e
+        columns = arr.mul(arr.powers(points, k - 1), scale[:, None]).T
+        contrib = arr.mul(arr.array(range(q))[:, None], columns[:, None, :])
+        dtype = np.int8 if q <= 127 else np.int16 if q <= 32768 else np.int64
+        rows = q ** (k - 1)
+        table = np.zeros((rows, n), dtype=dtype)
+        chunk = max(1, ORACLE_CHUNK // n)
+        for lo in range(0, rows, chunk):
+            rest = np.arange(lo, min(lo + chunk, rows), dtype=np.int64)
+            acc = np.zeros((len(rest), n), dtype=arr.dtype)
+            for part in contrib:
                 digits = rest % q
                 rest //= q
-                part = contrib[e][digits]
                 if F.m == 1:
-                    acc = (acc + part) % F.p
+                    acc = (acc + part[digits]) % F.p
                 else:
-                    acc ^= part
+                    acc ^= part[digits]
             table[lo:lo + chunk] = acc
-        self._table = table
+        self._table = (table, _read_only(scale), zero)
         return table
 
     def _message_from_index(self, idx: int) -> Polynomial:
         return Polynomial(self.field, base_q_digits(idx, self.field.q, self.k))
 
     def ml_oracle(self, word: "Word", budget: int = 10_000_000) -> "DecodeOutcome":
-        """Exact minimum-distance decoding by exhaustive enumeration."""
+        """Exact minimum-distance decoding by exhaustive enumeration.
+
+        Every codeword is c + m_top * x^(k-1) with c a row of
+        `_codeword_table`.  At a point x_i != 0 it agrees with the word r for
+        exactly one top digit, m_top = (r_i - c_i) / x_i^(k-1), which is
+        W_i = r'_i - c'_i in the table's scaled columns.  So one `bincount`
+        of W + q * row counts the agreements of all q top digits of every
+        row in a chunk: all q**k distances are counted, ORACLE_CHUNK
+        histogram cells at a time.  At x_i = 0 (k >= 2) every codeword of
+        row j takes the value m_0 = j mod q, so that column goes to a spare
+        cell, and the rows with j = r_i (mod q) gain one agreement for all
+        q digits.  A message's index is row + m_top * q**(k-1).
+        """
         self._check_word(word)
-        total = self.field.q ** self.k
+        q = self.field.q
+        total = q ** self.k
         if total > budget:
             raise OracleBudgetExceeded(
                 f"q**k = {total} exceeds oracle budget {budget}")
-        table = self._codeword_table()
-        r = np.asarray(word.symbols, dtype=table.dtype)
-        dists = np.count_nonzero(table != r, axis=1)
-        best = int(dists.min())
-        hits = np.nonzero(dists == best)[0]
-        msgs = sorted((self._message_from_index(int(i)) for i in hits),
+        self._codeword_table()
+        table, scale, zero = self._table
+        arr = self.field.arrays()
+        r = arr.mul(arr.array(word.symbols), scale).astype(table.dtype)
+        step = max(1, ORACLE_CHUNK // q)
+        offsets = q * np.arange(min(step, len(table)), dtype=np.int64)[:, None]
+        best, hits = -1, []
+        for lo in range(0, len(table), step):
+            w = arr.sub(r, table[lo:lo + step])
+            cells = len(w) * q
+            idx = w + offsets[:len(w)]
+            if zero is not None:
+                idx[:, zero] = cells
+            counts = np.bincount(idx.ravel(), minlength=cells + 1)[:cells]
+            counts = counts.reshape(len(w), q)
+            if zero is not None:
+                counts[(word.symbols[zero] - lo) % q::q] += 1
+            top = int(counts.max())
+            if top >= best:
+                if top > best:
+                    best, hits = top, []
+                row, digit = np.nonzero(counts == top)
+                hits.append(lo + row + digit * len(table))
+        msgs = sorted((self._message_from_index(int(i))
+                       for i in np.concatenate(hits)),
                       key=lambda p: p.coeffs)
-        return DecodeOutcome(min_distance=best, messages=tuple(msgs),
+        return DecodeOutcome(min_distance=self.n - best, messages=tuple(msgs),
                              method="oracle")
 
     # -- helpers ---------------------------------------------------------

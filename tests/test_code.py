@@ -1,7 +1,11 @@
+import itertools
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rsmld import code as code_module
 from rsmld.code import (OracleBudgetExceeded, RSCode, Word, corrupt,
                         hamming_distance, random_word, shifted_word)
 from rsmld.fields import Field
@@ -168,6 +172,116 @@ def test_oracle_matches_brute_force():
     assert set(out.messages) == set(winners)
     assert out.method == "oracle"
     assert [m.coeffs for m in out.messages] == sorted(m.coeffs for m in winners)
+
+
+def enumerate_nearest(code, r):
+    """The minimum distance and the sorted nearest messages of r, from the
+    encoding of every one of the q**k messages."""
+    best, winners = code.n + 1, []
+    for digits in itertools.product(range(code.field.q), repeat=code.k):
+        dist = hamming_distance(code.encode(list(digits)), r)
+        if dist < best:
+            best, winners = dist, []
+        if dist == best:
+            winners.append(list(digits))
+    return best, sorted(winners)
+
+
+def oracle_result(code, r):
+    """The oracle's distance and messages, each padded to k coefficients."""
+    out = code.ml_oracle(r)
+    return out.min_distance, [list(m.coeffs) + [0] * (code.k - len(m.coeffs))
+                              for m in out.messages]
+
+
+# (code, its words): every kind of column the oracle's scan treats apart
+ENUMERATED_CODES = {
+    # prime field, 0 among the points (the default), k >= 2
+    "prime-with-zero": (RSCode(F7, 7, 3), [(3, 0, 3, 4, 4, 6, 2),
+                                          (0, 0, 0, 0, 0, 0, 6)]),
+    # 0 inside the points, not first
+    "prime-zero-inside": (RSCode(Field(11), 6, 2, [3, 1, 0, 9, 4, 7]),
+                          [(10, 2, 5, 5, 0, 1)]),
+    # GF(2^m) without 0 among the points
+    "binary-without-zero": (RSCode(F8, 7, 2, [1, 2, 3, 4, 5, 6, 7]),
+                            [(1, 0, 3, 2, 5, 1, 1), (7, 7, 0, 0, 3, 3, 4)]),
+    # k = 1: every column has the scale 1
+    "binary-k1": (RSCode(F8, 8, 1), [(1, 1, 2, 2, 3, 3, 3, 0)]),
+    "prime-k1": (RSCode(F7, 5, 1, [0, 1, 2, 3, 4]), [(6, 0, 6, 5, 5)]),
+    # q >= 128: the int16 table
+    "prime-131": (RSCode(Field(131), 4, 2), [(130, 7, 129, 64)]),
+}
+
+
+@pytest.mark.parametrize("chunk", [code_module.ORACLE_CHUNK, 1])
+@pytest.mark.parametrize("name", sorted(ENUMERATED_CODES))
+def test_oracle_equals_enumeration(name, chunk, monkeypatch):
+    # chunk 1 scans one row per chunk, so hits are merged across chunks
+    monkeypatch.setattr(code_module, "ORACLE_CHUNK", chunk)
+    base, words = ENUMERATED_CODES[name]
+    code = RSCode(base.field, base.n, base.k, base.eval_points)
+    for symbols in words:
+        r = Word(code, symbols)
+        assert oracle_result(code, r) == enumerate_nearest(code, r)
+
+
+def test_oracle_table_dtype_past_int8():
+    code, _ = ENUMERATED_CODES["prime-131"]
+    assert code._codeword_table().dtype == np.int16
+    assert code._codeword_table().shape == (131, 4)
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATED_CODES))
+def test_oracle_codeword_at_distance_zero(name):
+    code, _ = ENUMERATED_CODES[name]
+    msg = [(3 * e + 1) % code.field.q for e in range(code.k)]
+    assert oracle_result(code, code.encode(msg)) == (0, [msg])
+
+
+def test_oracle_several_nearest_messages():
+    code, words = ENUMERATED_CODES["prime-with-zero"]
+    r = Word(code, words[0])
+    result = oracle_result(code, r)
+    assert len(result[1]) == 4
+    assert result == enumerate_nearest(code, r)
+
+
+PROPERTY_CODES = [ENUMERATED_CODES["prime-with-zero"][0],
+                  ENUMERATED_CODES["binary-without-zero"][0]]
+
+
+def all_codewords(code):
+    return [(list(digits), code.encode(list(digits)).symbols)
+            for digits in itertools.product(range(code.field.q),
+                                            repeat=code.k)]
+
+
+PROPERTY_TABLES = [all_codewords(code) for code in PROPERTY_CODES]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(PROPERTY_CODES) - 1), st.data())
+def test_oracle_equals_enumeration_on_random_words(which, data):
+    code = PROPERTY_CODES[which]
+    symbols = data.draw(st.lists(st.integers(0, code.field.q - 1),
+                                 min_size=code.n, max_size=code.n))
+    dists = [(hamming_distance(c, symbols), m)
+             for m, c in PROPERTY_TABLES[which]]
+    best = min(d for d, _ in dists)
+    assert oracle_result(code, Word(code, tuple(symbols))) == (
+        best, sorted(m for d, m in dists if d == best))
+
+
+def test_oracle_ties_across_chunks():
+    # the (15,5) GF(16) word pinned in CI: two nearest messages whose low
+    # rows lie in different chunks of the scan
+    code = RSCode(Field(2, 4), 15, 5)
+    r = corrupt(code.encode([1, 3, 7, 2, 9]), 7, seed=3)
+    assert oracle_result(code, r) == (7, [[1, 3, 7, 2, 9], [2, 9, 9, 15, 13]])
+    rows = [sum(c * 16**e for e, c in enumerate(m[:4]))
+            for m in ([1, 3, 7, 2, 9], [2, 9, 9, 15, 13])]
+    step = code_module.ORACLE_CHUNK // 16
+    assert rows[0] // step != rows[1] // step
 
 
 def test_oracle_budget():
