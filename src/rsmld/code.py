@@ -6,8 +6,10 @@ distance of all q**k codewords from the received word with numpy and
 returns every message at the minimum — slow but exact, which is what the
 fast decoders are tested against.  It keeps a table of the q**(k-1)
 codewords whose top coefficient is 0 (q**(k-1) * n entries) and reads the
-agreements of all q top coefficients of a row off one histogram, q**k cells
-per word.
+agreements of all q top coefficients of a row off a histogram of the row's
+digits, q**k cells per word.  That counting kernel, `digit_counts`, also
+serves the level enumeration of `division`; it takes at most
+HISTOGRAM_CHUNK cells at a time, in windows of digits when q is larger.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,10 +29,47 @@ from .rng import XorShift64Star
 JSON_VERSION = 1
 
 
-# The oracle works on about ORACLE_CHUNK elements at a time: table entries
-# while it builds its table, histogram cells (low rows x top digits) while it
-# scans it, so no temporary grows with q**k or with q.
-ORACLE_CHUNK = 1 << 14
+# The oracle and the level enumeration work on about HISTOGRAM_CHUNK elements
+# at a time: histogram cells (rows x digits) in `digit_counts`, and table
+# entries while the oracle builds its table, so no temporary grows with q**k
+# or with q.
+HISTOGRAM_CHUNK = 1 << 14
+
+
+def histogram_rows(q: int) -> int:
+    """The most rows of a block that `digit_counts` takes over GF(q)."""
+    return HISTOGRAM_CHUNK // q or 1
+
+
+def digit_counts(q: int, blocks: Iterable[np.ndarray], spare=None
+                 ) -> Iterator[tuple[int, np.ndarray, int, np.ndarray]]:
+    """Digit histograms of the rows of blocks of values in [0, q).
+
+    Each block w has at most `histogram_rows(q)` rows.  For each window of
+    at most HISTOGRAM_CHUNK digits, base .. min(base + HISTOGRAM_CHUNK, q)
+    - 1, it yields (lo, w, base, counts): counts[i, d] is the number of
+    columns of row i, other than the `spare` ones (an index, an index array
+    or None), where w is base + d, and lo is the index of w's first row
+    among all the blocks' rows.
+
+    One `bincount` per block and window, with cell i * width + d for row i
+    and digit base + d, and one spare cell past them for the spare columns
+    and the values outside the window.  The row offsets are built once per
+    call."""
+    width = min(q, HISTOGRAM_CHUNK)
+    offsets = width * np.arange(histogram_rows(q), dtype=np.int64)[:, None]
+    lo = 0
+    for w in blocks:
+        cells = len(w) * width
+        for base in range(0, q, width):
+            idx = w + offsets[:len(w)] if width == q else np.where(
+                (w >= base) & (w < base + width), w - base + offsets[:len(w)],
+                cells).astype(np.int64)
+            if spare is not None:
+                idx[:, spare] = cells
+            counts = np.bincount(idx.ravel(), minlength=cells + 1)[:cells]
+            yield lo, w, base, counts.reshape(len(w), width)[:, :q - base]
+        lo += len(w)
 
 
 class OracleBudgetExceeded(ValueError):
@@ -128,30 +167,24 @@ class RSCode:
         table for `ml_oracle`."""
         if self._table is not None:
             return self._table[0]
-        F, k, n, q = self.field, self.k, self.n, self.field.q
-        arr = F.arrays()
+        k, n, q, arr = self.k, self.n, self.field.q, self.field.arrays()
         pts = self.eval_points
         zero = pts.index(0) if k > 1 and 0 in pts else None
         # x_i^-(k-1), and 1 at x_i = 0
         points = arr.array(pts)
         scale = arr.powers(arr.inv(np.where(points == 0, 1, points)), k)[:, -1]
-        # contrib[e][s][i] = s * x_i^e * scale_i, one block per low digit e
-        columns = arr.mul(arr.powers(points, k - 1), scale[:, None]).T
-        contrib = arr.mul(arr.array(range(q))[:, None], columns[:, None, :])
+        # contrib[e][s][i] = -s * x_i^e * scale_i, one block per low digit e
+        columns = arr.mul(arr.powers(points, k - 1).T, arr.sub(0, scale))
+        contrib = [arr.mul(np.arange(q)[:, None], col) for col in columns]
         dtype = np.int8 if q <= 127 else np.int16 if q <= 32768 else np.int64
-        rows = q ** (k - 1)
-        table = np.zeros((rows, n), dtype=dtype)
-        chunk = max(1, ORACLE_CHUNK // n)
-        for lo in range(0, rows, chunk):
-            rest = np.arange(lo, min(lo + chunk, rows), dtype=np.int64)
+        table = np.zeros((q ** (k - 1), n), dtype=dtype)
+        chunk = max(1, HISTOGRAM_CHUNK // n)
+        for lo in range(0, len(table), chunk):
+            rest = np.arange(lo, min(lo + chunk, len(table)), dtype=np.int64)
             acc = np.zeros((len(rest), n), dtype=arr.dtype)
             for part in contrib:
-                digits = rest % q
+                acc = arr.sub(acc, part[rest % q])
                 rest //= q
-                if F.m == 1:
-                    acc = (acc + part[digits]) % F.p
-                else:
-                    acc ^= part[digits]
             table[lo:lo + chunk] = acc
         self._table = (table, _read_only(scale), zero)
         return table
@@ -165,13 +198,13 @@ class RSCode:
         Every codeword is c + m_top * x^(k-1) with c a row of
         `_codeword_table`.  At a point x_i != 0 it agrees with the word r for
         exactly one top digit, m_top = (r_i - c_i) / x_i^(k-1), which is
-        W_i = r'_i - c'_i in the table's scaled columns.  So one `bincount`
-        of W + q * row counts the agreements of all q top digits of every
-        row in a chunk: all q**k distances are counted, ORACLE_CHUNK
-        histogram cells at a time.  At x_i = 0 (k >= 2) every codeword of
-        row j takes the value m_0 = j mod q, so that column goes to a spare
-        cell, and the rows with j = r_i (mod q) gain one agreement for all
-        q digits.  A message's index is row + m_top * q**(k-1).
+        W_i = r'_i - c'_i in the table's scaled columns.  So the digit
+        histograms of W's rows (`digit_counts`) count the agreements of all
+        q top digits of every row: all q**k distances, HISTOGRAM_CHUNK cells
+        at a time.  At x_i = 0 (k >= 2) every codeword of row j takes the
+        value m_0 = j mod q, so that column is spare, and the rows with
+        j = r_i (mod q) gain one agreement for all q digits.  A message's
+        index is row + m_top * q**(k-1).
         """
         self._check_word(word)
         q = self.field.q
@@ -183,17 +216,11 @@ class RSCode:
         table, scale, zero = self._table
         arr = self.field.arrays()
         r = arr.mul(arr.array(word.symbols), scale).astype(table.dtype)
-        step = max(1, ORACLE_CHUNK // q)
-        offsets = q * np.arange(min(step, len(table)), dtype=np.int64)[:, None]
+        step = histogram_rows(q)
+        blocks = (arr.sub(r, table[lo:lo + step])
+                  for lo in range(0, len(table), step))
         best, hits = -1, []
-        for lo in range(0, len(table), step):
-            w = arr.sub(r, table[lo:lo + step])
-            cells = len(w) * q
-            idx = w + offsets[:len(w)]
-            if zero is not None:
-                idx[:, zero] = cells
-            counts = np.bincount(idx.ravel(), minlength=cells + 1)[:cells]
-            counts = counts.reshape(len(w), q)
+        for lo, _, base, counts in digit_counts(q, blocks, zero):
             if zero is not None:
                 counts[(word.symbols[zero] - lo) % q::q] += 1
             top = int(counts.max())
@@ -201,7 +228,7 @@ class RSCode:
                 if top > best:
                     best, hits = top, []
                 row, digit = np.nonzero(counts == top)
-                hits.append(lo + row + digit * len(table))
+                hits.append(lo + row + (base + digit) * len(table))
         msgs = sorted((self._message_from_index(int(i))
                        for i in np.concatenate(hits)),
                       key=lambda p: p.coeffs)

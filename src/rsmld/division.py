@@ -15,17 +15,21 @@ minimum distance because the covering radius of an RS code is at most n - k.
 
 A pair matters only through the zero set Z of its f2 among the evaluation
 points.  Since f2 = a*g1.f2 + b*g2.f2, it vanishes at x_i exactly when
-(a*g1.f2)(x_i) = -(b*g2.f2)(x_i): the pair source tabulates both sides at
-the n points, for every a and every monic b of the level, and one broadcast
-comparison gives every pair's zero count; the Z of each pair with at least
-t zeros goes to the candidate check, which never sees f2, f1 or the pair.
-The search reads only the ell's and the second components g1.f2, g2.f2.
-The division and rational decoders take them from r's syndromes
-(`groebner.syndrome_pair`): the same ell's and g1.f2 as M(r)'s basis, and
-a g2.f2 that may differ by c*g1.f2, deg c <= ell2 - ell1.  So their pair
-(a, b) has the f2 of M(r)'s pair (a + b*c, b) of the same level, a
-one-to-one map, and each level yields the same zero sets.  The re-encoded path meets the same condition, since its lifted
-(G*f1, f2) lies in the module of r - shift, whose errors are those of r.
+a_0 = z_i*b(x_i) - (a - a_0)(x_i), with the anchor z_i = -g2.f2(x_i) /
+g1.f2(x_i) of the rational fit (Wu, IEEE T-IT 54(8), 2008): the
+enumeration is that fit done exhaustively.  The pair source computes that
+value at the n points for every monic b and every a - a_0 of the level,
+and one digit histogram per row (`code.digit_counts`, the oracle's
+counting kernel) gives the zero counts of all q choices of a_0; the Z of
+each pair with at least t zeros goes to the candidate check, which never
+sees f2, f1 or the pair.  The search reads only the ell's and the second
+components g1.f2, g2.f2.  The division and rational decoders take them
+from r's syndromes (`groebner.syndrome_pair`): the same ell's and g1.f2 as
+M(r)'s basis, and a g2.f2 that may differ by c*g1.f2, deg c <= ell2 - ell1.
+So their pair (a, b) has the f2 of M(r)'s pair (a + b*c, b) of the same
+level, a one-to-one map, and each level yields the same zero sets.  The
+re-encoded path meets the same condition, since its lifted (G*f1, f2) lies
+in the module of r - shift, whose errors are those of r.
 
 Three facts make the search exact.  The degrees come from the basis: g2
 leads in position 2, so deg(b*g2.f2) = j + ell2 - k + 1 = t for b monic of
@@ -62,19 +66,13 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .code import DecodeOutcome, RSCode, Word, hamming_distance
+from .code import (DecodeOutcome, RSCode, Word, digit_counts, hamming_distance,
+                   histogram_rows)
 from .groebner import (GroebnerPair, ModuleVector, mgb_euclid_reencoded,
                        syndrome_pair)
 # looked up here by the benchmark's tracer; nothing in this module calls them
 from .groebner import mgb_iterative, mgb_iterative_reencoded  # noqa: F401
 from .polys import Polynomial, vanishing_poly
-
-# A level can hold q^(k1 + k2 + 1) pairs, so the pair source works a chunk
-# of a's and b's at a time: a value table (rows x n) holds at most
-# TABLE_CHUNK elements, and a pointwise comparison (a's x b's x n) at most
-# COMPARE_CHUNK booleans, unless one row alone is larger.
-TABLE_CHUNK = 1 << 13
-COMPARE_CHUNK = 1 << 18
 
 
 class RadiusCapExceeded(Exception):
@@ -118,12 +116,24 @@ def level_shapes(pair: GroebnerPair, k: int, t_cap: int,
     if j_cap is not None and j_cap < 0:
         raise ValueError(f"level cap must be >= 0, got {j_cap}")
     base_t = pair.ell2 - (k - 1)
-    shapes = []
-    j = 0
-    while base_t + j <= t_cap and (j_cap is None or j <= j_cap):
-        shapes.append(LevelShape(j, base_t + j, pair.ell2 - pair.ell1 + j, j))
-        j += 1
-    return shapes
+    last = t_cap - base_t if j_cap is None else min(t_cap - base_t, j_cap)
+    return [LevelShape(j, base_t + j, pair.ell2 - pair.ell1 + j, j)
+            for j in range(last + 1)]
+
+
+def anchors(code: RSCode, pair: GroebnerPair) -> tuple[np.ndarray, np.ndarray]:
+    """The anchors z_i = -g2.f2(x_i) / g1.f2(x_i) at the evaluation points,
+    and the mask of the finite ones, g1.f2(x_i) != 0.  Where g1.f2(x_i) = 0
+    the anchor is at infinity and z_i is -g2.f2(x_i), nonzero: both second
+    components vanishing at a point would make the pair not coprime, which
+    raises ArithmeticError."""
+    arr, xs = code.constants().arrays, code.constants().points
+    den, num = (arr.evaluate(g.f2.coeffs, xs) for g in (pair.g1, pair.g2))
+    finite = den != 0
+    if (~finite & (num == 0)).any():
+        raise ArithmeticError("both second components vanish at a point; "
+                              "basis not coprime")
+    return arr.sub(0, arr.mul(num, arr.inv(np.where(finite, den, 1)))), finite
 
 
 def combinations_at_level(code: RSCode, pair: GroebnerPair,
@@ -135,37 +145,42 @@ def combinations_at_level(code: RSCode, pair: GroebnerPair,
     docstring).  When a's degree bound is negative the only combination
     left is g2 itself (a = 0, b = 1), at level 0.
 
-    Polynomial number i has the base-q digits of i as coefficients: the a
-    are the numbers 0 .. q^(k1 + 1) - 1, and the monic b of degree k2 are
-    q^k2 .. 2*q^k2 - 1 with k2 + 1 digits.  Per chunk the tables
-    A[a] = (a*g1.f2)(x_i) and -B[b] = -(b*g2.f2)(x_i) are compared
-    pointwise, and each pair's count of equal entries is its f2's zero
-    count."""
+    Polynomial number i has the base-q digits of i as coefficients: the
+    a - a_0 are x times the numbers 0 .. q^k1 - 1, and the monic b of
+    degree k2 are q^k2 .. 2*q^k2 - 1 with k2 + 1 digits.  Each row of a
+    block is one b and one a - a_0, with w = z*b(x) - (a - a_0)(x) at the
+    points (the `anchors` z); w_i is the one a_0 for which f2(x_i) = 0, so
+    the row's digit histogram (`digit_counts`) is the zero count of all q
+    choices of a_0.  At an anchor at infinity f2(x_i) = b(x_i)*g2.f2(x_i):
+    a - a_0 is taken as 0 there, so w_i = z_i*b(x_i) is 0 exactly when the
+    point counts for every a_0, which a per-row bonus adds."""
     arr, xs = code.constants().arrays, code.constants().points
     if shape.a_max_deg < 0:
-        if shape.level == 0:
-            zeros = np.flatnonzero(arr.evaluate(pair.g2.f2.coeffs, xs) == 0)
-            if len(zeros) >= shape.t:
-                yield zeros
+        zeros = np.flatnonzero(arr.evaluate(pair.g2.f2.coeffs, xs) == 0)
+        if shape.level == 0 and len(zeros) >= shape.t:
+            yield zeros
         return
-    q, n = code.field.q, code.n
-    g1_f2 = arr.evaluate(pair.g1.f2.coeffs, xs)
-    g2_f2 = arr.evaluate(pair.g2.f2.coeffs, xs)
-    a_width, b_width = shape.a_max_deg + 1, shape.b_deg + 1
-    a_stop, b_start = q ** a_width, q ** shape.b_deg
-    rows = max(1, TABLE_CHUNK // n)
-    b_step = min(b_start, rows)
-    a_step = max(1, min(rows, COMPARE_CHUNK // (b_step * n)))
-    for b_lo in range(b_start, 2 * b_start, b_step):
-        b_hi = min(b_lo + b_step, 2 * b_start)
-        neg_b = arr.sub(0, arr.indexed_values(b_lo, b_hi, b_width, xs, g2_f2))
-        for a_lo in range(0, a_stop, a_step):
-            a_vals = arr.indexed_values(a_lo, min(a_lo + a_step, a_stop),
-                                        a_width, xs, g1_f2)
-            equal = a_vals[:, None] == neg_b
-            counts = np.count_nonzero(equal, axis=2)
-            for i, j in zip(*np.nonzero(counts >= shape.t)):
-                yield np.flatnonzero(equal[i, j])
+    q, n, k1, k2 = code.field.q, code.n, shape.a_max_deg, shape.b_deg
+    z, finite = anchors(code, pair)
+    a_count, b_start = q ** k1, q ** k2
+    a_step = min(a_count, histogram_rows(q))
+    b_step = histogram_rows(q) // a_step
+
+    def blocks() -> Iterator[np.ndarray]:
+        for a_lo in range(0, a_count, a_step):
+            a = arr.indexed_values(a_lo, min(a_lo + a_step, a_count), k1, xs,
+                                   xs * finite)
+            for b_lo in range(b_start, 2 * b_start, b_step):
+                zb = arr.indexed_values(b_lo, min(b_lo + b_step, 2 * b_start),
+                                        k2 + 1, xs, z)
+                yield arr.sub(zb[:, None], a).reshape(-1, n)
+
+    infinite = np.flatnonzero(~finite) if not finite.all() else None
+    for _, w, base, counts in digit_counts(q, blocks(), infinite):
+        if infinite is not None:
+            counts += np.count_nonzero(w[:, infinite] == 0, axis=1)[:, None]
+        for i, d in zip(*np.nonzero(counts >= shape.t)):
+            yield np.flatnonzero(np.where(finite, w[i] == base + d, w[i] == 0))
 
 
 def combine(pair: GroebnerPair, a: Polynomial, b: Polynomial) -> ModuleVector:

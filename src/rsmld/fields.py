@@ -442,10 +442,8 @@ class FieldArrays:
         Numbers past int64 are split into digits as Python ints.
         """
         q = self.field.q
-        if self.dtype == object or stop > 2**63:
-            rest = np.array(range(start, stop), dtype=object)
-        else:
-            rest = np.arange(start, stop, dtype=np.int64)
+        wide = self.dtype == object or stop > 2**63
+        rest = np.arange(start, stop, dtype=object if wide else np.int64)
         rows = self.mul(self.powers(x, width), mult[:, None]).T
         acc = np.zeros((len(rest), len(x)), dtype=self.dtype)
         for row in rows:

@@ -43,19 +43,11 @@ from .ratparams import (InterpParams, optimize_params,
 
 def anchor_points(code: RSCode, pair: GroebnerPair) -> list[ProjectivePoint]:
     """The projective anchors (x_i, -g2.f2(x_i) / g1.f2(x_i)), at infinity
-    where g1.f2 vanishes; one array pass over the points."""
-    arr, xs = code.constants().arrays, code.constants().points
-    den = arr.evaluate(pair.g1.f2.coeffs, xs)
-    num = arr.evaluate(pair.g2.f2.coeffs, xs)
-    finite = den != 0
-    both = (~finite & (num == 0)).nonzero()[0]
-    if both.size:
-        raise ArithmeticError(f"both second components vanish at "
-                              f"{code.eval_points[both[0]]}; basis not coprime")
-    z = iter(arr.sub(0, arr.mul(num[finite], arr.inv(den[finite]))).tolist())
-    return [ProjectivePoint.finite(x, next(z)) if fin
+    where g1.f2 vanishes (`division.anchors`)."""
+    z, finite = division.anchors(code, pair)
+    return [ProjectivePoint.finite(x, zi) if fin
             else ProjectivePoint.infinity(x)
-            for x, fin in zip(code.eval_points, finite.tolist())]
+            for x, zi, fin in zip(code.eval_points, z.tolist(), finite)]
 
 
 def rational_factorize(Q: BivariatePolynomial, k1: int,

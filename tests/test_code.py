@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,11 +214,11 @@ ENUMERATED_CODES = {
 }
 
 
-@pytest.mark.parametrize("chunk", [code_module.ORACLE_CHUNK, 1])
+@pytest.mark.parametrize("chunk", [code_module.HISTOGRAM_CHUNK, 1])
 @pytest.mark.parametrize("name", sorted(ENUMERATED_CODES))
 def test_oracle_equals_enumeration(name, chunk, monkeypatch):
     # chunk 1 scans one row per chunk, so hits are merged across chunks
-    monkeypatch.setattr(code_module, "ORACLE_CHUNK", chunk)
+    monkeypatch.setattr(code_module, "HISTOGRAM_CHUNK", chunk)
     base, words = ENUMERATED_CODES[name]
     code = RSCode(base.field, base.n, base.k, base.eval_points)
     for symbols in words:
@@ -280,8 +281,49 @@ def test_oracle_ties_across_chunks():
     assert oracle_result(code, r) == (7, [[1, 3, 7, 2, 9], [2, 9, 9, 15, 13]])
     rows = [sum(c * 16**e for e, c in enumerate(m[:4]))
             for m in ([1, 3, 7, 2, 9], [2, 9, 9, 15, 13])]
-    step = code_module.ORACLE_CHUNK // 16
+    step = code_module.HISTOGRAM_CHUNK // 16
     assert rows[0] // step != rows[1] // step
+
+
+@pytest.mark.parametrize("chunk,dtype", [
+    (code_module.HISTOGRAM_CHUNK, np.int64), (10, np.int64), (4, np.int64),
+    (1, np.int64), (4, object), (1, object)])
+def test_digit_counts_in_blocks_and_windows(monkeypatch, chunk, dtype):
+    # every row's histogram over q = 10 digits, without its spare column:
+    # one block of all 7 rows (16384), one row per block with all 10 digits
+    # (10) or in windows of 4, 4 and 2 digits (4) or of one digit (1); each
+    # cell is yielded once.  Python-int (object) arrays, which only fields
+    # past q = 3 * 10^9 use, always come in windows.
+    monkeypatch.setattr(code_module, "HISTOGRAM_CHUNK", chunk)
+    q, rng = 10, XorShift64Star(chunk)
+    rows = [[rng.below(q) for _ in range(6)] for _ in range(7)]
+    step = code_module.histogram_rows(q)
+    blocks = (np.array(rows[lo:lo + step], dtype=dtype)
+              for lo in range(0, len(rows), step))
+    got = np.zeros((len(rows), q), dtype=np.int64)
+    for lo, w, base, counts in code_module.digit_counts(q, blocks, spare=2):
+        assert counts.shape[1] <= chunk
+        got[lo:lo + len(w), base:base + counts.shape[1]] += counts
+    assert got.tolist() == [[sum(v == d for v in row[:2] + row[3:])
+                             for d in range(q)] for row in rows]
+
+
+def test_oracle_k1_over_a_large_prime_in_digit_windows():
+    # k = 1 over GF(1000003): q codewords, one row of q top digits, which
+    # the histogram takes in windows; the table's set-up builds nothing of
+    # size q, and no temporary holds one q-cell row (8 MB)
+    F = Field(1000003)
+    code = RSCode(F, 5, 1)
+    r = Word(code, (17, 17, 999999, 17, 5))
+    tracemalloc.start()
+    try:
+        out = code.ml_oracle(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * F.q, peak
+    assert oracle_result(code, r) == (2, [[17]])
+    assert out.min_distance == 2
 
 
 def test_oracle_budget():

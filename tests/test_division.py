@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rsmld import division
+from rsmld import code as code_module, division
 from rsmld.code import RSCode, Word, corrupt, hamming_distance, random_word
 from rsmld.division import (CandidateCheck, LevelShape, RadiusCapExceeded,
                             combinations_at_level, combine,
@@ -14,6 +15,7 @@ from rsmld.fields import Field, FieldArrays
 from rsmld.groebner import ModuleVector, mgb_iterative
 from rsmld.polys import Polynomial, base_q_digits, monic_polys
 from rsmld.rational import decode_rational
+from test_code import ENUMERATED_CODES
 
 F7 = Field(7)
 
@@ -182,19 +184,91 @@ def test_combinations_match_gcd_reference(field):
                         zero_set_reference(code, pair, shape), shape
 
 
-@pytest.mark.parametrize("chunk", [1, 20, 150])
+@pytest.mark.parametrize("chunk", [1, 5, 7, 20, 150])
 def test_combinations_chunked(monkeypatch, chunk):
-    # chunks of one pair, of a few a's, and of several b's with a few a's
-    # give the sets of the one-chunk default and of the scalar reference
+    # histogram blocks of one row in windows of one digit (1), in windows of
+    # 5 and 2 digits (5), of one row and all 7 digits (7), of 2 a's (20) and
+    # of all 7 a's with 3 b's (150) give the sets of the one-block default
+    # and of the scalar reference
     code = RSCode(F7, 7, 3)
     pair = mgb_iterative(code, random_word(code, 4))
     shapes = [LevelShape(1, t, 1, 1) for t in range(4)] + \
         [LevelShape(2, 2, 0, 2)]
     unchunked = [zero_sets(code, pair, s) for s in shapes]
-    monkeypatch.setattr(division, "COMPARE_CHUNK", chunk)
+    monkeypatch.setattr(code_module, "HISTOGRAM_CHUNK", chunk)
     for shape, expected in zip(shapes, unchunked):
         assert zero_sets(code, pair, shape) == expected
         assert expected == zero_set_reference(code, pair, shape)
+
+
+def level_gate_cases():
+    """(name, code, words): the oracle's enumerated codes with their words,
+    and the small GF(3/4/7/8/16) codes of this module, GF(16) with words
+    that stop by level 1 (its level 2 has 16^4 pairs, seconds each in the
+    scalar reference)."""
+    for name, (code, words) in sorted(ENUMERATED_CODES.items()):
+        yield name, code, [Word(code, w) for w in words]
+    gf7 = CHECK_CODES["GF7"]
+    yield "GF7", gf7, [random_word(gf7, seed) for seed in range(3)]
+    gf16 = CHECK_CODES["GF16"]
+    sent = gf16.encode([1, 3, 7, 2, 9])
+    yield "GF16", gf16, [corrupt(sent, t, 3) for t in (5, 6)]
+    for field in (Field(3), Field(2, 2), Field(7), Field(2, 3, 0b1101)):
+        code = RSCode(field, 3, 1)
+        yield field.label(), code, [Word(code, (0, 1, 2)),
+                                    random_word(code, 5)]
+
+
+LEVEL_GATE_CASES = list(level_gate_cases())
+
+
+@pytest.mark.parametrize("code,words", [c[1:] for c in LEVEL_GATE_CASES],
+                         ids=[c[0] for c in LEVEL_GATE_CASES])
+def test_zero_sets_equal_reference_at_reached_levels(code, words,
+                                                     monkeypatch):
+    # every level the three decoders reach past Johnson, on each decoder's
+    # pair: the histogram's zero sets are the scalar reference's
+    reached = {}
+    original = division.combinations_at_level
+
+    def recording(code, pair, shape):
+        key = (tuple(pair.g1.f2.coeffs), tuple(pair.g2.f2.coeffs),
+               shape.level, shape.t, shape.a_max_deg, shape.b_deg)
+        reached.setdefault(key, (pair, shape))
+        return original(code, pair, shape)
+
+    monkeypatch.setattr(division, "combinations_at_level", recording)
+    for r in words:
+        for decode in (decode_minimal, decode_minimal_reencoded,
+                       decode_rational):
+            decode(code, r, beyond_johnson=True)
+    assert reached
+    for pair, shape in reached.values():
+        assert set(zero_sets(code, pair, shape)) == \
+            set(zero_set_reference(code, pair, shape)), shape
+
+
+def test_level_zero_over_a_large_prime_in_digit_windows():
+    # RS(7,2) over GF(1000003), 3 errors: ell = (4, 4), so level 0 has
+    # k1 = 0 and q pairs (0, 1) .. (q - 1, 1); the histogram takes q digits
+    # in windows and never holds one q-cell row (8 MB)
+    F = Field(1000003)
+    code = RSCode(F, 7, 2)
+    msg = code.message_poly([123456, 999999])
+    for seed in range(1, 6):
+        r = corrupt(code.encode(msg), 3, seed)
+        tracemalloc.start()
+        try:
+            outs = [decode(code, r) for decode in (decode_minimal,
+                                                   decode_minimal_reencoded)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * F.q, peak
+        for out in outs:
+            assert (out.ell1, out.ell2, out.search_level) == (4, 4, 0)
+            assert out.min_distance == 3
+            assert out.messages == (msg,)
 
 
 def test_radius_caps():
