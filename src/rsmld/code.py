@@ -5,11 +5,12 @@ degree < k at n distinct field points.  The oracle decoder counts the
 distance of all q**k codewords from the received word with numpy and
 returns every message at the minimum — slow but exact, which is what the
 fast decoders are tested against.  It keeps a table of the q**(k-1)
-codewords whose top coefficient is 0 (q**(k-1) * n entries) and reads the
-agreements of all q top coefficients of a row off a histogram of the row's
-digits, q**k cells per word.  That counting kernel, `digit_counts`, also
-serves the level enumeration of `division`; it takes at most
-HISTOGRAM_CHUNK cells at a time, in windows of digits when q is larger.
+codewords whose constant coefficient is 0 (q**(k-1) * n entries) and reads
+the agreements of all q constant coefficients of a row off a histogram of
+the row's digits, q**k cells per word.  That counting kernel,
+`digit_counts`, also serves the level enumeration of `division`, which
+counts the constant term a_0 the same way; it takes at most HISTOGRAM_CHUNK
+cells at a time, in windows of digits when q is larger.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class OracleBudgetExceeded(ValueError):
 class RSCode:
     """An (n, k) Reed-Solomon code with explicit evaluation points."""
 
-    __slots__ = ("field", "n", "k", "eval_points", "_table", "_constants")
+    __slots__ = ("field", "n", "k", "eval_points", "_constants")
 
     def __init__(self, field: Field, n: int, k: int,
                  eval_points: Sequence[int] | None = None):
@@ -99,7 +100,6 @@ class RSCode:
         self.n = n
         self.k = k
         self.eval_points = pts
-        self._table: tuple[np.ndarray, np.ndarray, int | None] | None = None
         self._constants: CodeConstants | None = None
 
     # -- basic parameters ------------------------------------------------
@@ -157,37 +157,8 @@ class RSCode:
     # -- oracle ----------------------------------------------------------
 
     def _codeword_table(self) -> np.ndarray:
-        """The q**(k-1) codewords whose top message coefficient is 0, as a
-        (q**(k-1), n) integer array, cached.
-
-        Row j encodes the message whose k - 1 low coefficients are the
-        base-q digits of j.  Column i is multiplied by x_i^-(k-1) wherever
-        x_i != 0.  That column scale, and the index of the column where
-        x_i = 0 (None when k = 1 or 0 is no point), are cached with the
-        table for `ml_oracle`."""
-        if self._table is not None:
-            return self._table[0]
-        k, n, q, arr = self.k, self.n, self.field.q, self.field.arrays()
-        pts = self.eval_points
-        zero = pts.index(0) if k > 1 and 0 in pts else None
-        # x_i^-(k-1), and 1 at x_i = 0
-        points = arr.array(pts)
-        scale = arr.powers(arr.inv(np.where(points == 0, 1, points)), k)[:, -1]
-        # contrib[e][s][i] = -s * x_i^e * scale_i, one block per low digit e
-        columns = arr.mul(arr.powers(points, k - 1).T, arr.sub(0, scale))
-        contrib = [arr.mul(np.arange(q)[:, None], col) for col in columns]
-        dtype = np.int8 if q <= 127 else np.int16 if q <= 32768 else np.int64
-        table = np.zeros((q ** (k - 1), n), dtype=dtype)
-        chunk = max(1, HISTOGRAM_CHUNK // n)
-        for lo in range(0, len(table), chunk):
-            rest = np.arange(lo, min(lo + chunk, len(table)), dtype=np.int64)
-            acc = np.zeros((len(rest), n), dtype=arr.dtype)
-            for part in contrib:
-                acc = arr.sub(acc, part[rest % q])
-                rest //= q
-            table[lo:lo + chunk] = acc
-        self._table = (table, _read_only(scale), zero)
-        return table
+        """The oracle's table, `CodeConstants.codeword_table`."""
+        return self.constants().codeword_table
 
     def _message_from_index(self, idx: int) -> Polynomial:
         return Polynomial(self.field, base_q_digits(idx, self.field.q, self.k))
@@ -195,16 +166,12 @@ class RSCode:
     def ml_oracle(self, word: "Word", budget: int = 10_000_000) -> "DecodeOutcome":
         """Exact minimum-distance decoding by exhaustive enumeration.
 
-        Every codeword is c + m_top * x^(k-1) with c a row of
-        `_codeword_table`.  At a point x_i != 0 it agrees with the word r for
-        exactly one top digit, m_top = (r_i - c_i) / x_i^(k-1), which is
-        W_i = r'_i - c'_i in the table's scaled columns.  So the digit
-        histograms of W's rows (`digit_counts`) count the agreements of all
-        q top digits of every row: all q**k distances, HISTOGRAM_CHUNK cells
-        at a time.  At x_i = 0 (k >= 2) every codeword of row j takes the
-        value m_0 = j mod q, so that column is spare, and the rows with
-        j = r_i (mod q) gain one agreement for all q digits.  A message's
-        index is row + m_top * q**(k-1).
+        Every codeword is m_0 + c with c a row of `_codeword_table`.  At
+        every point it agrees with the word r for exactly one constant
+        coefficient, m_0 = r_i - c_i.  So the digit histograms of the rows
+        of r - C (`digit_counts`) count the agreements of all q values of
+        m_0 of every row: all q**k distances, HISTOGRAM_CHUNK cells at a
+        time.  A message's index is m_0 + q * row.
         """
         self._check_word(word)
         q = self.field.q
@@ -212,23 +179,20 @@ class RSCode:
         if total > budget:
             raise OracleBudgetExceeded(
                 f"q**k = {total} exceeds oracle budget {budget}")
-        self._codeword_table()
-        table, scale, zero = self._table
+        table = self._codeword_table()
         arr = self.field.arrays()
-        r = arr.mul(arr.array(word.symbols), scale).astype(table.dtype)
+        r = np.asarray(word.symbols, dtype=table.dtype)
         step = histogram_rows(q)
         blocks = (arr.sub(r, table[lo:lo + step])
                   for lo in range(0, len(table), step))
         best, hits = -1, []
-        for lo, _, base, counts in digit_counts(q, blocks, zero):
-            if zero is not None:
-                counts[(word.symbols[zero] - lo) % q::q] += 1
+        for lo, _, base, counts in digit_counts(q, blocks):
             top = int(counts.max())
             if top >= best:
                 if top > best:
                     best, hits = top, []
                 row, digit = np.nonzero(counts == top)
-                hits.append(lo + row + (base + digit) * len(table))
+                hits.append(base + digit + (lo + row) * q)
         msgs = sorted((self._message_from_index(int(i))
                        for i in np.concatenate(hits)),
                       key=lambda p: p.coeffs)
@@ -267,6 +231,10 @@ class CodeConstants:
       with v_i = 1 / Pi'(x_i).  It is H^T, the transposed parity-check
       matrix: a word r has syndromes S = r . H^T, all zero exactly on
       codewords; they give the division and rational decoders their basis.
+
+    One attribute is not a map: `codeword_table` (q**(k-1) x n), the
+    oracle's table of the codewords whose constant coefficient is 0, 16^4 x
+    15 int8 entries (0.98 MB) at (15, 5).
 
     The division and rational decoders build the tail matrix and the
     weighted powers; the re-encoded decoder also the short matrix and the
@@ -349,6 +317,30 @@ class CodeConstants:
         """k x n: x_i^e in row e, column i."""
         return _read_only(np.ascontiguousarray(
             self.arrays.powers(self.points, self.k).T))
+
+    @cached_property
+    def codeword_table(self) -> np.ndarray:
+        """(q**(k-1)) x n: row j encodes the message whose coefficients of
+        x^1 .. x^(k-1) are the base-q digits of j and whose constant is 0.
+
+        Built from Vandermonde rows 1 .. k - 1, one block of (q, n) multiples
+        per digit, about HISTOGRAM_CHUNK entries at a time; int8, int16 or
+        int64 by q."""
+        q, n, arr = self.field.q, len(self.eval_points), self.arrays
+        # contrib[e][s][i] = -s * x_i^(e+1), negated so that one `sub` adds
+        contrib = [arr.mul(np.arange(q)[:, None], arr.sub(0, row))
+                   for row in self.vandermonde[1:]]
+        dtype = np.int8 if q <= 127 else np.int16 if q <= 32768 else np.int64
+        table = np.zeros((q ** (self.k - 1), n), dtype=dtype)
+        chunk = max(1, HISTOGRAM_CHUNK // n)
+        for lo in range(0, len(table), chunk):
+            rest = np.arange(lo, min(lo + chunk, len(table)), dtype=np.int64)
+            acc = np.zeros((len(rest), n), dtype=arr.dtype)
+            for part in contrib:
+                acc = arr.sub(acc, part[rest % q])
+                rest //= q
+            table[lo:lo + chunk] = acc
+        return _read_only(table)
 
     @cached_property
     def weighted_powers(self) -> np.ndarray:

@@ -10,7 +10,7 @@ from rsmld import code as code_module
 from rsmld.code import (OracleBudgetExceeded, RSCode, Word, corrupt,
                         hamming_distance, random_word, shifted_word)
 from rsmld.fields import Field
-from rsmld.polys import Polynomial
+from rsmld.polys import Polynomial, base_q_digits
 from rsmld.rng import XorShift64Star
 
 F7 = Field(7)
@@ -195,7 +195,8 @@ def oracle_result(code, r):
                               for m in out.messages]
 
 
-# (code, its words): every kind of column the oracle's scan treats apart
+# (code, its words): the oracle reads every column alike, x = 0 included;
+# these codes vary where 0 sits among the points, k and the table's dtype
 ENUMERATED_CODES = {
     # prime field, 0 among the points (the default), k >= 2
     "prime-with-zero": (RSCode(F7, 7, 3), [(3, 0, 3, 4, 4, 6, 2),
@@ -206,7 +207,7 @@ ENUMERATED_CODES = {
     # GF(2^m) without 0 among the points
     "binary-without-zero": (RSCode(F8, 7, 2, [1, 2, 3, 4, 5, 6, 7]),
                             [(1, 0, 3, 2, 5, 1, 1), (7, 7, 0, 0, 3, 3, 4)]),
-    # k = 1: every column has the scale 1
+    # k = 1: the table is one row of zeros
     "binary-k1": (RSCode(F8, 8, 1), [(1, 1, 2, 2, 3, 3, 3, 0)]),
     "prime-k1": (RSCode(F7, 5, 1, [0, 1, 2, 3, 4]), [(6, 0, 6, 5, 5)]),
     # q >= 128: the int16 table
@@ -224,6 +225,20 @@ def test_oracle_equals_enumeration(name, chunk, monkeypatch):
     for symbols in words:
         r = Word(code, symbols)
         assert oracle_result(code, r) == enumerate_nearest(code, r)
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATED_CODES))
+def test_oracle_table_rows_are_constant_free_codewords(name):
+    # row j encodes the message with constant 0 and the base-q digits of j
+    # above it; every word of the code shares the table, so it is locked
+    code, _ = ENUMERATED_CODES[name]
+    q, k = code.field.q, code.k
+    table = code._codeword_table()
+    assert table.shape == (q ** (k - 1), code.n)
+    for j, row in enumerate(table):
+        msg = [0] + base_q_digits(j, q, k - 1)
+        assert tuple(row.tolist()) == code.encode(msg).symbols, j
+    assert not table.flags.writeable
 
 
 def test_oracle_table_dtype_past_int8():
@@ -274,12 +289,12 @@ def test_oracle_equals_enumeration_on_random_words(which, data):
 
 
 def test_oracle_ties_across_chunks():
-    # the (15,5) GF(16) word pinned in CI: two nearest messages whose low
-    # rows lie in different chunks of the scan
+    # the (15,5) GF(16) word pinned in CI: two nearest messages whose table
+    # rows (coefficients 1 .. 4) lie in different chunks of the scan
     code = RSCode(Field(2, 4), 15, 5)
     r = corrupt(code.encode([1, 3, 7, 2, 9]), 7, seed=3)
     assert oracle_result(code, r) == (7, [[1, 3, 7, 2, 9], [2, 9, 9, 15, 13]])
-    rows = [sum(c * 16**e for e, c in enumerate(m[:4]))
+    rows = [sum(c * 16**e for e, c in enumerate(m[1:]))
             for m in ([1, 3, 7, 2, 9], [2, 9, 9, 15, 13])]
     step = code_module.HISTOGRAM_CHUNK // 16
     assert rows[0] // step != rows[1] // step
@@ -309,7 +324,7 @@ def test_digit_counts_in_blocks_and_windows(monkeypatch, chunk, dtype):
 
 
 def test_oracle_k1_over_a_large_prime_in_digit_windows():
-    # k = 1 over GF(1000003): q codewords, one row of q top digits, which
+    # k = 1 over GF(1000003): q codewords, one row of q constant digits, which
     # the histogram takes in windows; the table's set-up builds nothing of
     # size q, and no temporary holds one q-cell row (8 MB)
     F = Field(1000003)
