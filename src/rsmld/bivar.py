@@ -8,11 +8,14 @@ An infinity anchor constrains the z-reversal of Q at (x_i, 0) instead.
 Koetter's update processes one constraint at a time over M + 1 candidates
 ordered by (1, w)-weighted leading degree, and the smallest final candidate
 meets the weighted-degree cap whenever the constraint count is below the
-cap's coefficient budget.  The candidates are held densely, as one integer
-numpy array indexed (candidate, z-degree, x-degree), and each anchor's
-Hasse discrepancies are computed once and then updated incrementally
-(McEliece, "The Guruswami-Sudan decoding algorithm for Reed-Solomon codes",
-IPN PR 42-153, 2003); only the fit is returned as a sparse polynomial.
+cap's coefficient budget.  Each candidate is one row of one integer numpy
+array: its Hasse discrepancies at the current anchor, computed once per
+anchor and then updated incrementally (McEliece, "The Guruswami-Sudan
+decoding algorithm for Reed-Solomon codes", IPN PR 42-153, 2003), followed
+by its coefficients.  The rows are kept up to a scale per candidate, so that
+the update of a constraint is one field axpy on the whole array; the scales
+are multiplied in once at the end, and the result is exactly the
+unnormalised update's.  Only the fit is returned as a sparse polynomial.
 
 The same engine serves both module ranks: `koetter_candidates` returns all
 M + 1 final candidates, the rational fit (`koetter_interpolate`) keeps the
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, FieldArrays
+from .fields import DOT_CHUNK, Field
 from .polys import Polynomial
 
 
@@ -158,98 +161,117 @@ def hasse_constraints(s: int):
     return [(c - v, v) for c in range(s) for v in range(c + 1)]
 
 
-def _hasse_matrix(A: FieldArrays, binom: np.ndarray, shift: np.ndarray,
-                  powers: np.ndarray, rows: int) -> np.ndarray:
-    """T[i, u] = C(i, u) * point^(i - u) for i < rows, u < s (0 when i < u),
-    from the point's powers, binom[i, u] = C(i, u) and shift[i, u] =
-    max(i - u, 0): a coefficient vector times T gives its Hasse derivatives
-    at the point."""
-    return A.mul(binom[:rows], powers[shift[:rows]])
-
-
-def _lead_key(lmx: list[int], w: int, j: int) -> tuple[int, int]:
-    """Order key of candidate j's leading monomial x^lmx[j] z^j: (1, w)-
-    weighted degree, ties going to the lower z-degree."""
-    return (lmx[j] + j * w, j)
+def _lead_keys(lmx: np.ndarray, w: int) -> np.ndarray:
+    """Candidate c's leading monomial x^lmx[c] z^c packed in one int,
+    (lmx[c] + c*w)*C + c over C candidates: ordered by (1, w)-weighted
+    degree, ties going to the lower z-degree."""
+    C = len(lmx)
+    c = np.arange(C)
+    return (lmx + c * w) * C + c
 
 
 def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
                        M: int, w: int) -> tuple[np.ndarray, list[int]]:
-    """Koetter's update over M + 1 candidates; returns the final candidates
-    as G[candidate, z-degree, x-degree] and the x-exponent of each one's
-    leading monomial (candidate j leads with z-degree j).
+    """Koetter's update over C = M + 1 candidates; returns the final
+    candidates as G[candidate, z-degree, x-degree] and the x-exponent of
+    each one's leading monomial (candidate j leads with z-degree j).
 
-    Candidate j starts as z^j.  At each anchor all s(s+1)/2 Hasse
-    discrepancies of every candidate are computed in one pass, then kept
-    current by linearity as the candidates are updated: a combination of
-    candidates combines their discrepancy rows, and multiplying by (x - x0)
-    shifts a row one step in u.  Each constraint's pivot is the candidate
-    with the smallest leading monomial among those it does not vanish on.
+    Candidate j starts as z^j.  Row c of one array R holds candidate c: s
+    zeros, its s*s Hasse discrepancies D_{u,v} at the current anchor
+    (u-major), C zeros, then its coefficients x-major (x^i z^j at column
+    g0 + i*C + j), so that a larger x-degree only appends columns.  At each
+    anchor all discrepancies are computed in one pass, from Hasse tables
+    built for a block of anchors at a time, then kept current by linearity:
+    a combination of candidates combines their rows, and multiplying by
+    (x - x0) shifts the coefficients one step in x and the discrepancies
+    one step in u, the zeros in front shifting in.  Each constraint's pivot
+    j* is the candidate with the smallest leading monomial (`_lead_keys`)
+    among those it does not vanish on.
+
+    Rows are held up to a scale: candidate c is lam[c] * R[c], so its true
+    discrepancy is d_c = lam[c] * e_c with e_c the stored one.  The update
+    g_c <- d* g_c - d_c g* is then R_c <- R_c - (e_c / e*) R_j* with
+    lam[c] <- lam[c] lam[j*] e*: one field axpy over every row at once,
+    with coefficient 0 for the rows the constraint misses and for j*
+    itself.  The field is exact, so multiplying by lam once at the end gives
+    the unnormalised update's candidates, bit for bit.
     """
     A = field.arrays()
-    C = M + 1
-    lmx = [0] * C  # x-exponent of the leading monomial (z-exp is j)
+    C, S = M + 1, s * s
+    c = np.arange(C)
+    key = _lead_keys(np.zeros(C, dtype=np.int64), w)
+    missed = np.iinfo(np.int64).max
+    lam = np.ones(C, dtype=A.dtype)
 
     # Every term x^i z^j' of candidate c has i + j'w <= lmx[c] + c*w, so its
     # x-degree is at most lmx[c] + c*w + spare.
     spare = max(0, -w) * M
-    top = max(c * w for c in range(C)) + spare
-    G = np.zeros((C, C, top + 1), dtype=A.dtype)
-    G[range(C), range(C), 0] = 1
+    top = max(0, M * w) + spare
+    cap = top + 1
+    g0 = s + S + C
+    R = np.zeros((C, g0 + cap * C), dtype=A.dtype)
+    R[c, g0 + c] = 1
 
-    def tables(width: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = max(width, C)
+    cons = [s + u * s + v for u, v in hasse_constraints(s)]
+    # D_{u,v} at infinity reads the z^(M - v) slice of the x-transform
+    slices = M - np.arange(min(s, C))
+    done = 0
+    while done < len(anchors):
+        # T[i, u] = C(i, u) * point^(i - u) (0 when i < u), i < rows, for
+        # every anchor of a block: a coefficient vector times T gives its
+        # Hasse derivatives at the point
+        rows = max(cap, C)
         binom = A.array([[math.comb(i, u) % field.p for u in range(s)]
                          for i in range(rows)])
-        return binom, np.maximum(np.arange(rows)[:, None] - np.arange(s), 0)
-
-    binom, shift = tables(top + 1)
-    cons = hasse_constraints(s)
-    for pt in anchors:
-        x0 = pt.x
-        cols = top + 1
-        xpow, zpow = A.powers([x0, pt.z_num], max(cols, C))
-        H = A.dot(G[:, :, :cols], _hasse_matrix(A, binom, shift, xpow, cols))
-        if pt.is_infinite:
-            # the z-reversal at z = 0: D_{u,v} reads slice M - v
-            D = np.zeros((C, s, s), dtype=A.dtype)
-            for v in range(min(s, C)):
-                D[:, :, v] = H[:, M - v, :]
-        else:
-            D = A.dot(H.transpose(0, 2, 1),
-                      _hasse_matrix(A, binom, shift, zpow, C))
-        for i, (u, v) in enumerate(cons, 1):
-            # D is rebuilt at the next anchor: after the last constraint
-            # only G needs updating
-            track = i < len(cons)
-            d = D[:, u, v]
-            hit = np.flatnonzero(d)
-            if not hit.size:
-                continue
-            jstar = min(hit.tolist(), key=lambda j: _lead_key(lmx, w, j))
-            dstar = d[jstar]
-            rest = hit[hit != jstar]
-            if rest.size:
-                dj = d[rest][:, None, None]
-                G[rest, :, :cols] = A.msub(dstar, G[rest, :, :cols],
-                                           dj, G[jstar, :, :cols])
-                if track:
-                    D[rest] = A.msub(dstar, D[rest], dj, D[jstar])
-            # g* <- (x - x0) g*, and D_{u,v}(g*) <- D_{u-1,v}(g*)
-            lmx[jstar] += 1
-            top = max(top, lmx[jstar] + jstar * w + spare)
-            if top >= G.shape[2]:
-                G = np.concatenate([G, np.zeros_like(G)], axis=2)
-                binom, shift = tables(G.shape[2])
-            cols = top + 1
-            g = G[jstar, :, :cols]
-            shifted = np.zeros_like(g)
-            shifted[:, 1:] = g[:, :-1]
-            G[jstar, :, :cols] = A.msub(1, shifted, x0, g) if x0 else shifted
-            if track:
-                D[jstar, 1:] = D[jstar, :-1].copy()
-                D[jstar, 0] = 0
-    return G, lmx
+        shift = np.maximum(np.arange(rows)[:, None] - np.arange(s), 0)
+        block = anchors[done:done + max(1, DOT_CHUNK // (rows * s))]
+        tx = A.mul(binom, A.powers([pt.x for pt in block], rows)[:, shift])
+        tz = A.mul(binom[:C],
+                   A.powers([pt.z_num for pt in block], C)[:, shift[:C]])
+        for b, pt in enumerate(block):
+            if cap > rows:
+                break  # the x-degree outgrew the tables
+            done += 1
+            x0, cols = pt.x, top + 1
+            G = R[:, g0:g0 + cols * C].reshape(C, cols, C)
+            H = A.dot(G.transpose(0, 2, 1), tx[b, :cols])
+            if pt.is_infinite:
+                D = np.zeros((C, s, s), dtype=A.dtype)
+                D[:, :, :len(slices)] = H[:, slices].transpose(0, 2, 1)
+            else:
+                D = A.dot(H.transpose(0, 2, 1), tz[b])
+            R[:, s:s + S] = D.reshape(C, S)
+            for col in cons:
+                e = R[:, col]
+                hit = e != 0
+                pick = np.where(hit, key, missed)
+                j = int(pick.argmin())
+                if pick[j] == missed:
+                    continue
+                estar = int(e[j])
+                coef = A.mul(e, field.inv(estar))
+                coef[j] = 0
+                used = g0 + cols * C
+                A.sub_scaled(R[:, :used], coef[:, None], R[j, :used])
+                hit[j] = False
+                scale = field.mul(int(lam[j]), estar)
+                lam = A.mul(lam, np.where(hit, scale, 1))
+                # g* <- (x - x0) g*, and D_{u,v}(g*) <- D_{u-1,v}(g*)
+                key[j] += C
+                top = max(top, int(key[j]) // C + spare)
+                if top >= cap:
+                    R = np.concatenate(
+                        [R, np.zeros((C, cap * C), dtype=A.dtype)], axis=1)
+                    cap *= 2
+                cols = top + 1
+                end = g0 + cols * C
+                row = R[j]
+                row[g0:end] = (A.sub(row[g0 - C:end - C],
+                                     A.mul(x0, row[g0:end]))
+                               if x0 else row[g0 - C:end - C])
+                row[s:s + S] = row[:S]
+    G = A.mul(lam[:, None], R[:, g0:]).reshape(C, cap, C).transpose(0, 2, 1)
+    return G, ((key - c) // C - c * w).tolist()
 
 
 def koetter_interpolate(field: Field, anchors: list[ProjectivePoint], s: int,
@@ -263,7 +285,7 @@ def koetter_interpolate(field: Field, anchors: list[ProjectivePoint], s: int,
     fit, so a violation means the caps were inconsistent.
     """
     G, lmx = koetter_candidates(field, anchors, s, M, w)
-    best = min(range(M + 1), key=lambda j: _lead_key(lmx, w, j))
+    best = int(_lead_keys(np.array(lmx), w).argmin())
     Q = BivariatePolynomial(field, {(int(i), int(j)): int(G[best, j, i])
                                     for j, i in zip(*np.nonzero(G[best]))})
     if rho is not None and Q.wdeg(w) > rho:

@@ -346,6 +346,14 @@ class FieldArrays:
                 self._exp[self._log[b] + self._log[y]]
         return (a * x - b * y) % self.p
 
+    def sub_scaled(self, y: np.ndarray, a, x) -> None:
+        """y <- y - a*x in place (broadcasting a*x to y's shape)."""
+        if self.binary:
+            y ^= self._exp[self._log[a] + self._log[x]]
+        else:
+            y -= a * x % self.p
+            y %= self.p
+
     def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product over the field: a's last axis against b's first.
 

@@ -21,6 +21,7 @@ All root comparisons go through :class:`QuadraticRoot`, an exact
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,8 +177,11 @@ class MultiplicityScan:
     feasible: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizeResult:
+    """The scan of one shape (n, k, t, k1, k2): every multiplicity tried,
+    the admissible rows at the first feasible one, and the cheapest row."""
+
     n: int
     k: int
     t: int
@@ -185,8 +189,8 @@ class OptimizeResult:
     k2: int
     s_low: int
     s_high: int
-    scan: list[MultiplicityScan]
-    rows: list[InterpParams]
+    scan: tuple[MultiplicityScan, ...]
+    rows: tuple[InterpParams, ...]
     best: InterpParams
 
     @property
@@ -238,10 +242,15 @@ def _row(n: int, t: int, k1: int, k2: int, s: int, N: int, M: int) -> InterpPara
     return params
 
 
+@functools.lru_cache
 def optimize_params(n: int, k: int, t: int, k1: int, k2: int) -> OptimizeResult:
     """Scan multiplicities from the exact lower bound up; at the first
     feasible s return every admissible M with its rho and U, and the row
-    minimizing M*U (smallest M on ties)."""
+    minimizing M*U (smallest M on ties).
+
+    The result is a pure function of the shape and immutable, so it is
+    cached per shape: the decoders ask for the same few shapes word after
+    word."""
     t0 = _check_shape(n, k, t, k1, k2)
     k0 = t - t0
     if k0 <= 0:
@@ -262,10 +271,11 @@ def optimize_params(n: int, k: int, t: int, k1: int, k2: int) -> OptimizeResult:
         scans.append(scan)
         if not scan.feasible:
             continue
-        rows = [_row(n, t, k1, k2, s, scan.N, M)
-                for M in range(scan.m_low, scan.m_high + 1)]
+        rows = tuple(_row(n, t, k1, k2, s, scan.N, M)
+                     for M in range(scan.m_low, scan.m_high + 1))
         best = min(rows, key=lambda p: (p.cost, p.M))
-        return OptimizeResult(n, k, t, k1, k2, s_low, s_high, scans, rows, best)
+        return OptimizeResult(n, k, t, k1, k2, s_low, s_high, tuple(scans),
+                              rows, best)
     raise InfeasibleParams(
         f"no multiplicity in [{max(s_low, 1)}, {s_high}] admits an integer "
         f"z-degree cap for t={t} on ({n},{k})")

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from rsmld.bivar import (BivariatePolynomial, ProjectivePoint,
                          hasse_constraints, hasse_derivative_value,
-                         koetter_interpolate)
+                         koetter_candidates, koetter_interpolate)
 from rsmld.code import RSCode, Word, corrupt
 from rsmld.fields import Field
 from rsmld.groebner import mgb_iterative
@@ -182,10 +183,13 @@ def test_koetter_on_decoder_anchors():
 
 def _reference_koetter(field, anchors, s, M, w):
     """Koetter's update on sparse {(i, j): coeff} candidates, one
-    discrepancy at a time: the scalar reference for the array version."""
+    discrepancy at a time: the scalar reference for the array version.
+    Returns every final candidate, the x-exponents of their leading
+    monomials and the number of constraints that every candidate met."""
     F = field
     cands = [{(0, j): 1} for j in range(M + 1)]
     lmx = [0] * (M + 1)
+    skipped = 0
 
     def order_key(j):
         return (lmx[j] + j * w, j)
@@ -203,6 +207,7 @@ def _reference_koetter(field, anchors, s, M, w):
                         BivariatePolynomial(F, g), u, v, x, pt.z_num))
             hit = [j for j, dj in enumerate(deltas) if dj]
             if not hit:
+                skipped += 1
                 continue
             jstar = min(hit, key=order_key)
             dstar, gstar = deltas[jstar], cands[jstar]
@@ -218,7 +223,13 @@ def _reference_koetter(field, anchors, s, M, w):
                 promoted[(i, j)] = F.sub(promoted.get((i, j), 0), F.mul(x, c))
             cands[jstar] = {m: c for m, c in promoted.items() if c}
             lmx[jstar] += 1
-    return BivariatePolynomial(F, cands[min(range(M + 1), key=order_key)])
+    return [BivariatePolynomial(F, g) for g in cands], lmx, skipped
+
+
+def _reference_fit(field, anchors, s, M, w):
+    """The smallest of the reference's final candidates."""
+    cands, lmx, _ = _reference_koetter(field, anchors, s, M, w)
+    return cands[min(range(M + 1), key=lambda j: (lmx[j] + j * w, j))]
 
 
 def _from_slices(rows):
@@ -299,7 +310,7 @@ def test_koetter_matches_reference(field):
                    else ProjectivePoint.finite(x, rng.below(field.q))
                    for x in xs]
         q = koetter_interpolate(field, anchors, s, M, w)
-        assert q == _reference_koetter(field, anchors, s, M, w), (s, M, w)
+        assert q == _reference_fit(field, anchors, s, M, w), (s, M, w)
         _replay_constraints(field, q, anchors, s, M)
 
 
@@ -314,3 +325,36 @@ def test_koetter_line_over_large_prime():
     c = q.coeffs[(0, 1)]
     assert q.coeffs == {(0, 1): c, (0, 0): F.mul(c, F.neg(a)),
                         (1, 0): F.mul(c, F.neg(b))}
+
+
+@pytest.mark.parametrize("field", [Field(7), Field(2, 3), Field(2**31 - 1),
+                                   Field(4294967291)])
+def test_koetter_candidates_match_reference(field):
+    # every one of the M + 1 final candidates and its leading x-exponent,
+    # not only the smallest: mgb_iterative reads both of its candidates.
+    # The anchors include x = 0 and points at infinity, and end with a
+    # repeat of the first: all candidates already meet its constraints
+    rng = XorShift64Star(field.q)
+    # (s, M, w, the x-width's growth): the width starts at M|w| + 1 and
+    # doubles as the fit outgrows it, at least twice on the long fits
+    for s, M, w, grows in [(1, 1, 0, 4), (2, 1, 0, 4), (2, 3, 1, 1),
+                           (3, 2, -1, 4), (3, 4, -2, 1), (3, 1, 2, 4)]:
+        xs = [0]
+        while len(xs) < min(field.q, 7):
+            x = rng.below(field.q)
+            if x not in xs:
+                xs.append(x)
+        anchors = [ProjectivePoint.infinity(x) if i % 3 == 1
+                   else ProjectivePoint.finite(x, rng.below(field.q))
+                   for i, x in enumerate(xs)]
+        anchors.append(anchors[0])
+        G, lmx = koetter_candidates(field, anchors, s, M, w)
+        cands, want_lmx, skipped = _reference_koetter(field, anchors, s, M, w)
+        assert skipped >= s * (s + 1) // 2, (s, M, w)
+        assert lmx == want_lmx, (s, M, w)
+        assert len(G) == M + 1
+        for c, want in zip(G, cands):
+            got = {(int(i), int(j)): int(c[j, i])
+                   for j, i in zip(*np.nonzero(c))}
+            assert BivariatePolynomial(field, got) == want, (s, M, w)
+        assert G.shape[2] >= grows * (M * abs(w) + 1), (s, M, w, G.shape)

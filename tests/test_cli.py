@@ -319,6 +319,35 @@ def test_params_json(capsys):
     assert doc["rows"][2]["M"] == 17
 
 
+# the (15,5), t = 7 document, byte for byte
+PARAMS_15_5_T7 = (
+    '{"v": 1, "n": 15, "k": 5, "t": 7, "k1": 2, "k2": 1, "s_low": 6, '
+    '"s_high": 8, "scan": [{"s": 6, "N": 315, "disc": "9/4", "M1": 13.0, '
+    '"M2": 14.0, "feasible": false}, {"s": 7, "N": 420, "disc": "121/4", '
+    '"M1": 14.0, "M2": 17.666666666666668, "feasible": true}], '
+    '"rows": [{"t": 7, "k1": 2, "k2": 1, "s": 7, "M": 15, "rho": 33, '
+    '"N": 420, "U": 424, "cost": 6360, "source": "optimized"}, {"t": 7, '
+    '"k1": 2, "k2": 1, "s": 7, "M": 16, "rho": 32, "N": 420, "U": 425, '
+    '"cost": 6800, "source": "optimized"}, {"t": 7, "k1": 2, "k2": 1, '
+    '"s": 7, "M": 17, "rho": 31, "N": 420, "U": 423, "cost": 7191, '
+    '"source": "optimized"}], "best": {"t": 7, "k1": 2, "k2": 1, "s": 7, '
+    '"M": 15, "rho": 33, "N": 420, "U": 424, "cost": 6360, '
+    '"source": "optimized"}, "wu": {"t": 7, "k1": 2, "k2": 1, "s": 7, '
+    '"M": 16, "rho": 32, "N": 420, "U": 425, "cost": 6800, '
+    '"source": "wu"}}'
+)
+
+
+def test_params_json_document(capsys):
+    # the second call reads the cached scan: the same document
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "params", "--n", "15", "--k", "5",
+                               "--t", "7", "--k1", "2", "--k2", "1",
+                               "--output", "json")
+        assert code == 0
+        assert out == PARAMS_15_5_T7 + "\n"
+
+
 def test_params_infeasible_exit_code(capsys):
     code, _, err = run_cli(capsys, "params", "--n", "15", "--k", "5",
                            "--t", "8", "--k1", "3", "--k2", "2")

@@ -152,6 +152,12 @@ def test_array_sub_inv_sum_evaluate(field):
     arr = A.array(xs)
     assert [int(v) for v in A.sub(arr, A.array(xs[::-1]))] == \
         [field.sub(a, b) for a, b in zip(xs, xs[::-1])]
+    # in place, a column of scalars times a row: y[i, j] - a[i] * x[j]
+    y = A.array([xs, xs[::-1]])
+    A.sub_scaled(y, A.array([[field.q - 1], [2 % field.q]]), arr)
+    assert [[int(v) for v in row] for row in y] == [
+        [field.sub(b, field.mul(a, x)) for b, x in zip(ys, xs)]
+        for a, ys in ((field.q - 1, xs), (2 % field.q, xs[::-1]))]
     assert [int(v) for v in A.inv(nonzero)] == [field.inv(x) for x in nonzero]
     with pytest.raises(ZeroDivisionError):
         A.inv(xs)

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,16 @@ def test_optimize_midsize_code():
     # the scan record keeps the infeasible attempts
     assert [sc.s for sc in res.scan] == [6, 7]
     assert not res.scan[0].feasible and res.scan[1].feasible
+
+
+def test_optimize_params_cached_per_shape():
+    # a pure function of the shape, asked for once per decoded word
+    res = optimize_params(15, 5, 7, 2, 1)
+    assert optimize_params(15, 5, 7, 2, 1) is res
+    assert optimize_params(15, 5, 6, 0, 1) is not res
+    assert isinstance(res.scan, tuple) and isinstance(res.rows, tuple)
+    with pytest.raises(FrozenInstanceError):
+        res.best = res.rows[1]
 
 
 def test_single_multiplicity():
