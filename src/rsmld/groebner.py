@@ -43,7 +43,7 @@ candidates, led by z^0 and z^1 under (1, k-1) weights, are a minimal
 Groebner basis under the (0, k-1) order (McEliece, IPN PR 42-153, 2003;
 Lee & O'Sullivan, JSC 43, 2008).
 
-All five hand their two rows (f1, f2), trimmed coefficient arrays, to one
+All five hand their two rows (f1, f2), lists of ints low to high, to one
 reduction built on one row operation: subtract c * x^s times one row from
 the other so that a chosen top coefficient cancels (Mulders & Storjohann,
 JSC 35, 2003).  While both rows lead in the same position it cancels the
@@ -114,11 +114,6 @@ class ModuleVector:
         return f"({self.f1}, {self.f2})"
 
 
-# A module vector (f1, f2) while a basis is built: two trimmed coefficient
-# arrays (`FieldArrays.trim`), low to high.
-Row = tuple[np.ndarray, np.ndarray]
-
-
 class Lead(NamedTuple):
     """Leading monomial data of a module vector under some order."""
 
@@ -129,8 +124,7 @@ class Lead(NamedTuple):
 
 
 def _lead(order: WeightedOrder, f1, f2) -> Lead:
-    """Leading monomial of (f1, f2), given as trimmed coefficient lists or
-    arrays."""
+    """Leading monomial of (f1, f2), given as trimmed coefficient lists."""
     best = None
     for pos, comp in ((1, f1), (2, f2)):
         if len(comp):
@@ -175,12 +169,11 @@ class GroebnerPair:
         }
 
 
-def _vector(field: Field, row: Row) -> ModuleVector:
-    return ModuleVector(Polynomial(field, row[0].tolist()),
-                        Polynomial(field, row[1].tolist()))
+def _vector(field: Field, row: Sequence[list[int]]) -> ModuleVector:
+    return ModuleVector(Polynomial(field, row[0]), Polynomial(field, row[1]))
 
 
-def _reduced_pair(field: Field, rows: list[Row],
+def _reduced_pair(field: Field, rows: Sequence[Sequence[list[int]]],
                   order: WeightedOrder) -> GroebnerPair:
     """The reduced basis of the rank-2 module that two rows span.
 
@@ -190,41 +183,51 @@ def _reduced_pair(field: Field, rows: list[Row],
 
     Reduce: while both rows lead in the same position, cancel the higher
     lead there.  The lead falls strictly each time, so this ends with the
-    rows leading in positions 1 and 2: a minimal basis.  No step raises a
-    component's weighted degree past the larger lead of the two rows given,
-    which sizes the array the rows are kept in.
+    rows leading in positions 1 and 2: a minimal basis.
 
     Normalize: make both rows monic.  With g1 leading in x^e1 e1 and g2 in
     x^d e2, cancel g1.f2's coefficients of degree >= d, top down, then
     g2.f1's of degree >= e1; no step moves either leading monomial, and the
-    pair is then unique for the module and order."""
-    arr = field.arrays()
-    cap = max(len(c) + w for row in rows for c, w in zip(row, order.weights))
-    a = np.zeros((2, 2, cap), dtype=arr.dtype)  # row x component x degree
-    degs = [[len(c) - 1 for c in row] for row in rows]
-    for i, row in enumerate(rows):
-        for j, c in enumerate(row):
-            a[i, j, :len(c)] = c
+    pair is then unique for the module and order.
 
-    def trimmed(i: int) -> Row:
-        return a[i, 0, :degs[i][0] + 1], a[i, 1, :degs[i][1] + 1]
+    The rows are copied into Python lists of ints, low to high, each
+    component trimmed to its own degree, so a row step costs one list
+    comprehension per component over that component's width: on GF(2^m)
+    through the field's log/antilog lists, on GF(p) exact on Python ints."""
+    rows = [[list(c) for c in row] for row in rows]
+    for comp in rows[0] + rows[1]:
+        while comp and not comp[-1]:
+            comp.pop()
+
+    if field.m > 1:
+        exp, log = field._exp, field._log
+
+        def minus(c: int, d: list[int], v: list[int]) -> list[int]:
+            """d - c*v, elementwise over v's width."""
+            lc = log[c]
+            return [x ^ exp[lc + log[y]] if y else x for x, y in zip(d, v)]
+    else:
+        p = field.p
+
+        def minus(c: int, d: list[int], v: list[int]) -> list[int]:
+            """d - c*v, elementwise over v's width."""
+            return [(x - c * y) % p for x, y in zip(d, v)]
 
     def lead(i: int) -> Lead:
-        if degs[i] == [-1, -1]:
+        if not any(rows[i]):
             raise ArithmeticError("the rows do not span a rank-2 module")
-        return _lead(order, *trimmed(i))
+        return _lead(order, *rows[i])
 
     def cancel(hi: int, lo: int, j: int) -> None:
-        s = degs[hi][j] - degs[lo][j]
-        c = field.div(int(a[hi, j, degs[hi][j]]), int(a[lo, j, degs[lo][j]]))
-        width = max(degs[lo]) + 1
-        a[hi, :, s:s + width] = arr.sub(a[hi, :, s:s + width],
-                                        arr.mul(c, a[lo, :, :width]))
-        for comp in (0, 1):
-            d = max(degs[hi][comp], s + degs[lo][comp])
-            while d >= 0 and not a[hi, comp, d]:
-                d -= 1
-            degs[hi][comp] = d
+        a, b = rows[hi], rows[lo]
+        s = len(a[j]) - len(b[j])
+        c = field.div(a[j][-1], b[j][-1])
+        for x, y in zip(a, b):
+            if len(x) < s + len(y):
+                x += [0] * (s + len(y) - len(x))
+            x[s:s + len(y)] = minus(c, x[s:s + len(y)], y)
+            while x and not x[-1]:
+                x.pop()
 
     leads = [lead(0), lead(1)]
     while leads[0].position == leads[1].position:
@@ -233,14 +236,14 @@ def _reduced_pair(field: Field, rows: list[Row],
         leads[hi] = lead(hi)
 
     g1, g2 = (0, 1) if leads[0].position == 1 else (1, 0)
-    for i in (g1, g2):
-        a[i] = arr.mul(field.inv(leads[i].coeff), a[i])
-    while degs[g1][1] >= degs[g2][1]:
+    for i in (g1, g2):  # 0 - c * row, c = -1 / lc: the row made monic
+        c = field.neg(field.inv(leads[i].coeff))
+        rows[i] = [minus(c, [0] * len(x), x) for x in rows[i]]
+    while len(rows[g1][1]) >= len(rows[g2][1]):
         cancel(g1, g2, 1)
-    while degs[g2][0] >= degs[g1][0]:
+    while len(rows[g2][0]) >= len(rows[g1][0]):
         cancel(g2, g1, 0)
-    return GroebnerPair(_vector(field, trimmed(g1)),
-                        _vector(field, trimmed(g2)),
+    return GroebnerPair(_vector(field, rows[g1]), _vector(field, rows[g2]),
                         leads[g1].wdeg, leads[g2].wdeg, order)
 
 
@@ -265,21 +268,19 @@ def decoder_order(code: RSCode) -> WeightedOrder:
 
 
 def _generator_rows(code: RSCode, vanishing: Polynomial,
-                    L: np.ndarray) -> list[Row]:
+                    L: list[int]) -> list[tuple[list[int], list[int]]]:
     """(V, 0) and (L, -1), for L the interpolant of a word on the points
     where V vanishes."""
-    F, arr = code.field, code.constants().arrays
-    return [(arr.array(vanishing.coeffs), arr.array([])),
-            (L, arr.array([F.neg(1)]))]
+    return [(vanishing.coeffs, []), (L, [code.field.neg(1)])]
 
 
-def interpolant(code: RSCode, r) -> np.ndarray:
-    """The trimmed coefficients, low to high, of r's interpolant L on all n
-    points: r . B with the code's interpolation matrix B."""
+def interpolant(code: RSCode, r) -> list[int]:
+    """The coefficients, low to high, of r's interpolant L on all n points:
+    r . B with the code's interpolation matrix B."""
     consts = code.constants()
     arr = consts.arrays
-    return arr.trim(arr.dot(arr.array(_symbols(code, r)),
-                            consts.interpolation_matrix))
+    return arr.dot(arr.array(_symbols(code, r)),
+                   consts.interpolation_matrix).tolist()
 
 
 def interpolation_generators(code: RSCode, r) -> tuple[ModuleVector, ModuleVector]:
@@ -311,11 +312,8 @@ def syndrome_pair(code: RSCode, syndromes: np.ndarray) -> GroebnerPair:
     g2.f2 may differ from `mgb_euclid`'s by c * g1.f2 with
     deg c <= ell2 - ell1, which maps each level's pairs (a, b) onto
     themselves (see the module docstring)."""
-    arr, nk = code.constants().arrays, code.n - code.k
-    power = np.zeros(nk + 1, dtype=arr.dtype)
-    power[nk] = 1
-    rows = [(power, arr.array([])),
-            (arr.trim(syndromes[::-1]), arr.array([1]))]
+    nk = code.n - code.k
+    rows = [([0] * nk + [1], []), (syndromes[::-1].tolist(), [1])]
     pair = _reduced_pair(code.field, rows, WeightedOrder((1, 0)))
     g1 = ModuleVector(-pair.g1.f1, -pair.g1.f2)
     return GroebnerPair(g1, pair.g2, pair.ell1 + code.k - 1,
@@ -323,13 +321,12 @@ def syndrome_pair(code: RSCode, syndromes: np.ndarray) -> GroebnerPair:
 
 
 def _koetter_rows(field: Field, anchors: list[ProjectivePoint],
-                  w: int) -> list[Row]:
+                  w: int) -> list[tuple[list[int], list[int]]]:
     """Koetter's two candidates at s = 1, M = 1 as rows (f1, f2): a minimal
     basis of {(f1, f2) : f1(x) + v*f2(x) = 0 at every anchor (x, v)} under
     the (0, w)-weighted order, the z^0-led row first."""
     G, _ = koetter_candidates(field, anchors, 1, 1, w)
-    arr = field.arrays()
-    return [(arr.trim(c[0]), arr.trim(c[1])) for c in G]
+    return [(c[0].tolist(), c[1].tolist()) for c in G]
 
 
 def mgb_iterative(code: RSCode, r) -> GroebnerPair:
@@ -359,8 +356,8 @@ def mgb_euclid_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
     (Pi_y, 0) and (L_y, -1) on the first n - k + 1 points, where
     L_y = y . R with R the code's `short_interpolation_matrix`."""
     consts = code.constants()
-    L_y = consts.arrays.trim(consts.arrays.dot(
-        _residuals(code, y), consts.short_interpolation_matrix))
+    L_y = consts.arrays.dot(_residuals(code, y),
+                            consts.short_interpolation_matrix).tolist()
     rows = _generator_rows(code, consts.short_vanishing, L_y)
     return _reduced_pair(code.field, rows, WeightedOrder((0, 0)))
 

@@ -129,7 +129,9 @@ def test_engines_agree_on_random_words():
     (Field(31), 31, 15),
     (Field(2**31 - 1), 24, 4),
     (Field(4294967291), 24, 4),
-], ids=["255-223-gf256", "31-15-gf31", "24-4-mersenne31", "24-4-p32"])
+    (Field(2**61 - 1), 24, 8),  # rows past int64 products: Python ints
+], ids=["255-223-gf256", "31-15-gf31", "24-4-mersenne31", "24-4-p32",
+        "24-8-mersenne61"])
 def test_engines_agree_at_benchmark_sizes(field, n, k):
     code = RSCode(field, n, k)
     rng = XorShift64Star(n)
@@ -195,6 +197,7 @@ def _short_generators(code, y):
     (Field(31), 31, 15),
     (Field(2**31 - 1), 24, 4),
     (Field(4294967291), 24, 4),
+    (Field(2**61 - 1), 24, 8),
     (F7, 7, 3),
     (F7, 7, 1),
     (F7, 7, 6),
@@ -202,9 +205,10 @@ def _short_generators(code, y):
     (Field(2, 3), 8, 1),
     (Field(2, 3), 8, 7),
 ], ids=["255-223-gf256", "31-15-gf31", "24-4-mersenne31", "24-4-p32",
-        "7-3-gf7", "7-1-gf7", "7-6-gf7", "8-3-gf8", "8-1-gf8", "8-7-gf8"])
+        "24-8-mersenne61", "7-3-gf7", "7-1-gf7", "7-6-gf7", "8-3-gf8",
+        "8-1-gf8", "8-7-gf8"])
 def test_euclid_rows_match_scalar_sequence(field, n, k):
-    # the reduced basis from the array reduction equals the scalar remainder
+    # the reduced basis from the row reduction equals the scalar remainder
     # sequence on the same generators, made monic and inter-reduced
     code = RSCode(field, n, k)
     rng = XorShift64Star(n + k)
@@ -234,7 +238,8 @@ def module_cases(draw):
     """A word of a small code, with the generators, the points and the order
     of its full module or of its short (re-encoded) module, and a row
     index i, a nonzero c and an exponent j."""
-    field = draw(st.sampled_from([F7, Field(5), Field(2, 2), Field(2, 3)]))
+    field = draw(st.sampled_from([F7, Field(5), Field(2, 2), Field(2, 3),
+                                    Field(2**61 - 1)]))
     n = draw(st.integers(2, min(7, field.q)))
     k = draw(st.integers(1, n - 1))
     code = RSCode(field, n, k)
@@ -257,10 +262,9 @@ def test_reduction_independent_of_generating_pair(case):
     # the other, and Koetter's rows on the anchors (x, L(x)) all span the
     # module and give the same pair; rows of rank < 2 raise
     field, gens, points, order, i, c, j = case
-    A = field.arrays()
 
     def rows(vectors):
-        return [(A.array(v.f1.coeffs), A.array(v.f2.coeffs)) for v in vectors]
+        return [(v.f1.coeffs, v.f2.coeffs) for v in vectors]
 
     def times(v, p):
         return ModuleVector(p * v.f1, p * v.f2)
