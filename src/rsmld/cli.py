@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="keep searching past the Johnson radius, up to n-k")
     dec.add_argument("--oracle-budget", type=int, default=10_000_000,
                      help="max q^k codewords for the oracle (--method oracle "
-                          "or all)")
+                          "or all), whichever enumeration it takes")
     dec.add_argument("--dump-basis", action="store_true",
                      help="also emit the normalized module basis")
     dec.add_argument("--output", choices=["text", "json"], default="text")

@@ -1,39 +1,59 @@
 """Reed-Solomon codes, received words, and the exhaustive ML oracle.
 
 An (n, k) Reed-Solomon code over GF(q) evaluates message polynomials of
-degree < k at n distinct field points.  The oracle decoder counts the
-distance of all q**k codewords from the received word with numpy and
-returns every message at the minimum — slow but exact, which is what the
-fast decoders are tested against.  It keeps a table of the q**(k-1)
-codewords whose constant coefficient is 0 (q**(k-1) * n entries) and reads
-the agreements of all q constant coefficients of a row off a histogram of
-the row's digits, q**k cells per word.  That counting kernel,
-`digit_counts`, also serves the level enumeration of `division`, which
-counts the constant term a_0 the same way; it takes at most HISTOGRAM_CHUNK
-cells at a time, in windows of digits when q is larger.
+degree < k at n distinct field points.  The oracle returns the minimum
+distance L of a received word r from the code and every message at it --
+exhaustive but exact, which is what the fast decoders are tested against.
+It has two exact enumerations and takes the one with fewer elements per
+word for the code's (n, k, q):
+
+* the table scan: a table of the q**(k-1) codewords whose constant
+  coefficient is 0 (q**(k-1) * n entries), and the agreements of all q
+  constant coefficients of a row read off a histogram of the row's digits,
+  q**(k-1) * (n + q) cells per word.  That counting kernel, `digit_counts`,
+  also serves the level enumeration of `division`, which counts the
+  constant term a_0 the same way; it takes at most HISTOGRAM_CHUNK cells at
+  a time, in windows of digits when q is larger;
+* the information sets (Prange, 1962, taken exhaustively): one divided
+  difference of r per (k+1)-subset of positions, C(n, k+1) * (k+1)
+  products per word.
+
+Why the information sets are exact.  An RS code is MDS with covering radius
+n - k, so a nearest codeword c is at distance L <= n - k and agrees with r
+on a set A of n - L >= k positions.  Any k points of A determine c, the
+interpolant c_S of r on them.  r fits a polynomial of degree < k on
+S + {i}, that is its divided difference there is 0, exactly when c_S agrees
+with r at i.  Count u(S), the i > max S where it does.  For S the k lowest
+positions of A every other agreement lies above max S, so u(S) = n - L - k;
+for any k-subset S', u(S') <= (agreements of c_S') - k <= n - L - k, with
+equality only when c_S' is a nearest codeword and S' its k lowest agreement
+positions.  So the best agreement is k + max u, and the S with u(S) =
+max u name every nearest codeword, each once.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from math import isqrt
+from math import comb, isqrt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .fields import Field, FieldMismatch, parse_field
-from .polys import Polynomial, base_q_digits, vanishing_poly
+from .polys import (Polynomial, base_q_digits, lagrange_interpolate,
+                    vanishing_poly)
 from .rng import XorShift64Star
 
 JSON_VERSION = 1
 
 
 # The oracle and the level enumeration work on about HISTOGRAM_CHUNK elements
-# at a time: histogram cells (rows x digits) in `digit_counts`, and table
-# entries while the oracle builds its table, so no temporary grows with q**k
-# or with q.
+# at a time: histogram cells (rows x digits) in `digit_counts`, table entries
+# while the oracle builds its table, and divided-difference terms on the
+# information sets, so no temporary grows with q**k or with q.
 HISTOGRAM_CHUNK = 1 << 14
 
 
@@ -166,19 +186,39 @@ class RSCode:
     def ml_oracle(self, word: "Word", budget: int = 10_000_000) -> "DecodeOutcome":
         """Exact minimum-distance decoding by exhaustive enumeration.
 
-        Every codeword is m_0 + c with c a row of `_codeword_table`.  At
-        every point it agrees with the word r for exactly one constant
-        coefficient, m_0 = r_i - c_i.  So the digit histograms of the rows
-        of r - C (`digit_counts`) count the agreements of all q values of
-        m_0 of every row: all q**k distances, HISTOGRAM_CHUNK cells at a
-        time.  A message's index is m_0 + q * row.
+        The budget bounds the q**k codewords whichever enumeration runs.
+        The oracle takes the one with the smaller exact count of elements
+        per word, a property of (n, k, q): q**(k-1) * (n + q) for the table
+        scan (`_nearest_by_table`), C(n, k + 1) * (k + 1) for the
+        information sets (`_nearest_by_subsets`).  Both return every
+        nearest message, sorted by coefficients.
         """
         self._check_word(word)
-        q = self.field.q
-        total = q ** self.k
+        n, k, q = self.n, self.k, self.field.q
+        total = q ** k
         if total > budget:
             raise OracleBudgetExceeded(
                 f"q**k = {total} exceeds oracle budget {budget}")
+        if comb(n, k + 1) * (k + 1) < q ** (k - 1) * (n + q):
+            best, msgs = self._nearest_by_subsets(word)
+        else:
+            best, msgs = self._nearest_by_table(word)
+        msgs.sort(key=lambda p: p.coeffs)
+        return DecodeOutcome(min_distance=n - best, messages=tuple(msgs),
+                             method="oracle")
+
+    def _nearest_by_table(self, word: "Word") -> tuple[int, list[Polynomial]]:
+        """The best agreement with the word r and every message that reaches
+        it, from the table scan.
+
+        Every codeword is m_0 + c with c a row of `_codeword_table`.  At
+        every point it agrees with r for exactly one constant coefficient,
+        m_0 = r_i - c_i.  So the digit histograms of the rows of r - C
+        (`digit_counts`) count the agreements of all q values of m_0 of
+        every row: all q**k distances, HISTOGRAM_CHUNK cells at a time.  A
+        message's index is m_0 + q * row.
+        """
+        q = self.field.q
         table = self._codeword_table()
         arr = self.field.arrays()
         r = np.asarray(word.symbols, dtype=table.dtype)
@@ -193,11 +233,45 @@ class RSCode:
                     best, hits = top, []
                 row, digit = np.nonzero(counts == top)
                 hits.append(base + digit + (lo + row) * q)
-        msgs = sorted((self._message_from_index(int(i))
-                       for i in np.concatenate(hits)),
-                      key=lambda p: p.coeffs)
-        return DecodeOutcome(min_distance=self.n - best, messages=tuple(msgs),
-                             method="oracle")
+        return best, [self._message_from_index(int(i))
+                      for i in np.concatenate(hits)]
+
+    def _nearest_by_subsets(self, word: "Word") -> tuple[int, list[Polynomial]]:
+        """The best agreement with the word r and every message that reaches
+        it, from the information sets (`CodeConstants.information_sets`).
+
+        r fits a polynomial of degree < k on a (k+1)-subset U exactly when
+        its divided difference s_U = sum_j h_U,j * r_(u_j) is 0, that is when
+        the interpolant c_S of r on S, U without its last position, agrees
+        with r there.  The U's that extend one S are adjacent in lex order,
+        so a run of zero s_U's counts u(S), the agreements of c_S above
+        max S.  The longest runs name every nearest codeword once (see the
+        module docstring); with no zero s_U every k-subset names one, at
+        agreement k.  Each message is one interpolation on S.
+        """
+        n, k, F = self.n, self.k, self.field
+        positions, weights = self.constants().information_sets
+        arr = F.arrays()
+        r = arr.array(word.symbols)
+        step = max(1, HISTOGRAM_CHUNK // (k + 1))
+        zero = np.concatenate([
+            lo + np.flatnonzero(arr.factor_sums(
+                weights[:, lo:lo + step], r, positions[:, lo:lo + step]) == 0)
+            for lo in range(0, positions.shape[1], step)])
+        if zero.size:
+            heads = positions[:k, zero]
+            new = np.ones(zero.size, dtype=bool)
+            new[1:] = (heads[:, 1:] != heads[:, :-1]).any(axis=0)
+            starts = np.flatnonzero(new)
+            runs = np.diff(starts, append=zero.size)
+            top = int(runs.max())
+            subsets = heads[:, starts[runs == top]].T.tolist()
+        else:
+            top, subsets = 0, itertools.combinations(range(n), k)
+        points, symbols = self.eval_points, word.symbols
+        return k + top, [lagrange_interpolate(F, [points[i] for i in s],
+                                              [symbols[i] for i in s])
+                         for s in subsets]
 
     # -- helpers ---------------------------------------------------------
 
@@ -232,9 +306,15 @@ class CodeConstants:
       matrix: a word r has syndromes S = r . H^T, all zero exactly on
       codewords; they give the division and rational decoders their basis.
 
-    One attribute is not a map: `codeword_table` (q**(k-1) x n), the
-    oracle's table of the codewords whose constant coefficient is 0, 16^4 x
-    15 int8 entries (0.98 MB) at (15, 5).
+    Two attributes are not maps; each serves one of the oracle's
+    enumerations, and only the one it takes is built:
+
+    * `codeword_table` (q**(k-1) x n), the table of the codewords whose
+      constant coefficient is 0: 16^4 x 15 int8 entries (0.98 MB) at
+      (15, 5) over GF(16), 32^4 x 31 (32.5 MB) at (31, 5) over GF(32);
+    * `information_sets`, the positions and divided-difference factors of
+      every (k+1)-subset, 2 x (k + 1) x C(n, k + 1) entries: 2 x 6 x 5005
+      bytes (60 KB) at (15, 5), 2 x 6 x 736 281 (8.8 MB) at (31, 5).
 
     The division and rational decoders build the tail matrix and the
     weighted powers; the re-encoded decoder also the short matrix and the
@@ -341,6 +421,49 @@ class CodeConstants:
                 rest //= q
             table[lo:lo + chunk] = acc
         return _read_only(table)
+
+    @cached_property
+    def information_sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, weights), each (k + 1) x C(n, k + 1): column c holds
+        the positions u_0 < ... < u_k of the c-th (k+1)-subset U in lex
+        order, and the factors (`FieldArrays.factors`) of the divided
+        difference's h_U,j = 1 / prod_(l != j) (x_(u_j) - x_(u_l)).
+
+        Built one size at a time from the 1-subsets.  Position a followed
+        by each j-subset T above a, a ascending and T in lex order, gives the
+        (j+1)-subsets in lex order, and the T's above a are a suffix of
+        theirs.  T's h's gain the factor 1 / (x_(t_i) - x_a), and a's h is
+        prod_i 1 / (x_a - x_(t_i)): one gather and one product per row.
+        Positions in the narrowest dtype that holds n - 1, factors in the one
+        that holds q - 2 (logs) or p - 1; the temporaries are one row of the
+        largest suffix, C(n - 1, k) entries."""
+        n, arr = len(self.eval_points), self.arrays
+        diff = arr.sub(self.points[:, None], self.points)
+        np.fill_diagonal(diff, 1)
+        inv = arr.factors(arr.inv(diff))  # inv[a, b]: 1 / (x_a - x_b)
+        top = self.field.q - 2 if arr.binary else self.field.p - 1
+        narrow = arr.dtype if arr.dtype == object else np.min_scalar_type(top)
+        positions = np.arange(n, dtype=np.min_scalar_type(n - 1))[None, :]
+        weights = arr.factors(np.ones((1, n), dtype=arr.dtype)).astype(narrow)
+        for size in range(2, self.k + 2):
+            grown = np.empty((size, comb(n, size)), dtype=positions.dtype)
+            grown_weights = np.empty(grown.shape, dtype=narrow)
+            lo = 0
+            for a in range(n - size + 1):
+                above = np.searchsorted(positions[0], a, side="right")
+                tail, tail_weights = positions[:, above:], weights[:, above:]
+                hi = lo + tail.shape[1]
+                grown[0, lo:hi], grown[1:, lo:hi] = a, tail
+                first = inv[a][tail[0]]
+                for i, row in enumerate(tail):
+                    grown_weights[i + 1, lo:hi] = arr.factor_product(
+                        tail_weights[i], inv[:, a][row])
+                    if i:
+                        first = arr.factor_product(first, inv[a][row])
+                grown_weights[0, lo:hi] = first
+                lo = hi
+            positions, weights = grown, grown_weights
+        return _read_only(positions), _read_only(weights)
 
     @cached_property
     def weighted_powers(self) -> np.ndarray:

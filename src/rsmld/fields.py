@@ -354,6 +354,30 @@ class FieldArrays:
             y -= a * x % self.p
             y %= self.p
 
+    def factors(self, c) -> np.ndarray:
+        """Nonzero elements as the factors that `factor_product` and
+        `factor_sums` take: their logs, in [0, q - 2], on GF(2^m), the
+        elements themselves on GF(p)."""
+        c = self.array(c)
+        return self._log[c] if self.binary else c
+
+    def factor_product(self, a, b) -> np.ndarray:
+        """Elementwise a * b of factors, as a factor; narrow integer
+        dtypes are widened first."""
+        if self.binary:
+            return (self.array(a) + b) % (self.field.q - 1)
+        return self.array(a) * b % self.p
+
+    def factor_sums(self, f: np.ndarray, values: np.ndarray,
+                    index: np.ndarray) -> np.ndarray:
+        """Column sums of f * values[index], with f factors and index an
+        integer array of f's shape: one product per entry, then a sum down
+        axis 0."""
+        if self.binary:
+            terms = self._exp[f + self._log[values][index]]
+            return np.bitwise_xor.reduce(terms, axis=0)
+        return (f * values[index] % self.p).sum(axis=0) % self.p
+
     def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product over the field: a's last axis against b's first.
 

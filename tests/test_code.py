@@ -188,11 +188,21 @@ def enumerate_nearest(code, r):
     return best, sorted(winners)
 
 
-def oracle_result(code, r):
-    """The oracle's distance and messages, each padded to k coefficients."""
-    out = code.ml_oracle(r)
-    return out.min_distance, [list(m.coeffs) + [0] * (code.k - len(m.coeffs))
-                              for m in out.messages]
+# the oracle's two enumerations, which it chooses between by (n, k, q)
+SEARCHES = ("_nearest_by_table", "_nearest_by_subsets")
+
+
+def oracle_result(code, r, search=None):
+    """The oracle's distance and messages, each padded to k coefficients;
+    with `search`, those of that enumeration alone, sorted."""
+    if search is None:
+        out = code.ml_oracle(r)
+        distance, msgs = out.min_distance, out.messages
+    else:
+        agreement, msgs = getattr(code, search)(r)
+        distance, msgs = code.n - agreement, sorted(msgs, key=lambda p: p.coeffs)
+    return distance, [list(m.coeffs) + [0] * (code.k - len(m.coeffs))
+                      for m in msgs]
 
 
 # (code, its words): the oracle reads every column alike, x = 0 included;
@@ -218,13 +228,70 @@ ENUMERATED_CODES = {
 @pytest.mark.parametrize("chunk", [code_module.HISTOGRAM_CHUNK, 1])
 @pytest.mark.parametrize("name", sorted(ENUMERATED_CODES))
 def test_oracle_equals_enumeration(name, chunk, monkeypatch):
-    # chunk 1 scans one row per chunk, so hits are merged across chunks
+    # every word through the oracle and through each enumeration; chunk 1
+    # scans one table row, or sums one (k+1)-subset, per chunk, so hits are
+    # merged across chunks
     monkeypatch.setattr(code_module, "HISTOGRAM_CHUNK", chunk)
     base, words = ENUMERATED_CODES[name]
     code = RSCode(base.field, base.n, base.k, base.eval_points)
     for symbols in words:
         r = Word(code, symbols)
-        assert oracle_result(code, r) == enumerate_nearest(code, r)
+        want = enumerate_nearest(code, r)
+        for search in (None,) + SEARCHES:
+            assert oracle_result(code, r, search) == want, search
+
+
+# the enumeration with fewer elements per word: C(n, k+1) * (k+1) products
+# against q**(k-1) * (n + q) cells; (7,2) over GF(8) is 105 against 120
+CHEAPER_SEARCH = {"prime-with-zero": "subsets", "prime-zero-inside": "subsets",
+                  "binary-without-zero": "subsets", "prime-131": "subsets",
+                  "binary-k1": "table", "prime-k1": "table"}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATED_CODES))
+def test_oracle_takes_the_cheaper_enumeration(name):
+    # each enumeration builds its own constant, and only the one it uses
+    base, words = ENUMERATED_CODES[name]
+    code = RSCode(base.field, base.n, base.k, base.eval_points)
+    code.ml_oracle(Word(code, words[0]))
+    built = {"table": "codeword_table", "subsets": "information_sets"}
+    assert [search for search, attr in built.items()
+            if attr in vars(code.constants())] == [CHEAPER_SEARCH[name]]
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATED_CODES))
+def test_information_sets_hold_every_divided_difference(name):
+    # column c: the c-th (k+1)-subset U in lex order and the factors of
+    # h_U,j = 1 / prod_(l != j) (x_u_j - x_u_l), narrow and read-only
+    code, _ = ENUMERATED_CODES[name]
+    F, arr = code.field, code.field.arrays()
+    positions, weights = code.constants().information_sets
+    subsets = list(itertools.combinations(range(code.n), code.k + 1))
+    assert positions.T.tolist() == [list(u) for u in subsets]
+    assert positions.dtype == weights.dtype == np.uint8
+    x = code.eval_points
+    h = []
+    for u in subsets:
+        h.append([])
+        for j in u:
+            denominator = 1
+            for l in u:
+                if l != j:
+                    denominator = F.mul(denominator, F.sub(x[j], x[l]))
+            h[-1].append(F.inv(denominator))
+    assert weights.T.tolist() == arr.factors(h).tolist()
+    assert not positions.flags.writeable and not weights.flags.writeable
+
+
+def test_oracle_without_a_fitting_subset():
+    # a random word that fits degree < 2 on no 3 positions: its distance is
+    # n - k = 3, and all C(5, 2) interpolants are nearest
+    code = RSCode(F7, 5, 2)
+    r = random_word(code, 0)
+    want = enumerate_nearest(code, r)
+    assert want[0] == 3 and len(want[1]) == 10
+    for search in (None,) + SEARCHES:
+        assert oracle_result(code, r, search) == want, search
 
 
 @pytest.mark.parametrize("name", sorted(ENUMERATED_CODES))
@@ -251,7 +318,8 @@ def test_oracle_table_dtype_past_int8():
 def test_oracle_codeword_at_distance_zero(name):
     code, _ = ENUMERATED_CODES[name]
     msg = [(3 * e + 1) % code.field.q for e in range(code.k)]
-    assert oracle_result(code, code.encode(msg)) == (0, [msg])
+    for search in (None,) + SEARCHES:
+        assert oracle_result(code, code.encode(msg), search) == (0, [msg])
 
 
 def test_oracle_several_nearest_messages():
@@ -260,6 +328,8 @@ def test_oracle_several_nearest_messages():
     result = oracle_result(code, r)
     assert len(result[1]) == 4
     assert result == enumerate_nearest(code, r)
+    for search in SEARCHES:
+        assert oracle_result(code, r, search) == result
 
 
 PROPERTY_CODES = [ENUMERATED_CODES["prime-with-zero"][0],
@@ -284,16 +354,20 @@ def test_oracle_equals_enumeration_on_random_words(which, data):
     dists = [(hamming_distance(c, symbols), m)
              for m, c in PROPERTY_TABLES[which]]
     best = min(d for d, _ in dists)
-    assert oracle_result(code, Word(code, tuple(symbols))) == (
-        best, sorted(m for d, m in dists if d == best))
+    want = (best, sorted(m for d, m in dists if d == best))
+    for search in (None,) + SEARCHES:
+        assert oracle_result(code, Word(code, tuple(symbols)), search) == want
 
 
 def test_oracle_ties_across_chunks():
     # the (15,5) GF(16) word pinned in CI: two nearest messages whose table
-    # rows (coefficients 1 .. 4) lie in different chunks of the scan
+    # rows (coefficients 1 .. 4) lie in different chunks of the table scan
+    # (the oracle itself takes the information sets at (15,5))
     code = RSCode(Field(2, 4), 15, 5)
     r = corrupt(code.encode([1, 3, 7, 2, 9]), 7, seed=3)
-    assert oracle_result(code, r) == (7, [[1, 3, 7, 2, 9], [2, 9, 9, 15, 13]])
+    for search in (None,) + SEARCHES:
+        assert oracle_result(code, r, search) == (
+            7, [[1, 3, 7, 2, 9], [2, 9, 9, 15, 13]])
     rows = [sum(c * 16**e for e, c in enumerate(m[1:]))
             for m in ([1, 3, 7, 2, 9], [2, 9, 9, 15, 13])]
     step = code_module.HISTOGRAM_CHUNK // 16
@@ -326,19 +400,21 @@ def test_digit_counts_in_blocks_and_windows(monkeypatch, chunk, dtype):
 def test_oracle_k1_over_a_large_prime_in_digit_windows():
     # k = 1 over GF(1000003): q codewords, one row of q constant digits, which
     # the histogram takes in windows; the table's set-up builds nothing of
-    # size q, and no temporary holds one q-cell row (8 MB)
+    # size q, and no temporary holds one q-cell row (8 MB).  The oracle
+    # itself compares the C(5, 2) pairs of positions instead.
     F = Field(1000003)
     code = RSCode(F, 5, 1)
     r = Word(code, (17, 17, 999999, 17, 5))
     tracemalloc.start()
     try:
-        out = code.ml_oracle(r)
+        agreement, _ = code._nearest_by_table(r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * F.q, peak
-    assert oracle_result(code, r) == (2, [[17]])
-    assert out.min_distance == 2
+    assert agreement == 3
+    for search in (None,) + SEARCHES:
+        assert oracle_result(code, r, search) == (2, [[17]])
 
 
 def test_oracle_budget():
@@ -353,9 +429,12 @@ def test_oracle_budget():
 
 def test_oracle_symbols_past_int16():
     code = RSCode(Field(2, 16), 4, 1)
-    out = code.ml_oracle(Word(code, (40000,) * 3 + (1,)))
+    r = Word(code, (40000,) * 3 + (1,))
+    out = code.ml_oracle(r)
     assert out.min_distance == 1
     assert out.messages == (Polynomial(code.field, [40000]),)
+    for search in SEARCHES:
+        assert oracle_result(code, r, search) == (1, [[40000]])
 
 
 def test_oracle_word_code_mismatch():

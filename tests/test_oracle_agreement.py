@@ -16,11 +16,12 @@ the same f2's.
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from rsmld import division, rational
-from rsmld.code import DecodeOutcome, RSCode, Word, hamming_distance
+from rsmld.code import DecodeOutcome, RSCode, Word, corrupt, hamming_distance
 from rsmld.division import (RadiusCapExceeded, combine, decode_minimal,
                             decode_minimal_reencoded, extract_message,
                             level_shapes, reencode, search_radius_cap)
@@ -67,6 +68,26 @@ def test_decoders_match_oracle(case):
             assert out.min_distance == oracle.min_distance, decode.__name__
             assert out.message_coeff_lists() == oracle.message_coeff_lists(), \
                 decode.__name__
+
+
+RS_15_7 = RSCode(Field(2, 4), 15, 7)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decoders_match_oracle_past_its_table(seed):
+    # RS(15,7) over GF(16), 5 errors, one past the Johnson radius: the
+    # oracle's table would hold 16^6 x 15 entries (252 MB), its information
+    # sets hold 2 x 8 x 6435 bytes; seed 0 has two nearest messages
+    r = corrupt(RS_15_7.encode([1, 2, 3, 4, 5, 6, 7]), 5, seed)
+    oracle = RS_15_7.ml_oracle(r, budget=16 ** 7)
+    assert "codeword_table" not in vars(RS_15_7.constants())
+    assert oracle.min_distance == 5
+    assert len(oracle.messages) == (2 if seed == 0 else 1)
+    for decode in (decode_minimal, decode_rational):
+        out = decode(RS_15_7, r)
+        assert out.min_distance == oracle.min_distance, decode.__name__
+        assert out.message_coeff_lists() == oracle.message_coeff_lists(), \
+            decode.__name__
 
 
 def enumerate_polys(field, max_deg):
