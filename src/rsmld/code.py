@@ -4,8 +4,9 @@ An (n, k) Reed-Solomon code over GF(q) evaluates message polynomials of
 degree < k at n distinct field points.  The oracle returns the minimum
 distance L of a received word r from the code and every message at it --
 exhaustive but exact, which is what the fast decoders are tested against.
-It has two exact enumerations and takes the one with fewer elements per
-word for the code's (n, k, q):
+It has two exact enumerations and takes the one that is faster per word
+for the code's (n, k, q), by a cost rule fitted to timings of both
+(`SUBSET_PRODUCT_CELLS`, `SUBSET_WORD_CELLS`):
 
 * the table scan: a table of the q**(k-1) codewords whose constant
   coefficient is 0 (q**(k-1) * n entries), and the agreements of all q
@@ -55,6 +56,16 @@ JSON_VERSION = 1
 # while the oracle builds its table, and divided-difference terms on the
 # information sets, so no temporary grows with q**k or with q.
 HISTOGRAM_CHUNK = 1 << 14
+
+# The oracle's cost rule, in histogram cells of the table scan: one
+# divided-difference product of the information sets costs about
+# SUBSET_PRODUCT_CELLS cells, and each word about SUBSET_WORD_CELLS more, for
+# their extra numpy calls and one interpolation per nearest message (the
+# table scan reads a message off its index).  Fitted to in-process timings of
+# both enumerations on 19 codes, k = 1 .. 5 and q = 7 .. 256: 2.8 ns a cell
+# and 8.0 ns a product, 33 us more per word on the subsets.
+SUBSET_PRODUCT_CELLS = 3
+SUBSET_WORD_CELLS = 12_000
 
 
 def histogram_rows(q: int) -> int:
@@ -187,11 +198,12 @@ class RSCode:
         """Exact minimum-distance decoding by exhaustive enumeration.
 
         The budget bounds the q**k codewords whichever enumeration runs.
-        The oracle takes the one with the smaller exact count of elements
-        per word, a property of (n, k, q): q**(k-1) * (n + q) for the table
-        scan (`_nearest_by_table`), C(n, k + 1) * (k + 1) for the
-        information sets (`_nearest_by_subsets`).  Both return every
-        nearest message, sorted by coefficients.
+        The oracle takes the information sets (`_nearest_by_subsets`) when
+        SUBSET_PRODUCT_CELLS * C(n, k + 1) * (k + 1) + SUBSET_WORD_CELLS,
+        their cost in cells, is below the table scan's q**(k-1) * (n + q)
+        cells (`_nearest_by_table`), and the table scan otherwise: a
+        property of (n, k, q).  Both return every nearest message, sorted by
+        coefficients.
         """
         self._check_word(word)
         n, k, q = self.n, self.k, self.field.q
@@ -199,7 +211,8 @@ class RSCode:
         if total > budget:
             raise OracleBudgetExceeded(
                 f"q**k = {total} exceeds oracle budget {budget}")
-        if comb(n, k + 1) * (k + 1) < q ** (k - 1) * (n + q):
+        if (SUBSET_PRODUCT_CELLS * comb(n, k + 1) * (k + 1)
+                + SUBSET_WORD_CELLS < q ** (k - 1) * (n + q)):
             best, msgs = self._nearest_by_subsets(word)
         else:
             best, msgs = self._nearest_by_table(word)
@@ -433,18 +446,19 @@ class CodeConstants:
         by each j-subset T above a, a ascending and T in lex order, gives the
         (j+1)-subsets in lex order, and the T's above a are a suffix of
         theirs.  T's h's gain the factor 1 / (x_(t_i) - x_a), and a's h is
-        prod_i 1 / (x_a - x_(t_i)): one gather and one product per row.
-        Positions in the narrowest dtype that holds n - 1, factors in the one
-        that holds q - 2 (logs) or p - 1; the temporaries are one row of the
-        largest suffix, C(n - 1, k) entries."""
+        prod_i 1 / (x_a - x_(t_i)): one gather and one `mul` per row, on
+        field values, which are then turned into factors about HISTOGRAM_CHUNK
+        at a time.  Positions in the narrowest dtype that holds n - 1, values
+        and factors in the one that holds q - 1; the temporaries are one row
+        of the largest suffix, C(n - 1, k) entries."""
         n, arr = len(self.eval_points), self.arrays
         diff = arr.sub(self.points[:, None], self.points)
         np.fill_diagonal(diff, 1)
-        inv = arr.factors(arr.inv(diff))  # inv[a, b]: 1 / (x_a - x_b)
-        top = self.field.q - 2 if arr.binary else self.field.p - 1
-        narrow = arr.dtype if arr.dtype == object else np.min_scalar_type(top)
+        inv = arr.inv(diff)  # inv[a, b]: 1 / (x_a - x_b)
+        narrow = arr.dtype if arr.dtype == object else np.min_scalar_type(
+            self.field.q - 1)
         positions = np.arange(n, dtype=np.min_scalar_type(n - 1))[None, :]
-        weights = arr.factors(np.ones((1, n), dtype=arr.dtype)).astype(narrow)
+        weights = np.ones((1, n), dtype=narrow)
         for size in range(2, self.k + 2):
             grown = np.empty((size, comb(n, size)), dtype=positions.dtype)
             grown_weights = np.empty(grown.shape, dtype=narrow)
@@ -456,13 +470,16 @@ class CodeConstants:
                 grown[0, lo:hi], grown[1:, lo:hi] = a, tail
                 first = inv[a][tail[0]]
                 for i, row in enumerate(tail):
-                    grown_weights[i + 1, lo:hi] = arr.factor_product(
+                    grown_weights[i + 1, lo:hi] = arr.mul(
                         tail_weights[i], inv[:, a][row])
                     if i:
-                        first = arr.factor_product(first, inv[a][row])
+                        first = arr.mul(first, inv[a][row])
                 grown_weights[0, lo:hi] = first
                 lo = hi
             positions, weights = grown, grown_weights
+        step = max(1, HISTOGRAM_CHUNK // (self.k + 1))
+        for lo in range(0, weights.shape[1], step):
+            weights[:, lo:lo + step] = arr.factors(weights[:, lo:lo + step])
         return _read_only(positions), _read_only(weights)
 
     @cached_property

@@ -355,18 +355,10 @@ class FieldArrays:
             y %= self.p
 
     def factors(self, c) -> np.ndarray:
-        """Nonzero elements as the factors that `factor_product` and
-        `factor_sums` take: their logs, in [0, q - 2], on GF(2^m), the
-        elements themselves on GF(p)."""
+        """Nonzero elements as the factors that `factor_sums` takes: their
+        logs, in [0, q - 2], on GF(2^m), the elements themselves on GF(p)."""
         c = self.array(c)
         return self._log[c] if self.binary else c
-
-    def factor_product(self, a, b) -> np.ndarray:
-        """Elementwise a * b of factors, as a factor; narrow integer
-        dtypes are widened first."""
-        if self.binary:
-            return (self.array(a) + b) % (self.field.q - 1)
-        return self.array(a) * b % self.p
 
     def factor_sums(self, f: np.ndarray, values: np.ndarray,
                     index: np.ndarray) -> np.ndarray:

@@ -174,22 +174,18 @@ def test_array_sub_inv_sum_evaluate(field):
 
 @pytest.mark.parametrize("field", [F7, F16, Field(2, 16), Field(3037000493),
                                    Field(4294967291)])
-def test_array_factors_products_and_sums(field):
+def test_array_factors_and_sums(field):
     # factors kept in the narrowest dtype, as the oracle stores them, still
-    # multiply and sum exactly: GF(2^16) logs reach 65534 in uint16,
-    # 3037000493 - 1 fills uint32, and GF(4294967291) holds Python ints
+    # sum exactly: GF(2^16) logs reach 65534 in uint16, 3037000493 - 1 fills
+    # uint32, and GF(4294967291) holds Python ints
     A = field.arrays()
     rng = XorShift64Star(field.q)
     c = [1, 2, field.q - 1, field.q - 2] + [1 + rng.below(field.q - 1)
                                             for _ in range(8)]
-    d = c[::-1]
-    f, g = A.factors(c), A.factors(d)
+    f = A.factors(c)
     if A.dtype != object:
-        top = field.q - 2 if A.binary else field.p - 1
-        f, g = (x.astype(np.min_scalar_type(top)) for x in (f, g))
+        f = f.astype(np.min_scalar_type(field.q - 1))
     assert A.factors([1]).tolist() == ([0] if A.binary else [1])
-    assert A.factor_product(f, g).tolist() == \
-        A.factors([field.mul(a, b) for a, b in zip(c, d)]).tolist()
     # column sums of f * values[index] over a 3 x 4 block
     values = A.array([0, 5 % field.q, field.q - 1, 1, field.q // 3])
     index = np.array([[rng.below(5) for _ in range(4)] for _ in range(3)])
