@@ -18,6 +18,8 @@ does the same arithmetic elementwise on integer numpy arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -374,11 +376,40 @@ class FieldArrays:
         """Matrix product over the field: a's last axis against b's first.
 
         GF(2^m) gathers every product term from the antilog table and sums
-        them with XOR, a chunk of b's rows at a time, so that each int64
-        temporary stays near DOT_CHUNK elements.  That is below glibc's
-        default mmap threshold (128 KB): the allocator reuses heap memory
-        instead of mapping, and faulting in, fresh pages on every call."""
+        them with XOR, in one of two layouts picked by the operand shapes:
+
+        * when a is not a vector and has more rows (the product of
+          a.shape[:-1]) than b has columns (the product of b.shape[1:]),
+          the terms of a chunk of a's rows lie along a contiguous last axis,
+          one row of b's transpose per output column, and XOR runs down
+          that axis: the layout for many short products, as in Koetter's
+          discrepancies;
+        * otherwise the terms of a chunk of b's rows lie along axis -2, and
+          each chunk adds its rows into the whole output: the layout for a
+          vector or a few rows against a wide matrix.
+
+        Each int64 temporary holds at most DOT_CHUNK elements, or the least
+        that one step takes when that is more: one term per output element
+        in the second layout, one per column of b in the first, which then
+        also splits the contraction axis into spans.  That is below
+        glibc's default mmap threshold (128 KB): the allocator reuses heap
+        memory instead of mapping, and faulting in, fresh pages on every
+        call."""
         if self.binary:
+            cols = math.prod(b.shape[1:])
+            if a.ndim > 1 and math.prod(a.shape[:-1]) > cols:
+                rows_a, depth = math.prod(a.shape[:-1]), a.shape[-1]
+                log_a = self._log[a].reshape(rows_a, depth)
+                log_bt = self._log[b].reshape(depth, cols).T.copy()
+                span = max(1, min(depth, DOT_CHUNK // max(1, cols)))
+                rows = max(1, DOT_CHUNK // max(1, cols * span))
+                out = np.zeros((rows_a, cols), dtype=self.dtype)
+                for lo in range(0, rows_a, rows):
+                    for k in range(0, depth, span):
+                        out[lo:lo + rows] ^= np.bitwise_xor.reduce(self._exp[
+                            log_a[lo:lo + rows, None, k:k + span]
+                            + log_bt[:, k:k + span]], axis=-1)
+                return out.reshape(a.shape[:-1] + b.shape[1:])
             log_a = self._log[a]
             out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=self.dtype)
             rows = max(1, DOT_CHUNK // max(1, out.size))

@@ -80,7 +80,8 @@ def rational_factorize(Q: BivariatePolynomial, k1: int,
     mz = Q.zdeg() - deflate
     if mz == 0:
         return out
-    rows = [[0] * (Q.xdeg() + 1) for _ in range(mz + 1)]
+    width = Q.xdeg() + 1
+    rows = [[0] * width for _ in range(mz + 1)]
     for (i, j), c in Q.coeffs.items():
         rows[j - deflate][i] = c
     slices = [Polynomial(F, row) for row in rows]
@@ -93,7 +94,7 @@ def rational_factorize(Q: BivariatePolynomial, k1: int,
     zs = arr.array(range(F.q))
     xs = zs[:points]
     # the slices' values at the points, then Horner in z on every row
-    at_xs = arr.dot(arr.powers(xs, len(rows[0])), arr.array(rows).T)
+    at_xs = arr.dot(arr.powers(xs, width), arr.array(rows).T)
     table = arr.evaluate(at_xs.T[:, :, None], zs)
     b_vals, a_vals = ([arr.evaluate(p.coeffs, xs) for p in ps]
                       for ps in (b_cands, a_monics))
@@ -116,13 +117,64 @@ def rational_factorize(Q: BivariatePolynomial, k1: int,
 def _divides(b: Polynomial, a: Polynomial, slices: list[Polynomial]) -> bool:
     """True when b*z - a divides sum_j slices[j] z^j: synthetic division
     from the top, P_(j-1) = (S_j + a*P_j) / b with P_mz = 0, each division
-    exact, and S_0 + a*P_0 = 0."""
-    quot = Polynomial.zero(b.field)
+    exact, and S_0 + a*P_0 = 0.
+
+    The coefficients are Python lists of ints, low to high: S + a*P is one
+    list comprehension per coefficient of a, and each quotient coefficient
+    c takes c*x^i times b's lower part off in place, over b's nonzero
+    coefficients.  GF(2^m) goes through the field's log/antilog lists, GF(p)
+    is exact on Python ints."""
+    F = b.field
+    bc, db = b.coeffs, b.degree()
+    inv_lead = F.inv(bc[-1])
+    if F.m > 1:
+        exp, log = F._exp, F._log
+        low = [(j, log[y]) for j, y in enumerate(bc[:db]) if y]
+
+        def minus(c: int, d: list[int], v: list[int]) -> list[int]:
+            """d - c*v, elementwise over v's width; c != 0."""
+            lc = log[c]
+            return [x ^ exp[lc + log[y]] if y else x for x, y in zip(d, v)]
+
+        def take_off(t: list[int], i: int, c: int) -> None:
+            """t <- t - c*x^i*(b - its leading term), in place; c != 0."""
+            lc = log[c]
+            for j, lb in low:
+                t[i + j] ^= exp[lc + lb]
+    else:
+        p = F.p
+        low = [(j, y) for j, y in enumerate(bc[:db]) if y]
+
+        def minus(c: int, d: list[int], v: list[int]) -> list[int]:
+            """d - c*v, elementwise over v's width."""
+            return [(x - c * y) % p for x, y in zip(d, v)]
+
+        def take_off(t: list[int], i: int, c: int) -> None:
+            """t <- t - c*x^i*(b - its leading term), in place."""
+            for j, y in low:
+                t[i + j] = (t[i + j] - c * y) % p
+
+    minus_a = [F.neg(c) for c in a.coeffs]
+
+    def plus_a_times(s: Polynomial, quot: list[int]) -> list[int]:
+        """S + a*P as a list, long enough for both terms."""
+        t = s.coeffs + [0] * (len(minus_a) + len(quot) - 1 - len(s.coeffs))
+        for i, c in enumerate(minus_a):
+            if c and quot:
+                t[i:i + len(quot)] = minus(c, t[i:i + len(quot)], quot)
+        return t
+
+    quot: list[int] = []
     for s in reversed(slices[1:]):
-        quot, rem = divmod(s + a * quot, b)
-        if rem:
+        t = plus_a_times(s, quot)
+        quot = [0] * max(0, len(t) - db)
+        for i in range(len(quot) - 1, -1, -1):
+            if t[i + db]:
+                quot[i] = c = F.mul(t[i + db], inv_lead)
+                take_off(t, i, c)
+        if any(t[:db]):
             return False
-    return (slices[0] + a * quot).is_zero()
+    return not any(plus_a_times(slices[0], quot))
 
 
 def _fit_level(code: RSCode, pair: GroebnerPair,

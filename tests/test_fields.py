@@ -251,11 +251,29 @@ def test_binary_dot_in_row_chunks(field):
              ((4, 300), (300, 50)), ((2, 3, 70), (70, 90)), ((3,), (3, wide))]
     for a_shape, b_shape in cases:
         a, b = draw(*a_shape), draw(*b_shape)
+        assert prod(a_shape[:-1]) <= prod(b_shape[1:]), "chunks of b's rows"
         rows = max(1, DOT_CHUNK // prod(a_shape[:-1] + b_shape[1:]))
         assert a_shape[-1] == 0 or a_shape[-1] > rows, "one chunk only"
         got = A.dot(a, b)
         assert got.shape == a_shape[:-1] + b_shape[1:] and got.dtype == A.dtype
         assert (got == unchunked(a, b)).all(), (a_shape, b_shape)
+    # more rows of a than columns of b: chunks of a's rows, each product
+    # summed along a contiguous axis; a transposed view as Koetter passes
+    # it, a row of a past DOT_CHUNK terms (the contraction axis split too),
+    # no rows of b, and one column more than one row of a per chunk
+    long = DOT_CHUNK + 7
+    cases = [((40, 40, 30), (30, 1)), ((16, 16, 60), (60, 7)),
+             ((2, long), (long, 1)), ((5, 0), (0, 3)), ((9, 2, 3), (3, 2)),
+             ((2 * DOT_CHUNK, 1), (1, 1))]
+    for a_shape, b_shape in cases:
+        a, b = draw(*a_shape), draw(*b_shape)
+        assert prod(a_shape[:-1]) > prod(b_shape[1:]), "chunks of a's rows"
+        got = A.dot(a, b)
+        assert got.shape == a_shape[:-1] + b_shape[1:] and got.dtype == A.dtype
+        assert (got == unchunked(a, b)).all(), (a_shape, b_shape)
+    a = draw(16, 60, 16).transpose(0, 2, 1)
+    b = draw(60, 7)
+    assert (A.dot(a, b) == unchunked(a, b)).all()
     # the zero message encodes as the zero word
     code = RSCode(field, 40, 9)
     assert code.encode([]).symbols == (0,) * 40

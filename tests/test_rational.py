@@ -10,7 +10,8 @@ from rsmld.fields import Field
 from rsmld.groebner import (GroebnerPair, ModuleVector, WeightedOrder,
                             mgb_euclid, mgb_iterative)
 from rsmld.polys import Polynomial, monic_polys
-from rsmld.rational import anchor_points, decode_rational, rational_factorize
+from rsmld.rational import (_divides, anchor_points, decode_rational,
+                            rational_factorize)
 
 F7 = Field(7)
 
@@ -333,6 +334,66 @@ def test_factorize_refuses_past_the_table_limit():
                       Polynomial(F, [3]), Polynomial.one(F))
     with pytest.raises(ValueError, match="root table too large"):
         rational_factorize(Q, 0, 0)
+
+
+def _divides_by_divmod(b, a, slices):
+    """b*z - a divides sum_j slices[j] z^j, by Polynomial division."""
+    quot = Polynomial.zero(b.field)
+    for s in reversed(slices[1:]):
+        quot, rem = divmod(s + a * quot, b)
+        if rem:
+            return False
+    return (slices[0] + a * quot).is_zero()
+
+
+@pytest.mark.parametrize("F", [Field(2), Field(3), F7, Field(2, 4),
+                               Field(3037000493)], ids=lambda F: F.label())
+def test_divides_matches_polynomial_division(F):
+    # planted multiples (b*z - a) * P, some with one coefficient moved, and
+    # random slices; b is monic or not, of degree 0 to 2
+    import random as _random
+    rng = _random.Random(F.q)
+
+    def poly(deg):
+        return Polynomial(F, [rng.randrange(F.q) for _ in range(deg + 1)])
+
+    seen = set()
+    for _ in range(300):
+        b = poly(rng.randrange(3))
+        if b.is_zero():
+            b = Polynomial.one(F)
+        if rng.random() < 0.5:
+            b = b.scale(F.inv(b.leading()))
+        a, mz = poly(rng.randrange(-1, 3)), rng.randrange(4)
+        if rng.random() < 0.6:
+            P = [poly(rng.randrange(-1, 4)) for _ in range(mz)]
+            slices = [Polynomial.zero(F)] * (mz + 1)
+            for j, p in enumerate(P):
+                slices[j + 1] = slices[j + 1] + b * p
+                slices[j] = slices[j] - a * p
+            if rng.random() < 0.4:
+                j = rng.randrange(mz + 1)
+                slices[j] = slices[j] + Polynomial.monomial(
+                    F, 1 + rng.randrange(F.q - 1), rng.randrange(4))
+        else:
+            slices = [poly(rng.randrange(-1, 5)) for _ in range(mz + 1)]
+        want = _divides_by_divmod(b, a, slices)
+        assert _divides(b, a, slices) == want, (b, a, slices)
+        seen.add((want, b.leading() == 1))
+    # every nonzero lead is 1 in GF(2)
+    monic = {True} if F.q == 2 else {True, False}
+    assert seen == {(w, m) for w in (True, False) for m in monic}
+
+
+def test_divides_needs_every_remainder():
+    # GF(2), b = x^2 + x, a = 1, Q = x*z: the z^1 step leaves the remainder
+    # x and the quotient 0, after which S_0 + a*P_0 = 0, so only the
+    # remainder test says no
+    F = Field(2)
+    b, a = Polynomial(F, [0, 1, 1]), Polynomial.one(F)
+    slices = [Polynomial.zero(F), Polynomial.x(F)]
+    assert divmod(slices[1], b) == (Polynomial.zero(F), Polynomial.x(F))
+    assert not _divides(b, a, slices)
 
 
 def test_decode_rational_worked_examples():
