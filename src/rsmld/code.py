@@ -307,17 +307,19 @@ class CodeConstants:
       only `mgb_euclid` reads it (`--dump-basis`, `rsmld repro`, tests);
     * `short_interpolation_matrix` ((n - k) x (n - k + 1)): the rows
       w_j * Pi_y / (x - x_j) at the first n - k points, for the re-encoded
-      L_y = y . R;
+      L_y = y . R; only `mgb_euclid_reencoded` reads it;
+    * `short_syndrome_matrix` ((n - k) x (n - k + 1)): K, which gives the
+      same L_y from the syndromes, L_y = S . K, for the re-encoded decoder;
     * `tail_matrix` (k x k): the same over the tail, the last k points,
       with G_t = prod (x - x_j) there; the re-encoding shift is r_tail . T,
       from which every decoder's candidate check reads its messages;
     * `vandermonde` (k x n): x_i^e in row e, so a message m of length
       <= k encodes as m . V[:len m], and the shift's values at the first
-      n - k points are shift . V[:, :n - k];
+      n - k points are shift . V[:, :n - k] (`division.reencode`);
     * `weighted_powers` (n x (n - k)): v_i * x_i^j in row i, column j,
       with v_i = 1 / Pi'(x_i).  It is H^T, the transposed parity-check
       matrix: a word r has syndromes S = r . H^T, all zero exactly on
-      codewords; they give the division and rational decoders their basis.
+      codewords; every decoder builds its basis from them.
 
     Two attributes are not maps; each serves one of the oracle's
     enumerations, and only the one it takes is built:
@@ -330,16 +332,17 @@ class CodeConstants:
       bytes (60 KB) at (15, 5), 2 x 6 x 736 281 (8.8 MB) at (31, 5).
 
     The division and rational decoders build the tail matrix and the
-    weighted powers; the re-encoded decoder also the short matrix and the
-    Vandermonde matrix; encoding builds the Vandermonde matrix.
+    weighted powers; the re-encoded decoder also K; encoding builds the
+    Vandermonde matrix.
 
     Memory, 8 bytes per element as int64 (Python ints past that): the
     division and rational decoders' k^2 + (n - k)n elements are 0.46 MB at
     (255, 223), 8.1 MB at (1023, 991) and 133 MB at (4095, 4063); the
-    re-encoded decoder's, with (n - k)(n - k + 1) + kn more, 0.93, 16 and
-    266 MB; all five matrices, with the n^2 of the interpolation matrix,
-    1.45, 25 and 400 MB.  At (4095, 4063) a prototype decoded a word no
-    faster with the matrices than with a numpy step per point.
+    re-encoded decoder adds K's (n - k)(n - k + 1), 8.4 KB at each of
+    them; all six matrices, with the short one, the kn of the Vandermonde
+    matrix and the n^2 of the interpolation matrix, 1.45, 25 and 400 MB.
+    At (4095, 4063) a prototype decoded a word no faster with the matrices
+    than with a numpy step per point.
     """
 
     def __init__(self, code: RSCode):
@@ -396,6 +399,33 @@ class CodeConstants:
         return _read_only(self.arrays.barycentric(
             head, self.short_vanishing.coeffs,
             self._weights(self.vanishing, head)))
+
+    @cached_property
+    def short_syndrome_matrix(self) -> np.ndarray:
+        """K, (n - k) x (n - k + 1): row l is (x - x_(n-k)) times the
+        quotient of Pi_h = prod (x - x_j) over the first n - k points by
+        x^(l+1), so that a re-encoded word y has L_y = S . K, with S the
+        syndromes of y and of r alike.
+
+        y is zero on the last k points, so S_l = sum_j u_j x_j^l over the
+        first n - k, u_j = v_j y_j, and y . R = sum_j u_j Pi_y / (x - x_j)
+        (the rows of R carry v_j = 1 / Pi'(x_j)).  Synthetic division gives
+        Pi_h / (x - x_j) = sum_l x_j^l * (the quotient of Pi_h by x^(l+1)),
+        and Pi_y = Pi_h * (x - x_(n-k)).  So K = (H_head^T)^-1 . R, with
+        H_head^T the first n - k rows of the weighted powers, and no
+        inverse is built: the entry (l, a) is Pi_h's coefficient of x^(l+a)
+        (for a >= 1) less x_(n-k) times that of x^(l+a+1), a Hankel
+        matrix and its shift."""
+        nk, arr = self.split, self.arrays
+        head = vanishing_poly(self.field, self.eval_points[:nk]).coeffs
+        quotients = arr.array(head[1:] + [0] * nk)
+        steps = np.arange(nk)
+        hankel = quotients[steps[:, None] + steps]
+        matrix = np.zeros((nk, nk + 1), dtype=arr.dtype)
+        matrix[:, 1:] = hankel
+        matrix[:, :nk] = arr.sub(matrix[:, :nk],
+                                 arr.mul(self.points[nk], hankel))
+        return _read_only(matrix)
 
     @cached_property
     def tail_matrix(self) -> np.ndarray:

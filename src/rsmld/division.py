@@ -68,7 +68,7 @@ import numpy as np
 
 from .code import (DecodeOutcome, RSCode, Word, digit_counts, hamming_distance,
                    histogram_rows)
-from .groebner import (GroebnerPair, ModuleVector, mgb_euclid_reencoded,
+from .groebner import (GroebnerPair, ModuleVector, reencoded_syndrome_pair,
                        syndrome_pair)
 # looked up here by the benchmark's tracer; nothing in this module calls them
 from .groebner import mgb_iterative, mgb_iterative_reencoded  # noqa: F401
@@ -203,8 +203,9 @@ class CandidateCheck:
 
     Z is erased.  Every product runs on the rows v_i * x_i^j of H^T,
     `CodeConstants.weighted_powers`, v_i = 1 / Pi'(x_i), which give the
-    syndromes S = r . H^T once per word, as the check is made; the
-    decoders build their basis from them too (`groebner.syndrome_pair`).
+    syndromes S = r . H^T once per word, as the check is made; every
+    decoder builds its basis from them too (`groebner.syndrome_pair`, and
+    `groebner.reencoded_syndrome_pair` for the re-encoded one).
     An error e on Z has S_j = sum_Z u_i x_i^j with u_i = v_i e_i,
     and with the locator P = prod_Z (x - x_i) the first t syndromes give
 
@@ -331,41 +332,40 @@ def _shift(code: RSCode, symbols: np.ndarray) -> np.ndarray:
     return consts.arrays.dot(symbols[code.n - code.k:], consts.tail_matrix)
 
 
-def _residuals(code: RSCode, symbols: np.ndarray,
-               shift: np.ndarray) -> tuple[int, ...]:
-    """y_i = r_i - shift(x_i) at the first n - k points: the shift's
-    values there are shift . V[:, :n - k], with the Vandermonde matrix V."""
-    consts = code.constants()
-    arr, nk = consts.arrays, code.n - code.k
-    return tuple(arr.sub(symbols[:nk], arr.dot(
-        shift, consts.vandermonde[:, :nk])).tolist())
-
-
 def reencode(code: RSCode, r: Word) -> Reencoding:
     """Split r as shift + y, with the shift interpolating r on the last k
     points.
 
-    Both maps come from `code.constants()`, so a word costs two matrix
-    products, `_shift` and `_residuals`; the candidate check computes the
-    first, and the re-encoded decoder reads it there.
+    Two matrix products on `code.constants()`: the shift r_tail . T
+    (`_shift`, which the candidate check computes too), and its values at
+    the first n - k points, shift . V[:, :n - k] with the Vandermonde
+    matrix V, for y_i = r_i - shift(x_i) there.  No decoder calls it: the
+    re-encoded decoder reads the short module off r's syndromes instead
+    (`groebner.reencoded_syndrome_pair`).  The y of this split is what the
+    paper-form reference `mgb_euclid_reencoded` takes.
     """
-    symbols = code.constants().arrays.array(r.symbols)
+    consts = code.constants()
+    arr, nk = consts.arrays, code.n - code.k
+    symbols = arr.array(r.symbols)
     shift = _shift(code, symbols)
+    y = arr.sub(symbols[:nk], arr.dot(shift, consts.vandermonde[:, :nk]))
     return Reencoding(Polynomial(code.field, shift.tolist()),
-                      _residuals(code, symbols, shift))
+                      tuple(y.tolist()))
 
 
 def decode_minimal_reencoded(code: RSCode, r: Word, j_cap: int | None = None,
                              beyond_johnson: bool = False) -> DecodeOutcome:
-    """Same search run on the short module of the shifted word.
+    """Same search run on the short module of the re-encoded word
+    y = r - encode(shift).
 
-    The short basis lifts to the full-module basis of r - shift by
-    multiplying first components with G; the second components, which the
-    candidate check reads, stay as they are, and r - shift has the errors
-    of r."""
+    y is zero on the last k points and has r's syndromes, so the short
+    basis comes from the check's syndromes (`reencoded_syndrome_pair`,
+    L_y = S . K) with no re-encoding of r.  It lifts to the full-module
+    basis of y by multiplying first components with G; the second
+    components, which the candidate check reads, stay as they are, and y
+    has the errors of r."""
     check = CandidateCheck(code, r)
-    short = mgb_euclid_reencoded(
-        code, _residuals(code, check.symbols, check.shift))
+    short = reencoded_syndrome_pair(code, check.syndromes)
     # Lift the weighted degrees: each first component gains deg G = k - 1.
     lifted = GroebnerPair(short.g1, short.g2, short.ell1 + code.k - 1,
                           short.ell2 + code.k - 1, short.order)

@@ -20,7 +20,8 @@ n - k + 1 points (unweighted order), lifted by the caller.
 The decoders read only the ell's and the second components g1.f2, g2.f2,
 and those follow from the n - k syndromes S = r . H^T alone, with no
 interpolant: the division and rational decoders take them from
-`syndrome_pair`.  For (f1, f2) in M(r) of weighted degree
+`syndrome_pair`, and the re-encoded decoder reads its short module's
+interpolant off them (`reencoded_syndrome_pair`).  For (f1, f2) in M(r) of weighted degree
 ell, sum_i v_i x_i^j f1(x_i) = 0 for j <= n - 2 - ell, with
 v_i = 1 / Pi'(x_i), and f1(x_i) = -r_i f2(x_i); so sum_l f2_l S_(j+l) = 0,
 and f2 lies in the key-equation module
@@ -351,15 +352,30 @@ def _residuals(code: RSCode, y: Sequence[int]) -> np.ndarray:
     return code.constants().arrays.array(ys)
 
 
+def _short_pair(code: RSCode, L_y: np.ndarray) -> GroebnerPair:
+    """The short module's basis, reduced from (Pi_y, 0) and (L_y, -1)."""
+    rows = _generator_rows(code, code.constants().short_vanishing,
+                           L_y.tolist())
+    return _reduced_pair(code.field, rows, WeightedOrder((0, 0)))
+
+
 def mgb_euclid_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
     """Unweighted minimal Groebner basis of the short module, reduced from
     (Pi_y, 0) and (L_y, -1) on the first n - k + 1 points, where
     L_y = y . R with R the code's `short_interpolation_matrix`."""
     consts = code.constants()
-    L_y = consts.arrays.dot(_residuals(code, y),
-                            consts.short_interpolation_matrix).tolist()
-    rows = _generator_rows(code, consts.short_vanishing, L_y)
-    return _reduced_pair(code.field, rows, WeightedOrder((0, 0)))
+    return _short_pair(code, consts.arrays.dot(
+        _residuals(code, y), consts.short_interpolation_matrix))
+
+
+def reencoded_syndrome_pair(code: RSCode,
+                            syndromes: np.ndarray) -> GroebnerPair:
+    """`mgb_euclid_reencoded(code, y)` for r's re-encoded word y, from r's
+    syndromes S = r . H^T alone: y = r - encode(shift) has r's syndromes,
+    and L_y = S . K with K the code's `short_syndrome_matrix`."""
+    consts = code.constants()
+    return _short_pair(code, consts.arrays.dot(
+        syndromes, consts.short_syndrome_matrix))
 
 
 def mgb_iterative_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:

@@ -5,8 +5,9 @@ and the short module's generators are checked against the scalar
 definitions they replaced: per-point Horner evaluation, and Newton
 interpolation of the tail symbols, of the whole word or of the shifted
 word.  The interpolation, short, tail and Vandermonde matrices and the
-weighted powers are checked entry by entry against theirs, and the
-decoders' basis from the syndromes against `mgb_euclid`'s.  The cache
+weighted powers are checked entry by entry against theirs, the decoders'
+basis from the syndromes against `mgb_euclid`'s, and the re-encoded
+decoder's short basis from the syndromes against `mgb_euclid_reencoded`'s.  The cache
 must hold nothing of a word.
 """
 
@@ -15,7 +16,9 @@ import pytest
 from rsmld.code import RSCode, Word, corrupt, random_word
 from rsmld.division import decode_minimal, decode_minimal_reencoded, reencode
 from rsmld.fields import Field
-from rsmld.groebner import interpolation_generators, mgb_euclid, syndrome_pair
+from rsmld.groebner import (interpolation_generators, mgb_euclid,
+                            mgb_euclid_reencoded, reencoded_syndrome_pair,
+                            syndrome_pair)
 from rsmld.polys import Polynomial, lagrange_interpolate, vanishing_poly
 from rsmld.rational import decode_rational
 from rsmld.rng import XorShift64Star
@@ -230,6 +233,36 @@ def test_syndrome_pair_matches_mgb_euclid(spec):
         assert c.is_zero() or c.degree() <= pair.ell2 - pair.ell1
 
 
+@pytest.mark.parametrize("spec", CODES + [
+    (Field(2, 4), 15, 14, None),    # n - k = 1
+    (Field(2, 4), 15, 1, list(range(15, 0, -1))),   # k = 1, x = 0 in the tail
+], ids=IDS + ["gf16-nk1", "gf16-k1"])
+def test_reencoded_syndrome_pair_matches_mgb_euclid_reencoded(spec):
+    # the re-encoded decoder's short basis from S . K is the paper's, reduced
+    # from the generators of the re-encoded word y, on codewords (y = 0),
+    # random words and corrupted ones; and K is (H_head^T)^-1 . R, that is
+    # H_head^T . K = R with H_head^T the first n - k rows of H^T
+    code = RSCode(*spec)
+    consts = code.constants()
+    arr, nk = consts.arrays, code.n - code.k
+    assert consts.short_syndrome_matrix.shape == (nk, nk + 1)
+    assert arr.dot(consts.weighted_powers[:nk],
+                   consts.short_syndrome_matrix).tolist() == \
+        consts.short_interpolation_matrix.tolist()
+    rng = XorShift64Star(code.n + 3)
+    words = [Word(code, (0,) * code.n)]
+    words += [random_word(code, seed) for seed in (1, 2, 3)]
+    for coeffs in _messages(code, code.n + 3):
+        w = code.encode(coeffs)
+        words.append(w)
+        words += [corrupt(w, weight, rng.next_u64())
+                  for weight in {1, (nk + 1) // 2, nk, code.n}]
+    for r in words:
+        syndromes = arr.dot(arr.array(r.symbols), consts.weighted_powers)
+        assert reencoded_syndrome_pair(code, syndromes) == \
+            mgb_euclid_reencoded(code, reencode(code, r).y)
+
+
 def test_decoders_build_only_the_matrices_they_use():
     # cached_property keeps a built attribute in the instance __dict__; the
     # word is made on another code, so that its encoding builds nothing here
@@ -243,12 +276,15 @@ def test_decoders_build_only_the_matrices_they_use():
         assert "interpolation_matrix" not in built
         assert "vandermonde" not in built
         assert "short_interpolation_matrix" not in built
+        assert "short_syndrome_matrix" not in built
     fresh = RSCode(Field(2, 8), 255, 223)
     decode_minimal_reencoded(fresh, Word(fresh, r.symbols))
     built = vars(fresh.constants())
-    assert "tail_matrix" in built and "short_interpolation_matrix" in built
+    assert "tail_matrix" in built and "short_syndrome_matrix" in built
     assert "weighted_powers" in built
     assert "interpolation_matrix" not in built
+    assert "vandermonde" not in built
+    assert "short_interpolation_matrix" not in built
 
 
 def test_cache_leaves_equality_and_hash_alone():
@@ -257,7 +293,8 @@ def test_cache_leaves_equality_and_hash_alone():
     consts = code.constants()
     for name in ("points", "vanishing", "short_vanishing",
                  "interpolation_matrix", "short_interpolation_matrix",
-                 "tail_matrix", "vandermonde", "weighted_powers"):
+                 "short_syndrome_matrix", "tail_matrix", "vandermonde",
+                 "weighted_powers"):
         value = getattr(consts, name)
         if not isinstance(value, Polynomial):  # shared by every word
             assert not value.flags.writeable, name
