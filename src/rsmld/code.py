@@ -300,7 +300,9 @@ class CodeConstants:
     reused across words pays for it once, and a decoder builds only the
     attributes it uses.  Every linear map from a word to a polynomial or a
     codeword is a matrix here, so a word costs one `FieldArrays.dot` per
-    map:
+    map.  The three that every word of a decoder multiplies, H^T, T and
+    K, are kept as `FieldArrays.factors` (logs with a zero sentinel on
+    GF(2^m), the elements on GF(p)) and applied with `dot_factors`:
 
     * `interpolation_matrix` (n x n): row j holds w_j * Pi / (x - x_j) with
       w_j = 1 / Pi'(x_j), so a word r has Lagrange interpolant L = r . B;
@@ -335,13 +337,15 @@ class CodeConstants:
     weighted powers; the re-encoded decoder also K; encoding builds the
     Vandermonde matrix.
 
-    Memory, 8 bytes per element as int64 (Python ints past that): the
-    division and rational decoders' k^2 + (n - k)n elements are 0.46 MB at
-    (255, 223), 8.1 MB at (1023, 991) and 133 MB at (4095, 4063); the
-    re-encoded decoder adds K's (n - k)(n - k + 1), 8.4 KB at each of
-    them; all six matrices, with the short one, the kn of the Vandermonde
-    matrix and the n^2 of the interpolation matrix, 1.45, 25 and 400 MB.
-    At (4095, 4063) a prototype decoded a word no faster with the matrices
+    Memory: the factors take one byte per element up to m = 7, two up to
+    m = 15 and four at m = 16, and elements 8 bytes as int64 (Python ints
+    past that).  The division and rational decoders' k^2 + (n - k)n
+    elements are 0.12 MB at (255, 223) over GF(2^8), 2.0 MB at (1023, 991)
+    over GF(2^10) and 33 MB at (4095, 4063) over GF(2^12); the re-encoded
+    decoder adds K's (n - k)(n - k + 1), 2.1 KB at each of them; all six
+    matrices, with the int64 short one, the kn of the Vandermonde matrix
+    and the n^2 of the interpolation matrix, 1.1, 18.5 and 301 MB.  At
+    (4095, 4063) a prototype decoded a word no faster with the matrices
     than with a numpy step per point.
     """
 
@@ -415,7 +419,7 @@ class CodeConstants:
         H_head^T the first n - k rows of the weighted powers, and no
         inverse is built: the entry (l, a) is Pi_h's coefficient of x^(l+a)
         (for a >= 1) less x_(n-k) times that of x^(l+a+1), a Hankel
-        matrix and its shift."""
+        matrix and its shift.  Kept as factors."""
         nk, arr = self.split, self.arrays
         head = vanishing_poly(self.field, self.eval_points[:nk]).coeffs
         quotients = arr.array(head[1:] + [0] * nk)
@@ -425,15 +429,15 @@ class CodeConstants:
         matrix[:, 1:] = hankel
         matrix[:, :nk] = arr.sub(matrix[:, :nk],
                                  arr.mul(self.points[nk], hankel))
-        return _read_only(matrix)
+        return _read_only(arr.factors(matrix))
 
     @cached_property
     def tail_matrix(self) -> np.ndarray:
         """k x k: row j is w_j * G_t / (x - x_j) over the tail points, with
-        G_t = prod (x - x_i) there and w_j = 1 / G_t'(x_j)."""
-        return self._interpolator(
+        G_t = prod (x - x_i) there and w_j = 1 / G_t'(x_j); as factors."""
+        return _read_only(self.arrays.factors(self._interpolator(
             vanishing_poly(self.field, self.eval_points[self.split:]),
-            self.points[self.split:])
+            self.points[self.split:])))
 
     @cached_property
     def vandermonde(self) -> np.ndarray:
@@ -520,10 +524,12 @@ class CodeConstants:
         H checks the code: for a message m of degree < k and j < n - k,
         x^j * m has degree at most n - 2, and the sum over all points of
         p(x_i) / Pi'(x_i) is p's x^(n - 1) coefficient, zero here.  H has
-        full rank n - k, so r . H^T = 0 exactly when r is a codeword."""
+        full rank n - k, so r . H^T = 0 exactly when r is a codeword.  Kept
+        as factors."""
+        arr = self.arrays
         weights = self._weights(self.vanishing, self.points)
-        return _read_only(self.arrays.mul(
-            self.arrays.powers(self.points, self.split), weights[:, None]))
+        return _read_only(arr.factors(arr.mul(
+            arr.powers(self.points, self.split), weights[:, None])))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -224,7 +224,8 @@ class CandidateCheck:
         consts = code.constants()
         self.code, self.r, self.arr = code, r, consts.arrays
         self.symbols = self.arr.array(r.symbols)
-        self.syndromes = self.arr.dot(self.symbols, consts.weighted_powers)
+        self.syndromes = self.arr.dot_factors(self.symbols,
+                                              consts.weighted_powers)
         self.shift = _shift(code, self.symbols)
 
     def __call__(self, zeros: np.ndarray, t: int) -> Polynomial | None:
@@ -237,7 +238,7 @@ class CandidateCheck:
         h_z = consts.weighted_powers[zeros]
         locator = vanishing_poly(code.field, consts.points[zeros].tolist())
         e = self._erasure_values(arr.array(locator.coeffs), h_z, t)
-        if (arr.dot(e, h_z) != self.syndromes).any():
+        if (arr.dot_factors(e, h_z) != self.syndromes).any():
             return None
         c = self.symbols.copy()
         c[zeros] = arr.sub(c[zeros], e)
@@ -245,8 +246,8 @@ class CandidateCheck:
             return None
         nk = code.n - code.k
         covered = zeros >= nk
-        m = arr.sub(self.shift, arr.dot(e[covered],
-                                        consts.tail_matrix[zeros[covered] - nk]))
+        m = arr.sub(self.shift, arr.dot_factors(
+            e[covered], consts.tail_matrix[zeros[covered] - nk]))
         return Polynomial(code.field, m.tolist())
 
     def _erasure_values(self, locator: np.ndarray, h_z: np.ndarray,
@@ -262,8 +263,8 @@ class CandidateCheck:
         steps = np.arange(t)
         w = arr.dot(self.syndromes[:t], hankel[steps[:, None] + steps])
         dp = arr.mul(np.arange(1, t + 1) % p, locator[1:])
-        num, den = arr.dot(np.stack([w, dp]), h_z[:, :t].T)
-        return arr.mul(num, arr.inv(arr.mul(den, h_z[:, 0])))
+        num, den = arr.dot_factors(np.stack([w, dp]), h_z[:, :t].T)
+        return arr.mul(num, arr.inv(arr.mul_factors(den, h_z[:, 0])))
 
 
 def search_levels(check: CandidateCheck, pair: GroebnerPair,
@@ -329,7 +330,8 @@ def _shift(code: RSCode, symbols: np.ndarray) -> np.ndarray:
     on the last k points: r_tail . T, with the tail interpolation matrix
     T."""
     consts = code.constants()
-    return consts.arrays.dot(symbols[code.n - code.k:], consts.tail_matrix)
+    return consts.arrays.dot_factors(symbols[code.n - code.k:],
+                                     consts.tail_matrix)
 
 
 def reencode(code: RSCode, r: Word) -> Reencoding:

@@ -295,7 +295,8 @@ class FieldArrays:
     (``dtype=object``) and the same expressions stay exact.
     """
 
-    __slots__ = ("field", "p", "binary", "dtype", "_exp", "_log")
+    __slots__ = ("field", "p", "binary", "dtype", "_exp", "_log",
+                 "_factor_dtype")
 
     def __init__(self, field: Field):
         self.field = field
@@ -310,6 +311,7 @@ class FieldArrays:
             log = np.array(field._log, dtype=np.int64)
             log[0] = zero_log
             self._exp, self._log = exp, log
+            self._factor_dtype = np.min_scalar_type(zero_log)
         else:
             wide = (self.p - 1) ** 2 >= 2**63
             self.dtype = np.dtype(object if wide else np.int64)
@@ -357,10 +359,20 @@ class FieldArrays:
             y %= self.p
 
     def factors(self, c) -> np.ndarray:
-        """Nonzero elements as the factors that `factor_sums` takes: their
-        logs, in [0, q - 2], on GF(2^m), the elements themselves on GF(p)."""
+        """Elements as the factors that `factor_sums`, `mul_factors` and
+        `dot_factors` take: on GF(2^m) their logs, in [0, q - 2], and the
+        zero sentinel 2(q - 1) for 0, in the narrowest dtype that holds the
+        sentinel (one byte up to m = 7, two up to m = 15, four at m = 16);
+        the elements themselves on GF(p)."""
         c = self.array(c)
-        return self._log[c] if self.binary else c
+        return self._log[c].astype(self._factor_dtype) if self.binary else c
+
+    def mul_factors(self, a, f):
+        """Elementwise a * c (broadcasting), for the elements c whose
+        `factors` are f."""
+        if self.binary:
+            return self._exp[self._log[a] + f]
+        return a * f % self.p
 
     def factor_sums(self, f: np.ndarray, values: np.ndarray,
                     index: np.ndarray) -> np.ndarray:
@@ -396,28 +408,7 @@ class FieldArrays:
         memory instead of mapping, and faulting in, fresh pages on every
         call."""
         if self.binary:
-            cols = math.prod(b.shape[1:])
-            if a.ndim > 1 and math.prod(a.shape[:-1]) > cols:
-                rows_a, depth = math.prod(a.shape[:-1]), a.shape[-1]
-                log_a = self._log[a].reshape(rows_a, depth)
-                log_bt = self._log[b].reshape(depth, cols).T.copy()
-                span = max(1, min(depth, DOT_CHUNK // max(1, cols)))
-                rows = max(1, DOT_CHUNK // max(1, cols * span))
-                out = np.zeros((rows_a, cols), dtype=self.dtype)
-                for lo in range(0, rows_a, rows):
-                    for k in range(0, depth, span):
-                        out[lo:lo + rows] ^= np.bitwise_xor.reduce(self._exp[
-                            log_a[lo:lo + rows, None, k:k + span]
-                            + log_bt[:, k:k + span]], axis=-1)
-                return out.reshape(a.shape[:-1] + b.shape[1:])
-            log_a = self._log[a]
-            out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=self.dtype)
-            rows = max(1, DOT_CHUNK // max(1, out.size))
-            for lo in range(0, len(b), rows):
-                terms = self._exp[log_a[..., lo:lo + rows, None]
-                                  + self._log[b[lo:lo + rows]]]
-                out ^= np.bitwise_xor.reduce(terms, axis=-2)
-            return out
+            return self._log_dot(self._log[a], b, self._log.__getitem__)
         p = self.p
         if self.dtype == object or a.shape[-1] * (p - 1) ** 2 < 2**63:
             return a @ b % p
@@ -431,6 +422,40 @@ class FieldArrays:
         for shift in range((p.bit_length() - 1) // s * s, -1, -s):
             acc = (acc * (1 << s) + (a >> shift & (1 << s) - 1) @ b) % p
         return acc
+
+    def dot_factors(self, a: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """`dot` of a with the matrix whose `factors` are f, the form of the
+        per-code matrices that every word multiplies: on GF(2^m) only a's
+        logs are gathered."""
+        if self.binary:
+            return self._log_dot(self._log[a], f, np.asarray)
+        return self.dot(a, f)
+
+    def _log_dot(self, log_a: np.ndarray, b: np.ndarray,
+                 logs) -> np.ndarray:
+        """The GF(2^m) `dot`, in the layouts it describes, of the a whose
+        logs are log_a with b, whose row blocks have logs(block) as logs."""
+        lead, cols = log_a.shape[:-1], math.prod(b.shape[1:])
+        if lead and math.prod(lead) > cols:
+            rows_a, depth = math.prod(lead), log_a.shape[-1]
+            log_a = log_a.reshape(rows_a, depth)
+            log_bt = logs(b).reshape(depth, cols).T.copy()
+            span = max(1, min(depth, DOT_CHUNK // max(1, cols)))
+            rows = max(1, DOT_CHUNK // max(1, cols * span))
+            out = np.zeros((rows_a, cols), dtype=self.dtype)
+            for lo in range(0, rows_a, rows):
+                for k in range(0, depth, span):
+                    out[lo:lo + rows] ^= np.bitwise_xor.reduce(self._exp[
+                        log_a[lo:lo + rows, None, k:k + span]
+                        + log_bt[:, k:k + span]], axis=-1)
+            return out.reshape(lead + b.shape[1:])
+        out = np.zeros(lead + b.shape[1:], dtype=self.dtype)
+        rows = max(1, DOT_CHUNK // max(1, out.size))
+        for lo in range(0, len(b), rows):
+            terms = self._exp[log_a[..., lo:lo + rows, None]
+                              + logs(b[lo:lo + rows])]
+            out ^= np.bitwise_xor.reduce(terms, axis=-2)
+        return out
 
     def evaluate(self, coeffs, x: np.ndarray) -> np.ndarray:
         """Values at every point of x of the polynomial with coefficients

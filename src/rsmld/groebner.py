@@ -374,7 +374,7 @@ def reencoded_syndrome_pair(code: RSCode,
     syndromes S = r . H^T alone: y = r - encode(shift) has r's syndromes,
     and L_y = S . K with K the code's `short_syndrome_matrix`."""
     consts = code.constants()
-    return _short_pair(code, consts.arrays.dot(
+    return _short_pair(code, consts.arrays.dot_factors(
         syndromes, consts.short_syndrome_matrix))
 
 

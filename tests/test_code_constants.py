@@ -11,6 +11,7 @@ decoder's short basis from the syndromes against `mgb_euclid_reencoded`'s.  The 
 must hold nothing of a word.
 """
 
+import numpy as np
 import pytest
 
 from rsmld.code import RSCode, Word, corrupt, random_word
@@ -139,6 +140,11 @@ def test_second_decode_matches_fresh_code(decode):
              fresh.search_level, fresh.ell1, fresh.ell2)
 
 
+def _values(consts, factors):
+    """The elements of a matrix the code keeps as `FieldArrays.factors`."""
+    return consts.arrays.mul_factors(1, factors)
+
+
 def _scalar_interpolator(F, points):
     """Row j: w_j times the quotient of prod (x - x_l) by (x - x_j), with
     w_j = 1 / prod_{l != j} (x_j - x_l), padded to len(points) entries."""
@@ -162,7 +168,7 @@ def test_matrices_match_scalar_definitions(spec):
     F, pts, nk = code.field, code.eval_points, code.n - code.k
     consts = code.constants()
     for matrix, points in ((consts.interpolation_matrix, pts),
-                           (consts.tail_matrix, pts[nk:])):
+                           (_values(consts, consts.tail_matrix), pts[nk:])):
         assert matrix.shape == (len(points), len(points))
         assert matrix.tolist() == _scalar_interpolator(F, points)
     # the short module's rows at the first n - k points, each times 1 / G(x_j)
@@ -182,24 +188,58 @@ def test_matrices_match_scalar_definitions(spec):
             if xl != xi:
                 derivative = F.mul(derivative, F.sub(xi, xl))
         weights.append(F.inv(derivative))
-    assert consts.weighted_powers.tolist() == \
+    assert _values(consts, consts.weighted_powers).tolist() == \
         [[F.mul(v, F.pow(x, j)) for j in range(nk)]
          for x, v in zip(pts, weights)]
 
 
 @pytest.mark.parametrize("spec", CODES, ids=IDS)
+def test_factor_products_match_values_dot(spec):
+    # every product the decoders take with a matrix kept as factors: r . H^T,
+    # r_tail . T, S . K, and the check's rows of H^T and T at an erased set
+    # Z, H^T[Z] also transposed and its column 0 elementwise; with x = 0
+    # among the points, rows of H^T hold zeros, whose factors are the
+    # sentinel on GF(2^m)
+    code = RSCode(*spec)
+    consts = code.constants()
+    arr, nk = consts.arrays, code.n - code.k
+    parity, tail = consts.weighted_powers, consts.tail_matrix
+    key = consts.short_syndrome_matrix
+    if 0 in code.eval_points and nk > 1:
+        assert not _values(consts, parity).all()
+    zeros = np.arange(0, code.n, 2)[:nk]
+    covered = zeros[zeros >= nk] - nk
+    rng = XorShift64Star(code.n + 4)
+    for r in (random_word(code, code.n), code.encode([1] * code.k)):
+        symbols = arr.array(r.symbols)
+        syndromes = arr.dot_factors(symbols, parity)
+        assert (syndromes == arr.dot(symbols, _values(consts, parity))).all()
+        assert (arr.dot_factors(symbols[nk:], tail)
+                == arr.dot(symbols[nk:], _values(consts, tail))).all()
+        assert (arr.dot_factors(syndromes, key)
+                == arr.dot(syndromes, _values(consts, key))).all()
+        e = arr.array([rng.below(code.field.q) for _ in zeros])
+        for f, a in ((parity[zeros], e), (parity[zeros][:, :2].T,
+                                          np.stack([e[:2], e[-2:]])),
+                     (tail[covered], e[len(zeros) - len(covered):])):
+            assert (arr.dot_factors(a, f) == arr.dot(a, _values(consts, f))).all()
+        assert (arr.mul_factors(e, parity[zeros][:, 0])
+                == arr.mul(e, _values(consts, parity[zeros][:, 0]))).all()
+
+
+@pytest.mark.parametrize("spec", CODES, ids=IDS)
 def test_syndromes_vanish_exactly_on_codewords(spec):
-    # r . H^T with H^T the weighted powers
+    # r . H^T with H^T the weighted powers, kept as factors
     code = RSCode(*spec)
     consts = code.constants()
     arr, parity = consts.arrays, consts.weighted_powers
     rng = XorShift64Star(code.n + 1)
     for coeffs in _messages(code, code.n + 1):
         w = code.encode(coeffs)
-        assert not arr.dot(arr.array(w.symbols), parity).any()
+        assert not arr.dot_factors(arr.array(w.symbols), parity).any()
         for weight in range(1, code.n - code.k + 1):
             r = corrupt(w, weight, rng.next_u64())
-            assert arr.dot(arr.array(r.symbols), parity).any()
+            assert arr.dot_factors(arr.array(r.symbols), parity).any()
 
 
 @pytest.mark.parametrize("spec", CODES, ids=IDS)
@@ -219,8 +259,8 @@ def test_syndrome_pair_matches_mgb_euclid(spec):
                   for weight in {1, (code.n - code.k + 1) // 2,
                                  code.n - code.k, code.n}]
     for r in words:
-        pair = syndrome_pair(code, arr.dot(arr.array(r.symbols),
-                                           consts.weighted_powers))
+        pair = syndrome_pair(code, arr.dot_factors(arr.array(r.symbols),
+                                                   consts.weighted_powers))
         full = mgb_euclid(code, r)
         assert (pair.ell1, pair.ell2) == (full.ell1, full.ell2)
         assert pair.g1.f2 == full.g1.f2
@@ -246,8 +286,8 @@ def test_reencoded_syndrome_pair_matches_mgb_euclid_reencoded(spec):
     consts = code.constants()
     arr, nk = consts.arrays, code.n - code.k
     assert consts.short_syndrome_matrix.shape == (nk, nk + 1)
-    assert arr.dot(consts.weighted_powers[:nk],
-                   consts.short_syndrome_matrix).tolist() == \
+    assert arr.dot(_values(consts, consts.weighted_powers[:nk]),
+                   _values(consts, consts.short_syndrome_matrix)).tolist() == \
         consts.short_interpolation_matrix.tolist()
     rng = XorShift64Star(code.n + 3)
     words = [Word(code, (0,) * code.n)]
@@ -258,7 +298,8 @@ def test_reencoded_syndrome_pair_matches_mgb_euclid_reencoded(spec):
         words += [corrupt(w, weight, rng.next_u64())
                   for weight in {1, (nk + 1) // 2, nk, code.n}]
     for r in words:
-        syndromes = arr.dot(arr.array(r.symbols), consts.weighted_powers)
+        syndromes = arr.dot_factors(arr.array(r.symbols),
+                                    consts.weighted_powers)
         assert reencoded_syndrome_pair(code, syndromes) == \
             mgb_euclid_reencoded(code, reencode(code, r).y)
 

@@ -257,6 +257,7 @@ def test_binary_dot_in_row_chunks(field):
         got = A.dot(a, b)
         assert got.shape == a_shape[:-1] + b_shape[1:] and got.dtype == A.dtype
         assert (got == unchunked(a, b)).all(), (a_shape, b_shape)
+        assert (A.dot_factors(a, A.factors(b)) == got).all()
     # more rows of a than columns of b: chunks of a's rows, each product
     # summed along a contiguous axis; a transposed view as Koetter passes
     # it, a row of a past DOT_CHUNK terms (the contraction axis split too),
@@ -271,12 +272,45 @@ def test_binary_dot_in_row_chunks(field):
         got = A.dot(a, b)
         assert got.shape == a_shape[:-1] + b_shape[1:] and got.dtype == A.dtype
         assert (got == unchunked(a, b)).all(), (a_shape, b_shape)
+        assert (A.dot_factors(a, A.factors(b)) == got).all()
     a = draw(16, 60, 16).transpose(0, 2, 1)
     b = draw(60, 7)
     assert (A.dot(a, b) == unchunked(a, b)).all()
     # the zero message encodes as the zero word
     code = RSCode(field, 40, 9)
     assert code.encode([]).symbols == (0,) * 40
+
+
+@pytest.mark.parametrize("field", [F7, F16, Field(2, 7), Field(2, 8),
+                                   Field(2, 14), Field(2, 15), Field(2, 16),
+                                   Field(2**31 - 1), Field(4294967291)])
+def test_factor_form_products_match_values(field):
+    # the form of the per-code matrices: logs with the zero sentinel
+    # 2(q - 1) in the narrowest dtype, which is one byte up to m = 7 and
+    # two up to m = 15 (GF(2^14)'s 32766 fits int16, GF(2^15)'s 65534 only
+    # uint16); products with them are `mul` and `dot` on the elements, with
+    # zeros among the entries and a transposed view as the check takes
+    A = field.arrays()
+    rng = XorShift64Star(field.q + 5)
+    edge = [0, 1, field.q - 1, field.q - 2]
+    c = A.array(edge * 3 + [rng.below(field.q) for _ in range(48)])
+    f = A.factors(c)
+    if A.binary:
+        assert f.dtype.itemsize == (1 if field.m <= 7 else
+                                    2 if field.m <= 15 else 4)
+        assert int(f[0]) == 2 * (field.q - 1)
+        assert [int(v) for v in f[1:4]] == [field._log[x] for x in edge[1:]]
+    else:
+        assert (f == c).all()
+    a = A.array([rng.below(field.q) for _ in range(12)] + edge)
+    assert (A.mul_factors(a, f[:16]) == A.mul(a, c[:16])).all()
+    assert (A.mul_factors(a[:, None], f[:16]) == A.mul(a[:, None], c[:16])).all()
+    b, fb = c.reshape(15, 4), f.reshape(15, 4)
+    assert (A.dot_factors(a[:15], fb) == A.dot(a[:15], b)).all()
+    rows = A.array([a[:4], a[4:8]])
+    assert (A.dot_factors(rows, fb.T) == A.dot(rows, b.T)).all()
+    assert (A.dot_factors(a.reshape(8, 2), fb[:2, :3])
+            == A.dot(a.reshape(8, 2), b[:2, :3])).all()
 
 
 def _gf2_dot(field, xs, ys):
