@@ -433,8 +433,9 @@ class FieldArrays:
 
     def _log_dot(self, log_a: np.ndarray, b: np.ndarray,
                  logs) -> np.ndarray:
-        """The GF(2^m) `dot`, in the layouts it describes, of the a whose
-        logs are log_a with b, whose row blocks have logs(block) as logs."""
+        """The GF(2^m) `dot`, in the two layouts it describes, of a, given
+        by its logs log_a, with b; logs(block) gives the logs of a block of
+        b's rows."""
         lead, cols = log_a.shape[:-1], math.prod(b.shape[1:])
         if lead and math.prod(lead) > cols:
             rows_a, depth = math.prod(lead), log_a.shape[-1]

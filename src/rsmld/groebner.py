@@ -21,10 +21,10 @@ The decoders read only the ell's and the second components g1.f2, g2.f2,
 and those follow from the n - k syndromes S = r . H^T alone, with no
 interpolant: the division and rational decoders take them from
 `syndrome_pair`, and the re-encoded decoder reads its short module's
-interpolant off them (`reencoded_syndrome_pair`).  For (f1, f2) in M(r) of weighted degree
-ell, sum_i v_i x_i^j f1(x_i) = 0 for j <= n - 2 - ell, with
-v_i = 1 / Pi'(x_i), and f1(x_i) = -r_i f2(x_i); so sum_l f2_l S_(j+l) = 0,
-and f2 lies in the key-equation module
+interpolant off them (`reencoded_syndrome_pair`).  For (f1, f2) in M(r)
+of weighted degree ell, sum_i v_i x_i^j f1(x_i) = 0 for j <= n - 2 - ell,
+with v_i = 1 / Pi'(x_i), and f1(x_i) = -r_i f2(x_i); so
+sum_l f2_l S_(j+l) = 0, and f2 lies in the key-equation module
 
     N = {(omega, f2) : omega = f2 * S~ mod x^(n-k)},
     S~ = sum_j S_j x^(n-k-1-j),

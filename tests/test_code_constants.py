@@ -7,8 +7,9 @@ interpolation of the tail symbols, of the whole word or of the shifted
 word.  The interpolation, short, tail and Vandermonde matrices and the
 weighted powers are checked entry by entry against theirs, the decoders'
 basis from the syndromes against `mgb_euclid`'s, and the re-encoded
-decoder's short basis from the syndromes against `mgb_euclid_reencoded`'s.  The cache
-must hold nothing of a word.
+decoder's short basis from the syndromes against `mgb_euclid_reencoded`'s.
+The products with the matrices kept as factors are checked against `dot`
+on their elements.  The cache must hold nothing of a word.
 """
 
 import numpy as np
@@ -222,7 +223,8 @@ def test_factor_products_match_values_dot(spec):
         for f, a in ((parity[zeros], e), (parity[zeros][:, :2].T,
                                           np.stack([e[:2], e[-2:]])),
                      (tail[covered], e[len(zeros) - len(covered):])):
-            assert (arr.dot_factors(a, f) == arr.dot(a, _values(consts, f))).all()
+            assert (arr.dot_factors(a, f)
+                    == arr.dot(a, _values(consts, f))).all()
         assert (arr.mul_factors(e, parity[zeros][:, 0])
                 == arr.mul(e, _values(consts, parity[zeros][:, 0]))).all()
 
@@ -275,7 +277,7 @@ def test_syndrome_pair_matches_mgb_euclid(spec):
 
 @pytest.mark.parametrize("spec", CODES + [
     (Field(2, 4), 15, 14, None),    # n - k = 1
-    (Field(2, 4), 15, 1, list(range(15, 0, -1))),   # k = 1, x = 0 in the tail
+    (Field(2, 4), 15, 1, list(range(14, -1, -1))),  # k = 1, the tail is x = 0
 ], ids=IDS + ["gf16-nk1", "gf16-k1"])
 def test_reencoded_syndrome_pair_matches_mgb_euclid_reencoded(spec):
     # the re-encoded decoder's short basis from S . K is the paper's, reduced

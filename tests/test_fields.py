@@ -304,7 +304,8 @@ def test_factor_form_products_match_values(field):
         assert (f == c).all()
     a = A.array([rng.below(field.q) for _ in range(12)] + edge)
     assert (A.mul_factors(a, f[:16]) == A.mul(a, c[:16])).all()
-    assert (A.mul_factors(a[:, None], f[:16]) == A.mul(a[:, None], c[:16])).all()
+    assert (A.mul_factors(a[:, None], f[:16])
+            == A.mul(a[:, None], c[:16])).all()
     b, fb = c.reshape(15, 4), f.reshape(15, 4)
     assert (A.dot_factors(a[:15], fb) == A.dot(a[:15], b)).all()
     rows = A.array([a[:4], a[4:8]])
