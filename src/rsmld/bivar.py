@@ -9,13 +9,16 @@ Koetter's update processes one constraint at a time over M + 1 candidates
 ordered by (1, w)-weighted leading degree, and the smallest final candidate
 meets the weighted-degree cap whenever the constraint count is below the
 cap's coefficient budget.  Each candidate is one row of one integer numpy
-array: its Hasse discrepancies at the current anchor, computed once per
-anchor and then updated incrementally (McEliece, "The Guruswami-Sudan
-decoding algorithm for Reed-Solomon codes", IPN PR 42-153, 2003), followed
-by its coefficients.  The rows are kept up to a scale per candidate, so that
-the update of a constraint is one field axpy on the whole array; the scales
-are multiplied in once at the end, and the result is exactly the
-unnormalised update's.  Only the fit is returned as a sparse polynomial.
+array, holding only what the update can make nonzero: its Hasse
+discrepancies at the current anchor for the s(s+1)/2 constraints, computed
+once per anchor and then updated incrementally (McEliece, "The
+Guruswami-Sudan decoding algorithm for Reed-Solomon codes", IPN PR
+42-153, 2003), one zero column, and its coefficients of the monomials whose
+weighted degree is at most the largest lead's, in order of weighted
+degree.  The rows are kept up to a scale per candidate, so that the update
+of a constraint is one field axpy on the whole array; the scales are
+multiplied in once at the end, and the result is exactly the unnormalised
+update's.  Only the fit is returned as a sparse polynomial.
 
 The same engine serves both module ranks: `koetter_candidates` returns all
 M + 1 final candidates, the rational fit (`koetter_interpolate`) keeps the
@@ -25,12 +28,13 @@ basis of the decoders' interpolation module (`groebner.mgb_iterative`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DOT_CHUNK, Field
+from .fields import Field
 from .polys import Polynomial
 
 
@@ -170,28 +174,110 @@ def _lead_keys(lmx: np.ndarray, w: int) -> np.ndarray:
     return (lmx + c * w) * C + c
 
 
+# A fit keeps the Hasse tables of all its anchors while they hold at most
+# TABLE_CELLS entries (2 MB of int64), and builds each anchor's when it gets
+# there otherwise: at the Johnson edge of (255,33) over GF(2^8) (s = 79) the
+# whole tables would take gigabytes.
+TABLE_CELLS = 1 << 18
+
+
+@functools.lru_cache(maxsize=64)
+def _binomials(p: int, s: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(i, u) mod p and the exponent max(i - u, 0), i < rows, u < s."""
+    binom = np.array([[math.comb(i, u) % p for u in range(s)]
+                      for i in range(rows)], dtype=np.int64)
+    shift = np.maximum(np.arange(rows)[:, None] - np.arange(s), 0)
+    binom.flags.writeable = shift.flags.writeable = False
+    return binom, shift
+
+
+def _hasse_tables(A, points, s: int, rows: int) -> np.ndarray:
+    """T[b, i, u] = C(i, u) * points[b]^(i - u) (0 when i < u), i < rows,
+    u < s: a coefficient vector times T[b] gives its Hasse derivatives at
+    points[b]."""
+    binom, shift = _binomials(A.p, s, rows)
+    return A.mul(A.array(binom), A.powers(points, rows)[:, shift])
+
+
+@functools.lru_cache(maxsize=8)
+def _x_tables(field: Field, xs: tuple[int, ...], s: int,
+              rows: int) -> np.ndarray:
+    """`_hasse_tables` of the anchors' x, read-only: they depend on the
+    points alone (a code's, for the rational decoder), so every fit on them
+    shares one copy per s and row count."""
+    T = _hasse_tables(field.arrays(), list(xs), s, rows)
+    T.flags.writeable = False
+    return T
+
+
+@functools.lru_cache(maxsize=64)
+def _row_layout(s: int, M: int, w: int,
+                span: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Index maps, read-only, of a Koetter row (see `koetter_candidates`)
+    that holds the monomials of weighted degree d_min .. d_min + span - 1,
+    d_min = min(0, M*w).  Returns
+
+    * view[j, i], the column of x^i z^j, i < span, or the zero column when
+      the row does not hold it;
+    * src, the column each column of the row takes when the candidate is
+      multiplied by x: x^(i-1) z^j for x^i z^j and D_{u-1,v} for D_{u,v},
+      the zero column when i = 0 or u = 0;
+    * ends[n], one past the last column of weighted degree < d_min + n.
+    """
+    cons = hasse_constraints(s)
+    P = len(cons)
+    order = {uv: p for p, uv in enumerate(cons)}
+    d = np.arange(span)[:, None] + min(0, M * w)
+    j = np.arange(M + 1)
+    i = d - j * w
+    held = i >= 0
+    mi, mj = i[held], np.broadcast_to(j, i.shape)[held]
+    view = np.full((M + 1, span), P)
+    view[mj, mi] = P + 1 + np.arange(mi.size)
+    src = np.concatenate([[order[u - 1, v] if u else P for u, v in cons],
+                          [P], np.where(mi > 0, view[mj, mi - 1], P)])
+    ends = (P + 1 + np.cumsum([0] + held.sum(axis=1).tolist())).tolist()
+    view.flags.writeable = src.flags.writeable = False
+    return view, src, ends
+
+
 def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
                        M: int, w: int) -> tuple[np.ndarray, list[int]]:
     """Koetter's update over C = M + 1 candidates; returns the final
     candidates as G[candidate, z-degree, x-degree] and the x-exponent of
     each one's leading monomial (candidate j leads with z-degree j).
 
-    Candidate j starts as z^j.  Row c of one array R holds candidate c: s
-    zeros, its s*s Hasse discrepancies D_{u,v} at the current anchor
-    (u-major), C zeros, then its coefficients x-major (x^i z^j at column
-    g0 + i*C + j), so that a larger x-degree only appends columns.  At each
-    anchor all discrepancies are computed in one pass, from Hasse tables
-    built for a block of anchors at a time, then kept current by linearity:
-    a combination of candidates combines their rows, and multiplying by
-    (x - x0) shifts the coefficients one step in x and the discrepancies
-    one step in u, the zeros in front shifting in.  The pass is two field
-    products, (C, C, x-width) by (x-width, s) and (C, s, C) by (C, s): many
-    short products, which `FieldArrays.dot` sums along a contiguous axis.
-    Each constraint's pivot j* is the candidate with the smallest leading
-    monomial (`_lead_keys`) among those it does not vanish on.  The lead
-    keys and the scales are lists of Python ints, and the pivot is chosen
-    over the column's C discrepancies as a list: at M + 1 <= 16 rows that
-    is cheaper than a numpy call per step.
+    Candidate j starts as z^j.  Row c of one array R holds candidate c and
+    only what the update can make nonzero:
+    * its Hasse discrepancies D_{u,v} at the current anchor for the
+      P = s(s+1)/2 pairs u + v < s that `hasse_constraints` reads, in that
+      order, so that constraint p reads column p;
+    * one zero column;
+    * its coefficients of the monomials x^i z^j, i >= 0, j <= M, of
+      (1, w)-weighted degree d = i + j*w at most `top`, the weighted degree
+      of the largest lead, ordered by d and then j (`_row_layout`).
+    Every term of a candidate lies at or below its lead, so no other
+    coefficient can be nonzero, and a larger `top` only appends columns.
+    The array first holds the M|w| + 1 weighted degrees from d_min =
+    min(0, M*w) to max(0, M*w), and twice as many each time `top`
+    outgrows them: one copy per doubling.  The final candidates are read
+    back over x-degrees 0 .. top - d_min.
+
+    At each anchor all discrepancies are computed in one pass: the
+    (candidate, z-degree, x-degree) view, x-width top - d_min + 1, is
+    gathered through an index map, and two field products, (C, C, x-width)
+    by (x-width, s) and (C, s, C) by (C, s), take Hasse tables of x and of
+    z.  The x tables depend only on the anchors' x, so fits on the same
+    points share them (`_x_tables`, while they fit in TABLE_CELLS).  Then
+    the discrepancies are kept current by linearity: a combination of
+    candidates combines their rows, and multiplying by (x - x0) takes each
+    coefficient from the monomial one step lower in x and each D_{u,v}
+    from D_{u-1,v}, through one index map whose zero column brings in the
+    zeros.  Each constraint's pivot j* is the candidate with the smallest
+    leading monomial (`_lead_keys`) among those it does not vanish on.  The
+    lead keys and the scales are lists of Python ints, and the pivot is
+    chosen over the column's C discrepancies as a list: at M + 1 <= 16
+    rows that is cheaper than a numpy call per step.
 
     Rows are held up to a scale: candidate c is lam[c] * R[c], so its true
     discrepancy is d_c = lam[c] * e_c with e_c the stored one.  The update
@@ -199,85 +285,92 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
     lam[c] <- lam[c] lam[j*] e*: one field axpy over every row at once,
     with coefficient 0 for the rows the constraint misses and for j*
     itself, and none when j* is the only candidate it hits (about one
-    constraint in ten at s = 7).  The field is exact, so multiplying by lam
-    once at the end gives the unnormalised update's candidates, bit for bit.
+    constraint in ten at s = 7).  It starts at the constraint's own column:
+    every candidate already meets the earlier constraints of the anchor,
+    so their columns are 0 in every row.  The field is exact, so
+    multiplying by lam once at the end gives the unnormalised update's
+    candidates, bit for bit.
     """
     A = field.arrays()
-    C, S = M + 1, s * s
-    c = np.arange(C)
+    C = M + 1
+    cons = hasse_constraints(s)
+    P = len(cons)
     key = _lead_keys(np.zeros(C, dtype=np.int64), w).tolist()
     lam = [1] * C
 
-    # Every term x^i z^j' of candidate c has i + j'w <= lmx[c] + c*w, so its
-    # x-degree is at most lmx[c] + c*w + spare.
-    spare = max(0, -w) * M
-    top = max(0, M * w) + spare
-    cap = top + 1
-    g0 = s + S + C
-    R = np.zeros((C, g0 + cap * C), dtype=A.dtype)
-    R[c, g0 + c] = 1
+    # D_{u,v} at a finite anchor is entry u*s + v of the (s, s) product; at
+    # infinity it reads the z^(M - v) slice of the x-transform, v <= M
+    finite_cols = [u * s + v for u, v in cons]
+    inf_at = [p for p, (u, v) in enumerate(cons) if v <= M]
+    inf_cols = [(M - v) * s + u for u, v in cons if v <= M]
 
-    cons = [s + u * s + v for u, v in hasse_constraints(s)]
-    # D_{u,v} at infinity reads the z^(M - v) slice of the x-transform
-    slices = M - np.arange(min(s, C))
-    done = 0
-    while done < len(anchors):
-        # T[i, u] = C(i, u) * point^(i - u) (0 when i < u), i < rows, for
-        # every anchor of a block: a coefficient vector times T gives its
-        # Hasse derivatives at the point
-        rows = max(cap, C)
-        binom = A.array([[math.comb(i, u) % field.p for u in range(s)]
-                         for i in range(rows)])
-        shift = np.maximum(np.arange(rows)[:, None] - np.arange(s), 0)
-        block = anchors[done:done + max(1, DOT_CHUNK // (rows * s))]
-        tx = A.mul(binom, A.powers([pt.x for pt in block], rows)[:, shift])
-        tz = A.mul(binom[:C],
-                   A.powers([pt.z_num for pt in block], C)[:, shift[:C]])
-        for b, pt in enumerate(block):
-            if cap > rows:
-                break  # the x-degree outgrew the tables
-            done += 1
-            x0, cols = pt.x, top + 1
-            G = R[:, g0:g0 + cols * C].reshape(C, cols, C)
-            H = A.dot(G.transpose(0, 2, 1), tx[b, :cols])
-            if pt.is_infinite:
-                D = np.zeros((C, s, s), dtype=A.dtype)
-                D[:, :, :len(slices)] = H[:, slices].transpose(0, 2, 1)
-            else:
-                D = A.dot(H.transpose(0, 2, 1), tz[b])
-            R[:, s:s + S] = D.reshape(C, S)
-            for col in cons:
-                e = R[:, col].tolist()
-                hit = [i for i in range(C) if e[i]]
-                if not hit:
-                    continue
-                j = min(hit, key=key.__getitem__)
-                estar = e[j]
-                others = [i for i in hit if i != j]
-                if others:  # else the axpy's coefficients are all 0
-                    coef = A.mul(R[:, col], field.inv(estar))
-                    coef[j] = 0
-                    used = g0 + cols * C
-                    A.sub_scaled(R[:, :used], coef[:, None], R[j, :used])
-                    scale = field.mul(lam[j], estar)
-                    for i in others:
-                        lam[i] = field.mul(lam[i], scale)
-                # g* <- (x - x0) g*, and D_{u,v}(g*) <- D_{u-1,v}(g*)
-                key[j] += C
-                top = max(top, key[j] // C + spare)
-                if top >= cap:
-                    R = np.concatenate(
-                        [R, np.zeros((C, cap * C), dtype=A.dtype)], axis=1)
-                    cap *= 2
-                cols = top + 1
-                end = g0 + cols * C
-                row = R[j]
-                row[g0:end] = (A.sub(row[g0 - C:end - C],
-                                     A.mul(x0, row[g0:end]))
-                               if x0 else row[g0 - C:end - C])
-                row[s:s + S] = row[:S]
-    G = A.mul(A.array(lam)[:, None], R[:, g0:])
-    G = G.reshape(C, cap, C).transpose(0, 2, 1)
+    d_min = min(0, M * w)
+    top = max(0, M * w)
+    span = top - d_min + 1
+    view, src, ends = _row_layout(s, M, w, span)
+    R = np.zeros((C, ends[-1]), dtype=A.dtype)
+    R[np.arange(C), view[:, 0]] = 1
+
+    xs = tuple(pt.x for pt in anchors)
+
+    def x_tables(span: int) -> tuple[int, np.ndarray | None]:
+        """The anchors' x tables for the x-degrees below a power of two
+        rows >= span, or None when each anchor builds its own."""
+        rows = 1 << (span - 1).bit_length()
+        return rows, (_x_tables(field, xs, s, rows)
+                      if len(xs) * rows * s <= TABLE_CELLS else None)
+
+    rows, tx = x_tables(span)
+    tz = (_hasse_tables(A, [pt.z_num for pt in anchors], s, C)
+          if len(anchors) * C * s <= TABLE_CELLS else None)
+    for b, pt in enumerate(anchors):
+        x0, width = pt.x, top - d_min + 1
+        G = np.take(R, view[:, :width], axis=1)
+        T = tx[b] if tx is not None else _hasse_tables(A, [x0], s, rows)[0]
+        H = A.dot(G, T[:width])
+        if pt.is_infinite:
+            D = np.zeros((C, P), dtype=A.dtype)
+            D[:, inf_at] = H.reshape(C, C * s)[:, inf_cols]
+        else:
+            T = (tz[b] if tz is not None
+                 else _hasse_tables(A, [pt.z_num], s, C)[0])
+            D = A.dot(H.transpose(0, 2, 1), T).reshape(C, s * s)
+            D = D if P == s * s else np.take(D, finite_cols, axis=1)
+        R[:, :P] = D
+        for col in range(P):
+            e = R[:, col].tolist()
+            hit = [i for i in range(C) if e[i]]
+            if not hit:
+                continue
+            j = min(hit, key=key.__getitem__)
+            estar = e[j]
+            others = [i for i in hit if i != j]
+            used = ends[top - d_min + 1]
+            if others:  # else the axpy's coefficients are all 0
+                coef = A.mul(R[:, col], field.inv(estar))
+                coef[j] = 0
+                A.sub_scaled(R[:, col:used], coef[:, None], R[j, col:used])
+                scale = field.mul(lam[j], estar)
+                for i in others:
+                    lam[i] = field.mul(lam[i], scale)
+            # g* <- (x - x0) g*, and D_{u,v}(g*) <- D_{u-1,v}(g*)
+            key[j] += C
+            top = max(top, key[j] // C)
+            if top - d_min == span:  # one past the weighted degrees held
+                span *= 2
+                view, src, ends = _row_layout(s, M, w, span)
+                R = np.concatenate([R, np.zeros(
+                    (C, ends[-1] - R.shape[1]), dtype=A.dtype)], axis=1)
+                if span > rows:
+                    rows, tx = x_tables(span)
+            end = ends[key[j] // C - d_min + 1]  # the pivot's own support
+            row = R[j]
+            moved = row.take(src[:end])
+            row[P + 1:end] = (A.sub(moved[P + 1:], A.mul(x0, row[P + 1:end]))
+                              if x0 else moved[P + 1:])
+            row[:P] = moved[:P]
+    width = top - d_min + 1
+    G = A.mul(A.array(lam)[:, None, None], np.take(R, view[:, :width], axis=1))
     return G, [(k - i) // C - i * w for i, k in enumerate(key)]
 
 

@@ -14,7 +14,8 @@ for the code's (n, k, q), by a cost rule fitted to timings of both
   q**(k-1) * (n + q) cells per word.  That counting kernel, `digit_counts`,
   also serves the level enumeration of `division`, which counts the
   constant term a_0 the same way; it takes at most HISTOGRAM_CHUNK cells at
-  a time, in windows of digits when q is larger;
+  a time, and past q = HISTOGRAM_CHUNK it counts each row's own values by
+  sorting the row;
 * the information sets (Prange, 1962, taken exhaustively): one divided
   difference of r per (k+1)-subset of positions, C(n, k+1) * (k+1)
   products per word.
@@ -37,7 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -73,34 +74,55 @@ def histogram_rows(q: int) -> int:
     return HISTOGRAM_CHUNK // q or 1
 
 
+@lru_cache(maxsize=8)
+def _histogram_grid(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row offsets i * q of a histogram block over GF(q), and every
+    digit 0 .. q - 1 on every row (a read-only view), for `digit_counts`."""
+    rows = histogram_rows(q)
+    offsets = q * np.arange(rows, dtype=np.int64)[:, None]
+    offsets.flags.writeable = False
+    return offsets, np.broadcast_to(np.arange(q), (rows, q))
+
+
 def digit_counts(q: int, blocks: Iterable[np.ndarray], spare=None
-                 ) -> Iterator[tuple[int, np.ndarray, int, np.ndarray]]:
-    """Digit histograms of the rows of blocks of values in [0, q).
+                 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Digit counts of the rows of blocks of values in [0, q).
 
-    Each block w has at most `histogram_rows(q)` rows.  For each window of
-    at most HISTOGRAM_CHUNK digits, base .. min(base + HISTOGRAM_CHUNK, q)
-    - 1, it yields (lo, w, base, counts): counts[i, d] is the number of
-    columns of row i, other than the `spare` ones (an index, an index array
-    or None), where w is base + d, and lo is the index of w's first row
-    among all the blocks' rows.
+    Each block w has at most `histogram_rows(q)` rows.  For each it yields
+    (lo, w, digits, counts): counts[i, c] is the number of columns of row
+    i, other than the `spare` ones (an index, an index array or None),
+    where w is digits[i, c], and lo is the index of w's first row among all
+    the blocks' rows.
 
-    One `bincount` per block and window, with cell i * width + d for row i
-    and digit base + d, and one spare cell past them for the spare columns
-    and the values outside the window.  The row offsets are built once per
-    call."""
-    width = min(q, HISTOGRAM_CHUNK)
-    offsets = width * np.arange(histogram_rows(q), dtype=np.int64)[:, None]
+    Up to q = HISTOGRAM_CHUNK every digit has a cell: digits is 0 .. q - 1
+    on every row, and counts is the row's histogram, one `bincount` per
+    block with cell i * q + d for row i and digit d and one spare cell past
+    them for the spare columns.  Past it a row holds at most as many
+    distinct values as columns, and only they can count: digits is the row
+    sorted, and counts holds each run's length at its first column and 0
+    at the others, so no cell depends on q."""
+    if q > HISTOGRAM_CHUNK:
+        lo = 0
+        for w in blocks:
+            digits = np.sort(w if spare is None else np.delete(w, spare, axis=1),
+                             axis=1)
+            first = np.ones(digits.shape, dtype=bool)
+            first[:, 1:] = digits[:, 1:] != digits[:, :-1]
+            starts = np.flatnonzero(first)
+            counts = np.zeros(digits.size, dtype=np.int64)
+            counts[starts] = np.diff(starts, append=digits.size)
+            yield lo, w, digits, counts.reshape(digits.shape)
+            lo += len(w)
+        return
+    offsets, every = _histogram_grid(q)
     lo = 0
     for w in blocks:
-        cells = len(w) * width
-        for base in range(0, q, width):
-            idx = w + offsets[:len(w)] if width == q else np.where(
-                (w >= base) & (w < base + width), w - base + offsets[:len(w)],
-                cells).astype(np.int64)
-            if spare is not None:
-                idx[:, spare] = cells
-            counts = np.bincount(idx.ravel(), minlength=cells + 1)[:cells]
-            yield lo, w, base, counts.reshape(len(w), width)[:, :q - base]
+        cells = len(w) * q
+        idx = w + offsets[:len(w)]
+        if spare is not None:
+            idx[:, spare] = cells
+        counts = np.bincount(idx.ravel(), minlength=cells + 1)[:cells]
+        yield lo, w, every[:len(w)], counts.reshape(len(w), q)
         lo += len(w)
 
 
@@ -229,7 +251,8 @@ class RSCode:
         m_0 = r_i - c_i.  So the digit histograms of the rows of r - C
         (`digit_counts`) count the agreements of all q values of m_0 of
         every row: all q**k distances, HISTOGRAM_CHUNK cells at a time.  A
-        message's index is m_0 + q * row.
+        row's best m_0 is one of its own digits, so the sorted counts past
+        HISTOGRAM_CHUNK find it too.  A message's index is m_0 + q * row.
         """
         q = self.field.q
         table = self._codeword_table()
@@ -239,13 +262,13 @@ class RSCode:
         blocks = (arr.sub(r, table[lo:lo + step])
                   for lo in range(0, len(table), step))
         best, hits = -1, []
-        for lo, _, base, counts in digit_counts(q, blocks):
+        for lo, _, digits, counts in digit_counts(q, blocks):
             top = int(counts.max())
             if top >= best:
                 if top > best:
                     best, hits = top, []
-                row, digit = np.nonzero(counts == top)
-                hits.append(base + digit + (lo + row) * q)
+                row, col = np.nonzero(counts == top)
+                hits.append(digits[row, col] + (lo + row) * q)
         return best, [self._message_from_index(int(i))
                       for i in np.concatenate(hits)]
 

@@ -150,10 +150,12 @@ def combinations_at_level(code: RSCode, pair: GroebnerPair,
     degree k2 are q^k2 .. 2*q^k2 - 1 with k2 + 1 digits.  Each row of a
     block is one b and one a - a_0, with w = z*b(x) - (a - a_0)(x) at the
     points (the `anchors` z); w_i is the one a_0 for which f2(x_i) = 0, so
-    the row's digit histogram (`digit_counts`) is the zero count of all q
-    choices of a_0.  At an anchor at infinity f2(x_i) = b(x_i)*g2.f2(x_i):
-    a - a_0 is taken as 0 there, so w_i = z_i*b(x_i) is 0 exactly when the
-    point counts for every a_0, which a per-row bonus adds."""
+    the row's digit counts (`digit_counts`) are the zero counts of the
+    choices of a_0: every one of the q up to q = HISTOGRAM_CHUNK, and past
+    it only the row's own values, at most n whatever q is.  At an anchor
+    at infinity f2(x_i) = b(x_i)*g2.f2(x_i): a - a_0 is taken as 0 there,
+    so w_i = z_i*b(x_i) is 0 exactly when the point counts for every a_0,
+    which lowers the row's threshold."""
     arr, xs = code.constants().arrays, code.constants().points
     if shape.a_max_deg < 0:
         zeros = np.flatnonzero(arr.evaluate(pair.g2.f2.coeffs, xs) == 0)
@@ -176,11 +178,26 @@ def combinations_at_level(code: RSCode, pair: GroebnerPair,
                 yield arr.sub(zb[:, None], a).reshape(-1, n)
 
     infinite = np.flatnonzero(~finite) if not finite.all() else None
-    for _, w, base, counts in digit_counts(q, blocks(), infinite):
+    for _, w, digits, counts in digit_counts(q, blocks(), infinite):
+        most = 0
         if infinite is not None:
-            counts += np.count_nonzero(w[:, infinite] == 0, axis=1)[:, None]
-        for i, d in zip(*np.nonzero(counts >= shape.t)):
-            yield np.flatnonzero(np.where(finite, w[i] == base + d, w[i] == 0))
+            bonus = np.count_nonzero(w[:, infinite] == 0, axis=1)
+            counts += bonus[:, None]
+            most = int(bonus.max())
+        if most >= shape.t:
+            # rows whose zeros at infinity alone reach t count every a_0,
+            # also those that the sorted counts past HISTOGRAM_CHUNK do not
+            # list.  b has at most k2 roots and t > k2 at every level a
+            # decoder enumerates, so only a shape given by hand gets here
+            every = (np.zeros(len(w)) if infinite is None else bonus) >= shape.t
+            for i in np.flatnonzero(every):
+                for a_0 in range(q):
+                    yield np.flatnonzero(np.where(finite, w[i] == a_0,
+                                                  w[i] == 0))
+            counts[every] = shape.t - 1
+        for i, c in zip(*np.nonzero(counts >= shape.t)):
+            yield np.flatnonzero(np.where(finite, w[i] == digits[i, c],
+                                          w[i] == 0))
 
 
 def combine(pair: GroebnerPair, a: Polynomial, b: Polynomial) -> ModuleVector:

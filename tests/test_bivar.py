@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rsmld import bivar
 from rsmld.bivar import (BivariatePolynomial, ProjectivePoint,
                          hasse_constraints, hasse_derivative_value,
                          koetter_candidates, koetter_interpolate)
@@ -335,10 +336,13 @@ def test_koetter_candidates_match_reference(field):
     # The anchors include x = 0 and points at infinity, and end with a
     # repeat of the first: all candidates already meet its constraints
     rng = XorShift64Star(field.q)
-    # (s, M, w, the x-width's growth): the width starts at M|w| + 1 and
-    # doubles as the fit outgrows it, at least twice on the long fits
-    for s, M, w, grows in [(1, 1, 0, 4), (2, 1, 0, 4), (2, 3, 1, 1),
-                           (3, 2, -1, 4), (3, 4, -2, 1), (3, 1, 2, 4)]:
+    # (s, M, w, growths): the rows first hold the M|w| + 1 weighted degrees
+    # up to the top lead's, and twice as many each time the top lead
+    # outgrows them.  At w > 0 the high z-slices hold nothing at the low
+    # weighted degrees, (2, 3, 2); (4, 5, -1) has 10 constraints per anchor
+    for s, M, w, grows in [(1, 1, 0, 3), (2, 1, 0, 4), (2, 3, 1, 1),
+                           (3, 2, -1, 3), (3, 4, -2, 1), (3, 1, 2, 3),
+                           (2, 3, 2, 1), (4, 5, -1, 2)]:
         xs = [0]
         while len(xs) < min(field.q, 7):
             x = rng.below(field.q)
@@ -357,4 +361,25 @@ def test_koetter_candidates_match_reference(field):
             got = {(int(i), int(j)): int(c[j, i])
                    for j, i in zip(*np.nonzero(c))}
             assert BivariatePolynomial(field, got) == want, (s, M, w)
-        assert G.shape[2] >= grows * (M * abs(w) + 1), (s, M, w, G.shape)
+        # the fit outgrew its first allocation `grows` times
+        top = max(l + c * w for c, l in enumerate(lmx))
+        assert top - min(0, M * w) + 1 > (M * abs(w) + 1) * 2 ** (grows - 1), \
+            (s, M, w, top)
+
+
+@pytest.mark.parametrize("field", [Field(7), Field(2, 4), Field(4294967291)])
+def test_koetter_candidates_with_per_anchor_tables(monkeypatch, field):
+    # past TABLE_CELLS each anchor builds its own Hasse tables, as the
+    # largest fits do: the same candidates, at every growth of the rows
+    rng = XorShift64Star(field.q + 1)
+    xs = list(dict.fromkeys(rng.below(field.q) for _ in range(20)))[:7]
+    anchors = [ProjectivePoint.infinity(x) if i % 3 == 2
+               else ProjectivePoint.finite(x, rng.below(field.q))
+               for i, x in enumerate(xs)]
+    for s, M, w in [(1, 2, -1), (3, 4, -1), (2, 3, 2)]:
+        kept = koetter_candidates(field, anchors, s, M, w)
+        monkeypatch.setattr(bivar, "TABLE_CELLS", 0)
+        own = koetter_candidates(field, anchors, s, M, w)
+        monkeypatch.undo()
+        assert own[1] == kept[1]
+        assert np.array_equal(own[0], kept[0]), (s, M, w)

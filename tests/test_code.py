@@ -387,11 +387,12 @@ def test_oracle_ties_across_chunks():
     (code_module.HISTOGRAM_CHUNK, np.int64), (10, np.int64), (4, np.int64),
     (1, np.int64), (4, object), (1, object)])
 def test_digit_counts_in_blocks_and_windows(monkeypatch, chunk, dtype):
-    # every row's histogram over q = 10 digits, without its spare column:
-    # one block of all 7 rows (16384), one row per block with all 10 digits
-    # (10) or in windows of 4, 4 and 2 digits (4) or of one digit (1); each
-    # cell is yielded once.  Python-int (object) arrays, which only fields
-    # past q = 3 * 10^9 use, always come in windows.
+    # every row's counts over q = 10 digits, without its spare column: a
+    # histogram of one block of all 7 rows (16384) or of one row per block
+    # (10); past the chunk (4, 1), one row per block sorted, each value
+    # counted once at its first column and 0 elsewhere.  Python-int
+    # (object) arrays, which only fields past q = 3 * 10^9 use, are always
+    # sorted.
     monkeypatch.setattr(code_module, "HISTOGRAM_CHUNK", chunk)
     q, rng = 10, XorShift64Star(chunk)
     rows = [[rng.below(q) for _ in range(6)] for _ in range(7)]
@@ -399,18 +400,21 @@ def test_digit_counts_in_blocks_and_windows(monkeypatch, chunk, dtype):
     blocks = (np.array(rows[lo:lo + step], dtype=dtype)
               for lo in range(0, len(rows), step))
     got = np.zeros((len(rows), q), dtype=np.int64)
-    for lo, w, base, counts in code_module.digit_counts(q, blocks, spare=2):
-        assert counts.shape[1] <= chunk
-        got[lo:lo + len(w), base:base + counts.shape[1]] += counts
+    for lo, w, digits, counts in code_module.digit_counts(q, blocks, spare=2):
+        assert counts.shape == digits.shape == (len(w), q if q <= chunk else 5)
+        at = (lo + np.arange(len(w))[:, None], digits.astype(np.int64))
+        assert not got[at][counts > 0].any()
+        np.add.at(got, at, counts)
     assert got.tolist() == [[sum(v == d for v in row[:2] + row[3:])
                              for d in range(q)] for row in rows]
 
 
 def test_oracle_k1_over_a_large_prime_in_digit_windows():
-    # k = 1 over GF(1000003): q codewords, one row of q constant digits, which
-    # the histogram takes in windows; the table's set-up builds nothing of
-    # size q, and no temporary holds one q-cell row (8 MB).  The oracle
-    # itself compares the C(5, 2) pairs of positions instead.
+    # k = 1 over GF(1000003): q codewords, one row of q constant digits,
+    # which the counts take by sorting the row's 5 values; the table's
+    # set-up builds nothing of size q, and no temporary holds one q-cell row
+    # (8 MB).  The oracle itself compares the C(5, 2) pairs of positions
+    # instead.
     F = Field(1000003)
     code = RSCode(F, 5, 1)
     r = Word(code, (17, 17, 999999, 17, 5))

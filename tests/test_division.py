@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -254,8 +255,8 @@ def test_zero_sets_equal_reference_at_reached_levels(code, words,
 
 def test_level_zero_over_a_large_prime_in_digit_windows():
     # RS(7,2) over GF(1000003), 3 errors: ell = (4, 4), so level 0 has
-    # k1 = 0 and q pairs (0, 1) .. (q - 1, 1); the histogram takes q digits
-    # in windows and never holds one q-cell row (8 MB)
+    # k1 = 0 and q pairs (0, 1) .. (q - 1, 1); past 2^14 digits the counts
+    # sort each row's 7 values and never hold one q-cell row (8 MB)
     F = Field(1000003)
     code = RSCode(F, 7, 2)
     msg = code.message_poly([123456, 999999])
@@ -273,6 +274,23 @@ def test_level_zero_over_a_large_prime_in_digit_windows():
             assert (out.ell1, out.ell2, out.search_level) == (4, 4, 0)
             assert out.min_distance == 3
             assert out.messages == (msg,)
+
+
+def test_level_zero_over_a_32_bit_prime_by_sorted_counts():
+    # the p32 code of test_code_constants, (12,5) over GF(4294967291), whose
+    # arrays hold Python ints, 4 errors: level 0 counts all q values of a_0
+    # by sorting each row's 12 values (by q / 2^14 windows of a histogram
+    # this took about 20 s)
+    P32 = 4294967291
+    code = RSCode(Field(P32), 12, 5,
+                  [0] + [pow(3, 1 + 11 * i, P32) for i in range(11)])
+    r = corrupt(code.encode([1] * 5), 4, seed=4)
+    for decode in (decode_minimal, decode_minimal_reencoded):
+        start = time.perf_counter()
+        out = decode(code, r)
+        assert time.perf_counter() - start < 2, decode
+        assert (out.min_distance, out.search_level) == (4, 0)
+        assert [m.coeffs for m in out.messages] == [[1] * 5]
 
 
 def test_radius_caps():
