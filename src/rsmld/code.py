@@ -323,9 +323,10 @@ class CodeConstants:
     reused across words pays for it once, and a decoder builds only the
     attributes it uses.  Every linear map from a word to a polynomial or a
     codeword is a matrix here, so a word costs one `FieldArrays.dot` per
-    map.  The three that every word of a decoder multiplies, H^T, T and
-    K, are kept as `FieldArrays.factors` (logs with a zero sentinel on
-    GF(2^m), the elements on GF(p)) and applied with `dot_factors`:
+    map.  The four that every word of a decoder multiplies, H^T, T, K and
+    the point powers P, are kept as `FieldArrays.factors` (logs with a
+    zero sentinel on GF(2^m), the elements on GF(p)) and applied with
+    `dot_factors`:
 
     * `interpolation_matrix` (n x n): row j holds w_j * Pi / (x - x_j) with
       w_j = 1 / Pi'(x_j), so a word r has Lagrange interpolant L = r . B;
@@ -344,7 +345,14 @@ class CodeConstants:
     * `weighted_powers` (n x (n - k)): v_i * x_i^j in row i, column j,
       with v_i = 1 / Pi'(x_i).  It is H^T, the transposed parity-check
       matrix: a word r has syndromes S = r . H^T, all zero exactly on
-      codewords; every decoder builds its basis from them.
+      codewords; every decoder builds its basis from them;
+    * `point_powers` ((n - k + 2) x n): x_i^e in row e <= n - k + 1, so
+      the values at the points of polynomials of degree < d are their
+      coefficients . P[:d] (`values_at_points`): the anchors, the zero
+      sets of the level search and of the rational fit, and the values
+      of every b and a - a_0 of a level (`FieldArrays.indexed_values`).
+      It is not the Vandermonde matrix's first rows, which would give
+      every decoder the kn entries that only encoding needs.
 
     Two attributes are not maps; each serves one of the oracle's
     enumerations, and only the one it takes is built:
@@ -356,20 +364,21 @@ class CodeConstants:
       every (k+1)-subset, 2 x (k + 1) x C(n, k + 1) entries: 2 x 6 x 5005
       bytes (60 KB) at (15, 5), 2 x 6 x 736 281 (8.8 MB) at (31, 5).
 
-    The division and rational decoders build the tail matrix and the
-    weighted powers; the re-encoded decoder also K; encoding builds the
+    Every decoder builds the tail matrix, the weighted powers and the
+    point powers; the re-encoded decoder also K; encoding builds the
     Vandermonde matrix.
 
     Memory: the factors take one byte per element up to m = 7, two up to
     m = 15 and four at m = 16, and elements 8 bytes as int64 (Python ints
-    past that).  The division and rational decoders' k^2 + (n - k)n
-    elements are 0.12 MB at (255, 223) over GF(2^8), 2.0 MB at (1023, 991)
-    over GF(2^10) and 33 MB at (4095, 4063) over GF(2^12); the re-encoded
-    decoder adds K's (n - k)(n - k + 1), 2.1 KB at each of them; all six
-    matrices, with the int64 short one, the kn of the Vandermonde matrix
-    and the n^2 of the interpolation matrix, 1.1, 18.5 and 301 MB.  At
-    (4095, 4063) a prototype decoded a word no faster with the matrices
-    than with a numpy step per point.
+    past that).  The k^2 + (n - k)n elements of T and H^T are 0.12 MB at
+    (255, 223) over GF(2^8), 2.0 MB at (1023, 991) over GF(2^10) and 33 MB
+    at (4095, 4063) over GF(2^12); the point powers' (n - k + 2)n add
+    8.7 KB, 70 KB and 0.28 MB there (4.5 KB at (31, 15) over GF(31)), and
+    the re-encoded decoder's K (n - k)(n - k + 1), 2.1 KB at each of the
+    three; all seven matrices, with the int64 short one, the kn of the
+    Vandermonde matrix and the n^2 of the interpolation matrix, 1.1, 18.6
+    and 301 MB.  At (4095, 4063) a prototype decoded a word no faster with
+    the matrices than with a numpy step per point.
     """
 
     def __init__(self, code: RSCode):
@@ -538,6 +547,30 @@ class CodeConstants:
         for lo in range(0, weights.shape[1], step):
             weights[:, lo:lo + step] = arr.factors(weights[:, lo:lo + step])
         return _read_only(positions), _read_only(weights)
+
+    @cached_property
+    def point_powers(self) -> np.ndarray:
+        """(n - k + 2) x n: x_i^e in row e, column i, for e <= n - k + 1,
+        the degree of the short module's Pi_y; as factors.  The decoders
+        evaluate nothing of higher degree at the points: f2 has degree
+        t <= n - k at every level, and so do the basis' second components,
+        b (degree k2 <= t) and a - a_0 (degree k1 < t)."""
+        return _read_only(self.arrays.factors(np.ascontiguousarray(
+            self.arrays.powers(self.points, self.split + 2).T)))
+
+    def values_at_points(self, polys: Sequence[Sequence[int]]) -> np.ndarray:
+        """Row i: the values at the n points of the polynomial with
+        coefficients polys[i] (low to high), all rows in one `dot_factors`
+        with the first rows of `point_powers`."""
+        arr, powers = self.arrays, self.point_powers
+        width = max(map(len, polys), default=0)
+        if width > len(powers):
+            raise ValueError(f"degree {width - 1} past the point powers' "
+                             f"{len(powers) - 1}")
+        coeffs = np.zeros((len(polys), width), dtype=arr.dtype)
+        for row, c in zip(coeffs, polys):
+            row[:len(c)] = c
+        return arr.dot_factors(coeffs, powers[:width])
 
     @cached_property
     def weighted_powers(self) -> np.ndarray:

@@ -19,15 +19,17 @@ a_0 = z_i*b(x_i) - (a - a_0)(x_i), with the anchor z_i = -g2.f2(x_i) /
 g1.f2(x_i) of the rational fit (Wu, IEEE T-IT 54(8), 2008): the
 enumeration is that fit done exhaustively.  The pair source computes that
 value at the n points for every monic b and every a - a_0 of the level,
-and one digit histogram per row (`code.digit_counts`, the oracle's
-counting kernel) gives the zero counts of all q choices of a_0; the Z of
-each pair with at least t zeros goes to the candidate check, which never
-sees f2, f1 or the pair.  The search reads only the ell's and the second
-components g1.f2, g2.f2.  The division and rational decoders take them
-from r's syndromes (`groebner.syndrome_pair`): the same ell's and g1.f2 as
-M(r)'s basis, and a g2.f2 that may differ by c*g1.f2, deg c <= ell2 - ell1.
-So their pair (a, b) has the f2 of M(r)'s pair (a + b*c, b) of the same
-level, a one-to-one map, and each level yields the same zero sets.  The
+reading the values of every polynomial off the code's table of the points'
+powers (`CodeConstants.point_powers`), and one digit histogram per row
+(`code.digit_counts`, the oracle's counting kernel) gives the zero counts
+of all q choices of a_0; the Z of each pair with at least t zeros goes to
+the candidate check, which never sees f2, f1 or the pair.  The search
+reads only the ell's and the second components g1.f2, g2.f2.  The division
+and rational decoders take them from r's syndromes
+(`groebner.syndrome_pair`): the same ell's and g1.f2 as M(r)'s basis, and
+a g2.f2 that may differ by c*g1.f2, deg c <= ell2 - ell1.  So their pair
+(a, b) has the f2 of M(r)'s pair (a + b*c, b) of the same level, a
+one-to-one map, and each level yields the same zero sets.  The
 re-encoded path meets the same condition, since its lifted (G*f1, f2) lies
 in the module of r - shift, whose errors are those of r.
 
@@ -126,9 +128,11 @@ def anchors(code: RSCode, pair: GroebnerPair) -> tuple[np.ndarray, np.ndarray]:
     and the mask of the finite ones, g1.f2(x_i) != 0.  Where g1.f2(x_i) = 0
     the anchor is at infinity and z_i is -g2.f2(x_i), nonzero: both second
     components vanishing at a point would make the pair not coprime, which
-    raises ArithmeticError."""
-    arr, xs = code.constants().arrays, code.constants().points
-    den, num = (arr.evaluate(g.f2.coeffs, xs) for g in (pair.g1, pair.g2))
+    raises ArithmeticError.  Both components' values at the points are one
+    product with the code's point powers (`values_at_points`)."""
+    consts = code.constants()
+    arr = consts.arrays
+    den, num = consts.values_at_points([pair.g1.f2.coeffs, pair.g2.f2.coeffs])
     finite = den != 0
     if (~finite & (num == 0)).any():
         raise ArithmeticError("both second components vanish at a point; "
@@ -143,22 +147,27 @@ def combinations_at_level(code: RSCode, pair: GroebnerPair,
     whose f2 = a*g1.f2 + b*g2.f2 vanishes at shape.t or more of the
     evaluation points; no other pair can be accepted (see the module
     docstring).  When a's degree bound is negative the only combination
-    left is g2 itself (a = 0, b = 1), at level 0.
+    left is g2 itself (a = 0, b = 1), at level 0, whose zero set is one
+    product of g2.f2 with the code's point powers.
 
     Polynomial number i has the base-q digits of i as coefficients: the
     a - a_0 are x times the numbers 0 .. q^k1 - 1, and the monic b of
     degree k2 are q^k2 .. 2*q^k2 - 1 with k2 + 1 digits.  Each row of a
     block is one b and one a - a_0, with w = z*b(x) - (a - a_0)(x) at the
-    points (the `anchors` z); w_i is the one a_0 for which f2(x_i) = 0, so
-    the row's digit counts (`digit_counts`) are the zero counts of the
-    choices of a_0: every one of the q up to q = HISTOGRAM_CHUNK, and past
-    it only the row's own values, at most n whatever q is.  At an anchor
+    points (the `anchors` z), b(x) and (a - a_0)(x) read off the first rows
+    of `CodeConstants.point_powers` (`FieldArrays.indexed_values`); w_i is
+    the one a_0 for which f2(x_i) = 0, so the row's digit counts
+    (`digit_counts`) are the zero counts of the choices of a_0: every one
+    of the q up to q = HISTOGRAM_CHUNK, and past it only the row's own
+    values, at most n whatever q is.  At an anchor
     at infinity f2(x_i) = b(x_i)*g2.f2(x_i): a - a_0 is taken as 0 there,
     so w_i = z_i*b(x_i) is 0 exactly when the point counts for every a_0,
     which lowers the row's threshold."""
-    arr, xs = code.constants().arrays, code.constants().points
+    consts = code.constants()
+    arr, xs, powers = consts.arrays, consts.points, consts.point_powers
     if shape.a_max_deg < 0:
-        zeros = np.flatnonzero(arr.evaluate(pair.g2.f2.coeffs, xs) == 0)
+        zeros = np.flatnonzero(consts.values_at_points([pair.g2.f2.coeffs])[0]
+                               == 0)
         if shape.level == 0 and len(zeros) >= shape.t:
             yield zeros
         return
@@ -170,11 +179,11 @@ def combinations_at_level(code: RSCode, pair: GroebnerPair,
 
     def blocks() -> Iterator[np.ndarray]:
         for a_lo in range(0, a_count, a_step):
-            a = arr.indexed_values(a_lo, min(a_lo + a_step, a_count), k1, xs,
-                                   xs * finite)
+            a = arr.indexed_values(a_lo, min(a_lo + a_step, a_count),
+                                   powers[:k1], xs * finite)
             for b_lo in range(b_start, 2 * b_start, b_step):
                 zb = arr.indexed_values(b_lo, min(b_lo + b_step, 2 * b_start),
-                                        k2 + 1, xs, z)
+                                        powers[:k2 + 1], z)
                 yield arr.sub(zb[:, None], a).reshape(-1, n)
 
     infinite = np.flatnonzero(~finite) if not finite.all() else None

@@ -512,23 +512,26 @@ class FieldArrays:
                 u = self.msub(roots, u, self.field.neg(vanishing[e]), c)
         return out
 
-    def indexed_values(self, start: int, stop: int, width: int, x: np.ndarray,
+    def indexed_values(self, start: int, stop: int, powers: np.ndarray,
                        mult: np.ndarray) -> np.ndarray:
-        """Values at the points x, times mult(x), of the polynomials numbered
-        start..stop-1, one row each.
+        """Values at some points x, times mult(x), of the polynomials
+        numbered start..stop-1, one row each.
 
-        Polynomial number i has as coefficients, low to high, the `width`
-        lowest base-q digits of i, so row i - start holds
-        sum_e digit_e(i) * x^e * mult(x): one multiply and add per digit.
-        Numbers past int64 are split into digits as Python ints.
+        powers holds the `factors` of x^0 .. x^(width-1) at the points, one
+        row per exponent (the first rows of `CodeConstants.point_powers`),
+        and mult the multiplier's values there.  Polynomial number i has as
+        coefficients, low to high, the `width` lowest base-q digits of i, so
+        row i - start holds sum_e digit_e(i) * x^e * mult(x): one multiply
+        and add per digit.  Numbers past int64 are split into digits as
+        Python ints.
         """
         q = self.field.q
         wide = self.dtype == object or stop > 2**63
         rest = np.arange(start, stop, dtype=object if wide else np.int64)
-        rows = self.mul(self.powers(x, width), mult[:, None]).T
-        acc = np.zeros((len(rest), len(x)), dtype=self.dtype)
+        rows = self.factors(self.mul_factors(mult, powers))
+        acc = np.zeros((len(rest), powers.shape[1]), dtype=self.dtype)
         for row in rows:
-            part = self.mul(self.array(rest % q)[:, None], row)
+            part = self.mul_factors(self.array(rest % q)[:, None], row)
             rest = rest // q
             acc = acc ^ part if self.binary else (acc + part) % self.p
         return acc

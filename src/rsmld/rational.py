@@ -188,11 +188,10 @@ def _fit_level(code: RSCode, pair: GroebnerPair,
                                  shape.a_max_deg, shape.b_deg).best
     Q = koetter_interpolate(code.field, anchor_points(code, pair), params.s,
                             params.M, params.w, params.rho)
-    arr, xs = code.constants().arrays, code.constants().points
-    return params, [
-        np.flatnonzero(arr.evaluate((a * pair.g1.f2 + b * pair.g2.f2).coeffs,
-                                    xs) == 0)
-        for a, b in rational_factorize(Q, shape.a_max_deg, shape.b_deg)]
+    f2s = [(a * pair.g1.f2 + b * pair.g2.f2).coeffs
+           for a, b in rational_factorize(Q, shape.a_max_deg, shape.b_deg)]
+    return params, [np.flatnonzero(values == 0) for values in
+                    code.constants().values_at_points(f2s)]
 
 
 def decode_rational(code: RSCode, r: Word, j_cap: int | None = None,

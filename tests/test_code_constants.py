@@ -5,9 +5,11 @@ and the short module's generators are checked against the scalar
 definitions they replaced: per-point Horner evaluation, and Newton
 interpolation of the tail symbols, of the whole word or of the shifted
 word.  The interpolation, short, tail and Vandermonde matrices and the
-weighted powers are checked entry by entry against theirs, the decoders'
-basis from the syndromes against `mgb_euclid`'s, and the re-encoded
-decoder's short basis from the syndromes against `mgb_euclid_reencoded`'s.
+weighted powers are checked entry by entry against theirs, the point
+powers against `Field.pow` and their products against
+`Polynomial.evaluate`, the decoders' basis from the syndromes against
+`mgb_euclid`'s, and the re-encoded decoder's short basis from the
+syndromes against `mgb_euclid_reencoded`'s.
 The products with the matrices kept as factors are checked against `dot`
 on their elements.  The cache must hold nothing of a word.
 """
@@ -316,6 +318,7 @@ def test_decoders_build_only_the_matrices_they_use():
         decode(code, Word(code, r.symbols))
         built = vars(code.constants())
         assert "weighted_powers" in built and "tail_matrix" in built
+        assert "point_powers" in built
         assert "interpolation_matrix" not in built
         assert "vandermonde" not in built
         assert "short_interpolation_matrix" not in built
@@ -324,7 +327,7 @@ def test_decoders_build_only_the_matrices_they_use():
     decode_minimal_reencoded(fresh, Word(fresh, r.symbols))
     built = vars(fresh.constants())
     assert "tail_matrix" in built and "short_syndrome_matrix" in built
-    assert "weighted_powers" in built
+    assert "weighted_powers" in built and "point_powers" in built
     assert "interpolation_matrix" not in built
     assert "vandermonde" not in built
     assert "short_interpolation_matrix" not in built
@@ -337,7 +340,7 @@ def test_cache_leaves_equality_and_hash_alone():
     for name in ("points", "vanishing", "short_vanishing",
                  "interpolation_matrix", "short_interpolation_matrix",
                  "short_syndrome_matrix", "tail_matrix", "vandermonde",
-                 "weighted_powers"):
+                 "weighted_powers", "point_powers"):
         value = getattr(consts, name)
         if not isinstance(value, Polynomial):  # shared by every word
             assert not value.flags.writeable, name
@@ -346,6 +349,43 @@ def test_cache_leaves_equality_and_hash_alone():
     assert code == fresh and hash(code) == before == hash(fresh)
     assert code != RSCode(Field(2, 4), 15, 5, list(range(1, 16)))
     assert Word(fresh, (0,) * 15).code == code
+
+
+def test_point_powers_match_pow():
+    # x = 0 is among the points: its row 0 entry is 0^0 = 1, the others 0,
+    # whose factors are the sentinel on GF(2^m)
+    code = RSCode(*CODES[IDS.index("gf16-points")])
+    F, pts, nk = code.field, code.eval_points, code.n - code.k
+    consts = code.constants()
+    assert 0 in pts
+    assert consts.point_powers.shape == (nk + 2, code.n)
+    assert _values(consts, consts.point_powers).tolist() == \
+        [[F.pow(x, e) for x in pts] for e in range(nk + 2)]
+
+
+@pytest.mark.parametrize("spec", CODES, ids=IDS)
+def test_values_at_points_match_evaluate(spec):
+    # the zero polynomial, degree 0 and every degree up to n - k + 1, the
+    # table's last row, in one product, and one at a time; with GF(2^m),
+    # int64 GF(p), GF(2^31 - 1)'s digit-split `dot` and object-dtype
+    # GF(4294967291) among the codes
+    code = RSCode(*spec)
+    F, nk = code.field, code.n - code.k
+    consts = code.constants()
+    rng = XorShift64Star(code.n + 5)
+    polys = [Polynomial.zero(F), Polynomial.constant(F, F.q - 1)]
+    polys += [Polynomial(F, [rng.below(F.q) for _ in range(d)]
+                         + [1 + rng.below(F.q - 1)]) for d in range(nk + 2)]
+    expect = [[p.evaluate(x) for x in code.eval_points] for p in polys]
+    values = consts.values_at_points([p.coeffs for p in polys])
+    assert values.shape == (len(polys), code.n)
+    assert values.dtype == consts.arrays.dtype
+    assert values.tolist() == expect
+    for p, row in zip(polys, expect):
+        assert consts.values_at_points([p.coeffs]).tolist() == [row]
+    assert consts.values_at_points([]).shape == (0, code.n)
+    with pytest.raises(ValueError):
+        consts.values_at_points([[0] * (nk + 2) + [1]])
 
 
 def test_constants_are_the_code_polynomials():

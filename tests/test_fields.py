@@ -340,8 +340,9 @@ def test_array_indexed_values_match_evaluate(field):
         return rows
 
     def values(start, stop, width):
-        table = A.indexed_values(start, stop, width, A.array(xs),
-                                 A.array(mult))
+        # the points' powers as the rows of a code's `point_powers`
+        powers = A.factors(A.powers(A.array(xs), width).T)
+        table = A.indexed_values(start, stop, powers, A.array(mult))
         assert table.shape == (stop - start, len(xs))
         assert table.dtype == A.dtype
         return [[int(v) for v in row] for row in table]
