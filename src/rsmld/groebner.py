@@ -37,6 +37,14 @@ with deg c <= ell2 - ell1, since omega's low coefficients are not f1's:
 a level's pairs (a, b), deg a <= ell2 - ell1 + j, then have the same
 f2's, as a + b*c runs over the same a's.
 
+`syndrome_pair` builds N's reduced basis in one pass of Berlekamp-Massey
+over S (Massey, "Shift-register synthesis and BCH decoding", IEEE T-IT
+15(1), 1969), which works on the locators f2 alone: its final connection
+polynomial, reversed, is g2.f2, and the one before its last length change
+is g1.f2 up to scale; both omegas are then one product with the Toeplitz
+matrix of S~.  It returns the pair that the reduction of (x^(n-k), 0),
+(S~, 1) returns, which the tests keep as its reference.
+
 The iteration is Koetter's update (`bivar.koetter_candidates`) at
 multiplicity s = 1 and z-degree M = 1: Q = f1(x) + z*f2(x) passes through
 (x_i, r_i) exactly when (f1, f2) lies in M(r), and the two final
@@ -44,21 +52,24 @@ candidates, led by z^0 and z^1 under (1, k-1) weights, are a minimal
 Groebner basis under the (0, k-1) order (McEliece, IPN PR 42-153, 2003;
 Lee & O'Sullivan, JSC 43, 2008).
 
-All five hand their two rows (f1, f2), lists of ints low to high, to one
-reduction built on one row operation: subtract c * x^s times one row from
-the other so that a chosen top coefficient cancels (Mulders & Storjohann,
-JSC 35, 2003).  While both rows lead in the same position it cancels the
-higher lead; on (Pi, 0), (L, -1) that is the Euclidean remainder sequence
-on (Pi, L), one quotient term at a time, and Koetter's rows, a minimal
-basis already, need no such step.  The same operation then inter-reduces
-the monic rows into the unique reduced basis (each element fully reduced by
-the other), so the constructions of one module return identical objects;
-only that final pair is built as `Polynomial`s.
+The other four constructions (`mgb_euclid`, `mgb_iterative` and the
+re-encoded variants of both) hand their two rows (f1, f2), lists of ints
+low to high, to one reduction built on one row operation: subtract
+c * x^s times one row from the other so that a chosen top coefficient
+cancels (Mulders & Storjohann, JSC 35, 2003).  While both rows lead in
+the same position it cancels the higher lead; on (Pi, 0), (L, -1) that is
+the Euclidean remainder sequence on (Pi, L), one quotient term at a time,
+and Koetter's rows, a minimal basis already, need no such step.  The same
+operation then inter-reduces the monic rows into the unique reduced basis
+(each element fully reduced by the other), so the constructions of one
+module return identical objects; only that final pair is built as
+`Polynomial`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -174,6 +185,35 @@ def _vector(field: Field, row: Sequence[list[int]]) -> ModuleVector:
     return ModuleVector(Polynomial(field, row[0]), Polynomial(field, row[1]))
 
 
+def _list_arithmetic(field: Field):
+    """The two steps the row operations take on coefficient lists of ints:
+    minus(c, d, v) = d - c*v elementwise over v's width, and inner(u, v) =
+    sum_i u_i v_i over the shorter width; on GF(2^m) through the field's
+    log/antilog lists, on GF(p) exact on Python ints."""
+    if field.m > 1:
+        exp, log = field._exp, field._log
+
+        def minus(c: int, d: list[int], v: list[int]) -> list[int]:
+            lc = log[c]
+            return [x ^ exp[lc + log[y]] if y else x for x, y in zip(d, v)]
+
+        def inner(u: list[int], v: list[int]) -> int:
+            d = 0
+            for x, y in zip(u, v):
+                if x and y:
+                    d ^= exp[log[x] + log[y]]
+            return d
+    else:
+        p = field.p
+
+        def minus(c: int, d: list[int], v: list[int]) -> list[int]:
+            return [(x - c * y) % p for x, y in zip(d, v)]
+
+        def inner(u: list[int], v: list[int]) -> int:
+            return sum(map(mul, u, v)) % p
+    return minus, inner
+
+
 def _reduced_pair(field: Field, rows: Sequence[Sequence[list[int]]],
                   order: WeightedOrder) -> GroebnerPair:
     """The reduced basis of the rank-2 module that two rows span.
@@ -193,26 +233,13 @@ def _reduced_pair(field: Field, rows: Sequence[Sequence[list[int]]],
 
     The rows are copied into Python lists of ints, low to high, each
     component trimmed to its own degree, so a row step costs one list
-    comprehension per component over that component's width: on GF(2^m)
-    through the field's log/antilog lists, on GF(p) exact on Python ints."""
+    comprehension per component over that component's width
+    (`_list_arithmetic`)."""
     rows = [[list(c) for c in row] for row in rows]
     for comp in rows[0] + rows[1]:
         while comp and not comp[-1]:
             comp.pop()
-
-    if field.m > 1:
-        exp, log = field._exp, field._log
-
-        def minus(c: int, d: list[int], v: list[int]) -> list[int]:
-            """d - c*v, elementwise over v's width."""
-            lc = log[c]
-            return [x ^ exp[lc + log[y]] if y else x for x, y in zip(d, v)]
-    else:
-        p = field.p
-
-        def minus(c: int, d: list[int], v: list[int]) -> list[int]:
-            """d - c*v, elementwise over v's width."""
-            return [(x - c * y) % p for x, y in zip(d, v)]
+    minus, _ = _list_arithmetic(field)
 
     def lead(i: int) -> Lead:
         if not any(rows[i]):
@@ -301,24 +328,94 @@ def mgb_euclid(code: RSCode, r) -> GroebnerPair:
     return _reduced_pair(code.field, rows, decoder_order(code))
 
 
+def _massey(field: Field, R: list[int]) -> tuple[list[int], int, list[int],
+                                                 int, int]:
+    """Berlekamp-Massey over the syndromes S_0 .. S_(N-1), given reversed
+    as R = S~'s coefficients: (C, L, B, L_B, b).
+
+    C is the final connection polynomial, of degree <= L, the shortest
+    register that generates S: sum_i C_i S_(j-i) = 0 for L <= j < N.  B is
+    the connection polynomial before the last length change, of degree
+    <= L_B, and b its discrepancy there; B = 1, b = 1 while L = 0 (Massey,
+    IEEE T-IT 15(1), 1969)."""
+    minus, inner = _list_arithmetic(field)
+    N = len(R)
+    C, B = [1], [1]
+    L = L_B = 0
+    b, shift = 1, 1
+    for r in range(N):  # the discrepancy of C at S_r
+        d = inner(C, R[N - 1 - r:N - 1 - r + len(C)])
+        if not d:
+            shift += 1
+            continue
+        w = shift + len(B)
+        prev = C
+        C = C + [0] * (w - len(C))
+        C[shift:w] = minus(field.div(d, b), C[shift:w], B)
+        if 2 * L <= r:
+            B, L_B, b, L, shift = prev, L, d, r + 1 - L, 1
+        else:
+            shift += 1
+    return C, L, B, L_B, b
+
+
 def syndrome_pair(code: RSCode, syndromes: np.ndarray) -> GroebnerPair:
     """The ell's and second components of M(r)'s basis, from r's n - k
     syndromes S = r . H^T alone (the key-equation module).
 
-    The basis is reduced from (x^(n-k), 0) and (S~, 1), with
-    S~ = sum_j S_j x^(n-k-1-j), under the (1, 0)-weighted order; each ell
-    is its row's weighted degree plus k - 1, and g1 is negated, so that
-    g1.f2 is M(r)'s.  The first components are the omegas of the key
+    It is the reduced basis of the module that (x^(n-k), 0) and (S~, 1),
+    S~ = sum_j S_j x^(n-k-1-j), span, under the (1, 0)-weighted order;
+    each ell is its row's weighted degree plus k - 1, and g1 is negated, so
+    that g1.f2 is M(r)'s.  The first components are the omegas of the key
     equation, not M(r)'s f1, so `combine` does not apply to this pair.
     g2.f2 may differ from `mgb_euclid`'s by c * g1.f2 with
     deg c <= ell2 - ell1, which maps each level's pairs (a, b) onto
-    themselves (see the module docstring)."""
-    nk = code.n - code.k
-    rows = [([0] * nk + [1], []), (syndromes[::-1].tolist(), [1])]
-    pair = _reduced_pair(code.field, rows, WeightedOrder((1, 0)))
-    g1 = ModuleVector(-pair.g1.f1, -pair.g1.f2)
-    return GroebnerPair(g1, pair.g2, pair.ell1 + code.k - 1,
-                        pair.ell2 + code.k - 1, pair.order)
+    themselves (see the module docstring).
+
+    One pass of Berlekamp-Massey over S (Massey, IEEE T-IT 15(1), 1969;
+    `_massey`) gives the basis, with N = n - k.  The locator
+    lam = x^D P(1/x) of a register P of length D, P_0 = 1, has
+    omega = lam * S~ mod x^N with sum_i P_i S_(j-i), P's discrepancy at
+    S_j, as its coefficient of x^(N-1+D-j) for D <= j < N: zero while
+    the register generates S.  So lam2 = x^L C(1/x), monic of degree L, has
+    deg omega2 < L: g2 leads in position 2 with weighted degree L.  B
+    failed first at S_m, m = L + L_B - 1, with discrepancy b, so
+    lam1 = x^(L_B) B(1/x), of degree L_B < L, has omega1 of degree
+    N - L and leading coefficient b: g1 is (omega1, lam1) / b, of weighted
+    degree N - L + 1, and the degrees sum to N + 1, the determinant's.
+    Both omegas are one field product, the two locators against the
+    Toeplitz matrix of S~.  omega2 has degree < N - L = deg omega1 unless
+    2L > N; then its coefficients of degree >= N - L are cancelled, top
+    down, with multiples of g1, which leave lam2 monic of degree L.  At
+    L = 0 every syndrome is zero: r is a codeword, and the basis is
+    (x^N, 0), (0, 1)."""
+    F, k = code.field, code.k
+    N = code.n - k
+    order = WeightedOrder((1, 0))
+    C, L, B, L_B, b = _massey(F, syndromes[::-1].tolist())
+    if not L:
+        return GroebnerPair(_vector(F, ([0] * N + [F.neg(1)], [])),
+                            _vector(F, ([], [1])), code.n, k - 1, order)
+    lam1 = (B + [0] * (L_B + 1 - len(B)))[::-1]
+    lam2 = (C + [0] * (L + 1 - len(C)))[::-1]
+    arr = code.constants().arrays
+    width = max(N - L + 1, L)
+    padded = np.zeros(L + N, dtype=arr.dtype)
+    padded[L:] = syndromes[::-1]
+    toeplitz = padded[np.arange(L, L + width) - np.arange(L + 1)[:, None]]
+    omega1, omega2 = arr.dot(arr.array([lam1 + [0] * (L - L_B), lam2]),
+                             toeplitz).tolist()
+    minus, _ = _list_arithmetic(F)
+    c = F.inv(b)  # 0 - c*v = -v / b: g1 made monic, then negated
+    omega1 = minus(c, [0] * (N - L + 1), omega1)
+    lam1 = minus(c, [0] * (L_B + 1), lam1)
+    for e in range(L - 1, N - L - 1, -1):  # only when 2L > N
+        if omega2[e]:  # omega1 leads with -1
+            s, c = e - (N - L), F.neg(omega2[e])
+            omega2[s:e + 1] = minus(c, omega2[s:e + 1], omega1)
+            lam2[s:s + L_B + 1] = minus(c, lam2[s:s + L_B + 1], lam1)
+    return GroebnerPair(_vector(F, (omega1, lam1)), _vector(F, (omega2, lam2)),
+                        code.n - L, L + k - 1, order)
 
 
 def _koetter_rows(field: Field, anchors: list[ProjectivePoint],

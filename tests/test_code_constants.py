@@ -8,7 +8,8 @@ word.  The interpolation, short, tail and Vandermonde matrices and the
 weighted powers are checked entry by entry against theirs, the point
 powers against `Field.pow` and their products against
 `Polynomial.evaluate`, the decoders' basis from the syndromes against
-`mgb_euclid`'s, and the re-encoded decoder's short basis from the
+`mgb_euclid`'s and against the Euclidean reduction of the key-equation
+module, and the re-encoded decoder's short basis from the
 syndromes against `mgb_euclid_reencoded`'s.
 The products with the matrices kept as factors are checked against `dot`
 on their elements.  The cache must hold nothing of a word.
@@ -26,6 +27,7 @@ from rsmld.groebner import (interpolation_generators, mgb_euclid,
 from rsmld.polys import Polynomial, lagrange_interpolate, vanishing_poly
 from rsmld.rational import decode_rational
 from rsmld.rng import XorShift64Star
+from test_groebner import euclid_syndrome_pair
 
 P31 = 2**31 - 1
 P32 = 4294967291
@@ -45,6 +47,11 @@ CODES = [
 ]
 IDS = ["gf7", "gf7-points", "gf7-k1", "gf7-nk1", "gf16-mod", "gf16-points",
        "gf256", "gf256-k1", "gf256-nk1", "mersenne31", "p32"]
+GF16_EDGES = [
+    (Field(2, 4), 15, 14, None),                    # n - k = 1
+    (Field(2, 4), 15, 1, list(range(14, -1, -1))),  # k = 1, the tail is x = 0
+]
+GF16_IDS = ["gf16-nk1", "gf16-k1"]
 
 
 def _messages(code, seed):
@@ -246,25 +253,44 @@ def test_syndromes_vanish_exactly_on_codewords(spec):
             assert arr.dot_factors(arr.array(r.symbols), parity).any()
 
 
-@pytest.mark.parametrize("spec", CODES, ids=IDS)
+@pytest.mark.parametrize("spec", CODES + GF16_EDGES, ids=IDS + GF16_IDS)
 def test_syndrome_pair_matches_mgb_euclid(spec):
     # the decoders' pair from S = r . H^T: ell1, ell2 and g1.f2 are
     # mgb_euclid's, and g2.f2 is mgb_euclid's plus c * g1.f2 with
-    # deg c <= ell2 - ell1; on codewords, random words and corrupted ones
+    # deg c <= ell2 - ell1; on the zero word, codewords, random words and
+    # corrupted ones, one message at every weight 0..n.  The whole pair is
+    # the Euclidean reduction of (x^(n-k), 0), (S~, 1), and the words reach
+    # every branch of Berlekamp-Massey's: L = 0, 2L <= n - k and 2L > n - k
+    # (only the first and last exist at n - k = 1).  Past the unique radius
+    # a word's L is about (n - k) / 2, so at even n - k the last branch
+    # needs x^k at the points: sum_i p(x_i) / Pi'(x_i) is p's x^(n-1)
+    # coefficient, so its syndromes are (0, ..., 0, 1) and L = n - k
     code = RSCode(*spec)
     consts = code.constants()
-    arr = consts.arrays
+    arr, nk = consts.arrays, code.n - code.k
     rng = XorShift64Star(code.n + 2)
-    words = [random_word(code, seed) for seed in (1, 2, 3)]
+    words = [Word(code, (0,) * code.n),
+             Word(code, tuple(code.field.pow(x, code.k)
+                              for x in code.eval_points))]
+    top = arr.dot_factors(arr.array(words[1].symbols), consts.weighted_powers)
+    assert top.tolist() == [0] * (nk - 1) + [1]
+    words += [random_word(code, seed) for seed in (1, 2, 3)]
     for coeffs in _messages(code, code.n + 2):
         w = code.encode(coeffs)
         words.append(w)
         words += [corrupt(w, weight, rng.next_u64())
-                  for weight in {1, (code.n - code.k + 1) // 2,
-                                 code.n - code.k, code.n}]
+                  for weight in {1, (nk + 1) // 2, nk, code.n}]
+    words += [corrupt(w, weight, rng.next_u64())
+              for weight in range(code.n + 1)]
+    branches = set()
     for r in words:
-        pair = syndrome_pair(code, arr.dot_factors(arr.array(r.symbols),
-                                                   consts.weighted_powers))
+        syndromes = arr.dot_factors(arr.array(r.symbols),
+                                    consts.weighted_powers)
+        pair = syndrome_pair(code, syndromes)
+        assert pair == euclid_syndrome_pair(code, syndromes)
+        L = pair.ell2 - code.k + 1
+        branches.add("L = 0" if not L else
+                     "2L <= n - k" if 2 * L <= nk else "2L > n - k")
         full = mgb_euclid(code, r)
         assert (pair.ell1, pair.ell2) == (full.ell1, full.ell2)
         assert pair.g1.f2 == full.g1.f2
@@ -275,12 +301,11 @@ def test_syndrome_pair_matches_mgb_euclid(spec):
         c, rest = divmod(diff, full.g1.f2)
         assert rest.is_zero()
         assert c.is_zero() or c.degree() <= pair.ell2 - pair.ell1
+    assert branches == ({"L = 0", "2L > n - k"} if nk == 1 else
+                        {"L = 0", "2L <= n - k", "2L > n - k"})
 
 
-@pytest.mark.parametrize("spec", CODES + [
-    (Field(2, 4), 15, 14, None),    # n - k = 1
-    (Field(2, 4), 15, 1, list(range(14, -1, -1))),  # k = 1, the tail is x = 0
-], ids=IDS + ["gf16-nk1", "gf16-k1"])
+@pytest.mark.parametrize("spec", CODES + GF16_EDGES, ids=IDS + GF16_IDS)
 def test_reencoded_syndrome_pair_matches_mgb_euclid_reencoded(spec):
     # the re-encoded decoder's short basis from S . K is the paper's, reduced
     # from the generators of the re-encoded word y, on codewords (y = 0),

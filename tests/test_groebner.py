@@ -8,7 +8,8 @@ from rsmld.groebner import (GroebnerPair, ModuleVector, WeightedOrder,
                             _koetter_rows, _reduced_pair, decoder_order,
                             interpolation_generators,
                             leading, mgb_euclid, mgb_euclid_reencoded,
-                            mgb_iterative, mgb_iterative_reencoded)
+                            mgb_iterative, mgb_iterative_reencoded,
+                            syndrome_pair)
 from rsmld.division import reencode
 from rsmld.polys import Polynomial, lagrange_interpolate, vanishing_poly
 from rsmld.rng import XorShift64Star
@@ -285,6 +286,43 @@ def test_reduction_independent_of_generating_pair(case):
                       [gens[i], ModuleVector(zero, zero)]):
         with pytest.raises(ArithmeticError):
             _reduced_pair(field, rows(dependent), order)
+
+
+def euclid_syndrome_pair(code, syndromes):
+    """`syndrome_pair` as the Euclidean reduction: (x^(n-k), 0) and (S~, 1),
+    S~ = sum_j S_j x^(n-k-1-j), reduced under the (1, 0)-weighted order,
+    g1 negated and k - 1 added to each ell."""
+    nk = code.n - code.k
+    rows = [([0] * nk + [1], []), (syndromes[::-1].tolist(), [1])]
+    pair = _reduced_pair(code.field, rows, WeightedOrder((1, 0)))
+    return GroebnerPair(ModuleVector(-pair.g1.f1, -pair.g1.f2), pair.g2,
+                        pair.ell1 + code.k - 1, pair.ell2 + code.k - 1,
+                        pair.order)
+
+
+@st.composite
+def syndrome_cases(draw):
+    """A code and a vector of F^(n-k), the syndromes of some word: H^T has
+    full rank n - k."""
+    field = draw(st.sampled_from([F7, Field(2, 4), Field(2, 8),
+                                  Field(2**31 - 1), Field(2**61 - 1)]))
+    n = draw(st.integers(2, min(24, field.q)))
+    code = RSCode(field, n, draw(st.integers(1, n - 1)))
+    values = st.integers(0, field.q - 1)
+    syndromes = draw(st.lists(st.one_of(st.just(0), values),
+                              min_size=n - code.k, max_size=n - code.k))
+    return code, code.constants().arrays.array(syndromes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(syndrome_cases())
+def test_syndrome_pair_is_the_euclidean_reduction(case):
+    # Berlekamp-Massey's pair is the reduction's on any syndromes, on GF(p)
+    # and GF(2^m); GF(2^31 - 1) takes dot's digit-split int64 product and
+    # GF(2^61 - 1) the object-dtype arrays
+    code, syndromes = case
+    assert syndrome_pair(code, syndromes) == \
+        euclid_syndrome_pair(code, syndromes)
 
 
 def test_order_of_decoder():
