@@ -229,10 +229,9 @@ class RSCode:
         """
         self._check_word(word)
         n, k, q = self.n, self.k, self.field.q
-        total = q ** k
-        if total > budget:
+        if q ** k > budget:
             raise OracleBudgetExceeded(
-                f"q**k = {total} exceeds oracle budget {budget}")
+                f"q**k = {q}**{k} exceeds oracle budget {budget}")
         if (SUBSET_PRODUCT_CELLS * comb(n, k + 1) * (k + 1)
                 + SUBSET_WORD_CELLS < q ** (k - 1) * (n + q)):
             best, msgs = self._nearest_by_subsets(word)
@@ -324,9 +323,10 @@ class CodeConstants:
     attributes it uses.  Every linear map from a word to a polynomial or a
     codeword is a matrix here, so a word costs one `FieldArrays.dot` per
     map.  The four that every word of a decoder multiplies, H^T, T, K and
-    the point powers P, are kept as `FieldArrays.factors` (logs with a
-    zero sentinel on GF(2^m), the elements on GF(p)) and applied with
-    `dot_factors`:
+    the point powers P, are kept as `FieldArrays.matrix_factors` and
+    applied with `dot_factors`; how they are stored is the field's
+    choice (offsets into rows of a product table up to GF(2^8), logs with
+    a zero sentinel on larger GF(2^m), the elements on GF(p)):
 
     * `interpolation_matrix` (n x n): row j holds w_j * Pi / (x - x_j) with
       w_j = 1 / Pi'(x_j), so a word r has Lagrange interpolant L = r . B;
@@ -368,17 +368,19 @@ class CodeConstants:
     point powers; the re-encoded decoder also K; encoding builds the
     Vandermonde matrix.
 
-    Memory: the factors take one byte per element up to m = 7, two up to
-    m = 15 and four at m = 16, and elements 8 bytes as int64 (Python ints
-    past that).  The k^2 + (n - k)n elements of T and H^T are 0.12 MB at
-    (255, 223) over GF(2^8), 2.0 MB at (1023, 991) over GF(2^10) and 33 MB
-    at (4095, 4063) over GF(2^12); the point powers' (n - k + 2)n add
-    8.7 KB, 70 KB and 0.28 MB there (4.5 KB at (31, 15) over GF(31)), and
-    the re-encoded decoder's K (n - k)(n - k + 1), 2.1 KB at each of the
+    Memory: an offset or a log takes two bytes per element (offsets are
+    kept in the narrowest dtype that holds them, logs take four at
+    m = 16), and an element 8 bytes as int64 (a Python int past that).  The
+    k^2 + (n - k)n elements of T and H^T are 0.12 MB at (255, 223) over
+    GF(2^8), 2.0 MB at (1023, 991) over GF(2^10) and 33 MB at
+    (4095, 4063) over GF(2^12); the point powers' (n - k + 2)n add 17 KB,
+    70 KB and 0.28 MB there (4.5 KB at (31, 15) over GF(31)), and the
+    re-encoded decoder's K (n - k)(n - k + 1), 2.1 KB at each of the
     three; all seven matrices, with the int64 short one, the kn of the
     Vandermonde matrix and the n^2 of the interpolation matrix, 1.1, 18.6
-    and 301 MB.  At (4095, 4063) a prototype decoded a word no faster with
-    the matrices than with a numpy step per point.
+    and 301 MB.  GF(2^8)'s product table adds 64 KB per field.  At
+    (4095, 4063) a prototype decoded a word no faster with the
+    matrices than with a numpy step per point.
     """
 
     def __init__(self, code: RSCode):
@@ -451,7 +453,7 @@ class CodeConstants:
         H_head^T the first n - k rows of the weighted powers, and no
         inverse is built: the entry (l, a) is Pi_h's coefficient of x^(l+a)
         (for a >= 1) less x_(n-k) times that of x^(l+a+1), a Hankel
-        matrix and its shift.  Kept as factors."""
+        matrix and its shift.  Kept as matrix factors."""
         nk, arr = self.split, self.arrays
         head = vanishing_poly(self.field, self.eval_points[:nk]).coeffs
         quotients = arr.array(head[1:] + [0] * nk)
@@ -461,13 +463,14 @@ class CodeConstants:
         matrix[:, 1:] = hankel
         matrix[:, :nk] = arr.sub(matrix[:, :nk],
                                  arr.mul(self.points[nk], hankel))
-        return _read_only(arr.factors(matrix))
+        return _read_only(arr.matrix_factors(matrix))
 
     @cached_property
     def tail_matrix(self) -> np.ndarray:
         """k x k: row j is w_j * G_t / (x - x_j) over the tail points, with
-        G_t = prod (x - x_i) there and w_j = 1 / G_t'(x_j); as factors."""
-        return _read_only(self.arrays.factors(self._interpolator(
+        G_t = prod (x - x_i) there and w_j = 1 / G_t'(x_j); as matrix
+        factors."""
+        return _read_only(self.arrays.matrix_factors(self._interpolator(
             vanishing_poly(self.field, self.eval_points[self.split:]),
             self.points[self.split:])))
 
@@ -551,12 +554,12 @@ class CodeConstants:
     @cached_property
     def point_powers(self) -> np.ndarray:
         """(n - k + 2) x n: x_i^e in row e, column i, for e <= n - k + 1,
-        the degree of the short module's Pi_y; as factors.  The decoders
-        evaluate nothing of higher degree at the points: f2 has degree
-        t <= n - k at every level, and so do the basis' second components,
-        b (degree k2 <= t) and a - a_0 (degree k1 < t)."""
-        return _read_only(self.arrays.factors(np.ascontiguousarray(
-            self.arrays.powers(self.points, self.split + 2).T)))
+        the degree of the short module's Pi_y; as matrix factors.  The
+        decoders evaluate nothing of higher degree at the points: f2 has
+        degree t <= n - k at every level, and so do the basis' second
+        components, b (degree k2 <= t) and a - a_0 (degree k1 < t)."""
+        return _read_only(self.arrays.matrix_factors(
+            self.arrays.powers(self.points, self.split + 2).T))
 
     def values_at_points(self, polys: Sequence[Sequence[int]]) -> np.ndarray:
         """Row i: the values at the n points of the polynomial with
@@ -581,10 +584,10 @@ class CodeConstants:
         x^j * m has degree at most n - 2, and the sum over all points of
         p(x_i) / Pi'(x_i) is p's x^(n - 1) coefficient, zero here.  H has
         full rank n - k, so r . H^T = 0 exactly when r is a codeword.  Kept
-        as factors."""
+        as matrix factors."""
         arr = self.arrays
         weights = self._weights(self.vanishing, self.points)
-        return _read_only(arr.factors(arr.mul(
+        return _read_only(arr.matrix_factors(arr.mul(
             arr.powers(self.points, self.split), weights[:, None])))
 
 

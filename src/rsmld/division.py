@@ -261,10 +261,11 @@ class CandidateCheck:
             raise ValueError(f"the check needs t <= n - k = "
                              f"{self.code.n - self.code.k}, got t = {t}")
         arr, code, consts = self.arr, self.code, self.code.constants()
-        h_z = consts.weighted_powers[zeros]
+        parity = consts.weighted_powers
         locator = vanishing_poly(code.field, consts.points[zeros].tolist())
-        e = self._erasure_values(arr.array(locator.coeffs), h_z, t)
-        if (arr.dot_factors(e, h_z) != self.syndromes).any():
+        e = self._erasure_values(arr.array(locator.coeffs),
+                                 arr.matrix_values(parity[zeros, :t]), t)
+        if (arr.dot_factors(e, parity, zeros) != self.syndromes).any():
             return None
         c = self.symbols.copy()
         c[zeros] = arr.sub(c[zeros], e)
@@ -273,13 +274,13 @@ class CandidateCheck:
         nk = code.n - code.k
         covered = zeros >= nk
         m = arr.sub(self.shift, arr.dot_factors(
-            e[covered], consts.tail_matrix[zeros[covered] - nk]))
+            e[covered], consts.tail_matrix, zeros[covered] - nk))
         return Polynomial(code.field, m.tolist())
 
-    def _erasure_values(self, locator: np.ndarray, h_z: np.ndarray,
+    def _erasure_values(self, locator: np.ndarray, h: np.ndarray,
                         t: int) -> np.ndarray:
         """e_i = W(x_i) / (P'(x_i) v_i) on the t roots of P = locator,
-        whose rows of H^T are h_z."""
+        whose rows of H^T have h as their first t columns."""
         arr, p = self.arr, self.code.field.p
         if not t:
             return locator[:0]
@@ -289,8 +290,8 @@ class CandidateCheck:
         steps = np.arange(t)
         w = arr.dot(self.syndromes[:t], hankel[steps[:, None] + steps])
         dp = arr.mul(np.arange(1, t + 1) % p, locator[1:])
-        num, den = arr.dot_factors(np.stack([w, dp]), h_z[:, :t].T)
-        return arr.mul(num, arr.inv(arr.mul_factors(den, h_z[:, 0])))
+        num, den = arr.dot(np.stack([w, dp]), h.T)
+        return arr.mul(num, arr.inv(arr.mul(den, h[:, 0])))
 
 
 def search_levels(check: CandidateCheck, pair: GroebnerPair,

@@ -284,6 +284,15 @@ class Field:
 # Elements of one int64 temporary of a GF(2^m) `FieldArrays.dot`: 64 KB.
 DOT_CHUNK = 1 << 13
 
+# The largest GF(2^m) whose `matrix_factors` are offsets into rows of the
+# q x q product table.  Up to here a product is one byte, the table 64 KB
+# and an offset of a 255-row matrix two bytes.  At (255, 223) over GF(2^8)
+# the table took r_tail . T from 160 to 70 us and r . H^T from 33 to 22 us
+# (timeit, 2-core Xeon).  GF(2^9) gained as well (T 648 -> 255 us at
+# (511, 479)), but there a product takes two bytes, so the table is 512 KB,
+# and T's offsets take four, 0.92 MB where its logs take 0.46 MB.
+PRODUCT_TABLE_Q = 256
+
 
 class FieldArrays:
     """Field arithmetic on integer numpy arrays of canonical elements.
@@ -293,15 +302,22 @@ class FieldArrays:
     so products with 0 need no masking.  GF(p) reduces int64 products mod p;
     when (p - 1)^2 does not fit in int64 the arrays hold Python ints
     (``dtype=object``) and the same expressions stay exact.
+
+    Up to q = PRODUCT_TABLE_Q, GF(2^m) also has the q x q table of all
+    products, one byte each, for the matrices that a vector multiplies
+    whole (`matrix_factors`, `dot_factors`).  The table is built on the
+    first such product, never with the field or a code.
     """
 
     __slots__ = ("field", "p", "binary", "dtype", "_exp", "_log",
-                 "_factor_dtype")
+                 "_factor_dtype", "_tabled", "_products")
 
     def __init__(self, field: Field):
         self.field = field
         self.p = field.p
         self.binary = field.m > 1
+        self._tabled = self.binary and field.q <= PRODUCT_TABLE_Q
+        self._products = None
         if self.binary:
             self.dtype = np.dtype(np.int64)
             order = field.q - 1
@@ -359,13 +375,35 @@ class FieldArrays:
             y %= self.p
 
     def factors(self, c) -> np.ndarray:
-        """Elements as the factors that `factor_sums`, `mul_factors` and
-        `dot_factors` take: on GF(2^m) their logs, in [0, q - 2], and the
-        zero sentinel 2(q - 1) for 0, in the narrowest dtype that holds the
-        sentinel (one byte up to m = 7, two up to m = 15, four at m = 16);
-        the elements themselves on GF(p)."""
+        """Elements as the factors that `factor_sums` and `mul_factors`
+        take, and `dot_factors` past q = PRODUCT_TABLE_Q: on GF(2^m) their
+        logs, in [0, q - 2], and the zero sentinel 2(q - 1) for 0, in the
+        narrowest dtype that holds the sentinel (one byte up to m = 7, two
+        up to m = 15, four at m = 16); the elements themselves on GF(p)."""
         c = self.array(c)
         return self._log[c].astype(self._factor_dtype) if self.binary else c
+
+    def matrix_factors(self, c) -> np.ndarray:
+        """The matrix c, whose rows lie along axis 0, in the form that
+        `dot_factors` takes.  On GF(2^m) up to q = PRODUCT_TABLE_Q entry
+        (i, j) is the offset i*q + c[i, j] into the q-wide product rows of
+        the vector's entries, in the narrowest dtype that holds the last
+        one (two bytes up to 256 rows); elsewhere it is the entry's
+        `factors`.  `matrix_values` reads the entries back from any rows
+        and columns of the result."""
+        c = self.array(c)
+        if not self._tabled:
+            return self.factors(c)
+        q = self.field.q
+        rows = np.arange(len(c))[:, None] * q
+        return (rows + c).astype(np.min_scalar_type(len(c) * q - 1))
+
+    def matrix_values(self, f: np.ndarray) -> np.ndarray:
+        """The entries of a matrix from its `matrix_factors` f, or from any
+        rows or columns of them."""
+        if self._tabled:
+            return (f & (self.field.q - 1)).astype(self.dtype)
+        return self._exp[f] if self.binary else f
 
     def mul_factors(self, a, f):
         """Elementwise a * c (broadcasting), for the elements c whose
@@ -423,13 +461,51 @@ class FieldArrays:
             acc = (acc * (1 << s) + (a >> shift & (1 << s) - 1) @ b) % p
         return acc
 
-    def dot_factors(self, a: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """`dot` of a with the matrix whose `factors` are f, the form of the
-        per-code matrices that every word multiplies: on GF(2^m) only a's
-        logs are gathered."""
-        if self.binary:
-            return self._log_dot(self._log[a], f, np.asarray)
-        return self.dot(a, f)
+    def dot_factors(self, a: np.ndarray, f: np.ndarray,
+                    rows: np.ndarray | None = None) -> np.ndarray:
+        """`dot` of a with the matrix whose `matrix_factors` are f, the form
+        of the per-code matrices that every word multiplies; with `rows`,
+        distinct indices one per entry of a's last axis, with those rows
+        of the matrix, f[rows].
+
+        Up to q = PRODUCT_TABLE_Q, each row of a gathers its entries' rows
+        of the product table, q bytes each, one after another at the places
+        of the matrix rows they multiply, and one `take` of the offsets
+        reads every product term, which XOR sums down the rows in uint8.
+        The rows that `rows` leaves out are never read, nor written.  Past
+        it only a's logs are gathered, and the product is `dot`'s on
+        them."""
+        if not self._tabled:
+            if rows is not None:
+                f = f[rows]
+            if self.binary:
+                return self._log_dot(self._log[a], f, np.asarray)
+            return self.dot(a, f)
+        q, lead = self.field.q, a.shape[:-1]
+        if self._products is None:
+            self._products = self._product_table()
+        count, depth = math.prod(lead), a.shape[-1]
+        products = self._products.take(a, axis=0).reshape(count, depth, q)
+        if rows is not None:
+            placed = np.empty((count, len(f), q), dtype=np.uint8)
+            placed[:, rows] = products
+            products, f = placed, f[rows]
+        terms = products.reshape(count, products.shape[1] * q).take(f, axis=1)
+        return np.bitwise_xor.reduce(terms, axis=1).astype(self.dtype).reshape(
+            lead + f.shape[1:])
+
+    def _product_table(self) -> np.ndarray:
+        """The q x q table of all products, one byte each, built a block of
+        rows at a time so that each int64 temporary of log sums holds
+        DOT_CHUNK elements: with one sum over the whole table (512 KB at
+        q = 256) a 5 s `unique-255.division` run read 0.4 MB more peak
+        RSS."""
+        q, exp, log = self.field.q, self._exp.astype(np.uint8), self._log
+        table = np.empty((q, q), dtype=np.uint8)
+        step = DOT_CHUNK // q
+        for lo in range(0, q, step):
+            table[lo:lo + step] = exp[log[lo:lo + step, None] + log]
+        return table
 
     def _log_dot(self, log_a: np.ndarray, b: np.ndarray,
                  logs) -> np.ndarray:
@@ -517,18 +593,18 @@ class FieldArrays:
         """Values at some points x, times mult(x), of the polynomials
         numbered start..stop-1, one row each.
 
-        powers holds the `factors` of x^0 .. x^(width-1) at the points, one
-        row per exponent (the first rows of `CodeConstants.point_powers`),
-        and mult the multiplier's values there.  Polynomial number i has as
-        coefficients, low to high, the `width` lowest base-q digits of i, so
-        row i - start holds sum_e digit_e(i) * x^e * mult(x): one multiply
-        and add per digit.  Numbers past int64 are split into digits as
-        Python ints.
+        powers holds the `matrix_factors` of x^0 .. x^(width-1) at the
+        points, one row per exponent (the first rows of
+        `CodeConstants.point_powers`), and mult the multiplier's values
+        there.  Polynomial number i has as coefficients, low to high, the
+        `width` lowest base-q digits of i, so row i - start holds
+        sum_e digit_e(i) * x^e * mult(x): one multiply and add per digit.
+        Numbers past int64 are split into digits as Python ints.
         """
         q = self.field.q
         wide = self.dtype == object or stop > 2**63
         rest = np.arange(start, stop, dtype=object if wide else np.int64)
-        rows = self.factors(self.mul_factors(mult, powers))
+        rows = self.factors(self.mul(mult, self.matrix_values(powers)))
         acc = np.zeros((len(rest), powers.shape[1]), dtype=self.dtype)
         for row in rows:
             part = self.mul_factors(self.array(rest % q)[:, None], row)

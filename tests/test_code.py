@@ -438,6 +438,12 @@ def test_oracle_budget():
     small = RSCode(F7, 7, 3)
     with pytest.raises(OracleBudgetExceeded):
         small.ml_oracle(random_word(small, 0), budget=10)
+    # the message names q**k as a power, not as its 538 digits
+    large = RSCode(Field(2, 8), 255, 223)
+    with pytest.raises(OracleBudgetExceeded) as info:
+        large.ml_oracle(Word(large, (0,) * 255))
+    assert str(info.value) == \
+        "q**k = 256**223 exceeds oracle budget 10000000"
 
 
 def test_oracle_symbols_past_int16():

@@ -11,16 +11,18 @@ powers against `Field.pow` and their products against
 `mgb_euclid`'s and against the Euclidean reduction of the key-equation
 module, and the re-encoded decoder's short basis from the
 syndromes against `mgb_euclid_reencoded`'s.
-The products with the matrices kept as factors are checked against `dot`
-on their elements.  The cache must hold nothing of a word.
+The products with the matrices kept as `FieldArrays.matrix_factors` are
+checked against `dot` on their elements, on both sides of the product
+table's cutoff.  The cache must hold nothing of a word.
 """
 
 import numpy as np
 import pytest
 
 from rsmld.code import RSCode, Word, corrupt, random_word
-from rsmld.division import decode_minimal, decode_minimal_reencoded, reencode
-from rsmld.fields import Field
+from rsmld.division import (CandidateCheck, decode_minimal,
+                            decode_minimal_reencoded, reencode)
+from rsmld.fields import PRODUCT_TABLE_Q, Field
 from rsmld.groebner import (interpolation_generators, mgb_euclid,
                             mgb_euclid_reencoded, reencoded_syndrome_pair,
                             syndrome_pair)
@@ -44,9 +46,10 @@ CODES = [
     (Field(2, 8), 10, 9, None),                  # n - k = 1
     (Field(P31), 24, 4, [0] + [pow(7, 1 + 97 * i, P31) for i in range(23)]),
     (Field(P32), 12, 5, [0] + [pow(3, 1 + 11 * i, P32) for i in range(11)]),
+    (Field(2, 9), 24, 10, [(37 * i) % 512 for i in range(24)]),  # past 256
 ]
 IDS = ["gf7", "gf7-points", "gf7-k1", "gf7-nk1", "gf16-mod", "gf16-points",
-       "gf256", "gf256-k1", "gf256-nk1", "mersenne31", "p32"]
+       "gf256", "gf256-k1", "gf256-nk1", "mersenne31", "p32", "gf512"]
 GF16_EDGES = [
     (Field(2, 4), 15, 14, None),                    # n - k = 1
     (Field(2, 4), 15, 1, list(range(14, -1, -1))),  # k = 1, the tail is x = 0
@@ -151,8 +154,9 @@ def test_second_decode_matches_fresh_code(decode):
 
 
 def _values(consts, factors):
-    """The elements of a matrix the code keeps as `FieldArrays.factors`."""
-    return consts.arrays.mul_factors(1, factors)
+    """The elements of a matrix the code keeps as
+    `FieldArrays.matrix_factors`."""
+    return consts.arrays.matrix_values(factors)
 
 
 def _scalar_interpolator(F, points):
@@ -205,22 +209,31 @@ def test_matrices_match_scalar_definitions(spec):
 
 @pytest.mark.parametrize("spec", CODES, ids=IDS)
 def test_factor_products_match_values_dot(spec):
-    # every product the decoders take with a matrix kept as factors: r . H^T,
-    # r_tail . T, S . K, and the check's rows of H^T and T at an erased set
-    # Z, H^T[Z] also transposed and its column 0 elementwise; with x = 0
-    # among the points, rows of H^T hold zeros, whose factors are the
-    # sentinel on GF(2^m)
+    # every product the decoders take with a matrix kept as
+    # `FieldArrays.matrix_factors`, against `dot` on its entries: r . H^T,
+    # r_tail . T, S . K, the first rows of the point powers, and the
+    # check's rows of H^T and T at an erased set Z, with Forney's transposed
+    # slice of H^T[Z] and its column 0; Z also empty, the contraction of a
+    # codeword (t = 0).  Up to q = 256 the entries are offsets i*q + M[i, j]
+    # into the product table's rows; past it (GF(2^9)) and on GF(p) they
+    # are the elementwise factors, and with x = 0 among the points rows of
+    # H^T hold zeros, whose factors are the sentinel on GF(2^m)
     code = RSCode(*spec)
     consts = code.constants()
-    arr, nk = consts.arrays, code.n - code.k
+    arr, nk, q = consts.arrays, code.n - code.k, code.field.q
     parity, tail = consts.weighted_powers, consts.tail_matrix
-    key = consts.short_syndrome_matrix
+    key, powers = consts.short_syndrome_matrix, consts.point_powers
     if 0 in code.eval_points and nk > 1:
         assert not _values(consts, parity).all()
-    zeros = np.arange(0, code.n, 2)[:nk]
-    covered = zeros[zeros >= nk] - nk
+    for f in (parity, tail, key, powers):
+        if arr.binary and q <= PRODUCT_TABLE_Q:
+            assert (f == _values(consts, f)
+                    + q * np.arange(len(f))[:, None]).all()
+        else:
+            assert (f == arr.factors(_values(consts, f))).all()
     rng = XorShift64Star(code.n + 4)
-    for r in (random_word(code, code.n), code.encode([1] * code.k)):
+    message = [1] * code.k
+    for r in (random_word(code, code.n), code.encode(message)):
         symbols = arr.array(r.symbols)
         syndromes = arr.dot_factors(symbols, parity)
         assert (syndromes == arr.dot(symbols, _values(consts, parity))).all()
@@ -228,14 +241,30 @@ def test_factor_products_match_values_dot(spec):
                 == arr.dot(symbols[nk:], _values(consts, tail))).all()
         assert (arr.dot_factors(syndromes, key)
                 == arr.dot(syndromes, _values(consts, key))).all()
-        e = arr.array([rng.below(code.field.q) for _ in zeros])
-        for f, a in ((parity[zeros], e), (parity[zeros][:, :2].T,
-                                          np.stack([e[:2], e[-2:]])),
-                     (tail[covered], e[len(zeros) - len(covered):])):
-            assert (arr.dot_factors(a, f)
-                    == arr.dot(a, _values(consts, f))).all()
-        assert (arr.mul_factors(e, parity[zeros][:, 0])
-                == arr.mul(e, _values(consts, parity[zeros][:, 0]))).all()
+        coeffs = arr.array([[rng.below(q) for _ in range(nk + 2)]
+                            for _ in range(2)])
+        for width in (0, 1, nk + 2):
+            assert (arr.dot_factors(coeffs[:, :width], powers[:width])
+                    == arr.dot(coeffs[:, :width],
+                               _values(consts, powers[:width]))).all()
+        for zeros in (np.arange(0, code.n, 2)[:nk], np.arange(0)):
+            covered = zeros[zeros >= nk] - nk
+            e = arr.array([rng.below(q) for _ in zeros])
+            rows = _values(consts, parity)[zeros]
+            t = len(zeros)
+            assert (_values(consts, parity[zeros]) == rows).all()
+            assert (_values(consts, parity[zeros, :t]).T
+                    == rows[:, :t].T).all()
+            assert (_values(consts, parity[zeros, 0]) == rows[:, 0]).all()
+            for f, a, index in ((parity, e, zeros),
+                                (tail, e[t - len(covered):], covered)):
+                product = arr.dot_factors(a, f, index)
+                assert product.shape == f.shape[1:]
+                assert (product
+                        == arr.dot(a, _values(consts, f)[index])).all()
+    # the check itself on the codeword with nothing erased
+    check = CandidateCheck(code, r)
+    assert check(np.arange(0), 0) == code.message_poly(message)
 
 
 @pytest.mark.parametrize("spec", CODES, ids=IDS)
@@ -356,6 +385,19 @@ def test_decoders_build_only_the_matrices_they_use():
     assert "interpolation_matrix" not in built
     assert "vandermonde" not in built
     assert "short_interpolation_matrix" not in built
+
+
+def test_field_and_code_build_no_product_table():
+    # the benchmark's set-up times exactly these two builds; the per-code
+    # matrices need no table either, only their first product does
+    field = Field(2, 8)
+    code = RSCode(field, 255, 223)
+    arr = field.arrays()
+    assert arr._products is None
+    parity = code.constants().weighted_powers
+    assert arr._products is None
+    arr.dot_factors(arr.array(code.encode([1, 2]).symbols), parity)
+    assert arr._products.shape == (256, 256)
 
 
 def test_cache_leaves_equality_and_hash_alone():

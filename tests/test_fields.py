@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rsmld.code import RSCode, Word
-from rsmld.fields import (DOT_CHUNK, Field, FieldMismatch, _is_prime,
-                          parse_field)
+from rsmld.fields import (DOT_CHUNK, PRODUCT_TABLE_Q, Field, FieldMismatch,
+                          _is_prime, parse_field)
 from rsmld.polys import Polynomial, base_q_digits
 from rsmld.rng import XorShift64Star
 
@@ -257,7 +257,7 @@ def test_binary_dot_in_row_chunks(field):
         got = A.dot(a, b)
         assert got.shape == a_shape[:-1] + b_shape[1:] and got.dtype == A.dtype
         assert (got == unchunked(a, b)).all(), (a_shape, b_shape)
-        assert (A.dot_factors(a, A.factors(b)) == got).all()
+        assert (A.dot_factors(a, A.matrix_factors(b)) == got).all()
     # more rows of a than columns of b: chunks of a's rows, each product
     # summed along a contiguous axis; a transposed view as Koetter passes
     # it, a row of a past DOT_CHUNK terms (the contraction axis split too),
@@ -272,7 +272,7 @@ def test_binary_dot_in_row_chunks(field):
         got = A.dot(a, b)
         assert got.shape == a_shape[:-1] + b_shape[1:] and got.dtype == A.dtype
         assert (got == unchunked(a, b)).all(), (a_shape, b_shape)
-        assert (A.dot_factors(a, A.factors(b)) == got).all()
+        assert (A.dot_factors(a, A.matrix_factors(b)) == got).all()
     a = draw(16, 60, 16).transpose(0, 2, 1)
     b = draw(60, 7)
     assert (A.dot(a, b) == unchunked(a, b)).all()
@@ -282,14 +282,14 @@ def test_binary_dot_in_row_chunks(field):
 
 
 @pytest.mark.parametrize("field", [F7, F16, Field(2, 7), Field(2, 8),
-                                   Field(2, 14), Field(2, 15), Field(2, 16),
-                                   Field(2**31 - 1), Field(4294967291)])
+                                   Field(2, 9), Field(2, 14), Field(2, 15),
+                                   Field(2, 16), Field(2**31 - 1),
+                                   Field(4294967291)])
 def test_factor_form_products_match_values(field):
-    # the form of the per-code matrices: logs with the zero sentinel
-    # 2(q - 1) in the narrowest dtype, which is one byte up to m = 7 and
-    # two up to m = 15 (GF(2^14)'s 32766 fits int16, GF(2^15)'s 65534 only
-    # uint16); products with them are `mul` and `dot` on the elements, with
-    # zeros among the entries and a transposed view as the check takes
+    # the elementwise factors: logs with the zero sentinel 2(q - 1) in the
+    # narrowest dtype, which is one byte up to m = 7 and two up to m = 15
+    # (GF(2^14)'s 32766 fits int16, GF(2^15)'s 65534 only uint16); products
+    # with them are `mul` on the elements, with zeros among the entries
     A = field.arrays()
     rng = XorShift64Star(field.q + 5)
     edge = [0, 1, field.q - 1, field.q - 2]
@@ -306,12 +306,35 @@ def test_factor_form_products_match_values(field):
     assert (A.mul_factors(a, f[:16]) == A.mul(a, c[:16])).all()
     assert (A.mul_factors(a[:, None], f[:16])
             == A.mul(a[:, None], c[:16])).all()
-    b, fb = c.reshape(15, 4), f.reshape(15, 4)
+    # the form of the per-code matrices, entry by entry: up to q = 256
+    # offsets i*q + b[i, j] into the product table's rows, past it (GF(2^9)
+    # on) the elementwise factors; products with them are `dot` on the
+    # elements, also with rows given by index, on columns, and with no rows
+    b = c.reshape(15, 4)
+    fb = A.matrix_factors(b)
+    tabled = A.binary and field.q <= PRODUCT_TABLE_Q
+    if tabled:
+        assert fb.dtype == np.min_scalar_type(15 * field.q - 1)
+        assert (fb == b + field.q * np.arange(15)[:, None]).all()
+    else:
+        assert (fb == A.factors(b)).all()
+    assert (A.matrix_values(fb) == b).all()
     assert (A.dot_factors(a[:15], fb) == A.dot(a[:15], b)).all()
-    rows = A.array([a[:4], a[4:8]])
-    assert (A.dot_factors(rows, fb.T) == A.dot(rows, b.T)).all()
+    rows = np.array([14, 3, 7, 0])
+    assert (A.matrix_values(fb[rows]) == b[rows]).all()
+    assert (A.matrix_values(fb[rows, 1:3]).T == b[rows, 1:3].T).all()
+    assert (A.dot_factors(a[:4], fb, rows) == A.dot(a[:4], b[rows])).all()
+    assert (A.dot_factors(a[:4], fb[:, 1:3], rows)
+            == A.dot(a[:4], b[rows, 1:3])).all()
+    none = A.dot_factors(a[:0], fb, rows[:0])
+    assert none.shape == (4,) and none.dtype == A.dtype and not none.any()
+    pairs = A.array([a[:4], a[4:8]])
+    assert (A.dot_factors(pairs, fb, rows) == A.dot(pairs, b[rows])).all()
+    assert (A.dot_factors(pairs, A.matrix_factors(b.T))
+            == A.dot(pairs, b.T)).all()
     assert (A.dot_factors(a.reshape(8, 2), fb[:2, :3])
             == A.dot(a.reshape(8, 2), b[:2, :3])).all()
+    assert (A._products is not None) == tabled
 
 
 def _gf2_dot(field, xs, ys):
@@ -341,7 +364,7 @@ def test_array_indexed_values_match_evaluate(field):
 
     def values(start, stop, width):
         # the points' powers as the rows of a code's `point_powers`
-        powers = A.factors(A.powers(A.array(xs), width).T)
+        powers = A.matrix_factors(A.powers(A.array(xs), width).T)
         table = A.indexed_values(start, stop, powers, A.array(mult))
         assert table.shape == (stop - start, len(xs))
         assert table.dtype == A.dtype
