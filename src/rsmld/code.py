@@ -322,7 +322,7 @@ class CodeConstants:
     reused across words pays for it once, and a decoder builds only the
     attributes it uses.  Every linear map from a word to a polynomial or a
     codeword is a matrix here, so a word costs one `FieldArrays.dot` per
-    map.  The four that every word of a decoder multiplies, H^T, T, K and
+    map.  The three that every word of a decoder multiplies, H^T, T and
     the point powers P, are kept as `FieldArrays.matrix_factors` and
     applied with `dot_factors`; how they are stored is the field's
     choice (offsets into rows of a product table up to GF(2^8), logs with
@@ -334,8 +334,6 @@ class CodeConstants:
     * `short_interpolation_matrix` ((n - k) x (n - k + 1)): the rows
       w_j * Pi_y / (x - x_j) at the first n - k points, for the re-encoded
       L_y = y . R; only `mgb_euclid_reencoded` reads it;
-    * `short_syndrome_matrix` ((n - k) x (n - k + 1)): K, which gives the
-      same L_y from the syndromes, L_y = S . K, for the re-encoded decoder;
     * `tail_matrix` (k x k): the same over the tail, the last k points,
       with G_t = prod (x - x_j) there; the re-encoding shift is r_tail . T,
       from which every decoder's candidate check reads its messages;
@@ -365,8 +363,7 @@ class CodeConstants:
       bytes (60 KB) at (15, 5), 2 x 6 x 736 281 (8.8 MB) at (31, 5).
 
     Every decoder builds the tail matrix, the weighted powers and the
-    point powers; the re-encoded decoder also K; encoding builds the
-    Vandermonde matrix.
+    point powers; encoding builds the Vandermonde matrix.
 
     Memory: an offset or a log takes two bytes per element (offsets are
     kept in the narrowest dtype that holds them, logs take four at
@@ -374,13 +371,12 @@ class CodeConstants:
     k^2 + (n - k)n elements of T and H^T are 0.12 MB at (255, 223) over
     GF(2^8), 2.0 MB at (1023, 991) over GF(2^10) and 33 MB at
     (4095, 4063) over GF(2^12); the point powers' (n - k + 2)n add 17 KB,
-    70 KB and 0.28 MB there (4.5 KB at (31, 15) over GF(31)), and the
-    re-encoded decoder's K (n - k)(n - k + 1), 2.1 KB at each of the
-    three; all seven matrices, with the int64 short one, the kn of the
-    Vandermonde matrix and the n^2 of the interpolation matrix, 1.1, 18.6
-    and 301 MB.  GF(2^8)'s product table adds 64 KB per field.  At
-    (4095, 4063) a prototype decoded a word no faster with the
-    matrices than with a numpy step per point.
+    70 KB and 0.28 MB there (4.5 KB at (31, 15) over GF(31)); all six
+    matrices, with the int64 short one, the kn of the Vandermonde matrix
+    and the n^2 of the interpolation matrix, 1.1, 18.6 and 301 MB.
+    GF(2^8)'s product table adds 64 KB per field.  At (4095, 4063) a
+    prototype decoded a word no faster with the matrices than with a
+    numpy step per point.
     """
 
     def __init__(self, code: RSCode):
@@ -437,33 +433,6 @@ class CodeConstants:
         return _read_only(self.arrays.barycentric(
             head, self.short_vanishing.coeffs,
             self._weights(self.vanishing, head)))
-
-    @cached_property
-    def short_syndrome_matrix(self) -> np.ndarray:
-        """K, (n - k) x (n - k + 1): row l is (x - x_(n-k)) times the
-        quotient of Pi_h = prod (x - x_j) over the first n - k points by
-        x^(l+1), so that a re-encoded word y has L_y = S . K, with S the
-        syndromes of y and of r alike.
-
-        y is zero on the last k points, so S_l = sum_j u_j x_j^l over the
-        first n - k, u_j = v_j y_j, and y . R = sum_j u_j Pi_y / (x - x_j)
-        (the rows of R carry v_j = 1 / Pi'(x_j)).  Synthetic division gives
-        Pi_h / (x - x_j) = sum_l x_j^l * (the quotient of Pi_h by x^(l+1)),
-        and Pi_y = Pi_h * (x - x_(n-k)).  So K = (H_head^T)^-1 . R, with
-        H_head^T the first n - k rows of the weighted powers, and no
-        inverse is built: the entry (l, a) is Pi_h's coefficient of x^(l+a)
-        (for a >= 1) less x_(n-k) times that of x^(l+a+1), a Hankel
-        matrix and its shift.  Kept as matrix factors."""
-        nk, arr = self.split, self.arrays
-        head = vanishing_poly(self.field, self.eval_points[:nk]).coeffs
-        quotients = arr.array(head[1:] + [0] * nk)
-        steps = np.arange(nk)
-        hankel = quotients[steps[:, None] + steps]
-        matrix = np.zeros((nk, nk + 1), dtype=arr.dtype)
-        matrix[:, 1:] = hankel
-        matrix[:, :nk] = arr.sub(matrix[:, :nk],
-                                 arr.mul(self.points[nk], hankel))
-        return _read_only(arr.matrix_factors(matrix))
 
     @cached_property
     def tail_matrix(self) -> np.ndarray:
@@ -636,6 +605,9 @@ class Word:
         _json_ints("symbols", obj["symbols"])
         if points is not None:
             _json_ints("eval_points", points)
+        if len(obj["symbols"]) != obj["n"]:  # before RSCode lists n points
+            raise ValueError(f"word JSON symbols: word length "
+                             f"{len(obj['symbols'])} != n={obj['n']}")
         try:
             code = RSCode(parse_field(obj["field"]), obj["n"], obj["k"], points)
         except ValueError as exc:

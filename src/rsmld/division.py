@@ -24,14 +24,17 @@ powers (`CodeConstants.point_powers`), and one digit histogram per row
 (`code.digit_counts`, the oracle's counting kernel) gives the zero counts
 of all q choices of a_0; the Z of each pair with at least t zeros goes to
 the candidate check, which never sees f2, f1 or the pair.  The search
-reads only the ell's and the second components g1.f2, g2.f2.  The division
-and rational decoders take them from r's syndromes
-(`groebner.syndrome_pair`): the same ell's and g1.f2 as M(r)'s basis, and
-a g2.f2 that may differ by c*g1.f2, deg c <= ell2 - ell1.  So their pair
-(a, b) has the f2 of M(r)'s pair (a + b*c, b) of the same level, a
-one-to-one map, and each level yields the same zero sets.  The
-re-encoded path meets the same condition, since its lifted (G*f1, f2) lies
-in the module of r - shift, whose errors are those of r.
+reads only the ell's and the second components g1.f2, g2.f2.  Every
+decoder takes them from r's syndromes (`groebner.syndrome_pair`): the same
+ell's and g1.f2 as M(r)'s basis, and a g2.f2 that may differ by c*g1.f2,
+deg c <= ell2 - ell1.  So their pair (a, b) has the f2 of M(r)'s pair
+(a + b*c, b) of the same level, a one-to-one map, and each level yields
+the same zero sets.  The paper's re-encoded basis (`mgb_euclid_reencoded`
+on the shifted word y = r - encode(shift), whose errors are those of r)
+is the same pair in this sense: its ell's lifted by k - 1 are these, its
+g1.f2 is this g1.f2 times a nonzero scalar, and its g2.f2 differs from
+this one by c*g1.f2, deg c <= ell2 - ell1.  So the re-encoded decoder
+runs this search unchanged (`decode_minimal_reencoded`).
 
 Three facts make the search exact.  The degrees come from the basis: g2
 leads in position 2, so deg(b*g2.f2) = j + ell2 - k + 1 = t for b monic of
@@ -63,15 +66,14 @@ ell2 + j, so deg f1 <= t + k - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .code import (DecodeOutcome, RSCode, Word, digit_counts, hamming_distance,
                    histogram_rows)
-from .groebner import (GroebnerPair, ModuleVector, reencoded_syndrome_pair,
-                       syndrome_pair)
+from .groebner import GroebnerPair, ModuleVector, syndrome_pair
 # looked up here by the benchmark's tracer; nothing in this module calls them
 from .groebner import mgb_iterative, mgb_iterative_reencoded  # noqa: F401
 from .polys import Polynomial, vanishing_poly
@@ -214,9 +216,9 @@ def combine(pair: GroebnerPair, a: Polynomial, b: Polynomial) -> ModuleVector:
     `CandidateCheck`), the tests and the benchmark's tracer look it up.
 
     Its first component is M(r)'s only on M(r)'s basis (`mgb_euclid` or
-    `mgb_iterative`): the decoders' pairs carry the key equation's omega
-    (`syndrome_pair`), or the short module's f1, in their first
-    components.  The second component is right on every pair."""
+    `mgb_iterative`): the decoders' pair carries the key equation's omega
+    (`syndrome_pair`) in its first components.  The second component is
+    right on every pair."""
     return ModuleVector(a * pair.g1.f1 + b * pair.g2.f1,
                         a * pair.g1.f2 + b * pair.g2.f2)
 
@@ -230,8 +232,8 @@ class CandidateCheck:
     Z is erased.  Every product runs on the rows v_i * x_i^j of H^T,
     `CodeConstants.weighted_powers`, v_i = 1 / Pi'(x_i), which give the
     syndromes S = r . H^T once per word, as the check is made; every
-    decoder builds its basis from them too (`groebner.syndrome_pair`, and
-    `groebner.reencoded_syndrome_pair` for the re-encoded one).
+    decoder builds its basis from them too (`groebner.syndrome_pair`), the
+    re-encoded one included.
     An error e on Z has S_j = sum_Z u_i x_i^j with u_i = v_i e_i,
     and with the locator P = prod_Z (x - x_i) the first t syndromes give
 
@@ -368,10 +370,10 @@ def reencode(code: RSCode, r: Word) -> Reencoding:
     Two matrix products on `code.constants()`: the shift r_tail . T
     (`_shift`, which the candidate check computes too), and its values at
     the first n - k points, shift . V[:, :n - k] with the Vandermonde
-    matrix V, for y_i = r_i - shift(x_i) there.  No decoder calls it: the
-    re-encoded decoder reads the short module off r's syndromes instead
-    (`groebner.reencoded_syndrome_pair`).  The y of this split is what the
-    paper-form reference `mgb_euclid_reencoded` takes.
+    matrix V, for y_i = r_i - shift(x_i) there.  No decoder calls it: every
+    decoder takes its basis from r's syndromes (`groebner.syndrome_pair`).
+    The y of this split is what the paper-form reference
+    `mgb_euclid_reencoded` takes.
     """
     consts = code.constants()
     arr, nk = consts.arrays, code.n - code.k
@@ -384,21 +386,10 @@ def reencode(code: RSCode, r: Word) -> Reencoding:
 
 def decode_minimal_reencoded(code: RSCode, r: Word, j_cap: int | None = None,
                              beyond_johnson: bool = False) -> DecodeOutcome:
-    """Same search run on the short module of the re-encoded word
-    y = r - encode(shift).
-
-    y is zero on the last k points and has r's syndromes, so the short
-    basis comes from the check's syndromes (`reencoded_syndrome_pair`,
-    L_y = S . K) with no re-encoding of r.  It lifts to the full-module
-    basis of y by multiplying first components with G; the second
-    components, which the candidate check reads, stay as they are, and y
-    has the errors of r."""
-    check = CandidateCheck(code, r)
-    short = reencoded_syndrome_pair(code, check.syndromes)
-    # Lift the weighted degrees: each first component gains deg G = k - 1.
-    lifted = GroebnerPair(short.g1, short.g2, short.ell1 + code.k - 1,
-                          short.ell2 + code.k - 1, short.order)
-    return search_levels(check, lifted,
-                         lambda shape: combinations_at_level(code, lifted, shape),
-                         "division-reencoded",
-                         search_radius_cap(code, beyond_johnson), j_cap)
+    """`decode_minimal`'s outcome, labelled "division-reencoded": the basis
+    from r's n - k syndromes is the paper's re-encoded basis, lifted (see
+    the module docstring).  Kept for `rsmld decode --method
+    division-reencoded` and the benchmark's re-encoded workloads, which
+    call it."""
+    return replace(decode_minimal(code, r, j_cap, beyond_johnson),
+                   method="division-reencoded")

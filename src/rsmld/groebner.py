@@ -15,15 +15,14 @@ degree may be the larger one).
 Two constructions of M(r)'s basis are provided: a reduction of the
 generators (Pi, 0), (L, -1), the paper's, and a point-by-point iteration,
 its test reference, plus re-encoded variants of both over a shifted word's
-n - k + 1 points (unweighted order), lifted by the caller.
+n - k + 1 points (unweighted order), the paper's re-encoding, kept as the
+reference that the tests hold the decoders' basis to.
 
 The decoders read only the ell's and the second components g1.f2, g2.f2,
 and those follow from the n - k syndromes S = r . H^T alone, with no
-interpolant: the division and rational decoders take them from
-`syndrome_pair`, and the re-encoded decoder reads its short module's
-interpolant off them (`reencoded_syndrome_pair`).  For (f1, f2) in M(r)
-of weighted degree ell, sum_i v_i x_i^j f1(x_i) = 0 for j <= n - 2 - ell,
-with v_i = 1 / Pi'(x_i), and f1(x_i) = -r_i f2(x_i); so
+interpolant: every decoder takes them from `syndrome_pair`.  For
+(f1, f2) in M(r) of weighted degree ell, sum_i v_i x_i^j f1(x_i) = 0 for
+j <= n - 2 - ell, with v_i = 1 / Pi'(x_i), and f1(x_i) = -r_i f2(x_i); so
 sum_l f2_l S_(j+l) = 0, and f2 lies in the key-equation module
 
     N = {(omega, f2) : omega = f2 * S~ mod x^(n-k)},
@@ -35,7 +34,11 @@ N's reduced basis, from (x^(n-k), 0) and (S~, 1), has M(r)'s ell's less
 k - 1 and M(r)'s g1.f2 up to sign.  Its g2.f2 may be M(r)'s plus c * g1.f2
 with deg c <= ell2 - ell1, since omega's low coefficients are not f1's:
 a level's pairs (a, b), deg a <= ell2 - ell1 + j, then have the same
-f2's, as a + b*c runs over the same a's.
+f2's, as a + b*c runs over the same a's.  N stands in for the paper's
+re-encoded module too: the short basis of the re-encoded word
+y = r - encode(shift) over n - k + 1 points (`mgb_euclid_reencoded`) has
+N's ell's, N's g1.f2 times a nonzero scalar, and N's g2.f2 plus c * g1.f2
+with the same bound on deg c; the tests check all three.
 
 `syndrome_pair` builds N's reduced basis in one pass of Berlekamp-Massey
 over S (Massey, "Shift-register synthesis and BCH decoding", IEEE T-IT
@@ -449,30 +452,15 @@ def _residuals(code: RSCode, y: Sequence[int]) -> np.ndarray:
     return code.constants().arrays.array(ys)
 
 
-def _short_pair(code: RSCode, L_y: np.ndarray) -> GroebnerPair:
-    """The short module's basis, reduced from (Pi_y, 0) and (L_y, -1)."""
-    rows = _generator_rows(code, code.constants().short_vanishing,
-                           L_y.tolist())
-    return _reduced_pair(code.field, rows, WeightedOrder((0, 0)))
-
-
 def mgb_euclid_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:
     """Unweighted minimal Groebner basis of the short module, reduced from
     (Pi_y, 0) and (L_y, -1) on the first n - k + 1 points, where
     L_y = y . R with R the code's `short_interpolation_matrix`."""
     consts = code.constants()
-    return _short_pair(code, consts.arrays.dot(
-        _residuals(code, y), consts.short_interpolation_matrix))
-
-
-def reencoded_syndrome_pair(code: RSCode,
-                            syndromes: np.ndarray) -> GroebnerPair:
-    """`mgb_euclid_reencoded(code, y)` for r's re-encoded word y, from r's
-    syndromes S = r . H^T alone: y = r - encode(shift) has r's syndromes,
-    and L_y = S . K with K the code's `short_syndrome_matrix`."""
-    consts = code.constants()
-    return _short_pair(code, consts.arrays.dot_factors(
-        syndromes, consts.short_syndrome_matrix))
+    L_y = consts.arrays.dot(_residuals(code, y),
+                            consts.short_interpolation_matrix)
+    rows = _generator_rows(code, consts.short_vanishing, L_y.tolist())
+    return _reduced_pair(code.field, rows, WeightedOrder((0, 0)))
 
 
 def mgb_iterative_reencoded(code: RSCode, y: Sequence[int]) -> GroebnerPair:

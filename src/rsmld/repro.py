@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .code import RSCode, Word
-from .division import decode_minimal, decode_minimal_reencoded
+from .division import decode_minimal, reencode
 from .fields import Field
-from .groebner import mgb_euclid, mgb_iterative
+from .groebner import (GroebnerPair, mgb_euclid, mgb_euclid_reencoded,
+                       mgb_iterative)
 from .polys import Polynomial, lagrange_interpolate, vanishing_poly
 from .rational import decode_rational
 from .ratparams import multiplicity_scan, optimize_params, wu_params
@@ -33,6 +34,18 @@ def _check(out: list[CheckResult], name: str, ok: bool, detail: str = "") -> Non
 
 def _msg_lists(outcome) -> list[list[int]]:
     return [list(m.coeffs) for m in outcome.messages]
+
+
+def _check_reencoded_degrees(out: list[CheckResult], code: RSCode, r: Word,
+                             basis: GroebnerPair,
+                             expected: tuple[int, int]) -> None:
+    """The paper's re-encoding: the short module of y = r - encode(shift)
+    over n - k + 1 points has the full basis' degrees less k - 1."""
+    short = mgb_euclid_reencoded(code, reencode(code, r).y)
+    got = (short.ell1, short.ell2)
+    lifted = (basis.ell1 - code.k + 1, basis.ell2 - code.k + 1)
+    _check(out, f"re-encoded basis degrees {expected} = (ell1, ell2) - (k-1)",
+           got == expected == lifted, f"got {got}")
 
 
 def check_single_error_case() -> list[CheckResult]:
@@ -59,10 +72,10 @@ def check_single_error_case() -> list[CheckResult]:
            basis.g2.f1.coeffs == [3, 5, 1, 5] and basis.g2.f2.coeffs == [6, 1],
            f"got ({basis.g2.f1.coeffs}, {basis.g2.f2.coeffs})")
 
+    _check_reencoded_degrees(out, code, r, basis, (2, 1))
     expected = [[3, 1, 2]]
     for label, result in (
             ("division", decode_minimal(code, r)),
-            ("re-encoded", decode_minimal_reencoded(code, r)),
             ("rational", decode_rational(code, r))):
         _check(out, f"{label}: distance 1, message list {{2x^2 + x + 3}}",
                result.min_distance == 1 and _msg_lists(result) == expected,
@@ -85,10 +98,10 @@ def check_two_error_case() -> list[CheckResult]:
            (basis.ell1, basis.ell2) == (5, 5),
            f"got ({basis.ell1}, {basis.ell2})")
 
+    _check_reencoded_degrees(out, code, r, basis, (2, 2))
     expected = [[3, 1, 2], [3, 3, 5, 5], [5, 3, 5, 3]]
     for label, result in (
             ("division", decode_minimal(code, r)),
-            ("re-encoded", decode_minimal_reencoded(code, r)),
             ("rational", decode_rational(code, r))):
         _check(out, f"{label}: distance 2 with exactly three messages",
                result.min_distance == 2 and _msg_lists(result) == expected,

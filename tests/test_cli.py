@@ -286,8 +286,11 @@ def test_decode_bad_word_file(capsys):
     '"eval_points": [0, 1, 9]}',
     '{"v": 1, "field": "2^3", "n": 3, "k": 1, "symbols": [1, 1, 1], '
     '"eval_points": [0, 8, 1]}',
+    # refused before the code would list its 10^12 default points
+    '{"v": 1, "field": "p:2305843009213693951", "n": 1000000000000, "k": 1, '
+    '"symbols": [1]}',
 ], ids=["no-field", "string-symbol", "float-symbol", "out-of-range-symbol",
-        "out-of-range-point-prime", "out-of-range-point-binary"])
+        "out-of-range-point-prime", "out-of-range-point-binary", "huge-n"])
 def test_decode_malformed_word_exit_code(tmp_path, capsys, doc):
     word_file = tmp_path / "w.json"
     word_file.write_text(doc)

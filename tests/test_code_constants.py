@@ -7,10 +7,10 @@ interpolation of the tail symbols, of the whole word or of the shifted
 word.  The interpolation, short, tail and Vandermonde matrices and the
 weighted powers are checked entry by entry against theirs, the point
 powers against `Field.pow` and their products against
-`Polynomial.evaluate`, the decoders' basis from the syndromes against
-`mgb_euclid`'s and against the Euclidean reduction of the key-equation
-module, and the re-encoded decoder's short basis from the
-syndromes against `mgb_euclid_reencoded`'s.
+`Polynomial.evaluate`, and the decoders' basis from the syndromes
+against `mgb_euclid`'s, against the Euclidean reduction of the
+key-equation module and against the paper's re-encoded basis
+(`mgb_euclid_reencoded`, lifted).
 The products with the matrices kept as `FieldArrays.matrix_factors` are
 checked against `dot` on their elements, on both sides of the product
 table's cutoff.  The cache must hold nothing of a word.
@@ -20,12 +20,12 @@ import numpy as np
 import pytest
 
 from rsmld.code import RSCode, Word, corrupt, random_word
-from rsmld.division import (CandidateCheck, decode_minimal,
-                            decode_minimal_reencoded, reencode)
+from rsmld.division import (CandidateCheck, RadiusCapExceeded,
+                            decode_minimal, decode_minimal_reencoded,
+                            reencode)
 from rsmld.fields import PRODUCT_TABLE_Q, Field
 from rsmld.groebner import (interpolation_generators, mgb_euclid,
-                            mgb_euclid_reencoded, reencoded_syndrome_pair,
-                            syndrome_pair)
+                            mgb_euclid_reencoded, syndrome_pair)
 from rsmld.polys import Polynomial, lagrange_interpolate, vanishing_poly
 from rsmld.rational import decode_rational
 from rsmld.rng import XorShift64Star
@@ -211,7 +211,7 @@ def test_matrices_match_scalar_definitions(spec):
 def test_factor_products_match_values_dot(spec):
     # every product the decoders take with a matrix kept as
     # `FieldArrays.matrix_factors`, against `dot` on its entries: r . H^T,
-    # r_tail . T, S . K, the first rows of the point powers, and the
+    # r_tail . T, the first rows of the point powers, and the
     # check's rows of H^T and T at an erased set Z, with Forney's transposed
     # slice of H^T[Z] and its column 0; Z also empty, the contraction of a
     # codeword (t = 0).  Up to q = 256 the entries are offsets i*q + M[i, j]
@@ -222,10 +222,10 @@ def test_factor_products_match_values_dot(spec):
     consts = code.constants()
     arr, nk, q = consts.arrays, code.n - code.k, code.field.q
     parity, tail = consts.weighted_powers, consts.tail_matrix
-    key, powers = consts.short_syndrome_matrix, consts.point_powers
+    powers = consts.point_powers
     if 0 in code.eval_points and nk > 1:
         assert not _values(consts, parity).all()
-    for f in (parity, tail, key, powers):
+    for f in (parity, tail, powers):
         if arr.binary and q <= PRODUCT_TABLE_Q:
             assert (f == _values(consts, f)
                     + q * np.arange(len(f))[:, None]).all()
@@ -239,8 +239,6 @@ def test_factor_products_match_values_dot(spec):
         assert (syndromes == arr.dot(symbols, _values(consts, parity))).all()
         assert (arr.dot_factors(symbols[nk:], tail)
                 == arr.dot(symbols[nk:], _values(consts, tail))).all()
-        assert (arr.dot_factors(syndromes, key)
-                == arr.dot(syndromes, _values(consts, key))).all()
         coeffs = arr.array([[rng.below(q) for _ in range(nk + 2)]
                             for _ in range(2)])
         for width in (0, 1, nk + 2):
@@ -336,17 +334,17 @@ def test_syndrome_pair_matches_mgb_euclid(spec):
 
 @pytest.mark.parametrize("spec", CODES + GF16_EDGES, ids=IDS + GF16_IDS)
 def test_reencoded_syndrome_pair_matches_mgb_euclid_reencoded(spec):
-    # the re-encoded decoder's short basis from S . K is the paper's, reduced
-    # from the generators of the re-encoded word y, on codewords (y = 0),
-    # random words and corrupted ones; and K is (H_head^T)^-1 . R, that is
-    # H_head^T . K = R with H_head^T the first n - k rows of H^T
+    # the pair that the re-encoded decoder searches is the syndrome pair,
+    # and it is the paper's short basis of the re-encoded word y, lifted:
+    # its ell's plus k - 1 are the pair's, its g1.f2 is the pair's times a
+    # nonzero scalar, and its g2.f2 is the pair's plus c * g1.f2 with
+    # deg c <= ell2 - ell1; on the zero word, random words, codewords
+    # (y = 0) and corrupted ones.  Both decoders stop at the same level of
+    # the same basis with the same messages (level 0 alone, which every
+    # field here enumerates quickly)
     code = RSCode(*spec)
     consts = code.constants()
     arr, nk = consts.arrays, code.n - code.k
-    assert consts.short_syndrome_matrix.shape == (nk, nk + 1)
-    assert arr.dot(_values(consts, consts.weighted_powers[:nk]),
-                   _values(consts, consts.short_syndrome_matrix)).tolist() == \
-        consts.short_interpolation_matrix.tolist()
     rng = XorShift64Star(code.n + 3)
     words = [Word(code, (0,) * code.n)]
     words += [random_word(code, seed) for seed in (1, 2, 3)]
@@ -358,8 +356,32 @@ def test_reencoded_syndrome_pair_matches_mgb_euclid_reencoded(spec):
     for r in words:
         syndromes = arr.dot_factors(arr.array(r.symbols),
                                     consts.weighted_powers)
-        assert reencoded_syndrome_pair(code, syndromes) == \
-            mgb_euclid_reencoded(code, reencode(code, r).y)
+        pair = syndrome_pair(code, syndromes)
+        short = mgb_euclid_reencoded(code, reencode(code, r).y)
+        assert (short.ell1 + code.k - 1, short.ell2 + code.k - 1) == \
+            (pair.ell1, pair.ell2)
+        first = pair.g1.f2
+        assert short.g1.f2.is_zero() == first.is_zero()
+        diff = short.g2.f2 - pair.g2.f2
+        if first.is_zero():  # r is a codeword: both g2.f2 are 1
+            assert diff.is_zero()
+        else:
+            assert short.g1.f2.monic() == first.monic()
+            c, rest = divmod(diff, first)
+            assert rest.is_zero()
+            assert c.is_zero() or c.degree() <= pair.ell2 - pair.ell1
+        try:
+            direct = decode_minimal(code, r, j_cap=0)
+        except RadiusCapExceeded:
+            with pytest.raises(RadiusCapExceeded):
+                decode_minimal_reencoded(code, r, j_cap=0)
+            continue
+        rerun = decode_minimal_reencoded(code, r, j_cap=0)
+        assert rerun.method == "division-reencoded"
+        assert (rerun.search_level, rerun.ell1, rerun.ell2,
+                rerun.message_coeff_lists()) == \
+            (direct.search_level, direct.ell1, direct.ell2,
+             direct.message_coeff_lists())
 
 
 def test_decoders_build_only_the_matrices_they_use():
@@ -367,7 +389,7 @@ def test_decoders_build_only_the_matrices_they_use():
     # word is made on another code, so that its encoding builds nothing here
     source = RSCode(Field(2, 8), 255, 223)
     r = corrupt(source.encode([1, 2, 3]), 16, seed=4)
-    for decode in (decode_minimal, decode_rational):
+    for decode in (decode_minimal, decode_minimal_reencoded, decode_rational):
         code = RSCode(Field(2, 8), 255, 223)
         decode(code, Word(code, r.symbols))
         built = vars(code.constants())
@@ -376,15 +398,6 @@ def test_decoders_build_only_the_matrices_they_use():
         assert "interpolation_matrix" not in built
         assert "vandermonde" not in built
         assert "short_interpolation_matrix" not in built
-        assert "short_syndrome_matrix" not in built
-    fresh = RSCode(Field(2, 8), 255, 223)
-    decode_minimal_reencoded(fresh, Word(fresh, r.symbols))
-    built = vars(fresh.constants())
-    assert "tail_matrix" in built and "short_syndrome_matrix" in built
-    assert "weighted_powers" in built and "point_powers" in built
-    assert "interpolation_matrix" not in built
-    assert "vandermonde" not in built
-    assert "short_interpolation_matrix" not in built
 
 
 def test_field_and_code_build_no_product_table():
@@ -406,7 +419,7 @@ def test_cache_leaves_equality_and_hash_alone():
     consts = code.constants()
     for name in ("points", "vanishing", "short_vanishing",
                  "interpolation_matrix", "short_interpolation_matrix",
-                 "short_syndrome_matrix", "tail_matrix", "vandermonde",
+                 "tail_matrix", "vandermonde",
                  "weighted_powers", "point_powers"):
         value = getattr(consts, name)
         if not isinstance(value, Polynomial):  # shared by every word

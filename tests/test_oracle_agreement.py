@@ -7,8 +7,8 @@ The exhaustive search is kept here as the reference: the level loop with
 every coprime pair of every level sent to the exact test, which divides f1
 by f2, encodes the quotient and counts its distance from r.  Every
 decoder's `search_levels` call is also run as that loop, and the outcomes
-must match exactly.  The division and rational decoders' pair comes from
-the syndromes and carries no f1 of M(r), so the exact test combines
+must match exactly.  Every decoder's pair comes from the syndromes and
+carries no f1 of M(r), so the exact test combines
 `mgb_euclid`'s basis instead, which has the same ell's and, level by level,
 the same f2's.
 """
@@ -24,10 +24,10 @@ from rsmld import division, rational
 from rsmld.code import DecodeOutcome, RSCode, Word, corrupt, hamming_distance
 from rsmld.division import (RadiusCapExceeded, combine, decode_minimal,
                             decode_minimal_reencoded, extract_message,
-                            level_shapes, reencode, search_radius_cap)
+                            level_shapes, search_radius_cap)
 from rsmld.fields import Field
-from rsmld.groebner import ModuleVector, mgb_euclid
-from rsmld.polys import Polynomial, monic_polys, vanishing_poly
+from rsmld.groebner import mgb_euclid
+from rsmld.polys import Polynomial, monic_polys
 from rsmld.rational import decode_rational
 
 FIELDS = [Field(5), Field(7), Field(2, 2), Field(2, 3), Field(2, 3, 0b1101)]
@@ -115,38 +115,20 @@ def every_coprime_pair(field, shape):
                 yield a, b
 
 
-def exact_pair(code, r, pair, method):
-    """The pair whose combinations the exact test divides: the decoder's
-    own on the re-encoded path (see `reference_lift`), and otherwise
-    `mgb_euclid`'s basis of M(r), with the decoder pair's ell's."""
-    if method == "division-reencoded":
-        return pair
+def exact_pair(code, r, pair):
+    """The pair whose combinations the exact test divides: `mgb_euclid`'s
+    basis of M(r), with the decoder pair's ell's."""
     full = mgb_euclid(code, r)
-    assert (full.ell1, full.ell2) == (pair.ell1, pair.ell2), method
+    assert (full.ell1, full.ell2) == (pair.ell1, pair.ell2)
     return full
 
 
-def reference_lift(code, r, method):
-    """The exact test's message of a combination f: -f1/f2 when f2 divides
-    f1 (`extract_message`).  On the re-encoded path the basis is that of
-    r - shift with short first components: G*f1 is divided, and the shift
-    added back."""
-    if method != "division-reencoded":
-        return extract_message
-    G = vanishing_poly(code.field, code.eval_points[code.n - code.k + 1:])
-    shift = reencode(code, r).shift
-
-    def lift(f):
-        m = extract_message(ModuleVector(G * f.f1, f.f2))
-        return None if m is None else m + shift
-    return lift
-
-
-def exact_message(code, r, f, lift, t):
-    """The exact test of one combination at level distance t."""
+def exact_message(code, r, f, t):
+    """The exact test of one combination at level distance t: -f1/f2 when
+    f2 divides f1 (`extract_message`), a message within t of r."""
     if f.f2.is_zero():
         return None
-    m = lift(f)
+    m = extract_message(f)
     if m is None or m.degree() >= code.k:
         return None
     return m if hamming_distance(code.encode(m), r) == t else None
@@ -165,7 +147,7 @@ def error_sets(code, r, messages):
             for m in messages}
 
 
-def unfiltered_levels(code, r, pair, pairs_of, lift, method, t_cap, j_cap,
+def unfiltered_levels(code, r, pair, pairs_of, method, t_cap, j_cap,
                       accepted):
     """The level loop with every pair sent to the exact test; appends
     (t, f2) of each accepted pair to `accepted`."""
@@ -173,7 +155,7 @@ def unfiltered_levels(code, r, pair, pairs_of, lift, method, t_cap, j_cap,
         found = {}
         for a, b in pairs_of(shape):
             f = combine(pair, a, b)
-            m = exact_message(code, r, f, lift, shape.t)
+            m = exact_message(code, r, f, shape.t)
             if m is None:
                 continue
             accepted.append((shape.t, f.f2))
@@ -204,10 +186,9 @@ class Comparison:
         accepted = []
         try:
             expected = summary(unfiltered_levels(
-                code, r, exact_pair(code, r, pair, method),
-                lambda shape: every_coprime_pair(field, shape),
-                reference_lift(code, r, method), method, t_cap, j_cap,
-                accepted))
+                code, r, exact_pair(code, r, pair),
+                lambda shape: every_coprime_pair(field, shape), method,
+                t_cap, j_cap, accepted))
         except RadiusCapExceeded:
             expected = None
         for t, f2 in accepted:
@@ -287,8 +268,7 @@ class CheckAgreement:
 
     def __call__(self, check, pair, zero_sets_of, method, t_cap, j_cap):
         code, r = check.code, check.r
-        full = exact_pair(code, r, pair, method)
-        lift = reference_lift(code, r, method)
+        full = exact_pair(code, r, pair)
         field = pair.g1.field
         distance = self.oracle.min_distance
         errors = error_sets(code, r, self.oracle.messages)
@@ -300,7 +280,7 @@ class CheckAgreement:
                 {combine(pair, a, b).f2 for a, b in pairs}, (method, shape)
             for a, b in pairs:
                 f = combine(full, a, b)
-                expected = exact_message(code, r, f, lift, shape.t)
+                expected = exact_message(code, r, f, shape.t)
                 assert check(zero_set(code, f.f2), shape.t) == expected, \
                     (method, shape, a, b)
                 self.accepted += expected is not None
