@@ -20,6 +20,14 @@ of a constraint is one field axpy on the whole array; the scales are
 multiplied in once at the end, and the result is exactly the unnormalised
 update's.  Only the fit is returned as a sparse polynomial.
 
+Over GF(2^m) up to q = `fields.PRODUCT_TABLE_Q` the rows are bytes, and
+every product of the update reads the q x q product table: the axpy, the
+pivot's coefficient scale and its shift by (x - x0), the scales, and both
+discrepancy products.  Elsewhere the products go through logs or mod p.
+`FieldArrays` makes that choice, so nothing here depends on the field.
+The Hasse tables and the final multiplication by the scales, once per
+fit, are `FieldArrays.mul`.
+
 The same engine serves both module ranks: `koetter_candidates` returns all
 M + 1 final candidates, the rational fit (`koetter_interpolate`) keeps the
 smallest, and at s = 1, M = 1 the two candidates are the rank-2 Groebner
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field
+from .fields import DOT_CHUNK, Field
 from .polys import Polynomial
 
 
@@ -194,9 +202,17 @@ def _binomials(p: int, s: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
 def _hasse_tables(A, points, s: int, rows: int) -> np.ndarray:
     """T[b, i, u] = C(i, u) * points[b]^(i - u) (0 when i < u), i < rows,
     u < s: a coefficient vector times T[b] gives its Hasse derivatives at
-    points[b]."""
+    points[b].  Built a block of points at a time, so that each temporary
+    holds about DOT_CHUNK entries: built whole, the x tables of (255, 33)
+    over GF(2^8) at 128 rows (1.3 MB) made a 4.5 MB peak of temporaries."""
     binom, shift = _binomials(A.p, s, rows)
-    return A.mul(A.array(binom), A.powers(points, rows)[:, shift])
+    binom = A.array(binom)
+    out = np.empty((len(points), rows, s), dtype=A.dtype)
+    step = max(1, DOT_CHUNK // (rows * s))
+    for lo in range(0, len(points), step):
+        out[lo:lo + step] = A.mul(
+            binom, A.powers(points[lo:lo + step], rows)[:, shift])
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -241,14 +257,42 @@ def _row_layout(s: int, M: int, w: int,
     return view, src, ends
 
 
+@functools.lru_cache(maxsize=64)
+def _slice_layout(s: int, M: int, w: int, span: int, width: int
+                  ) -> tuple[int, int, tuple[np.ndarray, ...]]:
+    """Index maps, read-only, of the z-slices of a Koetter row of `span`
+    weighted degrees (`_row_layout`) whose candidates reach weighted degree
+    d_min + width - 1, d_min = min(0, M*w): slice j then holds the
+    x-degrees below width + d_min - j*w.  Returns the range z0 .. z1 - 1 of
+    the slices that hold any, and the monomials they hold, ordered by
+    z-degree and then x-degree: their columns, their x-degrees, and where
+    each slice starts (the `packed` maps of `FieldArrays.slice_dot`).  The
+    first two are in the narrowest dtypes: at (255, 33) over GF(2^8) a fit
+    reaches a new width at nearly every anchor, and 64 layouts in int64
+    took 1.2 MB more peak RSS."""
+    view, _, ends = _row_layout(s, M, w, span)
+    base = width + min(0, M * w)
+    live = [j for j in range(M + 1) if base > j * w]
+    z0, z1 = live[0], live[-1] + 1
+    counts = base - np.arange(z0, z1) * w
+    held = np.arange(width) < counts[:, None]
+    packed = (view[z0:z1, :width][held].astype(np.min_scalar_type(ends[-1])),
+              np.nonzero(held)[1].astype(np.min_scalar_type(width)),
+              np.cumsum(counts) - counts)
+    for a in packed:
+        a.flags.writeable = False
+    return z0, z1, packed
+
+
 def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
                        M: int, w: int) -> tuple[np.ndarray, list[int]]:
     """Koetter's update over C = M + 1 candidates; returns the final
     candidates as G[candidate, z-degree, x-degree] and the x-exponent of
     each one's leading monomial (candidate j leads with z-degree j).
 
-    Candidate j starts as z^j.  Row c of one array R holds candidate c and
-    only what the update can make nonzero:
+    Candidate j starts as z^j.  Row c of one array R, in the field's
+    `narrow_dtype` (bytes on the table path), holds candidate c and only
+    what the update can make nonzero:
     * its Hasse discrepancies D_{u,v} at the current anchor for the
       P = s(s+1)/2 pairs u + v < s that `hasse_constraints` reads, in that
       order, so that constraint p reads column p;
@@ -263,21 +307,34 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
     outgrows them: one copy per doubling.  The final candidates are read
     back over x-degrees 0 .. top - d_min.
 
-    At each anchor all discrepancies are computed in one pass: the
-    (candidate, z-degree, x-degree) view, x-width top - d_min + 1, is
-    gathered through an index map, and two field products, (C, C, x-width)
-    by (x-width, s) and (C, s, C) by (C, s), take Hasse tables of x and of
-    z.  The x tables depend only on the anchors' x, so fits on the same
-    points share them (`_x_tables`, while they fit in TABLE_CELLS).  Then
-    the discrepancies are kept current by linearity: a combination of
-    candidates combines their rows, and multiplying by (x - x0) takes each
-    coefficient from the monomial one step lower in x and each D_{u,v}
-    from D_{u-1,v}, through one index map whose zero column brings in the
-    zeros.  Each constraint's pivot j* is the candidate with the smallest
+    At each anchor all discrepancies are computed in two field products
+    with Hasse tables of x and of z.  The x tables depend only on the
+    anchors' x, so fits on the same points share them (`_x_tables`, while
+    they fit in TABLE_CELLS).
+    * The first, `FieldArrays.slice_dot`, takes the Hasse derivatives in x
+      of every z-slice of every candidate, (C, s, G) for the G slices that
+      hold any monomial up to `top`.  Slice j holds the x-degrees below
+      top - j*w + 1 (`_slice_layout`), and over GF(2^m) each slice runs
+      over only those: one gather of the row's columns ordered by (z, x)
+      and one reduceat.  GF(p) multiplies the slices padded to the widest
+      with one matrix product, which fewer numpy calls do at its sizes.
+    * The second, `FieldArrays.dot_entries`, contracts the slices with the
+      z table, and over GF(2^m) computes only the P entries D_{u,v} that
+      `hasse_constraints` reads.
+    At an anchor at infinity D_{u,v} is the first product's entry u of the
+    z^(M - v) slice, and there is no second product.
+
+    Then the discrepancies are kept current by linearity: a combination
+    of candidates combines their rows, and multiplying by (x - x0) takes
+    each coefficient from the monomial one step lower in x and each
+    D_{u,v} from D_{u-1,v}, through one index map whose zero column brings
+    in the zeros.  Each constraint's pivot j* is the candidate with the smallest
     leading monomial (`_lead_keys`) among those it does not vanish on.  The
     lead keys and the scales are lists of Python ints, and the pivot is
     chosen over the column's C discrepancies as a list: at M + 1 <= 16
-    rows that is cheaper than a numpy call per step.
+    rows that is cheaper than a numpy call per step.  The scales of the
+    rows a constraint combines are multiplied by one `FieldArrays.scaler`,
+    on the table path one row of the product table as bytes.
 
     Rows are held up to a scale: candidate c is lam[c] * R[c], so its true
     discrepancy is d_c = lam[c] * e_c with e_c the stored one.  The update
@@ -298,17 +355,18 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
     key = _lead_keys(np.zeros(C, dtype=np.int64), w).tolist()
     lam = [1] * C
 
-    # D_{u,v} at a finite anchor is entry u*s + v of the (s, s) product; at
-    # infinity it reads the z^(M - v) slice of the x-transform, v <= M
-    finite_cols = [u * s + v for u, v in cons]
+    # D_{u,v} at a finite anchor is entry (u, v) of the product of the
+    # first product with the z table; at infinity it is the z^(M - v)
+    # slice's entry u of the first product, v <= M
+    us, vs = np.array(cons).T
     inf_at = [p for p, (u, v) in enumerate(cons) if v <= M]
-    inf_cols = [(M - v) * s + u for u, v in cons if v <= M]
+    inf_cols = [u * C + M - v for u, v in cons if v <= M]
 
     d_min = min(0, M * w)
     top = max(0, M * w)
     span = top - d_min + 1
     view, src, ends = _row_layout(s, M, w, span)
-    R = np.zeros((C, ends[-1]), dtype=A.dtype)
+    R = np.zeros((C, ends[-1]), dtype=A.narrow_dtype)
     R[np.arange(C), view[:, 0]] = 1
 
     xs = tuple(pt.x for pt in anchors)
@@ -323,20 +381,21 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
     rows, tx = x_tables(span)
     tz = (_hasse_tables(A, [pt.z_num for pt in anchors], s, C)
           if len(anchors) * C * s <= TABLE_CELLS else None)
+    x_cols = A.array(xs)[:, None, None]
     for b, pt in enumerate(anchors):
         x0, width = pt.x, top - d_min + 1
-        G = np.take(R, view[:, :width], axis=1)
+        z0, z1, packed = _slice_layout(s, M, w, span, width)
         T = tx[b] if tx is not None else _hasse_tables(A, [x0], s, rows)[0]
-        H = A.dot(G, T[:width])
+        H = A.slice_dot(R, T, view[z0:z1, :width], packed)
         if pt.is_infinite:
-            D = np.zeros((C, P), dtype=A.dtype)
-            D[:, inf_at] = H.reshape(C, C * s)[:, inf_cols]
+            full = np.zeros((C, s, C), dtype=H.dtype)
+            full[:, :, z0:z1] = H
+            R[:, :P] = 0
+            R[:, inf_at] = full.reshape(C, s * C)[:, inf_cols]
         else:
             T = (tz[b] if tz is not None
                  else _hasse_tables(A, [pt.z_num], s, C)[0])
-            D = A.dot(H.transpose(0, 2, 1), T).reshape(C, s * s)
-            D = D if P == s * s else np.take(D, finite_cols, axis=1)
-        R[:, :P] = D
+            R[:, :P] = A.dot_entries(H, T[z0:z1], us, vs)
         for col in range(P):
             e = R[:, col].tolist()
             hit = [i for i in range(C) if e[i]]
@@ -344,15 +403,15 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
                 continue
             j = min(hit, key=key.__getitem__)
             estar = e[j]
-            others = [i for i in hit if i != j]
-            used = ends[top - d_min + 1]
-            if others:  # else the axpy's coefficients are all 0
-                coef = A.mul(R[:, col], field.inv(estar))
+            if len(hit) > 1:  # else the axpy's coefficients are all 0
+                used = ends[top - d_min + 1]
+                coef = A.mul_scalar(field.inv(estar), R[:, col])
                 coef[j] = 0
                 A.sub_scaled(R[:, col:used], coef[:, None], R[j, col:used])
-                scale = field.mul(lam[j], estar)
-                for i in others:
-                    lam[i] = field.mul(lam[i], scale)
+                times = A.scaler(field.mul(lam[j], estar))
+                for i in hit:
+                    if i != j:
+                        lam[i] = times(lam[i])
             # g* <- (x - x0) g*, and D_{u,v}(g*) <- D_{u-1,v}(g*)
             key[j] += C
             top = max(top, key[j] // C)
@@ -360,15 +419,14 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
                 span *= 2
                 view, src, ends = _row_layout(s, M, w, span)
                 R = np.concatenate([R, np.zeros(
-                    (C, ends[-1] - R.shape[1]), dtype=A.dtype)], axis=1)
+                    (C, ends[-1] - R.shape[1]), dtype=R.dtype)], axis=1)
                 if span > rows:
                     rows, tx = x_tables(span)
             end = ends[key[j] // C - d_min + 1]  # the pivot's own support
-            row = R[j]
-            moved = row.take(src[:end])
-            row[P + 1:end] = (A.sub(moved[P + 1:], A.mul(x0, row[P + 1:end]))
-                              if x0 else moved[P + 1:])
-            row[:P] = moved[:P]
+            moved = R[j].take(src[:end])
+            if x0:
+                A.sub_scaled(moved[None, P + 1:], x_cols[b], R[j, P + 1:end])
+            R[j, :end] = moved
     width = top - d_min + 1
     G = A.mul(A.array(lam)[:, None, None], np.take(R, view[:, :width], axis=1))
     return G, [(k - i) // C - i * w for i, k in enumerate(key)]

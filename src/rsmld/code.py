@@ -130,6 +130,13 @@ class OracleBudgetExceeded(ValueError):
     """Raised when q**k is too large for exhaustive enumeration."""
 
 
+# The longest code: its default points are listed as n Python ints, and the
+# decoders' per-code matrices hold up to n^2 entries.  That is 16 times the
+# longest code over GF(2^16); past it only prime fields reach, and an n
+# such as 10^12 would end in a MemoryError while the points are listed.
+MAX_LENGTH = 1 << 20
+
+
 class RSCode:
     """An (n, k) Reed-Solomon code with explicit evaluation points."""
 
@@ -141,6 +148,9 @@ class RSCode:
             raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
         if n > field.q:
             raise ValueError(f"n={n} exceeds field size q={field.q}")
+        if n > MAX_LENGTH:
+            raise ValueError(f"n={n} exceeds the longest supported code "
+                             f"length {MAX_LENGTH}")
         if eval_points is None:
             pts = tuple(range(n))  # first n elements in enumeration order
         else:

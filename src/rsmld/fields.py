@@ -18,6 +18,7 @@ does the same arithmetic elementwise on integer numpy arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -284,13 +285,17 @@ class Field:
 # Elements of one int64 temporary of a GF(2^m) `FieldArrays.dot`: 64 KB.
 DOT_CHUNK = 1 << 13
 
-# The largest GF(2^m) whose `matrix_factors` are offsets into rows of the
-# q x q product table.  Up to here a product is one byte, the table 64 KB
-# and an offset of a 255-row matrix two bytes.  At (255, 223) over GF(2^8)
-# the table took r_tail . T from 160 to 70 us and r . H^T from 33 to 22 us
-# (timeit, 2-core Xeon).  GF(2^9) gained as well (T 648 -> 255 us at
-# (511, 479)), but there a product takes two bytes, so the table is 512 KB,
-# and T's offsets take four, 0.92 MB where its logs take 0.46 MB.
+# The largest GF(2^m) that multiplies through the q x q product table: its
+# per-code matrices (`matrix_factors` are offsets into rows of the table)
+# and Koetter's interpolation (`sub_scaled`, `mul_scalar`, `scaler`,
+# `slice_dot`, `dot_entries`, on rows of bytes).  Up to here a product is
+# one byte, the table 64 KB and an offset of a 255-row matrix two bytes.
+# At (255, 223) over GF(2^8) the table took r_tail . T from 160 to 70 us
+# and r . H^T from 33 to 22 us (timeit, 2-core Xeon); the s = 7 fit of
+# (15, 5) over GF(2^4) went from 18.3 to 11.2 ms and the (255, 33) fit at
+# 155 errors from 0.35 to 0.23 s.  GF(2^9) gained as well (T 648 -> 255 us
+# at (511, 479)), but there a product takes two bytes, so the table is
+# 512 KB, and T's offsets take four, 0.92 MB where its logs take 0.46 MB.
 PRODUCT_TABLE_Q = 256
 
 
@@ -305,12 +310,15 @@ class FieldArrays:
 
     Up to q = PRODUCT_TABLE_Q, GF(2^m) also has the q x q table of all
     products, one byte each, for the matrices that a vector multiplies
-    whole (`matrix_factors`, `dot_factors`).  The table is built on the
-    first such product, never with the field or a code.
+    whole (`matrix_factors`, `dot_factors`) and for the products of
+    Koetter's interpolation (`sub_scaled`, `mul_scalar`, `scaler`,
+    `slice_dot`, `dot_entries`), whose rows are then bytes too
+    (`narrow_dtype`).  The table is built on the first such product, never
+    with the field or a code.
     """
 
-    __slots__ = ("field", "p", "binary", "dtype", "_exp", "_log",
-                 "_factor_dtype", "_tabled", "_products")
+    __slots__ = ("field", "p", "binary", "dtype", "narrow_dtype", "_exp",
+                 "_log", "_factor_dtype", "_tabled", "_products")
 
     def __init__(self, field: Field):
         self.field = field
@@ -331,6 +339,9 @@ class FieldArrays:
         else:
             wide = (self.p - 1) ** 2 >= 2**63
             self.dtype = np.dtype(object if wide else np.int64)
+        # the dtype of the results of `sub_scaled`, `mul_scalar`,
+        # `slice_dot` and `dot_entries`: bytes on the table path
+        self.narrow_dtype = np.dtype(np.uint8) if self._tabled else self.dtype
 
     def array(self, values) -> np.ndarray:
         return np.asarray(values, dtype=self.dtype)
@@ -366,13 +377,32 @@ class FieldArrays:
                 self._exp[self._log[b] + self._log[y]]
         return (a * x - b * y) % self.p
 
-    def sub_scaled(self, y: np.ndarray, a, x) -> None:
-        """y <- y - a*x in place (broadcasting a*x to y's shape)."""
-        if self.binary:
+    def sub_scaled(self, y: np.ndarray, a: np.ndarray, x: np.ndarray) -> None:
+        """y <- y - a*x in place, for a column a, one entry per row of y,
+        and a row x: on the table path each entry of a picks its row of the
+        product table, and x picks the terms from those rows."""
+        if self._tabled:
+            y ^= self._table().take(a.ravel(), axis=0).take(x, axis=1)
+        elif self.binary:
             y ^= self._exp[self._log[a] + self._log[x]]
-        else:
-            y -= a * x % self.p
+        else:  # y - a*x > -(p - 1)^2, which int64 holds
+            y -= a * x
             y %= self.p
+
+    def mul_scalar(self, c, x):
+        """c * x for one element c and an element or array x; on the table
+        path c's row of the product table gathered at x."""
+        if self._tabled:
+            return self._table()[c].take(x)
+        return self.mul(c, x)
+
+    def scaler(self, c):
+        """The map x -> c * x on one element x, a Python int, at a time;
+        on the table path a lookup in c's row of the product table, as
+        bytes, which is cheaper than one `Field.mul` call."""
+        if self._tabled:
+            return self._table()[c].tobytes().__getitem__
+        return functools.partial(self.field.mul, c)
 
     def factors(self, c) -> np.ndarray:
         """Elements as the factors that `factor_sums` and `mul_factors`
@@ -482,10 +512,8 @@ class FieldArrays:
                 return self._log_dot(self._log[a], f, np.asarray)
             return self.dot(a, f)
         q, lead = self.field.q, a.shape[:-1]
-        if self._products is None:
-            self._products = self._product_table()
         count, depth = math.prod(lead), a.shape[-1]
-        products = self._products.take(a, axis=0).reshape(count, depth, q)
+        products = self._table().take(a, axis=0).reshape(count, depth, q)
         if rows is not None:
             placed = np.empty((count, len(f), q), dtype=np.uint8)
             placed[:, rows] = products
@@ -494,18 +522,93 @@ class FieldArrays:
         return np.bitwise_xor.reduce(terms, axis=1).astype(self.dtype).reshape(
             lead + f.shape[1:])
 
-    def _product_table(self) -> np.ndarray:
-        """The q x q table of all products, one byte each, built a block of
-        rows at a time so that each int64 temporary of log sums holds
-        DOT_CHUNK elements: with one sum over the whole table (512 KB at
-        q = 256) a 5 s `unique-255.division` run read 0.4 MB more peak
-        RSS."""
-        q, exp, log = self.field.q, self._exp.astype(np.uint8), self._log
-        table = np.empty((q, q), dtype=np.uint8)
-        step = DOT_CHUNK // q
-        for lo in range(0, q, step):
-            table[lo:lo + step] = exp[log[lo:lo + step, None] + log]
-        return table
+    def _table(self) -> np.ndarray:
+        """The q x q table of all products, one byte each, built on first
+        use a block of rows at a time so that each int64 temporary of log
+        sums holds DOT_CHUNK elements: with one sum over the whole table
+        (512 KB at q = 256) a 5 s `unique-255.division` run read 0.4 MB
+        more peak RSS."""
+        if self._products is None:
+            q, exp, log = self.field.q, self._exp.astype(np.uint8), self._log
+            table = np.empty((q, q), dtype=np.uint8)
+            step = DOT_CHUNK // q
+            for lo in range(0, q, step):
+                table[lo:lo + step] = exp[log[lo:lo + step, None] + log]
+            self._products = table
+        return self._products
+
+    def slice_dot(self, a: np.ndarray, b: np.ndarray, padded: np.ndarray,
+                  packed: tuple[np.ndarray, np.ndarray, np.ndarray]
+                  ) -> np.ndarray:
+        """out[r, t, g], the sum over i of a[r, padded[g, i]] * b[i, t]:
+        slices of a's columns, one per row of the index array padded, each
+        against the leading rows of b.  A row of padded may end in columns
+        of zeros; packed = (cols, pos, starts) lists its other entries,
+        slice after slice: their columns, their positions i, and where
+        each slice starts.
+
+        GF(2^m) gathers only the packed entries of a and sums each slice's
+        terms with one reduceat (`_segment_sums`).  GF(p) multiplies the
+        padded slices whole with one `dot`, which sums as it multiplies:
+        on the short rows of the prime-field fits that is fewer numpy
+        calls than a gather and a reduceat."""
+        if not self.binary:
+            return self.dot(a.take(padded, axis=1),
+                            b[:padded.shape[1]]).transpose(0, 2, 1)
+        cols, pos, starts = packed
+        return self._segment_sums(a.take(cols, axis=1), b.T.take(pos, axis=1),
+                                  starts)
+
+    def dot_entries(self, a: np.ndarray, b: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray) -> np.ndarray:
+        """Entries (rows[p], cols[p]) of the matrix product of the (r, m, n)
+        array a with the (n, k) array b, as out[r, p].  GF(2^m) computes
+        only those entries, as `_segment_sums` does, a block of rows of a
+        at a time; GF(p) reads them off the whole product, one `dot`."""
+        if not self.binary:
+            return self.dot(a, b)[:, rows, cols]
+        a, b = a.take(rows, axis=1), b.T.take(cols, axis=0)
+        step = max(1, DOT_CHUNK // max(1, b.size))
+        if step >= len(a):
+            return np.bitwise_xor.reduce(self._terms(a, b), axis=-1)
+        out = np.empty(a.shape[:2], dtype=self.narrow_dtype)
+        for lo in range(0, len(a), step):
+            out[lo:lo + step] = np.bitwise_xor.reduce(
+                self._terms(a[lo:lo + step], b), axis=-1)
+        return out
+
+    def _segment_sums(self, a: np.ndarray, b: np.ndarray,
+                      starts: np.ndarray) -> np.ndarray:
+        """GF(2^m): out[r, t, g], the sum of a[r, k] * b[t, k] over the k of
+        segment g, for a of shape (rows, K) and b of shape (m, K); segment
+        g runs from starts[g] up to the next start, the last one to K, and
+        none is empty.  One reduceat sums the terms of a block of a's rows
+        with a block of b's rows down every segment.  On the table path a
+        term is one byte of the product table, read at the offset a*q + b,
+        and the result is bytes (`narrow_dtype`).  Each index or term
+        temporary holds at most DOT_CHUNK elements, or one row's K when
+        that is more."""
+        depth = max(1, a.shape[1])
+        step_b = max(1, min(len(b), DOT_CHUNK // depth))
+        step_a = max(1, DOT_CHUNK // (step_b * depth))
+        if step_a >= len(a) and step_b >= len(b):
+            return np.bitwise_xor.reduceat(self._terms(a[:, None], b),
+                                           starts, axis=-1)
+        out = np.empty((len(a), len(b), len(starts)), dtype=self.narrow_dtype)
+        for lo in range(0, len(a), step_a):
+            for t in range(0, len(b), step_b):
+                out[lo:lo + step_a, t:t + step_b] = np.bitwise_xor.reduceat(
+                    self._terms(a[lo:lo + step_a, None], b[t:t + step_b]),
+                    starts, axis=-1)
+        return out
+
+    def _terms(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """GF(2^m): the products a * b (broadcasting); on the table path
+        bytes of the product table, read at the offsets a*q + b."""
+        if self._tabled:
+            return self._table().ravel().take(
+                np.multiply(a, self.field.q, dtype=np.intp) + b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def _log_dot(self, log_a: np.ndarray, b: np.ndarray,
                  logs) -> np.ndarray:
@@ -611,12 +714,6 @@ class FieldArrays:
             rest = rest // q
             acc = acc ^ part if self.binary else (acc + part) % self.p
         return acc
-
-    def trim(self, a: np.ndarray) -> np.ndarray:
-        """The coefficient array a (low to high) without its trailing
-        zeros; the zero polynomial is the empty array."""
-        nz = np.flatnonzero(a)
-        return a[:nz[-1] + 1] if nz.size else a[:0]
 
     def powers(self, x, n: int) -> np.ndarray:
         """x^0, x^1, ..., x^(n-1) along a new last axis, for a point x or

@@ -329,12 +329,15 @@ def test_koetter_line_over_large_prime():
 
 
 @pytest.mark.parametrize("field", [Field(7), Field(2, 3), Field(2**31 - 1),
-                                   Field(4294967291)])
+                                   Field(4294967291), Field(2, 8),
+                                   Field(2, 9)])
 def test_koetter_candidates_match_reference(field):
     # every one of the M + 1 final candidates and its leading x-exponent,
     # not only the smallest: mgb_iterative reads both of its candidates.
     # The anchors include x = 0 and points at infinity, and end with a
-    # repeat of the first: all candidates already meet its constraints
+    # repeat of the first: all candidates already meet its constraints.
+    # GF(2^3) and GF(2^8) multiply through the product table, GF(2^8) at
+    # its cutoff; GF(2^9), just past it, through logs
     rng = XorShift64Star(field.q)
     # (s, M, w, growths): the rows first hold the M|w| + 1 weighted degrees
     # up to the top lead's, and twice as many each time the top lead
@@ -367,7 +370,8 @@ def test_koetter_candidates_match_reference(field):
             (s, M, w, top)
 
 
-@pytest.mark.parametrize("field", [Field(7), Field(2, 4), Field(4294967291)])
+@pytest.mark.parametrize("field", [Field(7), Field(2, 4), Field(4294967291),
+                                   Field(2, 8), Field(2, 9)])
 def test_koetter_candidates_with_per_anchor_tables(monkeypatch, field):
     # past TABLE_CELLS each anchor builds its own Hasse tables, as the
     # largest fits do: the same candidates, at every growth of the rows

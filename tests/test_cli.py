@@ -1,4 +1,6 @@
 import json
+import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -298,6 +300,30 @@ def test_decode_malformed_word_exit_code(tmp_path, capsys, doc):
     assert code == 2
     assert out == ""
     assert err.startswith("error: word JSON")
+
+
+def test_encode_huge_n_exit_code():
+    # refused before the code would list its 10^12 default points; under a
+    # 2 GB address space listing them would end in a MemoryError traceback
+    cap = 2 * 10**9
+
+    def limit_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rsmld.cli", "encode", "--field",
+         "p:2305843009213693951", "--n", "1000000000000", "--k", "1",
+         "--msg", "1"],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=limit_address_space,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: n=1000000000000 exceeds the longest "
+                           "supported code length 1048576\n")
 
 
 def test_params_text(capsys):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rsmld import fields
 from rsmld.code import RSCode, Word
-from rsmld.fields import (DOT_CHUNK, PRODUCT_TABLE_Q, Field, FieldMismatch,
-                          _is_prime, parse_field)
+from rsmld.fields import (DOT_CHUNK, PRODUCT_TABLE_Q, Field, FieldArrays,
+                          FieldMismatch, _is_prime, parse_field)
 from rsmld.polys import Polynomial, base_q_digits
 from rsmld.rng import XorShift64Star
 
@@ -335,6 +336,94 @@ def test_factor_form_products_match_values(field):
     assert (A.dot_factors(a.reshape(8, 2), fb[:2, :3])
             == A.dot(a.reshape(8, 2), b[:2, :3])).all()
     assert (A._products is not None) == tabled
+
+
+@pytest.mark.parametrize("field", [F16, Field(2, 8)])
+def test_table_kernels_match_log_path(monkeypatch, field):
+    # every product that Koetter's interpolation reads off the product
+    # table, against the same kernel through logs, over all q x q pairs
+    A = field.arrays()
+    monkeypatch.setattr(fields, "PRODUCT_TABLE_Q", 0)
+    logs = FieldArrays(field)
+    monkeypatch.undo()
+    assert A.narrow_dtype == np.uint8 and logs.narrow_dtype == logs.dtype
+    q = field.q
+    x = np.arange(q)
+    every = logs.mul(x[:, None], x)
+    assert every[3, 5] == field.mul(3, 5)
+    # the axpy: a column of all elements times a row of all elements
+    for arr in (A, logs):
+        y = np.zeros((q, q), dtype=arr.narrow_dtype)
+        arr.sub_scaled(y, x[:, None], x)
+        assert (y == every).all()   # -a*x = a*x in characteristic 2
+    for c in range(q):
+        assert (A.mul_scalar(c, x) == logs.mul_scalar(c, x)).all()
+        assert A.mul_scalar(c, 7 % q) == every[c, 7 % q]
+        assert bytes(map(A.scaler(c), range(q))) == bytes(every[c].tolist())
+        assert list(map(logs.scaler(c), range(q))) == every[c].tolist()
+    # one-entry slices: entry (0, t, g) is g * t
+    slices = (x, np.zeros(q, dtype=np.intp), x)
+    for arr in (A, logs):
+        out = arr.slice_dot(x[None], x[None], x[:, None], slices)
+        assert out.shape == (1, q, q) and out.dtype == arr.narrow_dtype
+        assert (out[0] == every.T).all()
+    # entry (i, j) of a (1, q, 1) by (1, q) product is i * j
+    rows, cols = np.divmod(np.arange(q * q), q)
+    for arr in (A, logs):
+        out = arr.dot_entries(x[None, :, None], x[None], rows, cols)
+        assert out.dtype == arr.narrow_dtype
+        assert (out == every.reshape(1, -1)).all()
+
+
+@pytest.mark.parametrize("field", [F7, F16, Field(2, 8), Field(2, 9),
+                                   Field(2**31 - 1), Field(4294967291)])
+def test_slice_dot_and_dot_entries_match_scalar_sums(field):
+    # ragged slices of a's columns, padded with a column of zeros, against
+    # sums of Field.mul; on GF(2^m) the rows of a and of b split into
+    # blocks of DOT_CHUNK terms, and a row of terms past it is one block
+    A = field.arrays()
+    rng = XorShift64Star(field.q + 11)
+
+    def draw(*shape):
+        return A.array([rng.below(field.q) for _ in range(prod(shape))]
+                       ).reshape(shape)
+
+    def total(terms):
+        acc = 0
+        for c, d in terms:
+            acc = field.add(acc, field.mul(int(c), int(d)))
+        return acc
+
+    for rows_a, lengths, depth in [(3, [1], 1), (4, [5, 3, 3, 1], 2),
+                                   (16, [40, 37, 20, 9], 7),
+                                   (9, [DOT_CHUNK // 2 + 3, 700], 3),
+                                   (2, [DOT_CHUNK + 9], 2)]:
+        width, n = max(lengths), sum(lengths)
+        a = draw(rows_a, n + 1)
+        a[:, n] = 0                      # the column of zeros
+        b = draw(width + 2, depth)       # its leading rows are read
+        starts = np.cumsum(lengths) - lengths
+        padded = np.full((len(lengths), width), n)
+        for g, (lo, m) in enumerate(zip(starts, lengths)):
+            padded[g, :m] = np.arange(lo, lo + m)
+        pos = np.concatenate([np.arange(m) for m in lengths])
+        out = A.slice_dot(a, b, padded, (np.arange(n), pos, starts))
+        assert out.shape == (rows_a, depth, len(lengths))
+        for r in range(rows_a):
+            for t in range(depth):
+                for g, (lo, m) in enumerate(zip(starts, lengths)):
+                    want = total(zip(a[r, lo:lo + m], b[:m, t]))
+                    assert out[r, t, g] == want, (lengths, r, t, g)
+    for shape, k in [((3, 2, 4), 3), ((40, 7, 16), 7),
+                     ((3, 2, DOT_CHUNK + 1), 2)]:
+        a, b = draw(*shape), draw(shape[2], k)
+        rows = np.array([i for i in range(shape[1]) for _ in range(k)][::2])
+        cols = np.array([j for _ in range(shape[1]) for j in range(k)][::2])
+        out = A.dot_entries(a, b, rows, cols)
+        assert out.shape == (shape[0], len(rows))
+        for r in range(shape[0]):
+            for p, (i, j) in enumerate(zip(rows, cols)):
+                assert out[r, p] == total(zip(a[r, i], b[:, j])), (shape, p)
 
 
 def _gf2_dot(field, xs, ys):
