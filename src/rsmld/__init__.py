@@ -9,7 +9,7 @@ curve-fitting fast path handles the higher search levels.
 from .bivar import (BivariatePolynomial, ProjectivePoint, hasse_constraints,
                     hasse_derivative_value, koetter_interpolate)
 from .code import (DecodeOutcome, OracleBudgetExceeded, RSCode, Word,
-                   corrupt, hamming_distance, random_word, shifted_word)
+                   corrupt, hamming_distance, random_word)
 from .division import (RadiusCapExceeded, Reencoding, decode_minimal,
                        decode_minimal_reencoded, extract_message, reencode,
                        search_radius_cap)
@@ -31,7 +31,7 @@ __all__ = [
     "BivariatePolynomial", "ProjectivePoint", "hasse_constraints",
     "hasse_derivative_value", "koetter_interpolate",
     "DecodeOutcome", "OracleBudgetExceeded", "RSCode", "Word",
-    "corrupt", "hamming_distance", "random_word", "shifted_word",
+    "corrupt", "hamming_distance", "random_word",
     "RadiusCapExceeded", "Reencoding", "decode_minimal",
     "decode_minimal_reencoded", "extract_message", "reencode",
     "search_radius_cap",

@@ -21,8 +21,7 @@ import json
 import sys
 
 from .code import OracleBudgetExceeded, RSCode, Word, corrupt
-from .division import (RadiusCapExceeded, decode_minimal,
-                       decode_minimal_reencoded)
+from .division import RadiusCapExceeded, decode_minimal
 from .fields import parse_field
 from .groebner import mgb_euclid
 from .rational import decode_rational
@@ -78,8 +77,6 @@ def _params_dict(p: InterpParams) -> dict:
 _METHOD_RUNNERS = {
     "division": lambda code, word, args: decode_minimal(
         code, word, j_cap=args.j_cap, beyond_johnson=args.beyond_johnson),
-    "division-reencoded": lambda code, word, args: decode_minimal_reencoded(
-        code, word, j_cap=args.j_cap, beyond_johnson=args.beyond_johnson),
     "rational": lambda code, word, args: decode_rational(
         code, word, j_cap=args.j_cap, beyond_johnson=args.beyond_johnson),
     "oracle": lambda code, word, args: code.ml_oracle(
@@ -94,11 +91,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
     method = args.method
     if method == "all":
         results = {name: _METHOD_RUNNERS[name](code, word, args)
-                   for name in ("division", "division-reencoded", "rational")}
+                   for name in ("division", "rational")}
         try:
             results["oracle"] = _METHOD_RUNNERS["oracle"](code, word, args)
         except OracleBudgetExceeded:
-            pass  # q**k is past the budget: compare the other three
+            pass  # q**k is past the budget: compare the other two
         first = results["division"]
         for name, res in results.items():
             if res != first:

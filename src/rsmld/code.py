@@ -698,9 +698,3 @@ class DecodeOutcome:
         return (f"DecodeOutcome(d={self.min_distance}, "
                 f"messages={{{polys}}}, method={self.method})")
 
-
-def shifted_word(code: RSCode, r: Word, m: Polynomial) -> Word:
-    """r - encode(m), used when decoding relative to a known codeword."""
-    enc = code.encode(m)
-    F = code.field
-    return Word(code, tuple(F.sub(a, b) for a, b in zip(r.symbols, enc.symbols)))

@@ -34,7 +34,8 @@ on the shifted word y = r - encode(shift), whose errors are those of r)
 is the same pair in this sense: its ell's lifted by k - 1 are these, its
 g1.f2 is this g1.f2 times a nonzero scalar, and its g2.f2 differs from
 this one by c*g1.f2, deg c <= ell2 - ell1.  So the re-encoded decoder
-runs this search unchanged (`decode_minimal_reencoded`).
+is this search unchanged, and `decode_minimal_reencoded` only relabels
+its outcome.
 
 Three facts make the search exact.  The degrees come from the basis: g2
 leads in position 2, so deg(b*g2.f2) = j + ell2 - k + 1 = t for b monic of
@@ -388,8 +389,8 @@ def decode_minimal_reencoded(code: RSCode, r: Word, j_cap: int | None = None,
                              beyond_johnson: bool = False) -> DecodeOutcome:
     """`decode_minimal`'s outcome, labelled "division-reencoded": the basis
     from r's n - k syndromes is the paper's re-encoded basis, lifted (see
-    the module docstring).  Kept for `rsmld decode --method
-    division-reencoded` and the benchmark's re-encoded workloads, which
-    call it."""
+    the module docstring).  The CLI no longer offers it; it stays only for
+    the benchmark's two `reencoded` workloads, which call it, and goes when
+    the benchmark drops them."""
     return replace(decode_minimal(code, r, j_cap, beyond_johnson),
                    method="division-reencoded")

@@ -12,14 +12,18 @@ A field is written textually as ``p:7`` or ``2^4:0b10011`` (the part after
 the colon is the modulus polynomial as a bit pattern, here x^4 + x + 1).
 ``parse_field`` accepts both, plus ``2^m`` alone to get the default modulus.
 
-Elements are plain ints.  :class:`FieldArrays` (from :meth:`Field.arrays`)
-does the same arithmetic elementwise on integer numpy arrays.
+Elements are plain ints.  :class:`Field` also does the two row steps on
+lists of them that every row reduction takes, `Field.axpy` and
+`Field.inner`, so no other module depends on how a field multiplies.
+:class:`FieldArrays` (from :meth:`Field.arrays`) does the same arithmetic
+elementwise on integer numpy arrays.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from operator import mul
 
 import numpy as np
 
@@ -124,10 +128,17 @@ class Field:
 
     The arithmetic methods (`add`, `mul`, `inv`, ...) take and return plain
     ints in ``range(q)``; that keeps the inner decoding loops free of object
-    churn.
+    churn.  Two steps work on lists of them, bound once per field on first
+    use (closures over the log/antilog lists on GF(2^m), exact on Python
+    ints on GF(p)):
+
+    * ``axpy(c, d, v)``: the list d - c*v, elementwise over the shorter
+      width, for c != 0;
+    * ``inner(u, v)``: sum_i u_i v_i over the shorter width.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_hash", "_arrays")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_hash", "_arrays",
+                 "axpy", "inner")
 
     def __init__(self, p: int, m: int = 1, modulus: int | None = None):
         if p >= 2**63:   # numpy takes p as an int64 scalar
@@ -161,6 +172,40 @@ class Field:
             self._build_tables()
         else:
             self._exp = self._log = None
+
+    def __getattr__(self, name: str):
+        # axpy and inner are bound on first use, so that building a field
+        # costs no more than its tables
+        if name not in ("axpy", "inner"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.axpy, self.inner = self._list_steps()
+        return getattr(self, name)
+
+    def _list_steps(self):
+        """The closures `axpy` and `inner` (see the class docstring)."""
+        if self.m > 1:
+            exp, log = self._exp, self._log
+
+            def axpy(c: int, d: list[int], v: list[int]) -> list[int]:
+                lc = log[c]
+                return [x ^ exp[lc + log[y]] if y else x for x, y in zip(d, v)]
+
+            def inner(u: list[int], v: list[int]) -> int:
+                s = 0
+                for x, y in zip(u, v):
+                    if x and y:
+                        s ^= exp[log[x] + log[y]]
+                return s
+        else:
+            p = self.p
+
+            def axpy(c: int, d: list[int], v: list[int]) -> list[int]:
+                return [(x - c * y) % p for x, y in zip(d, v)]
+
+            def inner(u: list[int], v: list[int]) -> int:
+                return sum(map(mul, u, v)) % p
+        return axpy, inner
 
     # -- construction helpers -------------------------------------------
 
@@ -212,6 +257,10 @@ class Field:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its parameters: the bound closures do not pickle
+        return Field, (self.p, self.m, self.modulus)
 
     # -- arithmetic on canonical ints -------------------------------------
 

@@ -66,13 +66,14 @@ and Koetter's rows, a minimal basis already, need no such step.  The same
 operation then inter-reduces the monic rows into the unique reduced basis
 (each element fully reduced by the other), so the constructions of one
 module return identical objects; only that final pair is built as
-`Polynomial`s.
+`Polynomial`s.  The row operation is the field's `Field.axpy`, and
+Berlekamp-Massey's discrepancy its `Field.inner`, so nothing here depends
+on how the field multiplies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -188,35 +189,6 @@ def _vector(field: Field, row: Sequence[list[int]]) -> ModuleVector:
     return ModuleVector(Polynomial(field, row[0]), Polynomial(field, row[1]))
 
 
-def _list_arithmetic(field: Field):
-    """The two steps the row operations take on coefficient lists of ints:
-    minus(c, d, v) = d - c*v elementwise over v's width, and inner(u, v) =
-    sum_i u_i v_i over the shorter width; on GF(2^m) through the field's
-    log/antilog lists, on GF(p) exact on Python ints."""
-    if field.m > 1:
-        exp, log = field._exp, field._log
-
-        def minus(c: int, d: list[int], v: list[int]) -> list[int]:
-            lc = log[c]
-            return [x ^ exp[lc + log[y]] if y else x for x, y in zip(d, v)]
-
-        def inner(u: list[int], v: list[int]) -> int:
-            d = 0
-            for x, y in zip(u, v):
-                if x and y:
-                    d ^= exp[log[x] + log[y]]
-            return d
-    else:
-        p = field.p
-
-        def minus(c: int, d: list[int], v: list[int]) -> list[int]:
-            return [(x - c * y) % p for x, y in zip(d, v)]
-
-        def inner(u: list[int], v: list[int]) -> int:
-            return sum(map(mul, u, v)) % p
-    return minus, inner
-
-
 def _reduced_pair(field: Field, rows: Sequence[Sequence[list[int]]],
                   order: WeightedOrder) -> GroebnerPair:
     """The reduced basis of the rank-2 module that two rows span.
@@ -235,14 +207,13 @@ def _reduced_pair(field: Field, rows: Sequence[Sequence[list[int]]],
     pair is then unique for the module and order.
 
     The rows are copied into Python lists of ints, low to high, each
-    component trimmed to its own degree, so a row step costs one list
-    comprehension per component over that component's width
-    (`_list_arithmetic`)."""
+    component trimmed to its own degree, so a row step costs one
+    `Field.axpy` per component over that component's width."""
     rows = [[list(c) for c in row] for row in rows]
     for comp in rows[0] + rows[1]:
         while comp and not comp[-1]:
             comp.pop()
-    minus, _ = _list_arithmetic(field)
+    axpy = field.axpy
 
     def lead(i: int) -> Lead:
         if not any(rows[i]):
@@ -256,7 +227,7 @@ def _reduced_pair(field: Field, rows: Sequence[Sequence[list[int]]],
         for x, y in zip(a, b):
             if len(x) < s + len(y):
                 x += [0] * (s + len(y) - len(x))
-            x[s:s + len(y)] = minus(c, x[s:s + len(y)], y)
+            x[s:s + len(y)] = axpy(c, x[s:s + len(y)], y)
             while x and not x[-1]:
                 x.pop()
 
@@ -269,7 +240,7 @@ def _reduced_pair(field: Field, rows: Sequence[Sequence[list[int]]],
     g1, g2 = (0, 1) if leads[0].position == 1 else (1, 0)
     for i in (g1, g2):  # 0 - c * row, c = -1 / lc: the row made monic
         c = field.neg(field.inv(leads[i].coeff))
-        rows[i] = [minus(c, [0] * len(x), x) for x in rows[i]]
+        rows[i] = [axpy(c, [0] * len(x), x) for x in rows[i]]
     while len(rows[g1][1]) >= len(rows[g2][1]):
         cancel(g1, g2, 1)
     while len(rows[g2][0]) >= len(rows[g1][0]):
@@ -341,7 +312,7 @@ def _massey(field: Field, R: list[int]) -> tuple[list[int], int, list[int],
     the connection polynomial before the last length change, of degree
     <= L_B, and b its discrepancy there; B = 1, b = 1 while L = 0 (Massey,
     IEEE T-IT 15(1), 1969)."""
-    minus, inner = _list_arithmetic(field)
+    axpy, inner = field.axpy, field.inner
     N = len(R)
     C, B = [1], [1]
     L = L_B = 0
@@ -354,7 +325,7 @@ def _massey(field: Field, R: list[int]) -> tuple[list[int], int, list[int],
         w = shift + len(B)
         prev = C
         C = C + [0] * (w - len(C))
-        C[shift:w] = minus(field.div(d, b), C[shift:w], B)
+        C[shift:w] = axpy(field.div(d, b), C[shift:w], B)
         if 2 * L <= r:
             B, L_B, b, L, shift = prev, L, d, r + 1 - L, 1
         else:
@@ -408,15 +379,14 @@ def syndrome_pair(code: RSCode, syndromes: np.ndarray) -> GroebnerPair:
     toeplitz = padded[np.arange(L, L + width) - np.arange(L + 1)[:, None]]
     omega1, omega2 = arr.dot(arr.array([lam1 + [0] * (L - L_B), lam2]),
                              toeplitz).tolist()
-    minus, _ = _list_arithmetic(F)
     c = F.inv(b)  # 0 - c*v = -v / b: g1 made monic, then negated
-    omega1 = minus(c, [0] * (N - L + 1), omega1)
-    lam1 = minus(c, [0] * (L_B + 1), lam1)
+    omega1 = F.axpy(c, [0] * (N - L + 1), omega1)
+    lam1 = F.axpy(c, [0] * (L_B + 1), lam1)
     for e in range(L - 1, N - L - 1, -1):  # only when 2L > N
         if omega2[e]:  # omega1 leads with -1
             s, c = e - (N - L), F.neg(omega2[e])
-            omega2[s:e + 1] = minus(c, omega2[s:e + 1], omega1)
-            lam2[s:s + L_B + 1] = minus(c, lam2[s:s + L_B + 1], lam1)
+            omega2[s:e + 1] = F.axpy(c, omega2[s:e + 1], omega1)
+            lam2[s:s + L_B + 1] = F.axpy(c, lam2[s:s + L_B + 1], lam1)
     return GroebnerPair(_vector(F, (omega1, lam1)), _vector(F, (omega2, lam2)),
                         code.n - L, L + k - 1, order)
 

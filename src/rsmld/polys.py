@@ -115,12 +115,9 @@ class Polynomial:
         if not a or not b:
             return Polynomial(f, ())
         out = [0] * (len(a) + len(b) - 1)
-        add, mul = f.add, f.mul
-        for i, ca in enumerate(a):
+        for i, ca in enumerate(a):   # out += ca * x^i * b
             if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] = add(out[i + j], mul(ca, cb))
+                out[i:i + len(b)] = f.axpy(f.neg(ca), out[i:i + len(b)], b)
         return Polynomial(f, out)
 
     def scale(self, c: int) -> "Polynomial":
@@ -136,13 +133,10 @@ class Polynomial:
         f = self.field
         if not self.coeffs:
             return self
-        na = f.neg(f.canon(a))
-        out = [0] * (len(self.coeffs) + 1)
-        add, mul = f.add, f.mul
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i + 1] = add(out[i + 1], c)
-                out[i] = add(out[i], mul(na, c))
+        a = f.canon(a)
+        out = [0] + self.coeffs   # x * self, less a * self
+        if a:
+            out[:-1] = f.axpy(a, out[:-1], self.coeffs)
         return Polynomial(f, out)
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
@@ -157,15 +151,10 @@ class Polynomial:
             return Polynomial(f, ()), Polynomial(f, num)
         inv_lead = f.inv(den[-1])
         quot = [0] * (len(num) - dd)
-        sub, mul = f.sub, f.mul
         for i in range(len(num) - 1, dd - 1, -1):
-            c = num[i]
-            if c:
-                c = mul(c, inv_lead)
-                quot[i - dd] = c
-                for j in range(dd + 1):
-                    if den[j]:
-                        num[i - dd + j] = sub(num[i - dd + j], mul(c, den[j]))
+            if num[i]:
+                quot[i - dd] = c = f.mul(num[i], inv_lead)
+                num[i - dd:i + 1] = f.axpy(c, num[i - dd:i + 1], den)
         return Polynomial(f, quot), Polynomial(f, num[:dd])
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":

@@ -120,40 +120,13 @@ def _divides(b: Polynomial, a: Polynomial, slices: list[Polynomial]) -> bool:
     exact, and S_0 + a*P_0 = 0.
 
     The coefficients are Python lists of ints, low to high: S + a*P is one
-    list comprehension per coefficient of a, and each quotient coefficient
-    c takes c*x^i times b's lower part off in place, over b's nonzero
-    coefficients.  GF(2^m) goes through the field's log/antilog lists, GF(p)
-    is exact on Python ints."""
+    `Field.axpy` per nonzero coefficient of a, and each quotient
+    coefficient c takes c*x^i times b's lower part off in one more."""
     F = b.field
+    axpy, mul = F.axpy, F.mul
     bc, db = b.coeffs, b.degree()
+    low = bc[:db]
     inv_lead = F.inv(bc[-1])
-    if F.m > 1:
-        exp, log = F._exp, F._log
-        low = [(j, log[y]) for j, y in enumerate(bc[:db]) if y]
-
-        def minus(c: int, d: list[int], v: list[int]) -> list[int]:
-            """d - c*v, elementwise over v's width; c != 0."""
-            lc = log[c]
-            return [x ^ exp[lc + log[y]] if y else x for x, y in zip(d, v)]
-
-        def take_off(t: list[int], i: int, c: int) -> None:
-            """t <- t - c*x^i*(b - its leading term), in place; c != 0."""
-            lc = log[c]
-            for j, lb in low:
-                t[i + j] ^= exp[lc + lb]
-    else:
-        p = F.p
-        low = [(j, y) for j, y in enumerate(bc[:db]) if y]
-
-        def minus(c: int, d: list[int], v: list[int]) -> list[int]:
-            """d - c*v, elementwise over v's width."""
-            return [(x - c * y) % p for x, y in zip(d, v)]
-
-        def take_off(t: list[int], i: int, c: int) -> None:
-            """t <- t - c*x^i*(b - its leading term), in place."""
-            for j, y in low:
-                t[i + j] = (t[i + j] - c * y) % p
-
     minus_a = [F.neg(c) for c in a.coeffs]
 
     def plus_a_times(s: Polynomial, quot: list[int]) -> list[int]:
@@ -161,7 +134,7 @@ def _divides(b: Polynomial, a: Polynomial, slices: list[Polynomial]) -> bool:
         t = s.coeffs + [0] * (len(minus_a) + len(quot) - 1 - len(s.coeffs))
         for i, c in enumerate(minus_a):
             if c and quot:
-                t[i:i + len(quot)] = minus(c, t[i:i + len(quot)], quot)
+                t[i:i + len(quot)] = axpy(c, t[i:i + len(quot)], quot)
         return t
 
     quot: list[int] = []
@@ -170,8 +143,8 @@ def _divides(b: Polynomial, a: Polynomial, slices: list[Polynomial]) -> bool:
         quot = [0] * max(0, len(t) - db)
         for i in range(len(quot) - 1, -1, -1):
             if t[i + db]:
-                quot[i] = c = F.mul(t[i + db], inv_lead)
-                take_off(t, i, c)
+                quot[i] = c = mul(t[i + db], inv_lead)
+                t[i:i + db] = axpy(c, t[i:i + db], low)
         if any(t[:db]):
             return False
     return not any(plus_a_times(slices[0], quot))

@@ -135,8 +135,7 @@ def test_decode_json_all_methods(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["min_distance"] == 2
     assert doc["messages"] == [[3, 1, 2], [3, 3, 5, 5], [5, 3, 5, 3]]
-    assert doc["methods_agreed"] == ["division", "division-reencoded",
-                                     "rational", "oracle"]
+    assert doc["methods_agreed"] == ["division", "rational", "oracle"]
 
 
 def test_decode_all_leaves_out_oracle_past_its_budget(tmp_path, capsys):
@@ -151,12 +150,11 @@ def test_decode_all_leaves_out_oracle_past_its_budget(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert (doc["min_distance"], doc["messages"]) == (9, [sent])
-    assert doc["methods_agreed"] == ["division", "division-reencoded",
-                                     "rational"]
+    assert doc["methods_agreed"] == ["division", "rational"]
     code, out, _ = run_cli(capsys, "decode", "--word", str(word_file),
                            "--method", "all")
     assert code == 0
-    assert "methods_agreed: division, division-reencoded, rational\n" in out
+    assert "methods_agreed: division, rational\n" in out
     code, _, err = run_cli(capsys, "decode", "--word", str(word_file),
                            "--method", "oracle")
     assert code == 2 and "oracle budget" in err
@@ -234,17 +232,17 @@ def test_decode_dump_basis_pinned(tmp_path, capsys, word):
 
 
 def test_decode_reencode_flag(tmp_path, capsys):
-    # the re-encoded decoder is a --method; the old --reencode flag is gone
+    # the re-encoded decoder is gone from the CLI: the division decoder
+    # runs on the same basis; neither the old flag nor the method parses
     word_file = tmp_path / "w.json"
     word_file.write_text(WORD_74)
-    code, out, _ = run_cli(capsys, "decode", "--word", str(word_file),
-                           "--method", "division-reencoded", "--output", "json")
-    assert code == 0
-    assert json.loads(out)["method"] == "division-reencoded"
-    with pytest.raises(SystemExit) as info:
-        main(["decode", "--word", str(word_file), "--reencode"])
-    assert info.value.code == 2
-    assert "--reencode" in capsys.readouterr().err
+    for argv, name in ((["--reencode"], "--reencode"),
+                       (["--method", "division-reencoded"],
+                        "division-reencoded")):
+        with pytest.raises(SystemExit) as info:
+            main(["decode", "--word", str(word_file), *argv])
+        assert info.value.code == 2
+        assert name in capsys.readouterr().err
 
 
 def test_decode_radius_cap_exit_code(tmp_path, capsys):
@@ -261,9 +259,8 @@ def test_decode_radius_cap_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", [["--method", "division"],
-                                    ["--method", "division-reencoded"],
                                     ["--method", "rational"]],
-                         ids=["division", "reencoded", "rational"])
+                         ids=["division", "rational"])
 def test_decode_negative_level_cap_exit_code(tmp_path, capsys, method):
     word_file = tmp_path / "w.json"
     word_file.write_text(WORD_75)

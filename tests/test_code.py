@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rsmld import code as code_module
 from rsmld.code import (OracleBudgetExceeded, RSCode, Word, corrupt,
-                        hamming_distance, random_word, shifted_word)
+                        hamming_distance, random_word)
 from rsmld.fields import Field
 from rsmld.polys import Polynomial, base_q_digits
 from rsmld.rng import XorShift64Star
@@ -461,12 +461,3 @@ def test_oracle_word_code_mismatch():
     other = RSCode(F7, 7, 4)
     with pytest.raises(ValueError):
         code.ml_oracle(random_word(other, 0))
-
-
-def test_shifted_word():
-    code = RSCode(F7, 7, 5)
-    r = Word(code, (3, 2, 6, 3, 4, 2, 4))
-    m = Polynomial(F7, [3, 1, 2])
-    y = shifted_word(code, r, m)
-    assert hamming_distance(y.symbols, [0] * 7) == 1
-    assert y.code is code

@@ -1,3 +1,4 @@
+import pickle
 from math import prod
 from time import perf_counter
 
@@ -424,6 +425,42 @@ def test_slice_dot_and_dot_entries_match_scalar_sums(field):
         for r in range(shape[0]):
             for p, (i, j) in enumerate(zip(rows, cols)):
                 assert out[r, p] == total(zip(a[r, i], b[:, j])), (shape, p)
+
+
+@pytest.mark.parametrize("field", [F7, F16, Field(2, 4, 0b11001), Field(2, 8),
+                                   Field(2, 9), Field(2**61 - 1)],
+                         ids=["gf7", "gf16", "gf16-mod", "gf256", "gf512",
+                              "mersenne61"])
+def test_list_axpy_and_inner_match_scalar_sums(field):
+    # Field.axpy and Field.inner against Field.sub and Field.mul term by
+    # term, on lists that hold zeros; both read the shorter of two widths
+    rng = XorShift64Star(field.m + field.p % 1000)
+
+    def draw(width):   # about a third of the entries zero
+        return [rng.below(field.q) if rng.below(3) else 0
+                for _ in range(width)]
+
+    for wd, wv in [(0, 0), (1, 1), (5, 5), (7, 4), (3, 9), (40, 40)]:
+        d, v = draw(wd), draw(wv)
+        for c in (1, field.q - 1, 1 + rng.below(field.q - 1)):
+            assert field.axpy(c, d, v) == [field.sub(x, field.mul(c, y))
+                                           for x, y in zip(d, v)], (wd, wv)
+        want = 0
+        for x, y in zip(d, v):
+            want = field.add(want, field.mul(x, y))
+        assert field.inner(d, v) == want, (wd, wv)
+    assert field.axpy(2, [0, 0], [0, 0]) == [0, 0]
+    assert field.inner([0, 1], [5, 0]) == 0
+
+
+def test_field_pickles_after_its_list_steps_are_bound():
+    field = Field(2, 4, 0b11001)
+    field.axpy(3, [1, 2], [4, 5])
+    copy = pickle.loads(pickle.dumps(field))
+    assert copy == field and copy.axpy(3, [1, 2], [4, 5]) == field.axpy(
+        3, [1, 2], [4, 5])
+    with pytest.raises(AttributeError):
+        field.no_such_attribute
 
 
 def _gf2_dot(field, xs, ys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsmld.bivar import ProjectivePoint
-from rsmld.code import RSCode, Word, corrupt, random_word, shifted_word
+from rsmld.code import RSCode, Word, corrupt, random_word
 from rsmld.fields import Field
 from rsmld.groebner import (GroebnerPair, ModuleVector, WeightedOrder,
                             _koetter_rows, _reduced_pair, decoder_order,

@@ -121,6 +121,37 @@ def test_vanishing_poly_matches_product(field):
         assert vanishing_poly(field, xs) == product, xs
 
 
+@pytest.mark.parametrize("field", [Field(7), Field(2, 4), Field(2**61 - 1)],
+                         ids=["gf7", "gf16", "mersenne61"])
+def test_products_and_divmod_match_term_sums(field):
+    # __mul__, divmod and times_x_minus (one Field.axpy per term) against
+    # sums of Field.mul, over a small field, GF(2^m) and Python ints
+    rng = random.Random(field.q)
+
+    def rand_poly(deg):
+        cs = [rng.randrange(field.q) if rng.randrange(3) else 0
+              for _ in range(deg)]
+        return Polynomial(field, cs + [rng.randrange(1, field.q)])
+
+    for da, db in [(0, 0), (0, 3), (4, 1), (6, 6), (9, 2)]:
+        a, b = rand_poly(da), rand_poly(db)
+        want = [0] * (da + db + 1)
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                want[i + j] = field.add(want[i + j], field.mul(x, y))
+        assert (a * b).coeffs == want
+        q, r = divmod(a, b)
+        assert q * b + r == a and r.degree() < b.degree()
+        assert divmod(a * b, b) == (a, Polynomial.zero(field))
+        for x0 in (0, 1, field.q - 1, rng.randrange(field.q)):
+            assert a.times_x_minus(x0) == a * Polynomial(
+                field, [field.neg(x0), 1])
+    a = rand_poly(3)
+    assert a.times_x_minus(0).coeffs == [0] + a.coeffs
+    assert Polynomial.zero(field).times_x_minus(3).is_zero()
+    assert (a * Polynomial.zero(field)).is_zero()
+
+
 def test_lagrange_interpolate():
     xs = [0, 1, 2, 3]
     ys = [3, 6, 6, 3]
