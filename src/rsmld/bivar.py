@@ -8,23 +8,26 @@ An infinity anchor constrains the z-reversal of Q at (x_i, 0) instead.
 Koetter's update processes one constraint at a time over M + 1 candidates
 ordered by (1, w)-weighted leading degree, and the smallest final candidate
 meets the weighted-degree cap whenever the constraint count is below the
-cap's coefficient budget.  Each candidate is one row of one integer numpy
-array, holding only what the update can make nonzero: its Hasse
+cap's coefficient budget.  Each candidate is one column of one integer
+numpy array, holding only what the update can make nonzero: its Hasse
 discrepancies at the current anchor for the s(s+1)/2 constraints, computed
 once per anchor and then updated incrementally (McEliece, "The
 Guruswami-Sudan decoding algorithm for Reed-Solomon codes", IPN PR
-42-153, 2003), one zero column, and its coefficients of the monomials whose
+42-153, 2003), one zero entry, and its coefficients of the monomials whose
 weighted degree is at most the largest lead's, in order of weighted
-degree.  The rows are kept up to a scale per candidate, so that the update
-of a constraint is one field axpy on the whole array; the scales are
-multiplied in once at the end, and the result is exactly the unnormalised
-update's.  Only the fit is returned as a sparse polynomial.
+degree.  A row holds one of these for every candidate.  The candidates are
+kept up to a scale each, so that the update of a constraint is one field
+axpy on a contiguous block of rows; the scales are multiplied in once at
+the end, and the result is exactly the unnormalised update's.  Only the
+fit is returned as a sparse polynomial.
 
-Over GF(2^m) up to q = `fields.PRODUCT_TABLE_Q` the rows are bytes, and
-every product of the update reads the q x q product table: the axpy, the
-pivot's coefficient scale and its shift by (x - x0), the scales, and both
-discrepancy products.  Elsewhere the products go through logs or mod p.
-`FieldArrays` makes that choice, so nothing here depends on the field.
+Over GF(2^m) up to q = `fields.PRODUCT_TABLE_Q` the array is bytes, and
+every product of the update reads the q x q product table: the axpy (one
+gather of C-byte rows from the table's columns at the coefficients), the
+pivot's coefficient scale and its shift by (x - x0) (one row of the
+table), the scales, and both discrepancy products.  Elsewhere the products
+go through logs or mod p.  `FieldArrays` makes that choice, so nothing
+here depends on the field or reads its tables.
 The Hasse tables and the final multiplication by the scales, once per
 fit, are `FieldArrays.mul`.
 
@@ -227,18 +230,18 @@ def _x_tables(field: Field, xs: tuple[int, ...], s: int,
 
 
 @functools.lru_cache(maxsize=64)
-def _row_layout(s: int, M: int, w: int,
+def _candidate_layout(s: int, M: int, w: int,
                 span: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Index maps, read-only, of a Koetter row (see `koetter_candidates`)
-    that holds the monomials of weighted degree d_min .. d_min + span - 1,
-    d_min = min(0, M*w).  Returns
+    """Index maps, read-only, of a Koetter candidate's column (see
+    `koetter_candidates`) that holds the monomials of weighted degree
+    d_min .. d_min + span - 1, d_min = min(0, M*w).  Returns
 
-    * view[j, i], the column of x^i z^j, i < span, or the zero column when
-      the row does not hold it;
-    * src, the column each column of the row takes when the candidate is
-      multiplied by x: x^(i-1) z^j for x^i z^j and D_{u-1,v} for D_{u,v},
-      the zero column when i = 0 or u = 0;
-    * ends[n], one past the last column of weighted degree < d_min + n.
+    * view[j, i], the row of x^i z^j, i < span, or the zero row when the
+      column does not hold it;
+    * src, the row each row takes when the candidate is multiplied by x:
+      x^(i-1) z^j for x^i z^j and D_{u-1,v} for D_{u,v}, the zero row when
+      i = 0 or u = 0;
+    * ends[n], one past the last row of weighted degree < d_min + n.
     """
     cons = hasse_constraints(s)
     P = len(cons)
@@ -260,17 +263,17 @@ def _row_layout(s: int, M: int, w: int,
 @functools.lru_cache(maxsize=64)
 def _slice_layout(s: int, M: int, w: int, span: int, width: int
                   ) -> tuple[int, int, tuple[np.ndarray, ...]]:
-    """Index maps, read-only, of the z-slices of a Koetter row of `span`
-    weighted degrees (`_row_layout`) whose candidates reach weighted degree
-    d_min + width - 1, d_min = min(0, M*w): slice j then holds the
+    """Index maps, read-only, of the z-slices of a Koetter column of `span`
+    weighted degrees (`_candidate_layout`) whose candidates reach weighted
+    degree d_min + width - 1, d_min = min(0, M*w): slice j then holds the
     x-degrees below width + d_min - j*w.  Returns the range z0 .. z1 - 1 of
     the slices that hold any, and the monomials they hold, ordered by
-    z-degree and then x-degree: their columns, their x-degrees, and where
+    z-degree and then x-degree: their rows, their x-degrees, and where
     each slice starts (the `packed` maps of `FieldArrays.slice_dot`).  The
     first two are in the narrowest dtypes: at (255, 33) over GF(2^8) a fit
     reaches a new width at nearly every anchor, and 64 layouts in int64
     took 1.2 MB more peak RSS."""
-    view, _, ends = _row_layout(s, M, w, span)
+    view, _, ends = _candidate_layout(s, M, w, span)
     base = width + min(0, M * w)
     live = [j for j in range(M + 1) if base > j * w]
     z0, z1 = live[0], live[-1] + 1
@@ -290,18 +293,19 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
     candidates as G[candidate, z-degree, x-degree] and the x-exponent of
     each one's leading monomial (candidate j leads with z-degree j).
 
-    Candidate j starts as z^j.  Row c of one array R, in the field's
+    Candidate j starts as z^j.  Column c of one array R, in the field's
     `narrow_dtype` (bytes on the table path), holds candidate c and only
     what the update can make nonzero:
     * its Hasse discrepancies D_{u,v} at the current anchor for the
       P = s(s+1)/2 pairs u + v < s that `hasse_constraints` reads, in that
-      order, so that constraint p reads column p;
-    * one zero column;
+      order, so that constraint p reads row p;
+    * one zero row;
     * its coefficients of the monomials x^i z^j, i >= 0, j <= M, of
       (1, w)-weighted degree d = i + j*w at most `top`, the weighted degree
-      of the largest lead, ordered by d and then j (`_row_layout`).
+      of the largest lead, ordered by d and then j (`_candidate_layout`).
+    Row k thus holds entry k of every candidate, C elements side by side.
     Every term of a candidate lies at or below its lead, so no other
-    coefficient can be nonzero, and a larger `top` only appends columns.
+    coefficient can be nonzero, and a larger `top` only appends rows.
     The array first holds the M|w| + 1 weighted degrees from d_min =
     min(0, M*w) to max(0, M*w), and twice as many each time `top`
     outgrows them: one copy per doubling.  The final candidates are read
@@ -315,9 +319,9 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
       of every z-slice of every candidate, (C, s, G) for the G slices that
       hold any monomial up to `top`.  Slice j holds the x-degrees below
       top - j*w + 1 (`_slice_layout`), and over GF(2^m) each slice runs
-      over only those: one gather of the row's columns ordered by (z, x)
-      and one reduceat.  GF(p) multiplies the slices padded to the widest
-      with one matrix product, which fewer numpy calls do at its sizes.
+      over only those: one gather of R's rows ordered by (z, x) and one
+      reduceat.  GF(p) multiplies the slices padded to the widest with one
+      matrix product, which fewer numpy calls do at its sizes.
     * The second, `FieldArrays.dot_entries`, contracts the slices with the
       z table, and over GF(2^m) computes only the P entries D_{u,v} that
       `hasse_constraints` reads.
@@ -325,27 +329,35 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
     z^(M - v) slice, and there is no second product.
 
     Then the discrepancies are kept current by linearity: a combination
-    of candidates combines their rows, and multiplying by (x - x0) takes
-    each coefficient from the monomial one step lower in x and each
-    D_{u,v} from D_{u-1,v}, through one index map whose zero column brings
-    in the zeros.  Each constraint's pivot j* is the candidate with the smallest
-    leading monomial (`_lead_keys`) among those it does not vanish on.  The
-    lead keys and the scales are lists of Python ints, and the pivot is
-    chosen over the column's C discrepancies as a list: at M + 1 <= 16
-    rows that is cheaper than a numpy call per step.  The scales of the
-    rows a constraint combines are multiplied by one `FieldArrays.scaler`,
-    on the table path one row of the product table as bytes.
+    of candidates combines their columns, and multiplying by (x - x0)
+    takes each coefficient from the monomial one step lower in x and each
+    D_{u,v} from D_{u-1,v}, through one index map whose zero row brings in
+    the zeros, and takes off x0 times the coefficients (on the table path
+    one row of the product table, x0's).  Each constraint's pivot j* is
+    the candidate with the smallest leading monomial (`_lead_keys`) among
+    those it does not vanish on.  The lead keys and the scales are lists
+    of Python ints, and the pivot is chosen over the constraint's row of C
+    discrepancies as a list: at M + 1 <= 16 candidates that is cheaper
+    than a numpy call per step.  The scales of the candidates a constraint
+    combines are multiplied by one `FieldArrays.scaler`, on the table path
+    one row of the product table as bytes.
 
-    Rows are held up to a scale: candidate c is lam[c] * R[c], so its true
-    discrepancy is d_c = lam[c] * e_c with e_c the stored one.  The update
-    g_c <- d* g_c - d_c g* is then R_c <- R_c - (e_c / e*) R_j* with
-    lam[c] <- lam[c] lam[j*] e*: one field axpy over every row at once,
-    with coefficient 0 for the rows the constraint misses and for j*
-    itself, and none when j* is the only candidate it hits (about one
-    constraint in ten at s = 7).  It starts at the constraint's own column:
-    every candidate already meets the earlier constraints of the anchor,
-    so their columns are 0 in every row.  The field is exact, so
-    multiplying by lam once at the end gives the unnormalised update's
+    Candidates are held up to a scale: candidate c is lam[c] * R[:, c], so
+    its true discrepancy is d_c = lam[c] * e_c with e_c the stored one.
+    The update g_c <- d* g_c - d_c g* is then R_c <- R_c - (e_c / e*) R_j*
+    with lam[c] <- lam[c] lam[j*] e*: one field axpy over every candidate
+    at once (`FieldArrays.sub_scaled` of the row of coefficients e_c / e*
+    and the pivot's column), with coefficient 0 for the candidates the
+    constraint misses and for j* itself, and none when j* is the only
+    candidate it hits (about one constraint in ten at s = 7).  It starts
+    at the constraint's own row: every candidate already meets the earlier
+    constraints of the anchor, so their rows are 0.  So the axpy reads and
+    writes one contiguous block of rows; on the table path it gathers the
+    q x C slice of the product table at the coefficients, and then its
+    rows at the pivot's entries, C bytes each.  With one row per
+    candidate the same products were C gathers of single bytes per entry,
+    which numpy takes about three times as long over.  The field is exact,
+    so multiplying by lam once at the end gives the unnormalised update's
     candidates, bit for bit.
     """
     A = field.arrays()
@@ -365,9 +377,9 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
     d_min = min(0, M * w)
     top = max(0, M * w)
     span = top - d_min + 1
-    view, src, ends = _row_layout(s, M, w, span)
-    R = np.zeros((C, ends[-1]), dtype=A.narrow_dtype)
-    R[np.arange(C), view[:, 0]] = 1
+    view, src, ends = _candidate_layout(s, M, w, span)
+    R = np.zeros((ends[-1], C), dtype=A.narrow_dtype)
+    R[view[:, 0], np.arange(C)] = 1
 
     xs = tuple(pt.x for pt in anchors)
 
@@ -381,7 +393,6 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
     rows, tx = x_tables(span)
     tz = (_hasse_tables(A, [pt.z_num for pt in anchors], s, C)
           if len(anchors) * C * s <= TABLE_CELLS else None)
-    x_cols = A.array(xs)[:, None, None]
     for b, pt in enumerate(anchors):
         x0, width = pt.x, top - d_min + 1
         z0, z1, packed = _slice_layout(s, M, w, span, width)
@@ -390,14 +401,14 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
         if pt.is_infinite:
             full = np.zeros((C, s, C), dtype=H.dtype)
             full[:, :, z0:z1] = H
-            R[:, :P] = 0
-            R[:, inf_at] = full.reshape(C, s * C)[:, inf_cols]
+            R[:P] = 0
+            R[inf_at] = full.reshape(C, s * C)[:, inf_cols].T
         else:
             T = (tz[b] if tz is not None
                  else _hasse_tables(A, [pt.z_num], s, C)[0])
-            R[:, :P] = A.dot_entries(H, T[z0:z1], us, vs)
-        for col in range(P):
-            e = R[:, col].tolist()
+            R[:P] = A.dot_entries(H, T[z0:z1], us, vs).T
+        for p in range(P):
+            e = R[p].tolist()
             hit = [i for i in range(C) if e[i]]
             if not hit:
                 continue
@@ -405,9 +416,9 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
             estar = e[j]
             if len(hit) > 1:  # else the axpy's coefficients are all 0
                 used = ends[top - d_min + 1]
-                coef = A.mul_scalar(field.inv(estar), R[:, col])
+                coef = A.mul_scalar(field.inv(estar), R[p])
                 coef[j] = 0
-                A.sub_scaled(R[:, col:used], coef[:, None], R[j, col:used])
+                A.sub_scaled(R[p:used], coef, R[p:used, j])
                 times = A.scaler(field.mul(lam[j], estar))
                 for i in hit:
                     if i != j:
@@ -417,18 +428,19 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
             top = max(top, key[j] // C)
             if top - d_min == span:  # one past the weighted degrees held
                 span *= 2
-                view, src, ends = _row_layout(s, M, w, span)
+                view, src, ends = _candidate_layout(s, M, w, span)
                 R = np.concatenate([R, np.zeros(
-                    (C, ends[-1] - R.shape[1]), dtype=R.dtype)], axis=1)
+                    (ends[-1] - len(R), C), dtype=R.dtype)])
                 if span > rows:
                     rows, tx = x_tables(span)
             end = ends[key[j] // C - d_min + 1]  # the pivot's own support
-            moved = R[j].take(src[:end])
+            pivot = R[:end, j]
+            moved = pivot.take(src[:end])
             if x0:
-                A.sub_scaled(moved[None, P + 1:], x_cols[b], R[j, P + 1:end])
-            R[j, :end] = moved
+                A.sub_scaled(moved[P + 1:], x0, pivot[P + 1:])
+            pivot[:] = moved
     width = top - d_min + 1
-    G = A.mul(A.array(lam)[:, None, None], np.take(R, view[:, :width], axis=1))
+    G = A.mul(A.array(lam)[:, None, None], R.T.take(view[:, :width], axis=1))
     return G, [(k - i) // C - i * w for i, k in enumerate(key)]
 
 

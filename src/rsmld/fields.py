@@ -12,9 +12,10 @@ A field is written textually as ``p:7`` or ``2^4:0b10011`` (the part after
 the colon is the modulus polynomial as a bit pattern, here x^4 + x + 1).
 ``parse_field`` accepts both, plus ``2^m`` alone to get the default modulus.
 
-Elements are plain ints.  :class:`Field` also does the two row steps on
-lists of them that every row reduction takes, `Field.axpy` and
-`Field.inner`, so no other module depends on how a field multiplies.
+Elements are plain ints.  :class:`Field` also does the row steps on
+lists of them that every row reduction takes, `Field.axpy`,
+`Field.shifted_axpy` and `Field.inner`, so no other module depends on how
+a field multiplies.
 :class:`FieldArrays` (from :meth:`Field.arrays`) does the same arithmetic
 elementwise on integer numpy arrays.
 """
@@ -128,17 +129,23 @@ class Field:
 
     The arithmetic methods (`add`, `mul`, `inv`, ...) take and return plain
     ints in ``range(q)``; that keeps the inner decoding loops free of object
-    churn.  Two steps work on lists of them, bound once per field on first
-    use (closures over the log/antilog lists on GF(2^m), exact on Python
-    ints on GF(p)):
+    churn.  Three steps work on lists of them, through the log/antilog
+    lists on GF(2^m) and exact on Python ints on GF(p):
 
     * ``axpy(c, d, v)``: the list d - c*v, elementwise over the shorter
       width, for c != 0;
+    * ``shifted_axpy(v)``: the in-place step (c, d, i) -> d[i + j] <-
+      d[i + j] - c*v[j], for c != 0 and d long enough, which runs over
+      only the nonzero v[j], listed once when the step is made: for many
+      multiples of one short v;
     * ``inner(u, v)``: sum_i u_i v_i over the shorter width.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_hash", "_arrays",
-                 "axpy", "inner")
+    # No __getattr__: CPython 3.11 specializes attribute reads only on
+    # types that keep the generic lookup.  With one, which bound the list
+    # steps on first use, Field.mul took 0.33 us against 0.08 (timeit,
+    # 2-core Xeon).
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_hash", "_arrays")
 
     def __init__(self, p: int, m: int = 1, modulus: int | None = None):
         if p >= 2**63:   # numpy takes p as an int64 scalar
@@ -172,40 +179,6 @@ class Field:
             self._build_tables()
         else:
             self._exp = self._log = None
-
-    def __getattr__(self, name: str):
-        # axpy and inner are bound on first use, so that building a field
-        # costs no more than its tables
-        if name not in ("axpy", "inner"):
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.axpy, self.inner = self._list_steps()
-        return getattr(self, name)
-
-    def _list_steps(self):
-        """The closures `axpy` and `inner` (see the class docstring)."""
-        if self.m > 1:
-            exp, log = self._exp, self._log
-
-            def axpy(c: int, d: list[int], v: list[int]) -> list[int]:
-                lc = log[c]
-                return [x ^ exp[lc + log[y]] if y else x for x, y in zip(d, v)]
-
-            def inner(u: list[int], v: list[int]) -> int:
-                s = 0
-                for x, y in zip(u, v):
-                    if x and y:
-                        s ^= exp[log[x] + log[y]]
-                return s
-        else:
-            p = self.p
-
-            def axpy(c: int, d: list[int], v: list[int]) -> list[int]:
-                return [(x - c * y) % p for x, y in zip(d, v)]
-
-            def inner(u: list[int], v: list[int]) -> int:
-                return sum(map(mul, u, v)) % p
-        return axpy, inner
 
     # -- construction helpers -------------------------------------------
 
@@ -259,7 +232,7 @@ class Field:
         return self._hash
 
     def __reduce__(self):
-        # rebuilt from its parameters: the bound closures do not pickle
+        # rebuilt from its parameters, tables and all
         return Field, (self.p, self.m, self.modulus)
 
     # -- arithmetic on canonical ints -------------------------------------
@@ -312,6 +285,42 @@ class Field:
             return pow(a, self.p - 2, self.p)
         return self._exp[self.q - 1 - self._log[a]]
 
+    def axpy(self, c: int, d: list[int], v: list[int]) -> list[int]:
+        if self.m == 1:
+            p = self.p
+            return [(x - c * y) % p for x, y in zip(d, v)]
+        exp, log = self._exp, self._log
+        lc = log[c]
+        return [x ^ exp[lc + log[y]] if y else x for x, y in zip(d, v)]
+
+    def shifted_axpy(self, v: list[int]):
+        if self.m == 1:
+            p = self.p
+            terms = [(j, y) for j, y in enumerate(v) if y]
+
+            def step(c: int, d: list[int], i: int) -> None:
+                for j, y in terms:
+                    d[i + j] = (d[i + j] - c * y) % p
+            return step
+        exp, log = self._exp, self._log
+        terms = [(j, log[y]) for j, y in enumerate(v) if y]
+
+        def step(c: int, d: list[int], i: int) -> None:
+            lc = log[c]
+            for j, ly in terms:
+                d[i + j] ^= exp[lc + ly]
+        return step
+
+    def inner(self, u: list[int], v: list[int]) -> int:
+        if self.m == 1:
+            return sum(map(mul, u, v)) % self.p
+        exp, log = self._exp, self._log
+        s = 0
+        for x, y in zip(u, v):
+            if x and y:
+                s ^= exp[log[x] + log[y]]
+        return s
+
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
@@ -361,7 +370,7 @@ class FieldArrays:
     products, one byte each, for the matrices that a vector multiplies
     whole (`matrix_factors`, `dot_factors`) and for the products of
     Koetter's interpolation (`sub_scaled`, `mul_scalar`, `scaler`,
-    `slice_dot`, `dot_entries`), whose rows are then bytes too
+    `slice_dot`, `dot_entries`), whose arrays are then bytes too
     (`narrow_dtype`).  The table is built on the first such product, never
     with the field or a code.
     """
@@ -426,13 +435,26 @@ class FieldArrays:
                 self._exp[self._log[b] + self._log[y]]
         return (a * x - b * y) % self.p
 
-    def sub_scaled(self, y: np.ndarray, a: np.ndarray, x: np.ndarray) -> None:
-        """y <- y - a*x in place, for a column a, one entry per row of y,
-        and a row x: on the table path each entry of a picks its row of the
-        product table, and x picks the terms from those rows."""
+    def sub_scaled(self, y: np.ndarray, a, x: np.ndarray) -> None:
+        """y <- y - a*x in place, in one of two forms:
+
+        * a is a numpy row, one element per column of y, and x a column,
+          one element per row of y: y[k, c] loses x[k] * a[c] (Koetter's
+          axpy over its C candidates);
+        * a is one element and x has y's shape (the pivot's shift).
+
+        On the table path the first form takes the q x C slice of the
+        product table at a's C columns, and x gathers its rows, C bytes
+        each; the second reads a's one row of the table at x.  Elsewhere
+        the products go through logs or mod p, broadcast."""
         if self._tabled:
-            y ^= self._table().take(a.ravel(), axis=0).take(x, axis=1)
-        elif self.binary:
+            table = self._table()
+            y ^= (table.take(a, axis=1) if isinstance(a, np.ndarray)
+                  else table[a]).take(x, axis=0)
+            return
+        if isinstance(a, np.ndarray):
+            x = x[:, None]
+        if self.binary:
             y ^= self._exp[self._log[a] + self._log[x]]
         else:  # y - a*x > -(p - 1)^2, which int64 holds
             y -= a * x
@@ -589,24 +611,27 @@ class FieldArrays:
     def slice_dot(self, a: np.ndarray, b: np.ndarray, padded: np.ndarray,
                   packed: tuple[np.ndarray, np.ndarray, np.ndarray]
                   ) -> np.ndarray:
-        """out[r, t, g], the sum over i of a[r, padded[g, i]] * b[i, t]:
-        slices of a's columns, one per row of the index array padded, each
-        against the leading rows of b.  A row of padded may end in columns
-        of zeros; packed = (cols, pos, starts) lists its other entries,
-        slice after slice: their columns, their positions i, and where
-        each slice starts.
+        """out[r, t, g], the sum over i of a[padded[g, i], r] * b[i, t]:
+        slices of a's rows, one per row of the index array padded, each
+        against the leading rows of b, for every column r of a (a Koetter
+        candidate's).  A row of padded may end in indices of rows of
+        zeros; packed = (rows, pos, starts) lists its other entries, slice
+        after slice: the rows of a, their positions i, and where each
+        slice starts.
 
-        GF(2^m) gathers only the packed entries of a and sums each slice's
-        terms with one reduceat (`_segment_sums`).  GF(p) multiplies the
-        padded slices whole with one `dot`, which sums as it multiplies:
-        on the short rows of the prime-field fits that is fewer numpy
-        calls than a gather and a reduceat."""
+        GF(2^m) gathers only the packed rows of a, whole, lays them out one
+        column of a per row, a copy of its own size, and sums each slice's
+        terms with one reduceat (`_segment_sums`): a gather of single
+        elements down a's columns took about twice as long.  GF(p)
+        multiplies the padded slices whole with one `dot`, which sums as
+        it multiplies: on the short slices of the prime-field fits that is
+        fewer numpy calls than a gather and a reduceat."""
         if not self.binary:
-            return self.dot(a.take(padded, axis=1),
+            return self.dot(a.take(padded, axis=0).transpose(2, 0, 1),
                             b[:padded.shape[1]]).transpose(0, 2, 1)
-        cols, pos, starts = packed
-        return self._segment_sums(a.take(cols, axis=1), b.T.take(pos, axis=1),
-                                  starts)
+        rows, pos, starts = packed
+        a = np.ascontiguousarray(a.take(rows, axis=0).T)
+        return self._segment_sums(a, b.T.take(pos, axis=1), starts)
 
     def dot_entries(self, a: np.ndarray, b: np.ndarray, rows: np.ndarray,
                     cols: np.ndarray) -> np.ndarray:

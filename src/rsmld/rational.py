@@ -121,11 +121,12 @@ def _divides(b: Polynomial, a: Polynomial, slices: list[Polynomial]) -> bool:
 
     The coefficients are Python lists of ints, low to high: S + a*P is one
     `Field.axpy` per nonzero coefficient of a, and each quotient
-    coefficient c takes c*x^i times b's lower part off in one more."""
+    coefficient c takes c*x^i times b's lower part off in place, over its
+    nonzero terms (`Field.shifted_axpy`)."""
     F = b.field
     axpy, mul = F.axpy, F.mul
     bc, db = b.coeffs, b.degree()
-    low = bc[:db]
+    take_off = F.shifted_axpy(bc[:db])
     inv_lead = F.inv(bc[-1])
     minus_a = [F.neg(c) for c in a.coeffs]
 
@@ -144,7 +145,7 @@ def _divides(b: Polynomial, a: Polynomial, slices: list[Polynomial]) -> bool:
         for i in range(len(quot) - 1, -1, -1):
             if t[i + db]:
                 quot[i] = c = mul(t[i + db], inv_lead)
-                t[i:i + db] = axpy(c, t[i:i + db], low)
+                take_off(c, t, i)
         if any(t[:db]):
             return False
     return not any(plus_a_times(slices[0], quot))

@@ -330,22 +330,23 @@ def test_koetter_line_over_large_prime():
 
 @pytest.mark.parametrize("field", [Field(7), Field(2, 3), Field(2**31 - 1),
                                    Field(4294967291), Field(2, 8),
-                                   Field(2, 9)])
+                                   Field(2, 9), Field(2, 4)])
 def test_koetter_candidates_match_reference(field):
     # every one of the M + 1 final candidates and its leading x-exponent,
     # not only the smallest: mgb_iterative reads both of its candidates.
     # The anchors include x = 0 and points at infinity, and end with a
     # repeat of the first: all candidates already meet its constraints.
-    # GF(2^3) and GF(2^8) multiply through the product table, GF(2^8) at
-    # its cutoff; GF(2^9), just past it, through logs
+    # GF(2^3), GF(2^4) and GF(2^8) multiply through the product table,
+    # GF(2^8) at its cutoff; GF(2^9), just past it, through logs
     rng = XorShift64Star(field.q)
     # (s, M, w, growths): the rows first hold the M|w| + 1 weighted degrees
     # up to the top lead's, and twice as many each time the top lead
     # outgrows them.  At w > 0 the high z-slices hold nothing at the low
-    # weighted degrees, (2, 3, 2); (4, 5, -1) has 10 constraints per anchor
+    # weighted degrees, (2, 3, 2); (4, 5, -1) has 10 constraints per anchor,
+    # and (4, 8, -1) 9 candidates, so that each axpy gathers rows of 9
     for s, M, w, grows in [(1, 1, 0, 3), (2, 1, 0, 4), (2, 3, 1, 1),
                            (3, 2, -1, 3), (3, 4, -2, 1), (3, 1, 2, 3),
-                           (2, 3, 2, 1), (4, 5, -1, 2)]:
+                           (2, 3, 2, 1), (4, 5, -1, 2), (4, 8, -1, 1)]:
         xs = [0]
         while len(xs) < min(field.q, 7):
             x = rng.below(field.q)

@@ -154,12 +154,18 @@ def test_array_sub_inv_sum_evaluate(field):
     arr = A.array(xs)
     assert [int(v) for v in A.sub(arr, A.array(xs[::-1]))] == \
         [field.sub(a, b) for a, b in zip(xs, xs[::-1])]
-    # in place, a column of scalars times a row: y[i, j] - a[i] * x[j]
-    y = A.array([xs, xs[::-1]])
-    A.sub_scaled(y, A.array([[field.q - 1], [2 % field.q]]), arr)
-    assert [[int(v) for v in row] for row in y] == [
+    # in place, a row of scalars times a column: y[k, c] - a[c] * x[k]
+    y = A.array([xs, xs[::-1]]).T.copy()
+    A.sub_scaled(y, A.array([field.q - 1, 2 % field.q]), arr)
+    assert [[int(v) for v in col] for col in y.T] == [
         [field.sub(b, field.mul(a, x)) for b, x in zip(ys, xs)]
         for a, ys in ((field.q - 1, xs), (2 % field.q, xs[::-1]))]
+    # one scalar times a vector of y's shape, in place on a view
+    for c in (0, 1, field.q - 1, 3 % field.q):
+        y = A.array([7, *xs[::-1]])
+        A.sub_scaled(y[1:], c, arr)
+        assert [int(v) for v in y] == [7] + [
+            field.sub(b, field.mul(c, x)) for b, x in zip(xs[::-1], xs)]
     assert [int(v) for v in A.inv(nonzero)] == [field.inv(x) for x in nonzero]
     with pytest.raises(ZeroDivisionError):
         A.inv(xs)
@@ -352,12 +358,18 @@ def test_table_kernels_match_log_path(monkeypatch, field):
     x = np.arange(q)
     every = logs.mul(x[:, None], x)
     assert every[3, 5] == field.mul(3, 5)
-    # the axpy: a column of all elements times a row of all elements
+    # the axpy: a row of all elements times a column of all elements,
+    # reversed, so that y[k, c] = (q - 1 - k) * c
     for arr in (A, logs):
         y = np.zeros((q, q), dtype=arr.narrow_dtype)
-        arr.sub_scaled(y, x[:, None], x)
-        assert (y == every).all()   # -a*x = a*x in characteristic 2
+        arr.sub_scaled(y, x, x[::-1])
+        assert (y == every[::-1]).all()   # -a*x = a*x in characteristic 2
     for c in range(q):
+        # one scalar: on the table path its row of the table
+        for arr in (A, logs):
+            y = np.zeros(q, dtype=arr.narrow_dtype)
+            arr.sub_scaled(y, c, x)
+            assert (y == every[c]).all()
         assert (A.mul_scalar(c, x) == logs.mul_scalar(c, x)).all()
         assert A.mul_scalar(c, 7 % q) == every[c, 7 % q]
         assert bytes(map(A.scaler(c), range(q))) == bytes(every[c].tolist())
@@ -365,7 +377,7 @@ def test_table_kernels_match_log_path(monkeypatch, field):
     # one-entry slices: entry (0, t, g) is g * t
     slices = (x, np.zeros(q, dtype=np.intp), x)
     for arr in (A, logs):
-        out = arr.slice_dot(x[None], x[None], x[:, None], slices)
+        out = arr.slice_dot(x[:, None], x[None], x[:, None], slices)
         assert out.shape == (1, q, q) and out.dtype == arr.narrow_dtype
         assert (out[0] == every.T).all()
     # entry (i, j) of a (1, q, 1) by (1, q) product is i * j
@@ -379,9 +391,9 @@ def test_table_kernels_match_log_path(monkeypatch, field):
 @pytest.mark.parametrize("field", [F7, F16, Field(2, 8), Field(2, 9),
                                    Field(2**31 - 1), Field(4294967291)])
 def test_slice_dot_and_dot_entries_match_scalar_sums(field):
-    # ragged slices of a's columns, padded with a column of zeros, against
-    # sums of Field.mul; on GF(2^m) the rows of a and of b split into
-    # blocks of DOT_CHUNK terms, and a row of terms past it is one block
+    # ragged slices of a's rows, padded with a row of zeros, against sums
+    # of Field.mul; on GF(2^m) the columns of a and the rows of b split
+    # into blocks of DOT_CHUNK terms, and a row of terms past it is one block
     A = field.arrays()
     rng = XorShift64Star(field.q + 11)
 
@@ -400,8 +412,8 @@ def test_slice_dot_and_dot_entries_match_scalar_sums(field):
                                    (9, [DOT_CHUNK // 2 + 3, 700], 3),
                                    (2, [DOT_CHUNK + 9], 2)]:
         width, n = max(lengths), sum(lengths)
-        a = draw(rows_a, n + 1)
-        a[:, n] = 0                      # the column of zeros
+        a = draw(n + 1, rows_a)
+        a[n] = 0                         # the row of zeros
         b = draw(width + 2, depth)       # its leading rows are read
         starts = np.cumsum(lengths) - lengths
         padded = np.full((len(lengths), width), n)
@@ -413,7 +425,7 @@ def test_slice_dot_and_dot_entries_match_scalar_sums(field):
         for r in range(rows_a):
             for t in range(depth):
                 for g, (lo, m) in enumerate(zip(starts, lengths)):
-                    want = total(zip(a[r, lo:lo + m], b[:m, t]))
+                    want = total(zip(a[lo:lo + m, r], b[:m, t]))
                     assert out[r, t, g] == want, (lengths, r, t, g)
     for shape, k in [((3, 2, 4), 3), ((40, 7, 16), 7),
                      ((3, 2, DOT_CHUNK + 1), 2)]:
@@ -432,11 +444,13 @@ def test_slice_dot_and_dot_entries_match_scalar_sums(field):
                          ids=["gf7", "gf16", "gf16-mod", "gf256", "gf512",
                               "mersenne61"])
 def test_list_axpy_and_inner_match_scalar_sums(field):
-    # Field.axpy and Field.inner against Field.sub and Field.mul term by
-    # term, on lists that hold zeros; both read the shorter of two widths
+    # Field.axpy, Field.shifted_axpy and Field.inner against Field.sub and
+    # Field.mul term by term, on lists that hold zeros; axpy and inner read
+    # the shorter of two widths, shifted_axpy's step writes d[i:i + len(v)]
     rng = XorShift64Star(field.m + field.p % 1000)
+    lists = XorShift64Star(field.q + 3)   # shifted_axpy's targets
 
-    def draw(width):   # about a third of the entries zero
+    def draw(width, rng=rng):   # about a third of the entries zero
         return [rng.below(field.q) if rng.below(3) else 0
                 for _ in range(width)]
 
@@ -445,6 +459,13 @@ def test_list_axpy_and_inner_match_scalar_sums(field):
         for c in (1, field.q - 1, 1 + rng.below(field.q - 1)):
             assert field.axpy(c, d, v) == [field.sub(x, field.mul(c, y))
                                            for x, y in zip(d, v)], (wd, wv)
+            step = field.shifted_axpy(v)
+            for i in (0, 1, 3):
+                got = draw(wv + i + 2, lists)
+                want = got[:i] + [field.sub(x, field.mul(c, y)) for x, y in
+                                  zip(got[i:], v)] + got[i + wv:]
+                step(c, got, i)
+                assert got == want, (wd, wv, i)
         want = 0
         for x, y in zip(d, v):
             want = field.add(want, field.mul(x, y))
