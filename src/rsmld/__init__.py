@@ -15,9 +15,8 @@ from .division import (RadiusCapExceeded, Reencoding, decode_minimal,
                        search_radius_cap)
 from .fields import Field, FieldMismatch, parse_field
 from .groebner import (GroebnerPair, ModuleVector, WeightedOrder,
-                       decoder_order, interpolation_generators, mgb_euclid,
-                       mgb_euclid_reencoded, mgb_iterative,
-                       mgb_iterative_reencoded)
+                       decoder_order, mgb_euclid, mgb_euclid_reencoded,
+                       mgb_iterative, mgb_iterative_reencoded)
 from .polys import Polynomial, lagrange_interpolate, vanishing_poly
 from .rational import anchor_points, decode_rational, rational_factorize
 from .ratparams import (InfeasibleParams, InterpParams, MultiplicityScan,
@@ -37,8 +36,8 @@ __all__ = [
     "search_radius_cap",
     "Field", "FieldMismatch", "parse_field",
     "GroebnerPair", "ModuleVector", "WeightedOrder", "decoder_order",
-    "interpolation_generators", "mgb_euclid", "mgb_euclid_reencoded",
-    "mgb_iterative", "mgb_iterative_reencoded",
+    "mgb_euclid", "mgb_euclid_reencoded", "mgb_iterative",
+    "mgb_iterative_reencoded",
     "Polynomial", "lagrange_interpolate", "vanishing_poly",
     "anchor_points", "decode_rational", "rational_factorize",
     "InfeasibleParams", "InterpParams", "MultiplicityScan",

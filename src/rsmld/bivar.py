@@ -4,7 +4,9 @@ Polynomials live in F[x, z] as sparse {(i, j): coeff} maps.  The rational
 decoder needs one nontrivial operation: given anchor points (x_i, z_i) —
 some possibly with z at infinity — find a nonzero Q with z-degree at most M
 whose Hasse derivatives D_{u,v}Q vanish at every anchor for all u + v < s.
-An infinity anchor constrains the z-reversal of Q at (x_i, 0) instead.
+An infinity anchor constrains the z-reversal of Q at (x_i, 0) instead,
+whose z-slices are Q's in reverse order: the update reads both kinds of
+anchor through the same products.
 Koetter's update processes one constraint at a time over M + 1 candidates
 ordered by (1, w)-weighted leading degree, and the smallest final candidate
 meets the weighted-degree cap whenever the constraint count is below the
@@ -326,7 +328,10 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
       z table, and over GF(2^m) computes only the P entries D_{u,v} that
       `hasse_constraints` reads.
     At an anchor at infinity D_{u,v} is the first product's entry u of the
-    z^(M - v) slice, and there is no second product.
+    z^(M - v) slice.  The z table of z = 0 has row j [j = v]; with its
+    rows reversed, row j is [j = M - v], so the second product reads that
+    slice, and 0 when v > M.  The z tables are built from the anchors' z
+    with 0 at each anchor at infinity.
 
     Then the discrepancies are kept current by linearity: a combination
     of candidates combines their columns, and multiplying by (x - x0)
@@ -367,12 +372,9 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
     key = _lead_keys(np.zeros(C, dtype=np.int64), w).tolist()
     lam = [1] * C
 
-    # D_{u,v} at a finite anchor is entry (u, v) of the product of the
-    # first product with the z table; at infinity it is the z^(M - v)
-    # slice's entry u of the first product, v <= M
+    # D_{u,v} is entry (u, v) of the product of the first product with
+    # the z table, at infinity z = 0's table with its rows reversed
     us, vs = np.array(cons).T
-    inf_at = [p for p, (u, v) in enumerate(cons) if v <= M]
-    inf_cols = [u * C + M - v for u, v in cons if v <= M]
 
     d_min = min(0, M * w)
     top = max(0, M * w)
@@ -391,22 +393,18 @@ def koetter_candidates(field: Field, anchors: list[ProjectivePoint], s: int,
                       if len(xs) * rows * s <= TABLE_CELLS else None)
 
     rows, tx = x_tables(span)
-    tz = (_hasse_tables(A, [pt.z_num for pt in anchors], s, C)
+    zs = [0 if pt.is_infinite else pt.z_num for pt in anchors]
+    tz = (_hasse_tables(A, zs, s, C)
           if len(anchors) * C * s <= TABLE_CELLS else None)
     for b, pt in enumerate(anchors):
         x0, width = pt.x, top - d_min + 1
         z0, z1, packed = _slice_layout(s, M, w, span, width)
         T = tx[b] if tx is not None else _hasse_tables(A, [x0], s, rows)[0]
         H = A.slice_dot(R, T, view[z0:z1, :width], packed)
+        T = tz[b] if tz is not None else _hasse_tables(A, [zs[b]], s, C)[0]
         if pt.is_infinite:
-            full = np.zeros((C, s, C), dtype=H.dtype)
-            full[:, :, z0:z1] = H
-            R[:P] = 0
-            R[inf_at] = full.reshape(C, s * C)[:, inf_cols].T
-        else:
-            T = (tz[b] if tz is not None
-                 else _hasse_tables(A, [pt.z_num], s, C)[0])
-            R[:P] = A.dot_entries(H, T[z0:z1], us, vs).T
+            T = T[::-1]
+        R[:P] = A.dot_entries(H, T[z0:z1], us, vs).T
         for p in range(P):
             e = R[p].tolist()
             hit = [i for i in range(C) if e[i]]

@@ -172,10 +172,6 @@ class RSCode:
         """Minimum distance n - k + 1 (MDS)."""
         return self.n - self.k + 1
 
-    def classical_radius(self) -> int:
-        """Largest t with unique decoding guaranteed: t < d/2."""
-        return (self.d - 1) // 2
-
     def johnson_radius_max(self) -> int:
         """Largest integer t with t < n - sqrt(n*(n-d))."""
         return self.n - isqrt(self.n * (self.n - self.d)) - 1

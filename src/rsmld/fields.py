@@ -428,13 +428,6 @@ class FieldArrays:
         return self.array([pow(x, -1, self.p)
                            for x in a.ravel().tolist()]).reshape(a.shape)
 
-    def msub(self, a, x, b, y):
-        """Elementwise a*x - b*y (broadcasting)."""
-        if self.binary:
-            return self._exp[self._log[a] + self._log[x]] ^ \
-                self._exp[self._log[b] + self._log[y]]
-        return (a * x - b * y) % self.p
-
     def sub_scaled(self, y: np.ndarray, a, x: np.ndarray) -> None:
         """y <- y - a*x in place, in one of two forms:
 
@@ -476,8 +469,8 @@ class FieldArrays:
         return functools.partial(self.field.mul, c)
 
     def factors(self, c) -> np.ndarray:
-        """Elements as the factors that `factor_sums` and `mul_factors`
-        take, and `dot_factors` past q = PRODUCT_TABLE_Q: on GF(2^m) their
+        """Elements as the factors that `factor_sums` takes, and
+        `dot_factors` past q = PRODUCT_TABLE_Q: on GF(2^m) their
         logs, in [0, q - 2], and the zero sentinel 2(q - 1) for 0, in the
         narrowest dtype that holds the sentinel (one byte up to m = 7, two
         up to m = 15, four at m = 16); the elements themselves on GF(p)."""
@@ -506,13 +499,6 @@ class FieldArrays:
             return (f & (self.field.q - 1)).astype(self.dtype)
         return self._exp[f] if self.binary else f
 
-    def mul_factors(self, a, f):
-        """Elementwise a * c (broadcasting), for the elements c whose
-        `factors` are f."""
-        if self.binary:
-            return self._exp[self._log[a] + f]
-        return a * f % self.p
-
     def factor_sums(self, f: np.ndarray, values: np.ndarray,
                     index: np.ndarray) -> np.ndarray:
         """Column sums of f * values[index], with f factors and index an
@@ -524,28 +510,16 @@ class FieldArrays:
         return (f * values[index] % self.p).sum(axis=0) % self.p
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product over the field: a's last axis against b's first.
+        """Matrix product over the field: a's last axis against the rows of
+        the matrix b.
 
         GF(2^m) gathers every product term from the antilog table and sums
-        them with XOR, in one of two layouts picked by the operand shapes:
-
-        * when a is not a vector and has more rows (the product of
-          a.shape[:-1]) than b has columns (the product of b.shape[1:]),
-          the terms of a chunk of a's rows lie along a contiguous last axis,
-          one row of b's transpose per output column, and XOR runs down
-          that axis: the layout for many short products, as in Koetter's
-          discrepancies;
-        * otherwise the terms of a chunk of b's rows lie along axis -2, and
-          each chunk adds its rows into the whole output: the layout for a
-          vector or a few rows against a wide matrix.
-
-        Each int64 temporary holds at most DOT_CHUNK elements, or the least
-        that one step takes when that is more: one term per output element
-        in the second layout, one per column of b in the first, which then
-        also splits the contraction axis into spans.  That is below
-        glibc's default mmap threshold (128 KB): the allocator reuses heap
-        memory instead of mapping, and faulting in, fresh pages on every
-        call."""
+        them with XOR: the terms of a chunk of b's rows lie along axis -2,
+        and each chunk adds its rows into the whole output.  Each int64
+        temporary holds at most DOT_CHUNK elements, or one term per output
+        element when that is more.  That is below glibc's default mmap
+        threshold (128 KB): the allocator reuses heap memory instead of
+        mapping, and faulting in, fresh pages on every call."""
         if self.binary:
             return self._log_dot(self._log[a], b, self._log.__getitem__)
         p = self.p
@@ -686,24 +660,10 @@ class FieldArrays:
 
     def _log_dot(self, log_a: np.ndarray, b: np.ndarray,
                  logs) -> np.ndarray:
-        """The GF(2^m) `dot`, in the two layouts it describes, of a, given
-        by its logs log_a, with b; logs(block) gives the logs of a block of
+        """The GF(2^m) `dot`, in the chunks it describes, of a, given by
+        its logs log_a, with b; logs(block) gives the logs of a block of
         b's rows."""
-        lead, cols = log_a.shape[:-1], math.prod(b.shape[1:])
-        if lead and math.prod(lead) > cols:
-            rows_a, depth = math.prod(lead), log_a.shape[-1]
-            log_a = log_a.reshape(rows_a, depth)
-            log_bt = logs(b).reshape(depth, cols).T.copy()
-            span = max(1, min(depth, DOT_CHUNK // max(1, cols)))
-            rows = max(1, DOT_CHUNK // max(1, cols * span))
-            out = np.zeros((rows_a, cols), dtype=self.dtype)
-            for lo in range(0, rows_a, rows):
-                for k in range(0, depth, span):
-                    out[lo:lo + rows] ^= np.bitwise_xor.reduce(self._exp[
-                        log_a[lo:lo + rows, None, k:k + span]
-                        + log_bt[:, k:k + span]], axis=-1)
-            return out.reshape(lead + b.shape[1:])
-        out = np.zeros(lead + b.shape[1:], dtype=self.dtype)
+        out = np.zeros(log_a.shape[:-1] + b.shape[1:], dtype=self.dtype)
         rows = max(1, DOT_CHUNK // max(1, out.size))
         for lo in range(0, len(b), rows):
             terms = self._exp[log_a[..., lo:lo + rows, None]
@@ -762,7 +722,8 @@ class FieldArrays:
         for e in range(len(vanishing) - 2, -1, -1):
             out[:, e] = u
             if e:  # the next quotient coefficient is v_e + x_j * this one
-                u = self.msub(roots, u, self.field.neg(vanishing[e]), c)
+                u = self.sub(self.mul(roots, u),
+                             self.mul(self.field.neg(vanishing[e]), c))
         return out
 
     def indexed_values(self, start: int, stop: int, powers: np.ndarray,
@@ -781,10 +742,10 @@ class FieldArrays:
         q = self.field.q
         wide = self.dtype == object or stop > 2**63
         rest = np.arange(start, stop, dtype=object if wide else np.int64)
-        rows = self.factors(self.mul(mult, self.matrix_values(powers)))
+        rows = self.mul(mult, self.matrix_values(powers))
         acc = np.zeros((len(rest), powers.shape[1]), dtype=self.dtype)
         for row in rows:
-            part = self.mul_factors(self.array(rest % q)[:, None], row)
+            part = self.mul(self.array(rest % q)[:, None], row)
             rest = rest // q
             acc = acc ^ part if self.binary else (acc + part) % self.p
         return acc

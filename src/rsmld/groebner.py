@@ -285,14 +285,6 @@ def interpolant(code: RSCode, r) -> list[int]:
                    consts.interpolation_matrix).tolist()
 
 
-def interpolation_generators(code: RSCode, r) -> tuple[ModuleVector, ModuleVector]:
-    """The generating pair (Pi, 0), (L, -1) of M(r); Pi and the matrix that
-    interpolates a word are the code's (`RSCode.constants`)."""
-    rows = _generator_rows(code, code.constants().vanishing,
-                           interpolant(code, r))
-    return tuple(_vector(code.field, row) for row in rows)
-
-
 def mgb_euclid(code: RSCode, r) -> GroebnerPair:
     """Minimal Groebner basis of M(r), reduced from the generators (Pi, 0),
     (L, -1) (the Euclidean remainder sequence, one quotient term at a

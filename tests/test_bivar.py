@@ -343,16 +343,20 @@ def test_koetter_candidates_match_reference(field):
     # up to the top lead's, and twice as many each time the top lead
     # outgrows them.  At w > 0 the high z-slices hold nothing at the low
     # weighted degrees, (2, 3, 2); (4, 5, -1) has 10 constraints per anchor,
-    # and (4, 8, -1) 9 candidates, so that each axpy gathers rows of 9
+    # and (4, 8, -1) 9 candidates, so that each axpy gathers rows of 9.  The
+    # last case has every anchor at infinity, where the constraints with
+    # v > M = 2 read no slice
     for s, M, w, grows in [(1, 1, 0, 3), (2, 1, 0, 4), (2, 3, 1, 1),
                            (3, 2, -1, 3), (3, 4, -2, 1), (3, 1, 2, 3),
-                           (2, 3, 2, 1), (4, 5, -1, 2), (4, 8, -1, 1)]:
+                           (2, 3, 2, 1), (4, 5, -1, 2), (4, 8, -1, 1),
+                           (4, 2, -1, 4)]:
         xs = [0]
         while len(xs) < min(field.q, 7):
             x = rng.below(field.q)
             if x not in xs:
                 xs.append(x)
-        anchors = [ProjectivePoint.infinity(x) if i % 3 == 1
+        every = (s, M, w) == (4, 2, -1)
+        anchors = [ProjectivePoint.infinity(x) if every or i % 3 == 1
                    else ProjectivePoint.finite(x, rng.below(field.q))
                    for i, x in enumerate(xs)]
         anchors.append(anchors[0])
@@ -375,16 +379,19 @@ def test_koetter_candidates_match_reference(field):
                                    Field(2, 8), Field(2, 9)])
 def test_koetter_candidates_with_per_anchor_tables(monkeypatch, field):
     # past TABLE_CELLS each anchor builds its own Hasse tables, as the
-    # largest fits do: the same candidates, at every growth of the rows
+    # largest fits do: the same candidates, at every growth of the rows,
+    # also with every anchor at infinity
     rng = XorShift64Star(field.q + 1)
     xs = list(dict.fromkeys(rng.below(field.q) for _ in range(20)))[:7]
     anchors = [ProjectivePoint.infinity(x) if i % 3 == 2
                else ProjectivePoint.finite(x, rng.below(field.q))
                for i, x in enumerate(xs)]
-    for s, M, w in [(1, 2, -1), (3, 4, -1), (2, 3, 2)]:
-        kept = koetter_candidates(field, anchors, s, M, w)
+    at_infinity = [ProjectivePoint.infinity(x) for x in xs]
+    for pts, s, M, w in [(anchors, 1, 2, -1), (anchors, 3, 4, -1),
+                         (anchors, 2, 3, 2), (at_infinity, 3, 4, -1)]:
+        kept = koetter_candidates(field, pts, s, M, w)
         monkeypatch.setattr(bivar, "TABLE_CELLS", 0)
-        own = koetter_candidates(field, anchors, s, M, w)
+        own = koetter_candidates(field, pts, s, M, w)
         monkeypatch.undo()
         assert own[1] == kept[1]
         assert np.array_equal(own[0], kept[0]), (s, M, w)

@@ -12,6 +12,7 @@ from rsmld.code import (OracleBudgetExceeded, RSCode, Word, corrupt,
 from rsmld.fields import Field
 from rsmld.polys import Polynomial, base_q_digits
 from rsmld.rng import XorShift64Star
+from helpers import classical_radius
 
 F7 = Field(7)
 F8 = Field(2, 3)
@@ -21,7 +22,7 @@ def test_code_construction():
     code = RSCode(F7, 7, 5)
     assert code.eval_points == (0, 1, 2, 3, 4, 5, 6)
     assert code.d == 3
-    assert code.classical_radius() == 1
+    assert classical_radius(code) == 1
     assert code.johnson_radius_max() == 1
     code2 = RSCode(F7, 5, 2, eval_points=[2, 3, 4, 5, 6])
     assert code2.d == 4

@@ -1,7 +1,7 @@
 """The per-code constants (`RSCode.constants`) and the array paths on them.
 
-`RSCode.encode`, `division.reencode`, `groebner.interpolation_generators`
-and the short module's generators are checked against the scalar
+`RSCode.encode`, `division.reencode`, `interpolation_generators` (in
+`helpers`) and the short module's generators are checked against the scalar
 definitions they replaced: per-point Horner evaluation, and Newton
 interpolation of the tail symbols, of the whole word or of the shifted
 word.  The interpolation, short, tail and Vandermonde matrices and the
@@ -24,11 +24,11 @@ from rsmld.division import (CandidateCheck, RadiusCapExceeded,
                             decode_minimal, decode_minimal_reencoded,
                             reencode)
 from rsmld.fields import PRODUCT_TABLE_Q, Field
-from rsmld.groebner import (interpolation_generators, mgb_euclid,
-                            mgb_euclid_reencoded, syndrome_pair)
+from rsmld.groebner import mgb_euclid, mgb_euclid_reencoded, syndrome_pair
 from rsmld.polys import Polynomial, lagrange_interpolate, vanishing_poly
 from rsmld.rational import decode_rational
 from rsmld.rng import XorShift64Star
+from helpers import interpolation_generators
 from test_groebner import euclid_syndrome_pair
 
 P31 = 2**31 - 1

@@ -266,17 +266,16 @@ def test_binary_dot_in_row_chunks(field):
         assert got.shape == a_shape[:-1] + b_shape[1:] and got.dtype == A.dtype
         assert (got == unchunked(a, b)).all(), (a_shape, b_shape)
         assert (A.dot_factors(a, A.matrix_factors(b)) == got).all()
-    # more rows of a than columns of b: chunks of a's rows, each product
-    # summed along a contiguous axis; a transposed view as Koetter passes
-    # it, a row of a past DOT_CHUNK terms (the contraction axis split too),
-    # no rows of b, and one column more than one row of a per chunk
+    # more rows of a than columns of b, in the same chunks of b's rows: a
+    # row of a past DOT_CHUNK terms, no rows of b, an output past DOT_CHUNK
+    # elements (one row of b per chunk), and a transposed view of a
     long = DOT_CHUNK + 7
     cases = [((40, 40, 30), (30, 1)), ((16, 16, 60), (60, 7)),
              ((2, long), (long, 1)), ((5, 0), (0, 3)), ((9, 2, 3), (3, 2)),
              ((2 * DOT_CHUNK, 1), (1, 1))]
     for a_shape, b_shape in cases:
         a, b = draw(*a_shape), draw(*b_shape)
-        assert prod(a_shape[:-1]) > prod(b_shape[1:]), "chunks of a's rows"
+        assert prod(a_shape[:-1]) > prod(b_shape[1:]), "more rows than columns"
         got = A.dot(a, b)
         assert got.shape == a_shape[:-1] + b_shape[1:] and got.dtype == A.dtype
         assert (got == unchunked(a, b)).all(), (a_shape, b_shape)
@@ -296,8 +295,8 @@ def test_binary_dot_in_row_chunks(field):
 def test_factor_form_products_match_values(field):
     # the elementwise factors: logs with the zero sentinel 2(q - 1) in the
     # narrowest dtype, which is one byte up to m = 7 and two up to m = 15
-    # (GF(2^14)'s 32766 fits int16, GF(2^15)'s 65534 only uint16); products
-    # with them are `mul` on the elements, with zeros among the entries
+    # (GF(2^14)'s 32766 fits int16, GF(2^15)'s 65534 only uint16), with
+    # zeros among the entries
     A = field.arrays()
     rng = XorShift64Star(field.q + 5)
     edge = [0, 1, field.q - 1, field.q - 2]
@@ -311,9 +310,6 @@ def test_factor_form_products_match_values(field):
     else:
         assert (f == c).all()
     a = A.array([rng.below(field.q) for _ in range(12)] + edge)
-    assert (A.mul_factors(a, f[:16]) == A.mul(a, c[:16])).all()
-    assert (A.mul_factors(a[:, None], f[:16])
-            == A.mul(a[:, None], c[:16])).all()
     # the form of the per-code matrices, entry by entry: up to q = 256
     # offsets i*q + b[i, j] into the product table's rows, past it (GF(2^9)
     # on) the elementwise factors; products with them are `dot` on the

@@ -6,13 +6,13 @@ from rsmld.code import RSCode, Word, corrupt, random_word
 from rsmld.fields import Field
 from rsmld.groebner import (GroebnerPair, ModuleVector, WeightedOrder,
                             _koetter_rows, _reduced_pair, decoder_order,
-                            interpolation_generators,
                             leading, mgb_euclid, mgb_euclid_reencoded,
                             mgb_iterative, mgb_iterative_reencoded,
                             syndrome_pair)
 from rsmld.division import reencode
 from rsmld.polys import Polynomial, lagrange_interpolate, vanishing_poly
 from rsmld.rng import XorShift64Star
+from helpers import classical_radius, interpolation_generators
 
 F7 = Field(7)
 
@@ -137,7 +137,7 @@ def test_engines_agree_at_benchmark_sizes(field, n, k):
     code = RSCode(field, n, k)
     rng = XorShift64Star(n)
     words = [random_word(code, n)]
-    for t in (code.classical_radius(), code.classical_radius() + 1, n - k):
+    for t in (classical_radius(code), classical_radius(code) + 1, n - k):
         msg = [rng.below(field.q) for _ in range(k)]
         words.append(corrupt(code.encode(msg), t, rng.next_u64()))
     for r in words:
@@ -215,7 +215,7 @@ def test_euclid_rows_match_scalar_sequence(field, n, k):
     rng = XorShift64Star(n + k)
     msg = [rng.below(field.q) for _ in range(k)]
     words = [random_word(code, n), Word(code, (0,) * n), code.encode(msg)]
-    for t in (1, code.classical_radius() + 1, n - k):
+    for t in (1, classical_radius(code) + 1, n - k):
         words.append(corrupt(code.encode(msg), t, rng.next_u64()))
 
     def check(pair, gens, order):
